@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical error.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import sys
 from pathlib import Path
@@ -70,9 +71,13 @@ def _run(table_func, config_path, overrides, out_dir, out_format, jobs, op_label
     except ConfigError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    except (NumericalError, StomodError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, StomodError, FloatingPointError) as exc:
         click.echo(f"numerical error: {exc}", err=True)
         sys.exit(3)
+    for stem, (_, rows) in tables.items():
+        if not rows or not all(math.isfinite(v) for r in rows for v in r if isinstance(v, float)):
+            click.echo(f"numerical error: table {stem} is empty or not finite", err=True)
+            sys.exit(3)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     meta = [

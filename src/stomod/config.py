@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -167,6 +168,13 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
 def _validate(cfg: RunConfig) -> None:
     if not cfg.op_xis:
         raise ConfigError("no operating points configured")
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, dict):
+            value = list(value.values())
+        for number in value if isinstance(value, list) else [value]:
+            if isinstance(number, float) and not math.isfinite(number):
+                raise ConfigError(f"{f.name} must be finite, got {number}")
     for label, xi in cfg.op_xis.items():
         if xi <= 1.0:
             raise ConfigError(f"operating point {label}: xi={xi} must exceed 1")
@@ -176,6 +184,12 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"unsupported output format {cfg.out_format!r}")
     if cfg.n_harmonics < 1:
         raise ConfigError("solver.n_harmonics must be >= 1")
+    if cfg.j_max < 1:
+        raise ConfigError("spectrum.j_max must be >= 1")
+    if cfg.k_max < cfg.n_harmonics:
+        raise ConfigError("spectrum.k_max must be >= solver.n_harmonics")
+    if cfg.bw_mu < 0.0 or cfg.err_mu < 0.0:
+        raise ConfigError("bandwidth.mu and error-analysis.mu must be >= 0")
     if cfg.err_n_ref <= max(cfg.err_n_values):
         raise ConfigError("error-analysis.n_ref must exceed every n_values entry")
     for name in (

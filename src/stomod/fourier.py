@@ -14,16 +14,25 @@ harmonics) gives, with the shorthand g = 2*Gamma_p and e = mu*C2:
     n>=2 cos:  n*w*A_n  = e*(B_{n-1} + B_{n+1}) - g*B_n
     n>=2 sin: -n*w*B_n  = e*(A_{n-1} + A_{n+1}) - g*A_n
 
-The series is truncated by A_{N+1} = B_{N+1} = 0 and solved either as one
-(2N+1)-unknown linear system (matrix method) or by marching upward in n
-with the n+1 couplings dropped (recursive method).
+In the complex harmonics X_n = B_n + i*A_n the n >= 2 pairs form the
+three-term recurrence
+
+    (g - i*n*w) * X_n = e * (X_{n-1} + X_{n+1}),
+
+truncated by X_{N+1} = 0.  Its solution is the minimal one, which backward
+recurrence delivers stably: the ratios q_n = X_n/X_{n-1} obey the continued
+fraction q_n = e / ((g - i*n*w) - e*q_{n+1}) from q_{N+1} = 0.  The n = 1
+pair then closes as a real 2x2 system once A0 = e*B1/g is eliminated, and
+X_n = q_n*X_{n-1} gives the rest, in O(N) operations.  The matrix method
+solves this truncated system exactly; the recursive method takes every
+q_{n+1} as zero, dropping the n+1 coupling of each harmonic.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,9 +41,7 @@ from .model import ModulationConfig, OperatingPoint, warn_if_fast_modulation
 
 logger = logging.getLogger(__name__)
 
-TWO_PI = 2.0 * math.pi
-
-# Residual acceptance for the assembled balance equations, relative to the
+# Residual acceptance for the balance equations, relative to the
 # natural rate scale max(|mu*C1|, Gamma_p).
 RESIDUAL_RTOL = 1e-10
 
@@ -56,7 +63,7 @@ class FourierSolution:
         return self.b + 1j * self.a
 
     def x_abs(self, n: int) -> float:
-        return float(abs(self.x[n - 1]))
+        return math.hypot(self.b[n - 1], self.a[n - 1])
 
     def psi(self, n: int) -> float:
         return math.atan2(float(self.a[n - 1]), float(self.b[n - 1]))
@@ -73,53 +80,6 @@ class HarmonicDescriptor:
     delta_f: float
 
 
-def _assemble(op: OperatingPoint, modcfg: ModulationConfig) -> tuple[np.ndarray, np.ndarray]:
-    n_h = modcfg.n_harmonics
-    w = modcfg.omega_m
-    g = 2.0 * op.gamma_p
-    e = modcfg.mu * op.c2
-    size = 2 * n_h + 1
-    mat = np.zeros((size, size))
-    rhs = np.zeros(size)
-
-    def ia(n: int) -> int:
-        return n  # A_n at index n; A0 at index 0
-
-    def ib(n: int) -> int:
-        return n_h + n
-
-    # DC balance
-    mat[0, 0] = -g
-    mat[0, ib(1)] = e
-    # n = 1, cos component
-    mat[1, ia(1)] = w
-    mat[1, 0] = -2.0 * e
-    mat[1, ib(1)] = g
-    if n_h >= 2:
-        mat[1, ib(2)] = -e
-    rhs[1] = modcfg.mu * op.c1
-    # n = 1, sin component
-    mat[2, ia(1)] = g
-    mat[2, ib(1)] = -w
-    if n_h >= 2:
-        mat[2, ia(2)] = -e
-    # n >= 2
-    for n in range(2, n_h + 1):
-        r = 2 * n - 1
-        mat[r, ia(n)] = n * w
-        mat[r, ib(n)] = g
-        mat[r, ib(n - 1)] -= e
-        if n + 1 <= n_h:
-            mat[r, ib(n + 1)] -= e
-        r = 2 * n
-        mat[r, ia(n)] = g
-        mat[r, ib(n)] = -n * w
-        mat[r, ia(n - 1)] -= e
-        if n + 1 <= n_h:
-            mat[r, ia(n + 1)] -= e
-    return mat, rhs
-
-
 def _finish(
     op: OperatingPoint,
     modcfg: ModulationConfig,
@@ -130,76 +90,87 @@ def _finish(
     sol = FourierSolution(
         a0=a0, a=a, b=b, n_harmonics=modcfg.n_harmonics, op=op, modcfg=modcfg
     )
-    xa = np.abs(sol.x)
-    if xa[-1] > xa[0] > 0.0:
+    x_first, x_last = sol.x_abs(1), sol.x_abs(modcfg.n_harmonics)
+    if x_last > x_first > 0.0:
         logger.warning(
             "harmonic coefficients do not decay (|X_%d|=%.3e > |X_1|=%.3e); "
             "truncation order N=%d may be too small",
-            modcfg.n_harmonics, xa[-1], xa[0], modcfg.n_harmonics,
+            modcfg.n_harmonics, x_last, x_first, modcfg.n_harmonics,
         )
     return sol
+
+
+def _solve(op: OperatingPoint, modcfg: ModulationConfig, exact: bool) -> FourierSolution:
+    """Continued-fraction solve of the truncated balance equations.
+
+    With exact=False every ratio q_{n+1} is taken as zero, which drops the
+    n+1 coupling of each harmonic (the recursive method).
+    """
+    n_h = modcfg.n_harmonics
+    if modcfg.mu == 0.0:
+        return _finish(op, modcfg, 0.0, np.zeros(n_h), np.zeros(n_h))
+    w = modcfg.omega_m
+    g = 2.0 * op.gamma_p
+    e = modcfg.mu * op.c2
+    drive = modcfg.mu * op.c1
+    # Diagonal 2*Gamma_p - i*n*omega_m of the recurrence, n = 0..N.
+    diag = [complex(g, -n * w) for n in range(n_h + 1)]
+    q = [0j] * (n_h + 2)
+    try:
+        # Backward ratios q_n = X_n / X_{n-1} for n = N..2, from q_{N+1} = 0.
+        for n in range(n_h, 1, -1):
+            q[n] = e / (diag[n] - e * q[n + 1] if exact else diag[n])
+        # n = 1: (g - i*w - e*q_2)*X_1 - (2*e^2/g)*Re X_1 = mu*C1, a real 2x2
+        # system in (B_1, A_1) once A0 = e*B_1/g is eliminated.
+        d = diag[1] - e * q[2] if exact else diag[1]
+        det = d.real * d.real + d.imag * d.imag - 2.0 * e * e * d.real / g
+        x = complex(drive * d.real / det, -drive * d.imag / det)
+    except ZeroDivisionError as exc:  # a zero pivot
+        raise SingularSystemError(
+            f"harmonic-balance system is singular (gamma_p={op.gamma_p}, "
+            f"omega_m={modcfg.omega_m})"
+        ) from exc
+    xs = [x]
+    for q_n in q[2 : n_h + 1]:
+        x *= q_n
+        xs.append(x)
+    a0 = e * xs[0].real / g
+    if exact:
+        ext = [0j, *xs, 0j]
+        res = [
+            c * x_n - e * (lo + hi) for c, lo, x_n, hi in zip(diag[1:], ext, xs, ext[2:])
+        ]
+        res[0] -= drive + 2.0 * e * a0
+        residual = max(abs(e * xs[0].real - g * a0), *map(abs, res))
+        scale = max(abs(drive), op.gamma_p)
+        if residual > RESIDUAL_RTOL * scale:
+            raise NumericalError(
+                f"harmonic-balance residual {residual:.3e} exceeds "
+                f"{RESIDUAL_RTOL:.0e} * {scale:.3e}"
+            )
+    x_arr = np.array(xs)
+    return _finish(op, modcfg, a0, x_arr.imag, x_arr.real)
 
 
 def solve_coefficients_matrix(
     op: OperatingPoint, modcfg: ModulationConfig
 ) -> FourierSolution:
-    """Solve the truncated harmonic-balance system exactly (direct solve)."""
+    """Solve the truncated harmonic-balance system exactly."""
     warn_if_fast_modulation(op, modcfg)
-    n_h = modcfg.n_harmonics
-    if modcfg.mu == 0.0:
-        return _finish(op, modcfg, 0.0, np.zeros(n_h), np.zeros(n_h))
-    mat, rhs = _assemble(op, modcfg)
-    try:
-        sol_vec = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"harmonic-balance system is singular (gamma_p={op.gamma_p}, "
-            f"omega_m={modcfg.omega_m})"
-        ) from exc
-    scale = max(abs(modcfg.mu * op.c1), op.gamma_p)
-    residual = np.max(np.abs(mat @ sol_vec - rhs))
-    if scale > 0.0 and residual > RESIDUAL_RTOL * scale:
-        raise NumericalError(
-            f"harmonic-balance residual {residual:.3e} exceeds "
-            f"{RESIDUAL_RTOL:.0e} * {scale:.3e}"
-        )
-    return _finish(op, modcfg, float(sol_vec[0]), sol_vec[1 : n_h + 1], sol_vec[n_h + 1 :])
+    return _solve(op, modcfg, exact=True)
 
 
 def solve_coefficients_recursive(
     op: OperatingPoint, modcfg: ModulationConfig
 ) -> FourierSolution:
-    """Approximate solve marching upward in n with n+1 couplings dropped.
+    """Approximate solve with the n+1 coupling of every harmonic dropped.
 
-    The n = 1 pair is seeded with A2, B2 dropped (and A0 eliminated via the
-    DC balance); each subsequent pair is a 2x2 solve forced only by the
-    previous harmonic.  Cheap and usually close to the matrix method, but
-    degrades near sideband minima.
+    Each harmonic is then forced only by the previous one, so X_n follows
+    from X_{n-1} by a single division.  Cheap and usually close to the
+    matrix method, but degrades near sideband minima.
     """
     warn_if_fast_modulation(op, modcfg)
-    n_h = modcfg.n_harmonics
-    a = np.zeros(n_h)
-    b = np.zeros(n_h)
-    if modcfg.mu == 0.0:
-        return _finish(op, modcfg, 0.0, a, b)
-    w = modcfg.omega_m
-    g = 2.0 * op.gamma_p
-    e = modcfg.mu * op.c2
-    # Seed: w*A1 = mu*C1 + 2e*A0 - g*B1 with A0 = e*B1/g, and w*B1 = g*A1.
-    denom = w * w + g * g - 2.0 * e * e
-    if denom == 0.0 or g == 0.0:
-        raise SingularSystemError("degenerate seed system in recursive solve")
-    b[0] = g * modcfg.mu * op.c1 / denom
-    a[0] = w * b[0] / g
-    a0 = e * b[0] / g
-    for n in range(2, n_h + 1):
-        rhs_c = e * b[n - 2]
-        rhs_s = e * a[n - 2]
-        nw = n * w
-        det = nw * nw + g * g
-        a[n - 1] = (nw * rhs_c + g * rhs_s) / det
-        b[n - 1] = (g * rhs_c - nw * rhs_s) / det
-    return _finish(op, modcfg, a0, a, b)
+    return _solve(op, modcfg, exact=False)
 
 
 def carrier_shift(sol: FourierSolution) -> float:
@@ -244,8 +215,6 @@ def truncation_error(
     """
     if n_ref <= max(n_values):
         raise ValueError(f"n_ref={n_ref} must exceed max(n_values)={max(n_values)}")
-    from dataclasses import replace
-
     ref = solve_coefficients_matrix(op, replace(modcfg, n_harmonics=n_ref))
     ref_x = ref.x
     ref_total = float(np.sum(np.abs(ref_x)))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import BelowThresholdError, UnsaturatedRegimeError
 
@@ -53,6 +53,9 @@ class DeviceParams:
     xi: float
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.mu0_h_app <= self.mu0_ms:
             raise UnsaturatedRegimeError(
                 f"mu0_h_app={self.mu0_h_app} must exceed mu0_ms={self.mu0_ms} "
@@ -95,8 +98,8 @@ class ModulationConfig:
                 f"mu={self.mu} >= 1: outside the small-modulation validity range",
                 stacklevel=3,
             )
-        if self.omega_m <= 0.0:
-            raise ValueError(f"omega_m must be positive, got {self.omega_m}")
+        if self.omega_m <= 0.0 or not math.isfinite(self.omega_m):
+            raise ValueError(f"omega_m must be positive and finite, got {self.omega_m}")
         if self.n_harmonics < 1:
             raise ValueError(f"n_harmonics must be >= 1, got {self.n_harmonics}")
 

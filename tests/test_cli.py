@@ -192,3 +192,33 @@ class TestExitCodes:
         )
         assert result.exit_code == 3
         assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("override", ["spectrum.j_max=0", "spectrum.k_max=0"])
+    def test_bad_spectrum_key_exits_2(self, tmp_path, override):
+        result, out = run_cli(["psd-map", *FAST_PSD, "--set", override], tmp_path)
+        assert result.exit_code == 2, result.output
+        assert not out.exists()
+
+    def test_non_finite_device_value_exits_2(self, tmp_path):
+        result, out = run_cli(["psd-map", *FAST_PSD, "--set", "device.nu=inf"], tmp_path)
+        assert result.exit_code == 2, result.output
+        assert "finite" in result.output
+        assert not out.exists()
+
+    def test_non_finite_table_exits_3_without_output(self, tmp_path):
+        # nu = 1e300 is finite but overflows f_sto = f_o + nu*Gamma_p/2pi.
+        result, out = run_cli(
+            ["operating-point", "--set", "device.nu=1e300"], tmp_path
+        )
+        assert result.exit_code == 3, result.output
+        assert "not finite" in result.output
+        assert not out.exists()
+
+    def test_empty_table_exits_3_without_output(self, tmp_path):
+        # The overflowing frequency index leaves no finite line to keep.
+        result, out = run_cli(
+            ["psd-map", "--set", "psd-map.beta1_grid=0.5", "--set", "device.nu=1e300"],
+            tmp_path,
+        )
+        assert result.exit_code == 3, result.output
+        assert not out.exists()

@@ -73,6 +73,13 @@ class TestLoadConfig:
             "psd-map.f_m_hz=-1e6",
             "operating-point.xi_grid=0.5,1.5",
             "bandwidth.seed_mu=0",
+            "spectrum.j_max=0",
+            "spectrum.k_max=9",
+            "device.alpha=nan",
+            "operating-points.OP2=inf",
+            "psd-map.f_m_hz=inf",
+            "asymmetry-map.beta1_grid=0.5,nan",
+            "bandwidth.mu=-0.05",
         ],
     )
     def test_validation_rejects(self, override):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from stomod import (
     ModulationConfig,
+    SingularSystemError,
     carrier_shift,
     harmonic_descriptors,
     solve_coefficients_matrix,
@@ -21,6 +22,87 @@ from conftest import TWO_PI
 
 F_M = 100e6
 OMEGA_M = TWO_PI * F_M
+
+# Differential grid: every OP x drive strength x modulation frequency x order.
+GRID_MU = [1e-4, 0.05, 0.3]
+GRID_F_M = [10e6, 40e6, 100e6, 400e6, 1e9]
+GRID_N = [1, 2, 5, 10, 20]
+
+
+def dense_reference(op, modcfg):
+    """(A0, X) from the balance equations assembled as one dense real system.
+
+    Unknowns are ordered [A0, A_1..A_N, B_1..B_N]; rows follow the equations
+    in the fourier module docstring.  Independent of the continued fraction.
+    """
+    n_h = modcfg.n_harmonics
+    w = modcfg.omega_m
+    g = 2.0 * op.gamma_p
+    e = modcfg.mu * op.c2
+    mat = np.zeros((2 * n_h + 1, 2 * n_h + 1))
+    rhs = np.zeros(2 * n_h + 1)
+    ia = list(range(n_h + 1))  # A_n at index n, A0 at index 0
+    ib = [None] + [n_h + n for n in range(1, n_h + 1)]
+    mat[0, 0] = -g
+    mat[0, ib[1]] = e
+    mat[1, ia[1]] = w
+    mat[1, 0] = -2.0 * e
+    mat[1, ib[1]] = g
+    rhs[1] = modcfg.mu * op.c1
+    mat[2, ia[1]] = g
+    mat[2, ib[1]] = -w
+    if n_h >= 2:
+        mat[1, ib[2]] = -e
+        mat[2, ia[2]] = -e
+    for n in range(2, n_h + 1):
+        r = 2 * n - 1
+        mat[r, ia[n]] = n * w
+        mat[r, ib[n]] = g
+        mat[r, ib[n - 1]] -= e
+        if n < n_h:
+            mat[r, ib[n + 1]] -= e
+        r = 2 * n
+        mat[r, ia[n]] = g
+        mat[r, ib[n]] = -n * w
+        mat[r, ia[n - 1]] -= e
+        if n < n_h:
+            mat[r, ia[n + 1]] -= e
+    v = np.linalg.solve(mat, rhs)
+    return v[0], v[n_h + 1 :] + 1j * v[1 : n_h + 1]
+
+
+def upward_march(op, modcfg):
+    """(A0, X) from the real-arithmetic upward march with n+1 couplings dropped."""
+    n_h = modcfg.n_harmonics
+    w = modcfg.omega_m
+    g = 2.0 * op.gamma_p
+    e = modcfg.mu * op.c2
+    a = np.zeros(n_h)
+    b = np.zeros(n_h)
+    b[0] = g * modcfg.mu * op.c1 / (w * w + g * g - 2.0 * e * e)
+    a[0] = w * b[0] / g
+    for n in range(2, n_h + 1):
+        rhs_c, rhs_s = e * b[n - 2], e * a[n - 2]
+        nw = n * w
+        det = nw * nw + g * g
+        a[n - 1] = (nw * rhs_c + g * rhs_s) / det
+        b[n - 1] = (g * rhs_c - nw * rhs_s) / det
+    return e * b[0] / g, b + 1j * a
+
+
+def _max_rel_diff(solver, reference, op):
+    worst_x = worst_a0 = 0.0
+    for mu in GRID_MU:
+        for f_m in GRID_F_M:
+            for n_h in GRID_N:
+                modcfg = ModulationConfig(mu=mu, omega_m=TWO_PI * f_m, n_harmonics=n_h)
+                sol = solver(op, modcfg)
+                a0, x = reference(op, modcfg)
+                # Relative to the largest harmonic: the far tail sits below
+                # the reference's own round-off.
+                worst_x = max(worst_x, np.max(np.abs(sol.x - x)) / np.max(np.abs(x)))
+                worst_a0 = max(worst_a0, abs(sol.a0 - a0) / abs(a0))
+    return worst_x, worst_a0
 
 
 def test_zero_drive_gives_zero_solution(op2):
@@ -81,6 +163,30 @@ def test_matrix_vs_recursive_agree_at_moderate_drive(op2):
     mat = solve_coefficients_matrix(op2, cfg)
     rec = solve_coefficients_recursive(op2, cfg)
     assert solution_difference(rec, mat) < 0.1  # percent
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("label", ["OP1", "OP2", "OP3"])
+def test_matrix_matches_dense_reference(all_ops, label):
+    worst_x, worst_a0 = _max_rel_diff(solve_coefficients_matrix, dense_reference, all_ops[label])
+    assert worst_x <= 1e-12
+    assert worst_a0 <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("label", ["OP1", "OP2", "OP3"])
+def test_recursive_matches_upward_march(all_ops, label):
+    worst_x, worst_a0 = _max_rel_diff(solve_coefficients_recursive, upward_march, all_ops[label])
+    assert worst_x <= 1e-14
+    assert worst_a0 <= 1e-14
+
+
+@pytest.mark.parametrize("solver", [solve_coefficients_matrix, solve_coefficients_recursive])
+@pytest.mark.parametrize("n_h", [1, 2, 10])
+def test_zero_restoration_rate_is_singular(op2, solver, n_h):
+    op = replace(op2, gamma_p=0.0)
+    with pytest.raises(SingularSystemError):
+        solver(op, ModulationConfig(mu=0.05, omega_m=OMEGA_M, n_harmonics=n_h))
 
 
 def test_harmonic_magnitudes_decay(op2):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from stomod import (
     BelowThresholdError,
+    DeviceParams,
     ModulationConfig,
     UnsaturatedRegimeError,
     derive_operating_point,
@@ -14,7 +15,7 @@ from stomod import (
 )
 from stomod.model import warn_if_fast_modulation
 
-from conftest import GAMMA_P_HZ, OP_XIS, TWO_PI, make_device
+from conftest import DEVICE_KW, GAMMA_P_HZ, OP_XIS, TWO_PI, make_device
 
 F_O = 5.6e9  # 28 GHz/T * (1.0 - 0.8) T
 
@@ -73,6 +74,12 @@ class TestOperatingPoint:
         with pytest.raises(ValueError):
             make_device(xi, **kwargs)
 
+    @pytest.mark.parametrize("name", ["mu0_h_app", "mu0_ms", "gamma", "alpha", "nu", "xi"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            DeviceParams(**{**DEVICE_KW, "xi": 1.5, name: value})
+
     @given(xi=st.floats(min_value=1.001, max_value=20.0))
     def test_constant_identities(self, xi):
         # C1 is bias-independent; C2 and Gamma_p are tied to it through xi.
@@ -119,6 +126,11 @@ class TestModulationConfig:
 
     @pytest.mark.parametrize("omega_m", [0.0, -1e8])
     def test_nonpositive_omega_m_rejected(self, omega_m):
+        with pytest.raises(ValueError):
+            ModulationConfig(mu=0.05, omega_m=omega_m)
+
+    @pytest.mark.parametrize("omega_m", [math.nan, math.inf])
+    def test_non_finite_omega_m_rejected(self, omega_m):
         with pytest.raises(ValueError):
             ModulationConfig(mu=0.05, omega_m=omega_m)
 
