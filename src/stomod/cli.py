@@ -48,10 +48,6 @@ def common_options(func):
                   help="Override a single config value (repeatable; wins over files).")
     @click.option("--out", "out_dir", type=click.Path(file_okay=False), default="results",
                   show_default=True, help="Output directory for CSV tables.")
-    @click.option("--format", "out_format", default=None,
-                  help="Output format (csv).")
-    @click.option("--jobs", type=int, default=1, show_default=True,
-                  help="Worker threads for grid evaluation.")
     @click.option("--op-label", default=None,
                   help="Restrict to a single operating-point label.")
     @functools.wraps(func)
@@ -61,13 +57,10 @@ def common_options(func):
     return wrapper
 
 
-def _run(table_func, config_path, overrides, out_dir, out_format, jobs, op_label, command):
+def _run(table_func, config_path, overrides, out_dir, op_label, command):
     try:
-        override_list = list(overrides)
-        if out_format is not None:
-            override_list.append(f"output.format={out_format}")
-        cfg = load_config(config_path, override_list)
-        tables = table_func(cfg, op_filter=op_label, jobs=max(1, jobs))
+        cfg = load_config(config_path, list(overrides))
+        tables = table_func(cfg, op_filter=op_label)
     except ConfigError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
@@ -98,42 +91,37 @@ def main() -> None:
 
 @main.command("operating-point")
 @common_options
-def cmd_operating_point(config_path, overrides, out_dir, out_format, jobs, op_label):
+def cmd_operating_point(config_path, overrides, out_dir, op_label):
     """Frequency dispersion and derived constants over the xi grid."""
-    _run(sweeps.operating_point_table, config_path, overrides, out_dir, out_format,
-         jobs, op_label, "operating-point")
+    _run(sweeps.operating_point_table, config_path, overrides, out_dir, op_label, "operating-point")
 
 
 @main.command("psd-map")
 @common_options
-def cmd_psd_map(config_path, overrides, out_dir, out_format, jobs, op_label):
+def cmd_psd_map(config_path, overrides, out_dir, op_label):
     """Line spectra vs beta_1 at fixed modulation frequency."""
-    _run(sweeps.psd_map_table, config_path, overrides, out_dir, out_format,
-         jobs, op_label, "psd-map")
+    _run(sweeps.psd_map_table, config_path, overrides, out_dir, op_label, "psd-map")
 
 
 @main.command("asymmetry-map")
 @common_options
-def cmd_asymmetry_map(config_path, overrides, out_dir, out_format, jobs, op_label):
+def cmd_asymmetry_map(config_path, overrides, out_dir, op_label):
     """Sideband power difference over the (beta_1, f_m) grid."""
-    _run(sweeps.asymmetry_map_table, config_path, overrides, out_dir, out_format,
-         jobs, op_label, "asymmetry-map")
+    _run(sweeps.asymmetry_map_table, config_path, overrides, out_dir, op_label, "asymmetry-map")
 
 
 @main.command("bandwidth")
 @common_options
-def cmd_bandwidth(config_path, overrides, out_dir, out_format, jobs, op_label):
+def cmd_bandwidth(config_path, overrides, out_dir, op_label):
     """Peak frequency deviation vs f_m and the measured bandwidth."""
-    _run(sweeps.bandwidth_table, config_path, overrides, out_dir, out_format,
-         jobs, op_label, "bandwidth")
+    _run(sweeps.bandwidth_table, config_path, overrides, out_dir, op_label, "bandwidth")
 
 
 @main.command("error-analysis")
 @common_options
-def cmd_error_analysis(config_path, overrides, out_dir, out_format, jobs, op_label):
+def cmd_error_analysis(config_path, overrides, out_dir, op_label):
     """Truncation error vs N and recursive-vs-matrix comparison."""
-    _run(sweeps.error_analysis_table, config_path, overrides, out_dir, out_format,
-         jobs, op_label, "error-analysis")
+    _run(sweeps.error_analysis_table, config_path, overrides, out_dir, op_label, "error-analysis")
 
 
 if __name__ == "__main__":

@@ -61,8 +61,6 @@ class RunConfig:
     method: str
     j_max: int
     k_max: int
-    samples_per_period: int
-    n_periods: int
     dispersion_xi_grid: list[float]
     psd_beta1_grid: list[float]
     psd_f_m_hz: float
@@ -80,7 +78,6 @@ class RunConfig:
     err_recursive_beta1_grid: list[float]
     err_recursive_n_values: list[int]
     err_recursive_f_m_hz: float
-    out_format: str
     config_hash: str
 
 
@@ -133,8 +130,6 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
             method=parser["solver"].get("method"),
             j_max=parser["spectrum"].getint("j_max"),
             k_max=parser["spectrum"].getint("k_max"),
-            samples_per_period=parser["spectrum"].getint("samples_per_period"),
-            n_periods=parser["spectrum"].getint("n_periods"),
             dispersion_xi_grid=_parse_grid(parser["operating-point"]["xi_grid"]),
             psd_beta1_grid=_parse_grid(parser["psd-map"]["beta1_grid"]),
             psd_f_m_hz=parser["psd-map"].getfloat("f_m_hz"),
@@ -156,7 +151,6 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
                 parser["error-analysis"]["recursive_n_values"]
             ),
             err_recursive_f_m_hz=parser["error-analysis"].getfloat("recursive_f_m_hz"),
-            out_format=parser["output"].get("format"),
             config_hash=digest,
         )
     except (KeyError, ValueError, TypeError) as exc:
@@ -180,8 +174,6 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"operating point {label}: xi={xi} must exceed 1")
     if cfg.method not in ("matrix", "recursive"):
         raise ConfigError(f"unknown solver method {cfg.method!r}")
-    if cfg.out_format != "csv":
-        raise ConfigError(f"unsupported output format {cfg.out_format!r}")
     if cfg.n_harmonics < 1:
         raise ConfigError("solver.n_harmonics must be >= 1")
     if cfg.j_max < 1:

@@ -30,6 +30,7 @@ q_{n+1} as zero, dropping the n+1 coupling of each harmonic.
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -135,6 +136,13 @@ def _solve(op: OperatingPoint, modcfg: ModulationConfig, exact: bool) -> Fourier
         x *= q_n
         xs.append(x)
     a0 = e * xs[0].real / g
+    # Overflow upstream (det = inf, say) leaves NaN here.  NaN would pass the
+    # residual check below, which the recursive method does not run anyway.
+    if not (math.isfinite(a0) and all(map(cmath.isfinite, xs))):
+        raise NumericalError(
+            f"harmonic-balance coefficients are not finite (gamma_p={op.gamma_p}, "
+            f"mu={modcfg.mu}, omega_m={modcfg.omega_m})"
+        )
     if exact:
         ext = [0j, *xs, 0j]
         res = [

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .errors import BelowThresholdError, UnsaturatedRegimeError
 
@@ -116,6 +116,12 @@ def derive_operating_point(params: DeviceParams) -> OperatingPoint:
         raise BelowThresholdError(
             f"xi={params.xi} is at or below the oscillation threshold (xi > 1 required)"
         )
+    return _operating_point(params)
+
+
+def _operating_point(params: DeviceParams) -> OperatingPoint:
+    """The closed forms of the module docstring, without the threshold check
+    (xi = 1 gives the threshold point, Gamma_p = 0)."""
     omega_o = TWO_PI * params.gamma * (params.mu0_h_app - params.mu0_ms)
     gamma_p = params.alpha * omega_o * (params.xi - 1.0)
     p0 = 1.0 - 1.0 / params.xi
@@ -143,13 +149,11 @@ def frequency_dispersion(
     xi = 1 is allowed here (threshold point, Gamma_p = 0); values below 1
     are rejected.
     """
-    omega_o = TWO_PI * params.gamma * (params.mu0_h_app - params.mu0_ms)
     out: list[tuple[float, float]] = []
     for xi in xi_grid:
         if xi < 1.0:
             raise ValueError(f"dispersion grid value xi={xi} is below threshold")
-        gamma_p = params.alpha * omega_o * (xi - 1.0)
-        out.append((xi, (omega_o + params.nu * gamma_p) / TWO_PI))
+        out.append((xi, _operating_point(replace(params, xi=xi)).omega_sto / TWO_PI))
     return out
 
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import GridCoverageError, NumericalError, SeedBandError
 from .fourier import FourierSolution, solve_coefficients_matrix
@@ -38,6 +37,10 @@ DEFAULT_N_PERIODS = 8
 # Lines below this fraction of the strongest line are considered numerical
 # noise (FFT floor) and dropped.
 _LINE_POWER_FLOOR = 1e-22
+
+# Largest |beta| that jv accepts.  Its FFT length grows with |beta|, so a
+# non-finite or absurd FM index is refused before anything is allocated.
+_BETA_CAP = 2.0**15
 
 
 @dataclass(frozen=True)
@@ -110,14 +113,28 @@ def synthesize_time_trace(
     return TimeTrace(t=t, delta_p=delta_p, phi=phi, demod_freq=shifted_carrier(sol))
 
 
+def jv(j_max: int, beta: float) -> np.ndarray:
+    """Bessel values J_0(beta) .. J_{j_max}(beta) of the first kind.
+
+    By the Jacobi-Anger expansion (DLMF 10.12.1) J_j(beta) is the j-th
+    Fourier coefficient of exp(i*beta*sin(theta)).  Its spectrum falls off
+    beyond |j| ~ |beta|, so M samples with M > 2*(|beta| + j_max) + 40 make
+    the aliasing error negligible against round-off.
+    """
+    if not abs(beta) <= _BETA_CAP:
+        raise NumericalError(f"FM index beta={beta} is not finite or exceeds {_BETA_CAP:g}")
+    m = 1 << int(2.0 * (abs(beta) + j_max) + 40.0).bit_length()
+    theta = np.arange(m) * (TWO_PI / m)
+    return np.fft.fft(np.exp(1j * beta * np.sin(theta)))[: j_max + 1].real / m
+
+
 def _fm_factor(x_n: complex, beta: float, n: int, j_max: int, k_max: int) -> np.ndarray:
     fm = np.zeros(2 * k_max + 1, dtype=complex)
-    fm[k_max] = jv(0, beta)
+    bessel = jv(min(j_max, k_max // n), beta)
+    fm[k_max] = bessel[0]
     u = np.conj(x_n) / abs(x_n)
-    for j in range(1, j_max + 1):
-        if n * j > k_max:
-            break
-        bj = jv(j, beta)
+    for j in range(1, bessel.size):
+        bj = bessel[j]
         fm[k_max + n * j] += bj * u**j
         fm[k_max - n * j] += (-1) ** j * bj * np.conj(u) ** j
     return fm
@@ -196,6 +213,8 @@ def _build_spectrum(
     powers = np.abs(amps) ** 2
     if include_p0:
         powers = powers * sol.op.p0
+    if not np.isfinite(powers).all():
+        raise NumericalError("line spectrum has non-finite powers")
     peak = powers.max()
     keep = powers > _LINE_POWER_FLOOR * peak if peak > 0.0 else powers > 0.0
     offsets = np.arange(-k_max, k_max + 1)[keep]

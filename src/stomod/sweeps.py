@@ -1,14 +1,12 @@
 """Sweep computations behind the CLI commands.
 
 Each function returns ``{filename_stem: (header, rows)}`` so the CLI layer
-only handles argument parsing and CSV serialization.  Grid points may be
-evaluated by a thread pool; results are assembled in grid order either way.
+only handles argument parsing and CSV serialization.  Rows follow grid order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .config import RunConfig, device_at
@@ -20,7 +18,7 @@ from .fourier import (
     solve_coefficients_recursive,
     truncation_error,
 )
-from .model import ModulationConfig, derive_operating_point
+from .model import ModulationConfig, _operating_point, derive_operating_point
 from .spectrum import (
     modulation_bandwidth,
     peak_frequency_deviation,
@@ -49,104 +47,89 @@ def _op_labels(cfg: RunConfig, op_filter: str | None) -> list[str]:
     return [op_filter]
 
 
-def _map_grid(func, points, jobs: int):
-    if jobs <= 1:
-        return [func(p) for p in points]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(func, points))
-
-
-def operating_point_table(cfg: RunConfig, op_filter: str | None = None, jobs: int = 1) -> TableMap:
+def operating_point_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
     """Dispersion and derived constants over the xi grid."""
-    dev = cfg.device
-    omega_o = TWO_PI * dev.gamma * (dev.mu0_h_app - dev.mu0_ms)
     rows = []
     for xi in cfg.dispersion_xi_grid:
-        gamma_p = dev.alpha * omega_o * (xi - 1.0)
-        p0 = 1.0 - 1.0 / xi
-        sigma_i = dev.alpha * omega_o * xi
+        op = _operating_point(replace(cfg.device, xi=xi))
         rows.append(
             (
                 xi,
-                omega_o / TWO_PI,
-                (omega_o + dev.nu * gamma_p) / TWO_PI,
-                gamma_p / TWO_PI,
-                p0,
-                sigma_i * (1.0 - p0),
-                sigma_i * (1.0 - 2.0 * p0),
+                op.omega_o / TWO_PI,
+                op.omega_sto / TWO_PI,
+                op.gamma_p / TWO_PI,
+                op.p0,
+                op.c1,
+                op.c2,
             )
         )
     header = ["xi", "f_o_hz", "f_sto_hz", "gamma_p_hz", "p0", "c1", "c2"]
     return {"operating_point": (header, rows)}
 
 
-def psd_map_table(cfg: RunConfig, op_filter: str | None = None, jobs: int = 1) -> TableMap:
+def psd_map_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
     """Line spectrum vs beta_1 for each operating point."""
     solver = _solver(cfg)
     omega_m = TWO_PI * cfg.psd_f_m_hz
-
-    points = [(label, beta1) for label in _op_labels(cfg, op_filter) for beta1 in cfg.psd_beta1_grid]
-
-    def one(point):
-        label, beta1 = point
+    rows = []
+    for label in _op_labels(cfg, op_filter):
         op = derive_operating_point(device_at(cfg, label))
-        mu = solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics)
-        sol = solver(op, ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=cfg.n_harmonics))
-        spec = psd_analytic(sol, j_max=cfg.j_max, k_max=cfg.k_max)
-        f_s = carrier_shift(sol)
-        return [
-            (label, beta1, mu, int(k), float(p), f_s)
-            for k, p in zip(spec.offsets, spec.powers)
-        ]
-
-    rows = [row for chunk in _map_grid(one, points, jobs) for row in chunk]
+        for beta1 in cfg.psd_beta1_grid:
+            mu = solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics)
+            sol = solver(
+                op, ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=cfg.n_harmonics)
+            )
+            spec = psd_analytic(sol, j_max=cfg.j_max, k_max=cfg.k_max)
+            f_s = carrier_shift(sol)
+            rows.extend(
+                (label, beta1, mu, int(k), float(p), f_s)
+                for k, p in zip(spec.offsets, spec.powers)
+            )
     header = ["op_label", "beta1", "mu", "k", "power", "f_s_hz"]
     return {"psd_map": (header, rows)}
 
 
-def _asymmetry_rows(cfg: RunConfig, labels, beta1_grid, f_m_grid, jobs: int):
+def _asymmetry_rows(cfg: RunConfig, labels, beta1_grid, f_m_grid):
     solver = _solver(cfg)
-    points = [
-        (label, beta1, f_m)
-        for label in labels
-        for beta1 in beta1_grid
-        for f_m in f_m_grid
-    ]
-
-    def one(point):
-        label, beta1, f_m = point
+    rows = []
+    for label in labels:
         op = derive_operating_point(device_at(cfg, label))
-        omega_m = TWO_PI * f_m
-        mu = solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics)
-        sol = solver(op, ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=cfg.n_harmonics))
-        spec = psd_analytic(sol, j_max=cfg.j_max, k_max=cfg.k_max)
-        return (
-            label,
-            beta1,
-            f_m,
-            sideband_asymmetry(spec),
-            spec.power_at(+1),
-            spec.power_at(-1),
-            spec.power_at(0),
-        )
+        for beta1 in beta1_grid:
+            for f_m in f_m_grid:
+                omega_m = TWO_PI * f_m
+                mu = solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics)
+                sol = solver(
+                    op, ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=cfg.n_harmonics)
+                )
+                spec = psd_analytic(sol, j_max=cfg.j_max, k_max=cfg.k_max)
+                rows.append(
+                    (
+                        label,
+                        beta1,
+                        f_m,
+                        sideband_asymmetry(spec),
+                        spec.power_at(+1),
+                        spec.power_at(-1),
+                        spec.power_at(0),
+                    )
+                )
+    return rows
 
-    return _map_grid(one, points, jobs)
 
-
-def asymmetry_map_table(cfg: RunConfig, op_filter: str | None = None, jobs: int = 1) -> TableMap:
+def asymmetry_map_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
     """Sideband power difference over the (beta_1, f_m) grid, plus the
     fixed-frequency slice."""
     labels = _op_labels(cfg, op_filter)
     header = ["op_label", "beta1", "f_m_hz", "delta", "p_upper", "p_lower", "p_carrier"]
-    grid_rows = _asymmetry_rows(cfg, labels, cfg.asym_beta1_grid, cfg.asym_f_m_grid_hz, jobs)
-    slice_rows = _asymmetry_rows(cfg, labels, cfg.asym_beta1_grid, [cfg.asym_slice_f_m_hz], jobs)
+    grid_rows = _asymmetry_rows(cfg, labels, cfg.asym_beta1_grid, cfg.asym_f_m_grid_hz)
+    slice_rows = _asymmetry_rows(cfg, labels, cfg.asym_beta1_grid, [cfg.asym_slice_f_m_hz])
     return {
         "asymmetry_map": (header, grid_rows),
         "asymmetry_slice": (header, slice_rows),
     }
 
 
-def bandwidth_table(cfg: RunConfig, op_filter: str | None = None, jobs: int = 1) -> TableMap:
+def bandwidth_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
     """Peak frequency deviation vs f_m and the measured modulation bandwidth."""
     labels = _op_labels(cfg, op_filter)
     rows = []
@@ -155,24 +138,23 @@ def bandwidth_table(cfg: RunConfig, op_filter: str | None = None, jobs: int = 1)
         mbw_ref = 2.0 * op.gamma_p / TWO_PI
         seed = cfg.bw_seed_corner_fraction * 2.0 * op.gamma_p
         mbw_meas = modulation_bandwidth(op, cfg.bw_seed_mu, seed, cfg.n_harmonics)
-
-        def one(f_m, op=op, label=label, mbw_ref=mbw_ref, mbw_meas=mbw_meas):
+        for f_m in cfg.bw_f_m_grid_hz:
             sol = solve_coefficients_matrix(
                 op,
                 ModulationConfig(
                     mu=cfg.bw_mu, omega_m=TWO_PI * f_m, n_harmonics=cfg.n_harmonics
                 ),
             )
-            return (
-                label,
-                f_m,
-                peak_frequency_deviation(sol, "index-based"),
-                peak_frequency_deviation(sol, "instantaneous"),
-                mbw_ref,
-                mbw_meas,
+            rows.append(
+                (
+                    label,
+                    f_m,
+                    peak_frequency_deviation(sol, "index-based"),
+                    peak_frequency_deviation(sol, "instantaneous"),
+                    mbw_ref,
+                    mbw_meas,
+                )
             )
-
-        rows.extend(_map_grid(one, cfg.bw_f_m_grid_hz, jobs))
     header = [
         "op_label",
         "f_m_hz",
@@ -184,7 +166,7 @@ def bandwidth_table(cfg: RunConfig, op_filter: str | None = None, jobs: int = 1)
     return {"bandwidth": (header, rows)}
 
 
-def error_analysis_table(cfg: RunConfig, op_filter: str | None = None, jobs: int = 1) -> TableMap:
+def error_analysis_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
     """Truncation error vs N and recursive-vs-matrix error vs beta_1 (OP2-like
     midpoint by default: the second configured label, else the first)."""
     labels = _op_labels(cfg, op_filter)
@@ -201,31 +183,26 @@ def error_analysis_table(cfg: RunConfig, op_filter: str | None = None, jobs: int
         trunc_rows.append((label, f_m, cfg.err_n_ref, 0.0))
 
     omega_m = TWO_PI * cfg.err_recursive_f_m_hz
-    rec_points = [
-        (n_val, beta1)
-        for n_val in cfg.err_recursive_n_values
-        for beta1 in cfg.err_recursive_beta1_grid
-    ]
-
-    def one(point):
-        n_val, beta1 = point
-        mu = solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics)
-        modcfg = ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=n_val)
-        mat = solve_coefficients_matrix(op, modcfg)
-        rec = solve_coefficients_recursive(op, modcfg)
-        p_mat = psd_analytic(mat, j_max=cfg.j_max, k_max=cfg.k_max).power_at(+1)
-        p_rec = psd_analytic(rec, j_max=cfg.j_max, k_max=cfg.k_max).power_at(+1)
-        sb_err = 100.0 * abs(p_rec - p_mat) / p_mat if p_mat > 0.0 else 0.0
-        return (
-            label,
-            cfg.err_recursive_f_m_hz,
-            n_val,
-            beta1,
-            solution_difference(rec, mat),
-            sb_err,
-        )
-
-    rec_rows = _map_grid(one, rec_points, jobs)
+    rec_rows = []
+    for n_val in cfg.err_recursive_n_values:
+        for beta1 in cfg.err_recursive_beta1_grid:
+            mu = solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics)
+            modcfg = ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=n_val)
+            mat = solve_coefficients_matrix(op, modcfg)
+            rec = solve_coefficients_recursive(op, modcfg)
+            p_mat = psd_analytic(mat, j_max=cfg.j_max, k_max=cfg.k_max).power_at(+1)
+            p_rec = psd_analytic(rec, j_max=cfg.j_max, k_max=cfg.k_max).power_at(+1)
+            sb_err = 100.0 * abs(p_rec - p_mat) / p_mat if p_mat > 0.0 else 0.0
+            rec_rows.append(
+                (
+                    label,
+                    cfg.err_recursive_f_m_hz,
+                    n_val,
+                    beta1,
+                    solution_difference(rec, mat),
+                    sb_err,
+                )
+            )
     return {
         "error_truncation": (["op_label", "f_m_hz", "n", "error_percent"], trunc_rows),
         "error_recursive": (

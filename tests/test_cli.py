@@ -1,10 +1,15 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import stomod
 from stomod.cli import main
 
 # Small grids keep the CLI tests quick without changing any physics.
@@ -149,12 +154,6 @@ class TestDeterminism:
         for name in files_a:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_jobs_do_not_change_output(self, tmp_path):
-        _, serial = run_cli(["asymmetry-map", *FAST_ASYM, "--jobs", "1"], tmp_path, "s")
-        _, parallel = run_cli(["asymmetry-map", *FAST_ASYM, "--jobs", "4"], tmp_path, "p")
-        for name in ("asymmetry_map.csv", "asymmetry_slice.csv"):
-            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
-
     def test_float_format_fixed_width(self, tmp_path):
         _, out = run_cli(
             ["operating-point", "--set", "operating-point.xi_grid=1.2"], tmp_path
@@ -222,3 +221,25 @@ class TestExitCodes:
         )
         assert result.exit_code == 3, result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("override", ["device.nu=1e300", "device.gamma_hz_per_t=1e305"])
+    def test_overflowing_device_value_exits_3_naming_the_cause(self, tmp_path, override):
+        # Both values are finite; nu overflows the FM index, gamma the solve.
+        result, out = run_cli(
+            ["psd-map", "--set", "psd-map.beta1_grid=0.5", "--set", override], tmp_path
+        )
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "not finite" in result.output
+        assert "not reachable" not in result.output
+        assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(stomod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, stomod.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"

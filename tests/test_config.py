@@ -31,7 +31,6 @@ class TestLoadConfig:
         assert set(cfg.op_xis) == {"OP1", "OP2", "OP3"}
         assert cfg.op_xis["OP2"] == 1.8
         assert cfg.method == "matrix"
-        assert cfg.out_format == "csv"
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from stomod import (
     ModulationConfig,
+    NumericalError,
     SingularSystemError,
     carrier_shift,
+    derive_operating_point,
     harmonic_descriptors,
     solve_coefficients_matrix,
     solve_coefficients_recursive,
@@ -18,7 +20,7 @@ from stomod import (
 )
 from stomod.fourier import solution_difference
 
-from conftest import TWO_PI
+from conftest import TWO_PI, make_device
 
 F_M = 100e6
 OMEGA_M = TWO_PI * F_M
@@ -187,6 +189,15 @@ def test_zero_restoration_rate_is_singular(op2, solver, n_h):
     op = replace(op2, gamma_p=0.0)
     with pytest.raises(SingularSystemError):
         solver(op, ModulationConfig(mu=0.05, omega_m=OMEGA_M, n_harmonics=n_h))
+
+
+@pytest.mark.parametrize("solver", [solve_coefficients_matrix, solve_coefficients_recursive])
+def test_overflow_raises_instead_of_nan(solver):
+    # gamma = 1e305 Hz/T is finite, but (2*Gamma_p)^2 in the n = 1 closure
+    # overflows and would leave NaN coefficients.
+    op = derive_operating_point(make_device(1.8, gamma=1e305))
+    with pytest.raises(NumericalError, match="not finite"):
+        solver(op, ModulationConfig(mu=0.05, omega_m=OMEGA_M))
 
 
 def test_harmonic_magnitudes_decay(op2):

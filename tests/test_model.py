@@ -1,6 +1,7 @@
 """Operating-point derivation and parameter validation."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,9 @@ from stomod import (
     derive_operating_point,
     frequency_dispersion,
 )
+from stomod.config import load_config
 from stomod.model import warn_if_fast_modulation
+from stomod.sweeps import operating_point_table
 
 from conftest import DEVICE_KW, GAMMA_P_HZ, OP_XIS, TWO_PI, make_device
 
@@ -110,6 +113,22 @@ class TestDispersion:
         rows = frequency_dispersion(make_device(1.5), [1.0 + 0.05 * i for i in range(61)])
         freqs = [f for _, f in rows]
         assert all(b > a for a, b in zip(freqs, freqs[1:]))
+
+    def test_table_rows_equal_derive_operating_point(self):
+        cfg = load_config()
+        _, rows = operating_point_table(cfg)["operating_point"]
+        above = [row for row in rows if row[0] > 1.0]
+        assert len(above) == len(rows) - 1
+        for xi, *values in above:
+            op = derive_operating_point(replace(cfg.device, xi=xi))
+            assert values == [
+                op.omega_o / TWO_PI,
+                op.omega_sto / TWO_PI,
+                op.gamma_p / TWO_PI,
+                op.p0,
+                op.c1,
+                op.c2,
+            ]
 
 
 class TestModulationConfig:

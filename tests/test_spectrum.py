@@ -23,6 +23,7 @@ from stomod import (
     synthesize_time_trace,
 )
 from stomod.spectrum import TimeTrace, first_harmonic_index, shifted_carrier
+from stomod.spectrum import jv as stomod_jv
 
 from conftest import TWO_PI, make_device
 
@@ -112,6 +113,43 @@ class TestAnalyticSpectrum:
     def test_missing_line_reports_zero(self, op2):
         sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.0, omega_m=OMEGA_M))
         assert psd_analytic(sol).power_at(7) == 0.0
+
+
+class TestBessel:
+    @pytest.mark.parametrize("j_max", [1, 16])
+    def test_matches_scipy(self, j_max):
+        orders = np.arange(j_max + 1)
+        for beta in np.linspace(-60.0, 60.0, 481):
+            np.testing.assert_allclose(
+                stomod_jv(j_max, beta), jv(orders, beta), rtol=0.0, atol=1e-14
+            )
+
+    def test_exact_zeros_at_zero_index(self):
+        # Criterion 06 compares lines of an unmodulated phase with == 0.0.
+        values = stomod_jv(16, 0.0)
+        assert values[0] == 1.0
+        assert all(v == 0.0 for v in values[1:])
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 2.0**16])
+    def test_non_finite_or_huge_index_rejected(self, beta):
+        with pytest.raises(NumericalError):
+            stomod_jv(4, beta)
+
+
+class TestNonFiniteLines:
+    def test_analytic_rejects_non_finite_lines(self, op2):
+        sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.0, omega_m=OMEGA_M))
+        with pytest.raises(NumericalError):
+            psd_analytic(replace(sol, a0=math.nan))
+
+    def test_fft_rejects_non_finite_lines(self):
+        # nu = 1e300 is finite, but the FM phase nu*Gamma_p*|X_n|/(n*w) overflows.
+        op = derive_operating_point(make_device(1.8, nu=1e300))
+        sol = solve_coefficients_matrix(op, ModulationConfig(mu=0.01, omega_m=OMEGA_M))
+        with np.errstate(invalid="ignore", over="ignore"):
+            trace = synthesize_time_trace(sol)
+            with pytest.raises(NumericalError):
+                psd_fft(trace, sol)
 
 
 class TestFftSpectrum:
