@@ -5,10 +5,11 @@ Exit codes: 0 success, 2 configuration error, 3 numerical error.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import sys
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -16,12 +17,16 @@ import numpy as np
 
 from . import __version__, sweeps
 from .config import load_config
-from .errors import ConfigError, NumericalError, StomodError
+from .errors import ConfigError, StomodError
+
+COMMANDS = ("operating-point", "psd-map", "asymmetry-map", "bandwidth", "error-analysis")
+
+
+def _table_func(command: str):
+    return getattr(sweeps, command.replace("-", "_") + "_table")
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -41,32 +46,22 @@ def write_csv(path: Path, header: list[str], rows, meta: list[tuple[str, str]]) 
     os.replace(tmp, path)
 
 
-def common_options(func):
-    @click.option("--config", "config_path", type=click.Path(), default=None,
-                  help="Key=value config file overlaying the built-in defaults.")
-    @click.option("--set", "overrides", multiple=True, metavar="SECTION.KEY=VALUE",
-                  help="Override a single config value (repeatable; wins over files).")
-    @click.option("--out", "out_dir", type=click.Path(file_okay=False), default="results",
-                  show_default=True, help="Output directory for CSV tables.")
-    @click.option("--op-label", default=None,
-                  help="Restrict to a single operating-point label.")
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        return func(*args, **kwargs)
-
-    return wrapper
-
-
-def _run(table_func, config_path, overrides, out_dir, op_label, command):
+def _run(command, config_path, overrides, out_dir, op_label):
     try:
-        cfg = load_config(config_path, list(overrides))
-        tables = table_func(cfg, op_filter=op_label)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cfg = load_config(config_path, list(overrides))
+            # Looked up at call time, so a rebound sweeps function is the one run.
+            tables = _table_func(command)(cfg, op_filter=op_label)
     except ConfigError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    except (NumericalError, StomodError, FloatingPointError) as exc:
+    except StomodError as exc:
         click.echo(f"numerical error: {exc}", err=True)
         sys.exit(3)
+    finally:
+        for message, count in Counter(str(w.message) for w in caught).items():
+            click.echo(f"Warning: {message} ({count} times)", err=True)
     for stem, (_, rows) in tables.items():
         if not rows or not all(math.isfinite(v) for r in rows for v in r if isinstance(v, float)):
             click.echo(f"numerical error: table {stem} is empty or not finite", err=True)
@@ -89,39 +84,20 @@ def main() -> None:
     """Modulated spin-torque oscillator spectra: sweeps and tables."""
 
 
-@main.command("operating-point")
-@common_options
-def cmd_operating_point(config_path, overrides, out_dir, op_label):
-    """Frequency dispersion and derived constants over the xi grid."""
-    _run(sweeps.operating_point_table, config_path, overrides, out_dir, op_label, "operating-point")
+for _command in COMMANDS:
 
-
-@main.command("psd-map")
-@common_options
-def cmd_psd_map(config_path, overrides, out_dir, op_label):
-    """Line spectra vs beta_1 at fixed modulation frequency."""
-    _run(sweeps.psd_map_table, config_path, overrides, out_dir, op_label, "psd-map")
-
-
-@main.command("asymmetry-map")
-@common_options
-def cmd_asymmetry_map(config_path, overrides, out_dir, op_label):
-    """Sideband power difference over the (beta_1, f_m) grid."""
-    _run(sweeps.asymmetry_map_table, config_path, overrides, out_dir, op_label, "asymmetry-map")
-
-
-@main.command("bandwidth")
-@common_options
-def cmd_bandwidth(config_path, overrides, out_dir, op_label):
-    """Peak frequency deviation vs f_m and the measured bandwidth."""
-    _run(sweeps.bandwidth_table, config_path, overrides, out_dir, op_label, "bandwidth")
-
-
-@main.command("error-analysis")
-@common_options
-def cmd_error_analysis(config_path, overrides, out_dir, op_label):
-    """Truncation error vs N and recursive-vs-matrix comparison."""
-    _run(sweeps.error_analysis_table, config_path, overrides, out_dir, op_label, "error-analysis")
+    @main.command(_command, help=_table_func(_command).__doc__)
+    @click.option("--config", "config_path", type=click.Path(), default=None,
+                  help="Key=value config file overlaying the built-in defaults.")
+    @click.option("--set", "overrides", multiple=True, metavar="SECTION.KEY=VALUE",
+                  help="Override a single config value (repeatable; wins over files).")
+    @click.option("--out", "out_dir", type=click.Path(file_okay=False), default="results",
+                  show_default=True, help="Output directory for CSV tables.")
+    @click.option("--op-label", default=None,
+                  help="Restrict to a single operating-point label.")
+    @click.pass_context
+    def _cmd(ctx, config_path, overrides, out_dir, op_label):
+        _run(ctx.info_name, config_path, overrides, out_dir, op_label)
 
 
 if __name__ == "__main__":

@@ -82,10 +82,11 @@ class RunConfig:
 
 
 def _load_parser(path: Path | None, overrides: list[str]) -> tuple[configparser.ConfigParser, str]:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     parser.optionxform = str  # keep OP labels case-sensitive
     default_text = resources.files("stomod.data").joinpath("default.cfg").read_text()
     parser.read_string(default_text)
+    known = {section: set(parser[section]) for section in parser.sections()}
     hash_parts = [default_text]
     if path is not None:
         if not Path(path).is_file():
@@ -101,10 +102,17 @@ def _load_parser(path: Path | None, overrides: list[str]) -> tuple[configparser.
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         key_path, value = item.split("=", 1)
         section, key = key_path.split(".", 1)
-        if not parser.has_section(section):
-            raise ConfigError(f"unknown config section {section!r}")
-        parser.set(section, key, value)
+        parser.read_dict({section: {key: value}})
         hash_parts.append(item)
+    if parser.defaults():
+        raise ConfigError("unknown config section 'DEFAULT'")
+    for section in parser.sections():
+        if section not in known:
+            raise ConfigError(f"unknown config section {section!r}")
+        # Operating-point keys are free labels; every other key must be a default one.
+        unknown = set(parser[section]) - known[section]
+        if unknown and section != "operating-points":
+            raise ConfigError(f"unknown config key {section}.{min(unknown)}")
     digest = hashlib.sha256("\n".join(hash_parts).encode()).hexdigest()[:16]
     return parser, digest
 
@@ -182,8 +190,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("spectrum.k_max must be >= solver.n_harmonics")
     if cfg.bw_mu < 0.0 or cfg.err_mu < 0.0:
         raise ConfigError("bandwidth.mu and error-analysis.mu must be >= 0")
-    if cfg.err_n_ref <= max(cfg.err_n_values):
-        raise ConfigError("error-analysis.n_ref must exceed every n_values entry")
     for name in (
         "dispersion_xi_grid",
         "psd_beta1_grid",
@@ -191,10 +197,18 @@ def _validate(cfg: RunConfig) -> None:
         "asym_f_m_grid_hz",
         "bw_f_m_grid_hz",
         "err_f_m_grid_hz",
+        "err_n_values",
         "err_recursive_beta1_grid",
+        "err_recursive_n_values",
     ):
         if not getattr(cfg, name):
             raise ConfigError(f"{name} is empty")
+    if min(cfg.err_n_values + cfg.err_recursive_n_values) < 1:
+        raise ConfigError("error-analysis n_values and recursive_n_values must be >= 1")
+    if cfg.err_n_ref <= max(cfg.err_n_values):
+        raise ConfigError("error-analysis.n_ref must exceed every n_values entry")
+    if min(cfg.psd_beta1_grid + cfg.asym_beta1_grid + cfg.err_recursive_beta1_grid) < 0.0:
+        raise ConfigError("beta1 grids must not hold negative values")
     for xi in cfg.dispersion_xi_grid:
         if xi < 1.0:
             raise ConfigError(f"dispersion grid xi={xi} is below threshold")
@@ -203,8 +217,8 @@ def _validate(cfg: RunConfig) -> None:
         cfg.asym_slice_f_m_hz,
         cfg.err_recursive_f_m_hz,
     ]:
-        if f <= 0.0:
-            raise ConfigError(f"modulation frequency {f} Hz must be positive")
+        if not 0.0 < 2.0 * math.pi * f < math.inf:
+            raise ConfigError(f"modulation frequency {f} Hz must be positive and finite in rad/s")
     if not 0.0 < cfg.bw_seed_mu < 1.0:
         raise ConfigError("bandwidth.seed_mu must be in (0, 1)")
     if not 0.0 < cfg.bw_seed_corner_fraction <= 0.5:

@@ -20,7 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass, fields, replace
 
-from .errors import BelowThresholdError, UnsaturatedRegimeError
+from .errors import BelowThresholdError, NumericalError, UnsaturatedRegimeError
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,12 +111,17 @@ def derive_operating_point(params: DeviceParams) -> OperatingPoint:
     ------
     BelowThresholdError
         If xi <= 1 (no sustained oscillation).
+    NumericalError
+        If finite inputs overflow Gamma_p or underflow it to 0.
     """
     if params.xi <= 1.0:
         raise BelowThresholdError(
             f"xi={params.xi} is at or below the oscillation threshold (xi > 1 required)"
         )
-    return _operating_point(params)
+    op = _operating_point(params)
+    if not 0.0 < op.gamma_p < math.inf:
+        raise NumericalError(f"Gamma_p={op.gamma_p} rad/s is not finite and positive")
+    return op
 
 
 def _operating_point(params: DeviceParams) -> OperatingPoint:

@@ -269,7 +269,7 @@ def modulation_bandwidth(
     flat-band value, scanning omega_m upward at constant mu/omega_m.
     """
     if mu0 <= 0.0 or omega_m0 <= 0.0:
-        raise ValueError("mu0 and omega_m0 must be positive")
+        raise SeedBandError(f"mu0={mu0} and omega_m0={omega_m0} must be positive")
     beta_i = first_harmonic_index(op, mu0, omega_m0, n_harmonics)
     beta_2x = first_harmonic_index(op, 2.0 * mu0, 2.0 * omega_m0, n_harmonics)
     if beta_i - beta_2x > 0.01 * beta_i:

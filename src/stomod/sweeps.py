@@ -10,7 +10,6 @@ import math
 from dataclasses import replace
 
 from .config import RunConfig, device_at
-from .errors import ConfigError
 from .fourier import (
     carrier_shift,
     solution_difference,
@@ -18,7 +17,7 @@ from .fourier import (
     solve_coefficients_recursive,
     truncation_error,
 )
-from .model import ModulationConfig, _operating_point, derive_operating_point
+from .model import ModulationConfig, OperatingPoint, _operating_point, derive_operating_point
 from .spectrum import (
     modulation_bandwidth,
     peak_frequency_deviation,
@@ -32,54 +31,47 @@ TWO_PI = 2.0 * math.pi
 TableMap = dict[str, tuple[list[str], list[tuple]]]
 
 
-def _solver(cfg: RunConfig):
-    return (
+def _ops(cfg: RunConfig, op_filter: str | None) -> list[tuple[str, OperatingPoint]]:
+    """The configured operating points, or only the one labelled ``op_filter``."""
+    labels = list(cfg.op_xis) if op_filter is None else [op_filter]
+    return [(label, derive_operating_point(device_at(cfg, label))) for label in labels]
+
+
+def _spectrum(cfg: RunConfig, op: OperatingPoint, beta1: float, omega_m: float):
+    """``(mu, sol, spec)``: back-solved mu, configured-method solution, line spectrum."""
+    mu = solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics)
+    solver = (
         solve_coefficients_matrix if cfg.method == "matrix" else solve_coefficients_recursive
     )
-
-
-def _op_labels(cfg: RunConfig, op_filter: str | None) -> list[str]:
-    labels = list(cfg.op_xis)
-    if op_filter is None:
-        return labels
-    if op_filter not in cfg.op_xis:
-        raise ConfigError(f"unknown operating point label {op_filter!r}")
-    return [op_filter]
+    sol = solver(op, ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=cfg.n_harmonics))
+    return mu, sol, psd_analytic(sol, j_max=cfg.j_max, k_max=cfg.k_max)
 
 
 def operating_point_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
-    """Dispersion and derived constants over the xi grid."""
-    rows = []
-    for xi in cfg.dispersion_xi_grid:
-        op = _operating_point(replace(cfg.device, xi=xi))
-        rows.append(
-            (
-                xi,
-                op.omega_o / TWO_PI,
-                op.omega_sto / TWO_PI,
-                op.gamma_p / TWO_PI,
-                op.p0,
-                op.c1,
-                op.c2,
-            )
-        )
+    """Frequency dispersion and derived constants over the xi grid, or at the
+    xi of the one operating point selected."""
+    if op_filter is None:
+        points = [
+            (xi, _operating_point(replace(cfg.device, xi=xi))) for xi in cfg.dispersion_xi_grid
+        ]
+    else:
+        points = [(cfg.op_xis[label], op) for label, op in _ops(cfg, op_filter)]
+    rows = [
+        (xi, op.omega_o / TWO_PI, op.omega_sto / TWO_PI, op.gamma_p / TWO_PI, op.p0, op.c1, op.c2)
+        for xi, op in points
+    ]
     header = ["xi", "f_o_hz", "f_sto_hz", "gamma_p_hz", "p0", "c1", "c2"]
     return {"operating_point": (header, rows)}
 
 
 def psd_map_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
-    """Line spectrum vs beta_1 for each operating point."""
-    solver = _solver(cfg)
+    """Line spectra vs beta_1 at the fixed modulation frequency, for each
+    operating point."""
     omega_m = TWO_PI * cfg.psd_f_m_hz
     rows = []
-    for label in _op_labels(cfg, op_filter):
-        op = derive_operating_point(device_at(cfg, label))
+    for label, op in _ops(cfg, op_filter):
         for beta1 in cfg.psd_beta1_grid:
-            mu = solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics)
-            sol = solver(
-                op, ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=cfg.n_harmonics)
-            )
-            spec = psd_analytic(sol, j_max=cfg.j_max, k_max=cfg.k_max)
+            mu, sol, spec = _spectrum(cfg, op, beta1, omega_m)
             f_s = carrier_shift(sol)
             rows.extend(
                 (label, beta1, mu, int(k), float(p), f_s)
@@ -89,19 +81,12 @@ def psd_map_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
     return {"psd_map": (header, rows)}
 
 
-def _asymmetry_rows(cfg: RunConfig, labels, beta1_grid, f_m_grid):
-    solver = _solver(cfg)
+def _asymmetry_rows(cfg: RunConfig, ops, beta1_grid, f_m_grid):
     rows = []
-    for label in labels:
-        op = derive_operating_point(device_at(cfg, label))
+    for label, op in ops:
         for beta1 in beta1_grid:
             for f_m in f_m_grid:
-                omega_m = TWO_PI * f_m
-                mu = solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics)
-                sol = solver(
-                    op, ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=cfg.n_harmonics)
-                )
-                spec = psd_analytic(sol, j_max=cfg.j_max, k_max=cfg.k_max)
+                _, _, spec = _spectrum(cfg, op, beta1, TWO_PI * f_m)
                 rows.append(
                     (
                         label,
@@ -119,10 +104,10 @@ def _asymmetry_rows(cfg: RunConfig, labels, beta1_grid, f_m_grid):
 def asymmetry_map_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
     """Sideband power difference over the (beta_1, f_m) grid, plus the
     fixed-frequency slice."""
-    labels = _op_labels(cfg, op_filter)
+    ops = _ops(cfg, op_filter)
     header = ["op_label", "beta1", "f_m_hz", "delta", "p_upper", "p_lower", "p_carrier"]
-    grid_rows = _asymmetry_rows(cfg, labels, cfg.asym_beta1_grid, cfg.asym_f_m_grid_hz)
-    slice_rows = _asymmetry_rows(cfg, labels, cfg.asym_beta1_grid, [cfg.asym_slice_f_m_hz])
+    grid_rows = _asymmetry_rows(cfg, ops, cfg.asym_beta1_grid, cfg.asym_f_m_grid_hz)
+    slice_rows = _asymmetry_rows(cfg, ops, cfg.asym_beta1_grid, [cfg.asym_slice_f_m_hz])
     return {
         "asymmetry_map": (header, grid_rows),
         "asymmetry_slice": (header, slice_rows),
@@ -131,10 +116,8 @@ def asymmetry_map_table(cfg: RunConfig, op_filter: str | None = None) -> TableMa
 
 def bandwidth_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
     """Peak frequency deviation vs f_m and the measured modulation bandwidth."""
-    labels = _op_labels(cfg, op_filter)
     rows = []
-    for label in labels:
-        op = derive_operating_point(device_at(cfg, label))
+    for label, op in _ops(cfg, op_filter):
         mbw_ref = 2.0 * op.gamma_p / TWO_PI
         seed = cfg.bw_seed_corner_fraction * 2.0 * op.gamma_p
         mbw_meas = modulation_bandwidth(op, cfg.bw_seed_mu, seed, cfg.n_harmonics)
@@ -169,9 +152,8 @@ def bandwidth_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
 def error_analysis_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
     """Truncation error vs N and recursive-vs-matrix error vs beta_1 (OP2-like
     midpoint by default: the second configured label, else the first)."""
-    labels = _op_labels(cfg, op_filter)
-    label = labels[min(1, len(labels) - 1)] if op_filter is None else labels[0]
-    op = derive_operating_point(device_at(cfg, label))
+    ops = _ops(cfg, op_filter)
+    label, op = ops[min(1, len(ops) - 1)]
 
     trunc_rows = []
     for f_m in cfg.err_f_m_grid_hz:

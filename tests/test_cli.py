@@ -4,13 +4,16 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import stomod
-from stomod.cli import main
+from stomod import sweeps
+from stomod.cli import COMMANDS, main
 
 # Small grids keep the CLI tests quick without changing any physics.
 FAST_PSD = [
@@ -214,7 +217,7 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_empty_table_exits_3_without_output(self, tmp_path):
-        # The overflowing frequency index leaves no finite line to keep.
+        # spectrum.jv refuses the overflowing FM index before any line is kept.
         result, out = run_cli(
             ["psd-map", "--set", "psd-map.beta1_grid=0.5", "--set", "device.nu=1e300"],
             tmp_path,
@@ -233,6 +236,149 @@ class TestExitCodes:
         assert "not finite" in result.output
         assert "not reachable" not in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["psd-map", "--set", "psd-map.beta1_grid=0.5,-0.5"],
+            ["asymmetry-map", "--set", "asymmetry-map.beta1_grid=-0.25"],
+            ["error-analysis", "--set", "error-analysis.recursive_beta1_grid=-1.0"],
+            ["error-analysis", "--set", "error-analysis.n_values="],
+            ["error-analysis", "--set", "error-analysis.n_values=0"],
+            ["error-analysis", "--set", "error-analysis.recursive_n_values=0"],
+            ["error-analysis", "--set", "error-analysis.recursive_n_values="],
+            ["operating-point", "--set", "solver.n_harmonic=5"],
+            ["operating-point", "--op-label", "OP9"],
+        ],
+    )
+    def test_bad_input_exits_2_without_traceback(self, tmp_path, args):
+        result, out = run_cli(args, tmp_path)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["device.mu0_h_app_t=1e300"],
+            ["device.gamma_hz_per_t=1e-300", "bandwidth.seed_corner_fraction=1e-300"],
+        ],
+    )
+    def test_degenerate_rate_exits_3_without_traceback(self, tmp_path, overrides):
+        # Gamma_p overflows; the bandwidth-search seed underflows to 0.
+        args = ["bandwidth", *FAST_BW, *(a for o in overrides for a in ("--set", o))]
+        result, out = run_cli(args, tmp_path)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
+
+def test_operating_point_op_label_writes_one_row(tmp_path):
+    result, out = run_cli(["operating-point", "--op-label", "OP2"], tmp_path)
+    assert result.exit_code == 0, result.output
+    _, _, rows = read_table(out / "operating_point.csv")
+    assert len(rows) == 1
+    assert float(rows[0][0]) == 1.8
+    assert float(rows[0][3]) == pytest.approx(44.8e6, rel=1e-11)
+
+
+def test_warnings_print_one_counted_line(tmp_path):
+    # f_m = 1 GHz is above a tenth of OP1's 6.72 GHz carrier.
+    result, _ = run_cli(["bandwidth", *FAST_BW, "--op-label", "OP1"], tmp_path)
+    assert result.exit_code == 0, result.output
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("Warning: omega_m is not small")
+    assert lines[0].endswith(" times)")
+    assert "UserWarning" not in result.stderr
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_is_table_docstring(command):
+    result = CliRunner().invoke(main, [command, "--help"])
+    assert result.exit_code == 0
+    table_func = getattr(sweeps, command.replace("-", "_") + "_table")
+    assert table_func.__doc__.split()[:4] == result.output.split("\n\n")[1].split()[:4]
+    for option in ("--config", "--set", "--out", "--op-label"):
+        assert option in result.output
+
+
+# Small grids on OP1 only, so that each fuzzed run takes milliseconds.
+FUZZ_GRIDS = {
+    "operating-point": ["operating-point.xi_grid=1.0,2.0"],
+    "psd-map": ["psd-map.beta1_grid=0.5"],
+    "asymmetry-map": ["asymmetry-map.beta1_grid=0.5", "asymmetry-map.f_m_grid_hz=100e6"],
+    "bandwidth": ["bandwidth.f_m_grid_hz=1e7,1e8"],
+    "error-analysis": [
+        "error-analysis.f_m_grid_hz=40e6",
+        "error-analysis.n_values=3",
+        "error-analysis.n_ref=6",
+        "error-analysis.recursive_beta1_grid=0.5",
+        "error-analysis.recursive_n_values=5",
+    ],
+}
+# The size keys (n_harmonics, j_max, k_max, n_values, n_ref, range counts) are
+# left out: a large value there makes a run slow, not wrong.
+FUZZ_KEYS = {
+    "operating-point": ["operating-point.xi_grid"],
+    "psd-map": ["psd-map.beta1_grid", "psd-map.f_m_hz"],
+    "asymmetry-map": [
+        "asymmetry-map.beta1_grid",
+        "asymmetry-map.f_m_grid_hz",
+        "asymmetry-map.slice_f_m_hz",
+    ],
+    "bandwidth": [
+        "bandwidth.mu",
+        "bandwidth.seed_mu",
+        "bandwidth.f_m_grid_hz",
+        "bandwidth.seed_corner_fraction",
+    ],
+    "error-analysis": [
+        "error-analysis.mu",
+        "error-analysis.f_m_grid_hz",
+        "error-analysis.recursive_beta1_grid",
+        "error-analysis.recursive_f_m_hz",
+    ],
+}
+SHARED_FUZZ_KEYS = [
+    "device.mu0_h_app_t",
+    "device.mu0_ms_t",
+    "device.gamma_hz_per_t",
+    "device.alpha",
+    "device.nu",
+    "operating-points.OP1",
+]
+FUZZ_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 1e300, -1e300]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def fuzzed_runs(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    keys = st.sampled_from(SHARED_FUZZ_KEYS + FUZZ_KEYS[command])
+    sets = draw(st.lists(st.tuples(keys, FUZZ_VALUES), min_size=1, max_size=2))
+    overrides = FUZZ_GRIDS[command] + [f"{key}={value!r}" for key, value in sets]
+    return [command, "--op-label", "OP1", *(a for o in overrides for a in ("--set", o))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=fuzzed_runs())
+def test_fuzzed_values_end_in_a_clean_exit(args):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        result = CliRunner().invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code in (0, 2, 3), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        if result.exit_code != 0:
+            assert not out.exists()
+            return
+        for path in out.iterdir():
+            data = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+            assert not any("nan" in line or "inf" in line for line in data), path
 
 
 def test_cli_import_loads_no_scipy():

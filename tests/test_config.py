@@ -79,11 +79,36 @@ class TestLoadConfig:
             "psd-map.f_m_hz=inf",
             "asymmetry-map.beta1_grid=0.5,nan",
             "bandwidth.mu=-0.05",
+            "solver.n_harmonic=5",
+            "psd-map.beta1_grid=0.5,-0.5",
+            "asymmetry-map.beta1_grid=-0.25",
+            "error-analysis.recursive_beta1_grid=-1.0",
+            "error-analysis.n_values=",
+            "error-analysis.n_values=0",
+            "error-analysis.recursive_n_values=0",
+            "error-analysis.recursive_n_values=",
+            "device.nu=5%",
+            "psd-map.f_m_hz=1e308",
         ],
     )
     def test_validation_rejects(self, override):
         with pytest.raises(ConfigError):
             load_config(None, [override])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[solvr]\nn_harmonics = 7\n", "[solver]\nn_harmonic = 7\n", "[DEFAULT]\nnu = 3\n"],
+    )
+    def test_user_file_unknown_section_or_key_rejected(self, tmp_path, text):
+        p = tmp_path / "user.cfg"
+        p.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config(p)
+
+    def test_user_file_may_add_operating_point(self, tmp_path):
+        p = tmp_path / "user.cfg"
+        p.write_text("[operating-points]\nOP4 = 2.5\n")
+        assert load_config(p).op_xis["OP4"] == 2.5
 
     def test_device_at(self):
         cfg = load_config()

@@ -10,6 +10,7 @@ from stomod import (
     BelowThresholdError,
     DeviceParams,
     ModulationConfig,
+    NumericalError,
     UnsaturatedRegimeError,
     derive_operating_point,
     frequency_dispersion,
@@ -68,6 +69,15 @@ class TestOperatingPoint:
     def test_unsaturated_rejected(self):
         with pytest.raises(UnsaturatedRegimeError):
             make_device(1.5, mu0_h_app=0.7)
+
+    # Finite inputs whose product Gamma_p = alpha*omega_o*(xi - 1) overflows
+    # or underflows to 0.
+    @pytest.mark.parametrize(
+        "kwargs", [{"mu0_h_app": 1e300}, {"gamma": 1e-300, "alpha": 1e-300}]
+    )
+    def test_degenerate_restoration_rate_rejected(self, kwargs):
+        with pytest.raises(NumericalError):
+            derive_operating_point(make_device(1.2, **kwargs))
 
     @pytest.mark.parametrize(
         "kwargs", [{"alpha": 0.0}, {"gamma": -1.0}, {"xi": 0.0}]
