@@ -3,6 +3,11 @@
 The packaged default config always loads first; a user file overlays it;
 ``--set section.key=value`` flags win over both.  Grids are written either
 as comma lists or as ``lin:start:stop:n`` / ``log:start:stop:n`` ranges.
+
+Each key is declared once, on the ``RunConfig`` field it fills (the
+``[device]`` keys in ``_DEVICE_KEYS``): the field's type selects the parser,
+and the declaration carries the range each value must lie in.  Every error
+names the ``section.key`` at fault.
 """
 
 from __future__ import annotations
@@ -10,7 +15,8 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -51,34 +57,73 @@ def _parse_int_list(text: str) -> list[int]:
         raise ConfigError(f"bad integer list {text!r}") from exc
 
 
+# Parser for each field annotation (a string under postponed evaluation).
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "list[float]": _parse_grid,
+    "list[int]": _parse_int_list,
+}
+
+
+def _key(key: str, ok: Callable | None = None, rule: str = ""):
+    """Declare the ``section.key`` a field is read from; each value must pass ``ok``."""
+    return field(metadata={"key": key, "ok": ok, "rule": rule})
+
+
+_AT_LEAST_1 = (lambda n: n >= 1, "must be >= 1")
+_ABOVE_THRESHOLD = (lambda xi: xi > 1.0, "must exceed 1")
+_NON_NEGATIVE = (lambda x: x >= 0.0, "must be >= 0")
+_F_M = (lambda f: 0.0 < 2.0 * math.pi * f < math.inf, "Hz must be positive and finite in rad/s")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully validated configuration for the sweep commands."""
 
-    device: DeviceParams  # xi field unused; per-OP xi below
-    op_xis: dict[str, float]
-    n_harmonics: int
-    method: str
-    j_max: int
-    k_max: int
-    dispersion_xi_grid: list[float]
-    psd_beta1_grid: list[float]
-    psd_f_m_hz: float
-    asym_beta1_grid: list[float]
-    asym_f_m_grid_hz: list[float]
-    asym_slice_f_m_hz: float
-    bw_mu: float
-    bw_f_m_grid_hz: list[float]
-    bw_seed_mu: float
-    bw_seed_corner_fraction: float
-    err_mu: float
-    err_f_m_grid_hz: list[float]
-    err_n_values: list[int]
-    err_n_ref: int
-    err_recursive_beta1_grid: list[float]
-    err_recursive_n_values: list[int]
-    err_recursive_f_m_hz: float
+    device: DeviceParams  # read from _DEVICE_KEYS; xi unused, per-OP xi below
+    op_xis: dict[str, float]  # every label under [operating-points]
+    n_harmonics: int = _key("solver.n_harmonics", *_AT_LEAST_1)
+    method: str = _key(
+        "solver.method", ("matrix", "recursive").__contains__, "is not 'matrix' or 'recursive'"
+    )
+    j_max: int = _key("spectrum.j_max", *_AT_LEAST_1)
+    k_max: int = _key("spectrum.k_max")
+    dispersion_xi_grid: list[float] = _key(
+        "operating-point.xi_grid", lambda xi: xi >= 1.0, "is below threshold (xi >= 1)"
+    )
+    psd_beta1_grid: list[float] = _key("psd-map.beta1_grid", *_NON_NEGATIVE)
+    psd_f_m_hz: float = _key("psd-map.f_m_hz", *_F_M)
+    asym_beta1_grid: list[float] = _key("asymmetry-map.beta1_grid", *_NON_NEGATIVE)
+    asym_f_m_grid_hz: list[float] = _key("asymmetry-map.f_m_grid_hz", *_F_M)
+    asym_slice_f_m_hz: float = _key("asymmetry-map.slice_f_m_hz", *_F_M)
+    bw_mu: float = _key("bandwidth.mu", *_NON_NEGATIVE)
+    bw_f_m_grid_hz: list[float] = _key("bandwidth.f_m_grid_hz", *_F_M)
+    bw_seed_mu: float = _key("bandwidth.seed_mu", lambda mu: 0.0 < mu < 1.0, "must be in (0, 1)")
+    bw_seed_corner_fraction: float = _key(
+        "bandwidth.seed_corner_fraction", lambda x: 0.0 < x <= 0.5, "must be in (0, 0.5]"
+    )
+    err_mu: float = _key("error-analysis.mu", *_NON_NEGATIVE)
+    err_f_m_grid_hz: list[float] = _key("error-analysis.f_m_grid_hz", *_F_M)
+    err_n_values: list[int] = _key("error-analysis.n_values", *_AT_LEAST_1)
+    err_n_ref: int = _key("error-analysis.n_ref")
+    err_recursive_beta1_grid: list[float] = _key(
+        "error-analysis.recursive_beta1_grid", *_NON_NEGATIVE
+    )
+    err_recursive_n_values: list[int] = _key("error-analysis.recursive_n_values", *_AT_LEAST_1)
+    err_recursive_f_m_hz: float = _key("error-analysis.recursive_f_m_hz", *_F_M)
     config_hash: str
+
+
+# DeviceParams field -> the float key it is read from.
+_DEVICE_KEYS = {
+    "mu0_h_app": "device.mu0_h_app_t",
+    "mu0_ms": "device.mu0_ms_t",
+    "gamma": "device.gamma_hz_per_t",
+    "alpha": "device.alpha",
+    "nu": "device.nu",
+}
 
 
 def _load_parser(path: Path | None, overrides: list[str]) -> tuple[configparser.ConfigParser, str]:
@@ -117,118 +162,48 @@ def _load_parser(path: Path | None, overrides: list[str]) -> tuple[configparser.
     return parser, digest
 
 
+def _read(parser: configparser.ConfigParser, kind: str, key: str,
+          ok: Callable | None = None, rule: str = ""):
+    """Parse ``section.key`` as the annotation ``kind``; every error names the key."""
+    section, name = key.split(".", 1)
+    try:
+        value = _PARSERS[kind](parser[section][name])
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    values = value if isinstance(value, list) else [value]
+    if not values:
+        raise ConfigError(f"{key}: no values given")
+    for v in values:
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigError(f"{key}: {v!r} is not finite")
+        if ok is not None and not ok(v):
+            raise ConfigError(f"{key}: {v!r} {rule}")
+    return value
+
+
 def load_config(path: str | Path | None = None, overrides: list[str] | None = None) -> RunConfig:
     """Load, overlay and validate the configuration."""
     parser, digest = _load_parser(Path(path) if path else None, overrides or [])
+    device = {name: _read(parser, "float", key) for name, key in _DEVICE_KEYS.items()}
     try:
-        dev_sec = parser["device"]
-        device = DeviceParams(
-            mu0_h_app=dev_sec.getfloat("mu0_h_app_t"),
-            mu0_ms=dev_sec.getfloat("mu0_ms_t"),
-            gamma=dev_sec.getfloat("gamma_hz_per_t"),
-            alpha=dev_sec.getfloat("alpha"),
-            nu=dev_sec.getfloat("nu"),
-            xi=2.0,  # placeholder; per-OP xi is set per command
-        )
-        op_xis = {label: float(v) for label, v in parser["operating-points"].items()}
-        cfg = RunConfig(
-            device=device,
-            op_xis=op_xis,
-            n_harmonics=parser["solver"].getint("n_harmonics"),
-            method=parser["solver"].get("method"),
-            j_max=parser["spectrum"].getint("j_max"),
-            k_max=parser["spectrum"].getint("k_max"),
-            dispersion_xi_grid=_parse_grid(parser["operating-point"]["xi_grid"]),
-            psd_beta1_grid=_parse_grid(parser["psd-map"]["beta1_grid"]),
-            psd_f_m_hz=parser["psd-map"].getfloat("f_m_hz"),
-            asym_beta1_grid=_parse_grid(parser["asymmetry-map"]["beta1_grid"]),
-            asym_f_m_grid_hz=_parse_grid(parser["asymmetry-map"]["f_m_grid_hz"]),
-            asym_slice_f_m_hz=parser["asymmetry-map"].getfloat("slice_f_m_hz"),
-            bw_mu=parser["bandwidth"].getfloat("mu"),
-            bw_f_m_grid_hz=_parse_grid(parser["bandwidth"]["f_m_grid_hz"]),
-            bw_seed_mu=parser["bandwidth"].getfloat("seed_mu"),
-            bw_seed_corner_fraction=parser["bandwidth"].getfloat("seed_corner_fraction"),
-            err_mu=parser["error-analysis"].getfloat("mu"),
-            err_f_m_grid_hz=_parse_grid(parser["error-analysis"]["f_m_grid_hz"]),
-            err_n_values=_parse_int_list(parser["error-analysis"]["n_values"]),
-            err_n_ref=parser["error-analysis"].getint("n_ref"),
-            err_recursive_beta1_grid=_parse_grid(
-                parser["error-analysis"]["recursive_beta1_grid"]
-            ),
-            err_recursive_n_values=_parse_int_list(
-                parser["error-analysis"]["recursive_n_values"]
-            ),
-            err_recursive_f_m_hz=parser["error-analysis"].getfloat("recursive_f_m_hz"),
-            config_hash=digest,
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    if not cfg.op_xis:
-        raise ConfigError("no operating points configured")
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, dict):
-            value = list(value.values())
-        for number in value if isinstance(value, list) else [value]:
-            if isinstance(number, float) and not math.isfinite(number):
-                raise ConfigError(f"{f.name} must be finite, got {number}")
-    for label, xi in cfg.op_xis.items():
-        if xi <= 1.0:
-            raise ConfigError(f"operating point {label}: xi={xi} must exceed 1")
-    if cfg.method not in ("matrix", "recursive"):
-        raise ConfigError(f"unknown solver method {cfg.method!r}")
-    if cfg.n_harmonics < 1:
-        raise ConfigError("solver.n_harmonics must be >= 1")
-    if cfg.j_max < 1:
-        raise ConfigError("spectrum.j_max must be >= 1")
+        device = DeviceParams(**device, xi=2.0)  # placeholder; device_at sets each OP's xi
+    except ValueError as exc:  # the range checks of DeviceParams
+        raise ConfigError(f"[device] {exc}") from exc
+    op_xis = {
+        label: _read(parser, "float", f"operating-points.{label}", *_ABOVE_THRESHOLD)
+        for label in parser["operating-points"]
+    }
+    keyed = {f.name: _read(parser, f.type, **f.metadata) for f in fields(RunConfig) if f.metadata}
+    cfg = RunConfig(device=device, op_xis=op_xis, config_hash=digest, **keyed)
     if cfg.k_max < cfg.n_harmonics:
         raise ConfigError("spectrum.k_max must be >= solver.n_harmonics")
-    if cfg.bw_mu < 0.0 or cfg.err_mu < 0.0:
-        raise ConfigError("bandwidth.mu and error-analysis.mu must be >= 0")
-    for name in (
-        "dispersion_xi_grid",
-        "psd_beta1_grid",
-        "asym_beta1_grid",
-        "asym_f_m_grid_hz",
-        "bw_f_m_grid_hz",
-        "err_f_m_grid_hz",
-        "err_n_values",
-        "err_recursive_beta1_grid",
-        "err_recursive_n_values",
-    ):
-        if not getattr(cfg, name):
-            raise ConfigError(f"{name} is empty")
-    if min(cfg.err_n_values + cfg.err_recursive_n_values) < 1:
-        raise ConfigError("error-analysis n_values and recursive_n_values must be >= 1")
     if cfg.err_n_ref <= max(cfg.err_n_values):
-        raise ConfigError("error-analysis.n_ref must exceed every n_values entry")
-    if min(cfg.psd_beta1_grid + cfg.asym_beta1_grid + cfg.err_recursive_beta1_grid) < 0.0:
-        raise ConfigError("beta1 grids must not hold negative values")
-    for xi in cfg.dispersion_xi_grid:
-        if xi < 1.0:
-            raise ConfigError(f"dispersion grid xi={xi} is below threshold")
-    for f in cfg.asym_f_m_grid_hz + cfg.bw_f_m_grid_hz + cfg.err_f_m_grid_hz + [
-        cfg.psd_f_m_hz,
-        cfg.asym_slice_f_m_hz,
-        cfg.err_recursive_f_m_hz,
-    ]:
-        if not 0.0 < 2.0 * math.pi * f < math.inf:
-            raise ConfigError(f"modulation frequency {f} Hz must be positive and finite in rad/s")
-    if not 0.0 < cfg.bw_seed_mu < 1.0:
-        raise ConfigError("bandwidth.seed_mu must be in (0, 1)")
-    if not 0.0 < cfg.bw_seed_corner_fraction <= 0.5:
-        raise ConfigError("bandwidth.seed_corner_fraction must be in (0, 0.5]")
+        raise ConfigError("error-analysis.n_ref must exceed every error-analysis.n_values entry")
+    return cfg
 
 
 def device_at(cfg: RunConfig, label: str) -> DeviceParams:
     """Device parameters with the supercriticality of the given OP label."""
-    from dataclasses import replace
-
     if label not in cfg.op_xis:
         raise ConfigError(f"unknown operating point label {label!r}")
     return replace(cfg.device, xi=cfg.op_xis[label])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridCoverageError, StepSizeError
+from .errors import StepSizeError
 from .fourier import FourierSolution
 from .model import DeviceParams, ModulationConfig, OperatingPoint, derive_operating_point
 from .spectrum import TimeTrace
@@ -89,6 +89,38 @@ class IntegrationConfig:
         )
 
 
+def _rk4(rate, y0: float, phi0: float, w0: float, w1: float, h: float, n_steps: int):
+    """Fixed-step RK4 of dy/dt = rate(t, y) with dphi/dt = w0 + w1*y.
+
+    Returns the sample times, y and phi, all of length n_steps + 1.
+    """
+    t_arr = np.empty(n_steps + 1)
+    y_arr = np.empty(n_steps + 1)
+    phi_arr = np.empty(n_steps + 1)
+    y, phi = y0, phi0
+    t_arr[0], y_arr[0], phi_arr[0] = 0.0, y, phi
+    for i in range(n_steps):
+        t = i * h
+        k1 = rate(t, y)
+        k2 = rate(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rate(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rate(t + h, y + h * k3)
+        # phase rate is affine in y, so its RK4 stages reuse the k's
+        phi += h * (w0 + w1 * (y + (h / 6.0) * (k1 + k2 + k3)))
+        y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t_arr[i + 1] = (i + 1) * h
+        y_arr[i + 1] = y
+        phi_arr[i + 1] = phi
+    return t_arr, y_arr, phi_arr
+
+
+def _settled(icfg: IntegrationConfig, t: np.ndarray, y: np.ndarray, phi: np.ndarray):
+    """The samples from transient_cut on, endpoint-exclusive."""
+    keep = t >= icfg.transient_cut - 0.5 * icfg.dt
+    keep[-1] = False
+    return t[keep], y[keep], phi[keep]
+
+
 def integrate_reduced(
     op: OperatingPoint, modcfg: ModulationConfig, icfg: IntegrationConfig
 ) -> TimeTrace:
@@ -110,37 +142,11 @@ def integrate_reduced(
         drive = mu * math.cos(w * t)
         return c1 * drive + 2.0 * dp * (c2 * drive - gp)
 
-    t_arr = np.empty(n_steps + 1)
-    dp_arr = np.empty(n_steps + 1)
-    phi_arr = np.empty(n_steps + 1)
-    dp = icfg.initial_delta_p
-    phi = icfg.initial_phase
-    t_arr[0], dp_arr[0], phi_arr[0] = 0.0, dp, phi
-    for i in range(n_steps):
-        t = i * h
-        k1 = dpdot(t, dp)
-        k2 = dpdot(t + 0.5 * h, dp + 0.5 * h * k1)
-        k3 = dpdot(t + 0.5 * h, dp + 0.5 * h * k2)
-        k4 = dpdot(t + h, dp + h * k3)
-        # phase rate is affine in delta_p, so its RK4 stages reuse the k's
-        phi += h * (wsto + nu_gp2 * (dp + (h / 6.0) * (k1 + k2 + k3)))
-        dp += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t_arr[i + 1] = (i + 1) * h
-        dp_arr[i + 1] = dp
-        phi_arr[i + 1] = phi
-    keep = t_arr >= icfg.transient_cut - 0.5 * h
-    # drop the final sample so the window is endpoint-exclusive
-    keep[-1] = False
-    t_keep = t_arr[keep]
-    dp_keep = dp_arr[keep]
-    phi_keep = phi_arr[keep]
-    demod = wsto + nu_gp2 * float(dp_keep.mean())
-    return TimeTrace(
-        t=t_keep,
-        delta_p=dp_keep,
-        phi=phi_keep - demod * t_keep,
-        demod_freq=demod,
+    t, dp, phi = _settled(
+        icfg, *_rk4(dpdot, icfg.initial_delta_p, icfg.initial_phase, wsto, nu_gp2, h, n_steps)
     )
+    demod = wsto + nu_gp2 * float(dp.mean())
+    return TimeTrace(t=t, delta_p=dp, phi=phi - demod * t, demod_freq=demod)
 
 
 def integrate_full(
@@ -167,34 +173,13 @@ def integrate_full(
         gm = sigma_i * (1.0 + mu * math.cos(w * t)) * (1.0 - p)
         return 2.0 * (gm - gamma_g) * p
 
-    p = p0 * (1.0 + 2.0 * icfg.initial_delta_p)
-    phi = icfg.initial_phase
-    t_arr = np.empty(n_steps + 1)
-    p_arr = np.empty(n_steps + 1)
-    phi_arr = np.empty(n_steps + 1)
-    t_arr[0], p_arr[0], phi_arr[0] = 0.0, p, phi
-    for i in range(n_steps):
-        t = i * h
-        k1 = pdot(t, p)
-        k2 = pdot(t + 0.5 * h, p + 0.5 * h * k1)
-        k3 = pdot(t + 0.5 * h, p + 0.5 * h * k2)
-        k4 = pdot(t + h, p + h * k3)
-        phi += h * (op.omega_o + nu_over_p0 * (p + (h / 6.0) * (k1 + k2 + k3)))
-        p += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t_arr[i + 1] = (i + 1) * h
-        p_arr[i + 1] = p
-        phi_arr[i + 1] = phi
-    keep = t_arr >= icfg.transient_cut - 0.5 * h
-    keep[-1] = False
-    dp_keep = (p_arr[keep] / p0 - 1.0) / 2.0
-    t_keep = t_arr[keep]
-    demod = op.omega_o + params.nu * op.gamma_p * (1.0 + 2.0 * float(dp_keep.mean()))
-    return TimeTrace(
-        t=t_keep,
-        delta_p=dp_keep,
-        phi=phi_arr[keep] - demod * t_keep,
-        demod_freq=demod,
+    p_start = p0 * (1.0 + 2.0 * icfg.initial_delta_p)
+    t, p, phi = _settled(
+        icfg, *_rk4(pdot, p_start, icfg.initial_phase, op.omega_o, nu_over_p0, h, n_steps)
     )
+    dp = (p / p0 - 1.0) / 2.0
+    demod = op.omega_o + params.nu * op.gamma_p * (1.0 + 2.0 * float(dp.mean()))
+    return TimeTrace(t=t, delta_p=dp, phi=phi - demod * t, demod_freq=demod)
 
 
 def project_harmonics(
@@ -209,17 +194,7 @@ def project_harmonics(
     projections use absolute time so the result is directly comparable to
     the harmonic-balance coefficients.
     """
-    n_samples = trace.t.size
-    if n_samples < 2:
-        raise GridCoverageError("trace too short to project")
-    dt = trace.t[1] - trace.t[0]
-    period = TWO_PI / modcfg.omega_m
-    span = n_samples * dt
-    n_per = span / period
-    if abs(n_per - round(n_per)) > 1e-9 * max(n_per, 1.0) or round(n_per) < 1:
-        raise GridCoverageError(
-            f"trace spans {n_per} modulation periods; an integer count is required"
-        )
+    trace.whole_periods(modcfg.omega_m)
     a0 = float(trace.delta_p.mean())
     a = np.empty(n_harmonics)
     b = np.empty(n_harmonics)

@@ -76,6 +76,28 @@ class TimeTrace:
     phi: np.ndarray
     demod_freq: float
 
+    def whole_periods(self, omega_m: float) -> int:
+        """Number of modulation periods the uniform grid spans, endpoint excluded.
+
+        Anything else (too short, non-uniform, a partial period, samples
+        that do not divide evenly into periods) raises GridCoverageError.
+        """
+        n_samples = self.t.size
+        if n_samples < 2:
+            raise GridCoverageError("trace too short")
+        dt = self.t[1] - self.t[0]
+        if not np.allclose(np.diff(self.t), dt, rtol=1e-9, atol=0.0):
+            raise GridCoverageError("trace is not uniformly sampled")
+        n_per = n_samples * dt / (TWO_PI / omega_m)
+        if abs(n_per - round(n_per)) > 1e-9 * n_per or round(n_per) < 1:
+            raise GridCoverageError(
+                f"trace spans {n_per} modulation periods; an integer count is required"
+            )
+        n_per = int(round(n_per))
+        if n_samples % n_per:
+            raise GridCoverageError("samples do not divide evenly into periods")
+        return n_per
+
 
 def shifted_carrier(sol: FourierSolution) -> float:
     """Shifted carrier omega_sto' = omega_sto + 2*nu*Gamma_p*A0, rad/s."""
@@ -179,22 +201,8 @@ def psd_fft(
     The trace must cover an integer number of modulation periods on a
     uniform grid; anything else is rejected rather than windowed.
     """
+    n_per = trace.whole_periods(sol.modcfg.omega_m)
     n_samples = trace.t.size
-    if n_samples < 2:
-        raise GridCoverageError("trace too short for an FFT")
-    dt = trace.t[1] - trace.t[0]
-    if not np.allclose(np.diff(trace.t), dt, rtol=1e-9, atol=0.0):
-        raise GridCoverageError("trace is not uniformly sampled")
-    period = TWO_PI / sol.modcfg.omega_m
-    span = n_samples * dt
-    n_per = span / period
-    if abs(n_per - round(n_per)) > 1e-9 * n_per or round(n_per) < 1:
-        raise GridCoverageError(
-            f"trace spans {n_per} modulation periods; an integer count is required"
-        )
-    n_per = int(round(n_per))
-    if n_samples % n_per:
-        raise GridCoverageError("samples do not divide evenly into periods")
     signal = (1.0 + trace.delta_p) * np.exp(1j * trace.phi)
     coeffs = np.fft.fft(signal) / n_samples
     # Phase-reference the bins to absolute time t[0] (the synthesis and the

@@ -258,6 +258,30 @@ class TestExitCodes:
         assert "Traceback" not in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command,override",
+        [
+            ("error-analysis", "error-analysis.n_values="),
+            ("asymmetry-map", "asymmetry-map.beta1_grid=0.5,nan"),
+            ("psd-map", "device.nu=5%"),
+            ("psd-map", "psd-map.f_m_hz=abc"),
+            ("psd-map", "operating-points.OP1=x"),
+            ("psd-map", "solver.n_harmonics=2.5"),
+            ("psd-map", "psd-map.beta1_grid=1,x"),
+            ("psd-map", "device.alpha=nan"),
+            ("bandwidth", "bandwidth.f_m_grid_hz=,"),
+            ("asymmetry-map", "asymmetry-map.beta1_grid=0.5,-0.25"),
+            ("operating-point", "operating-point.xi_grid=0.5"),
+            ("psd-map", "psd-map.f_m_hz=1e308"),
+        ],
+    )
+    def test_config_error_names_its_key(self, tmp_path, command, override):
+        result, out = run_cli([command, "--set", override], tmp_path)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert override.split("=", 1)[0] in result.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "overrides",

@@ -1,9 +1,13 @@
 """Layered configuration parsing and validation."""
 
+import configparser
+from dataclasses import fields
+from importlib import resources
+
 import pytest
 
 from stomod import ConfigError
-from stomod.config import _parse_grid, device_at, load_config
+from stomod.config import _DEVICE_KEYS, RunConfig, _parse_grid, device_at, load_config
 
 
 class TestGridParsing:
@@ -115,3 +119,21 @@ class TestLoadConfig:
         assert device_at(cfg, "OP3").xi == 3.8
         with pytest.raises(ConfigError):
             device_at(cfg, "OP9")
+
+
+def test_default_cfg_keys_match_declarations():
+    # Every key outside [operating-points] is read by exactly one declaration,
+    # and every declared key exists: no key does nothing, none is missing.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    parser.optionxform = str
+    parser.read_string(resources.files("stomod.data").joinpath("default.cfg").read_text())
+    cfg_keys = {
+        f"{section}.{key}"
+        for section in parser.sections()
+        if section != "operating-points"
+        for key in parser[section]
+    }
+    declared = [f.metadata["key"] for f in fields(RunConfig) if f.metadata]
+    declared += list(_DEVICE_KEYS.values())
+    assert len(declared) == len(set(declared))
+    assert set(declared) == cfg_keys

@@ -158,3 +158,17 @@ class TestProjection:
         )
         with pytest.raises(GridCoverageError):
             project_harmonics(cut, cfg, cfg.n_harmonics, op2)
+
+    def test_non_uniform_trace_rejected(self, op2):
+        # Interior times jittered by 0.3*dt keep the first step and a
+        # whole-period span, so only the spacing check can catch them.
+        cfg = ModulationConfig(mu=0.1, omega_m=TWO_PI * 100e6)
+        sol = solve_coefficients_matrix(op2, cfg)
+        trace = synthesize_time_trace(sol, samples_per_period=256, n_periods=4)
+        t = trace.t.copy()
+        t[2:-1:2] += 0.3 * (t[1] - t[0])
+        jittered = TimeTrace(
+            t=t, delta_p=trace.delta_p, phi=trace.phi, demod_freq=trace.demod_freq
+        )
+        with pytest.raises(GridCoverageError, match="not uniformly sampled"):
+            project_harmonics(jittered, cfg, cfg.n_harmonics, op2)
