@@ -21,9 +21,7 @@ from .errors import (
 )
 from .fourier import (
     FourierSolution,
-    HarmonicDescriptor,
     carrier_shift,
-    harmonic_descriptors,
     solve_coefficients_matrix,
     solve_coefficients_recursive,
     truncation_error,
@@ -33,7 +31,6 @@ from .model import (
     ModulationConfig,
     OperatingPoint,
     derive_operating_point,
-    frequency_dispersion,
 )
 from .oracle import IntegrationConfig, integrate_full, integrate_reduced, project_harmonics
 from .spectrum import (
@@ -63,11 +60,8 @@ __all__ = [
     "ModulationConfig",
     "OperatingPoint",
     "derive_operating_point",
-    "frequency_dispersion",
     "FourierSolution",
-    "HarmonicDescriptor",
     "carrier_shift",
-    "harmonic_descriptors",
     "solve_coefficients_matrix",
     "solve_coefficients_recursive",
     "truncation_error",

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .model import DeviceParams
+from .model import TWO_PI, DeviceParams
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -75,7 +75,8 @@ def _key(key: str, ok: Callable | None = None, rule: str = ""):
 _AT_LEAST_1 = (lambda n: n >= 1, "must be >= 1")
 _ABOVE_THRESHOLD = (lambda xi: xi > 1.0, "must exceed 1")
 _NON_NEGATIVE = (lambda x: x >= 0.0, "must be >= 0")
-_F_M = (lambda f: 0.0 < 2.0 * math.pi * f < math.inf, "Hz must be positive and finite in rad/s")
+_POSITIVE = (lambda x: x > 0.0, "must be > 0")
+_F_M = (lambda f: 0.0 < TWO_PI * f < math.inf, "Hz must be positive and finite in rad/s")
 
 
 @dataclass(frozen=True)
@@ -116,13 +117,13 @@ class RunConfig:
     config_hash: str
 
 
-# DeviceParams field -> the float key it is read from.
+# DeviceParams field -> (the float key it is read from, range rule).
 _DEVICE_KEYS = {
-    "mu0_h_app": "device.mu0_h_app_t",
-    "mu0_ms": "device.mu0_ms_t",
-    "gamma": "device.gamma_hz_per_t",
-    "alpha": "device.alpha",
-    "nu": "device.nu",
+    "mu0_h_app": ("device.mu0_h_app_t",),
+    "mu0_ms": ("device.mu0_ms_t",),
+    "gamma": ("device.gamma_hz_per_t", *_POSITIVE),
+    "alpha": ("device.alpha", *_POSITIVE),
+    "nu": ("device.nu",),
 }
 
 
@@ -184,11 +185,13 @@ def _read(parser: configparser.ConfigParser, kind: str, key: str,
 def load_config(path: str | Path | None = None, overrides: list[str] | None = None) -> RunConfig:
     """Load, overlay and validate the configuration."""
     parser, digest = _load_parser(Path(path) if path else None, overrides or [])
-    device = {name: _read(parser, "float", key) for name, key in _DEVICE_KEYS.items()}
-    try:
-        device = DeviceParams(**device, xi=2.0)  # placeholder; device_at sets each OP's xi
-    except ValueError as exc:  # the range checks of DeviceParams
-        raise ConfigError(f"[device] {exc}") from exc
+    device = {name: _read(parser, "float", *spec) for name, spec in _DEVICE_KEYS.items()}
+    if device["mu0_h_app"] <= device["mu0_ms"]:
+        raise ConfigError(
+            f"device.mu0_h_app_t: {device['mu0_h_app']!r} must exceed "
+            f"device.mu0_ms_t = {device['mu0_ms']!r} (perpendicular saturated regime)"
+        )
+    device = DeviceParams(**device, xi=2.0)  # placeholder; device_at sets each OP's xi
     op_xis = {
         label: _read(parser, "float", f"operating-points.{label}", *_ABOVE_THRESHOLD)
         for label in parser["operating-points"]

@@ -31,16 +31,14 @@ q_{n+1} as zero, dropping the n+1 coupling of each harmonic.
 from __future__ import annotations
 
 import cmath
-import logging
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NumericalError, SingularSystemError
 from .model import ModulationConfig, OperatingPoint, warn_if_fast_modulation
-
-logger = logging.getLogger(__name__)
 
 # Residual acceptance for the balance equations, relative to the
 # natural rate scale max(|mu*C1|, Gamma_p).
@@ -69,16 +67,12 @@ class FourierSolution:
     def psi(self, n: int) -> float:
         return math.atan2(float(self.a[n - 1]), float(self.b[n - 1]))
 
+    def beta(self, n: int) -> float:
+        """Signed FM index beta_n = 2*nu*Gamma_p*|X_n|/(n*omega_m) of harmonic n.
 
-@dataclass(frozen=True)
-class HarmonicDescriptor:
-    """Per-harmonic magnitude, phase, FM index and peak deviation."""
-
-    n: int
-    x_abs: float
-    psi: float
-    beta: float
-    delta_f: float
+        It carries the sign of nu, as the FM phase needs; a magnitude is its abs().
+        """
+        return 2.0 * self.op.nu * self.op.gamma_p * self.x_abs(n) / (n * self.modcfg.omega_m)
 
 
 def _finish(
@@ -91,12 +85,12 @@ def _finish(
     sol = FourierSolution(
         a0=a0, a=a, b=b, n_harmonics=modcfg.n_harmonics, op=op, modcfg=modcfg
     )
-    x_first, x_last = sol.x_abs(1), sol.x_abs(modcfg.n_harmonics)
-    if x_last > x_first > 0.0:
-        logger.warning(
-            "harmonic coefficients do not decay (|X_%d|=%.3e > |X_1|=%.3e); "
-            "truncation order N=%d may be too small",
-            modcfg.n_harmonics, x_last, x_first, modcfg.n_harmonics,
+    n_h = modcfg.n_harmonics
+    if sol.x_abs(n_h) > sol.x_abs(1) > 0.0:
+        warnings.warn(
+            f"harmonic coefficients do not decay (|X_{n_h}| > |X_1|); "
+            f"truncation order N={n_h} may be too small",
+            stacklevel=4,
         )
     return sol
 
@@ -188,25 +182,6 @@ def carrier_shift(sol: FourierSolution) -> float:
     coefficient: 2*pi*f_s = mu*nu*C2*B1.
     """
     return sol.op.nu * sol.op.gamma_p * sol.a0 / math.pi
-
-
-def harmonic_descriptors(sol: FourierSolution) -> list[HarmonicDescriptor]:
-    """Magnitude, phase, FM index beta_n and peak deviation per harmonic."""
-    out = []
-    nu_gp = sol.op.nu * sol.op.gamma_p
-    for n in range(1, sol.n_harmonics + 1):
-        x_abs = sol.x_abs(n)
-        beta = 2.0 * nu_gp * x_abs / (n * sol.modcfg.omega_m)
-        out.append(
-            HarmonicDescriptor(
-                n=n,
-                x_abs=x_abs,
-                psi=sol.psi(n),
-                beta=beta,
-                delta_f=nu_gp * x_abs / math.pi,
-            )
-        )
-    return out
 
 
 def truncation_error(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import BelowThresholdError, NumericalError, UnsaturatedRegimeError
 
@@ -144,22 +144,6 @@ def _operating_point(params: DeviceParams) -> OperatingPoint:
         c2=c2,
         nu=params.nu,
     )
-
-
-def frequency_dispersion(
-    params: DeviceParams, xi_grid: list[float]
-) -> list[tuple[float, float]]:
-    """Free-running frequency f_STO (Hz) over a supercriticality grid.
-
-    xi = 1 is allowed here (threshold point, Gamma_p = 0); values below 1
-    are rejected.
-    """
-    out: list[tuple[float, float]] = []
-    for xi in xi_grid:
-        if xi < 1.0:
-            raise ValueError(f"dispersion grid value xi={xi} is below threshold")
-        out.append((xi, _operating_point(replace(params, xi=xi)).omega_sto / TWO_PI))
-    return out
 
 
 def warn_if_fast_modulation(op: OperatingPoint, modcfg: ModulationConfig) -> None:

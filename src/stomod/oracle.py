@@ -14,10 +14,8 @@ import numpy as np
 
 from .errors import StepSizeError
 from .fourier import FourierSolution
-from .model import DeviceParams, ModulationConfig, OperatingPoint, derive_operating_point
+from .model import TWO_PI, DeviceParams, ModulationConfig, OperatingPoint, derive_operating_point
 from .spectrum import TimeTrace
-
-TWO_PI = 2.0 * math.pi
 
 # Step must resolve both the modulation period and the relaxation rate.
 _STEPS_PER_PERIOD_MIN = 200
@@ -38,7 +36,6 @@ class IntegrationConfig:
     t_end: float
     transient_cut: float
     initial_delta_p: float = 0.0
-    initial_phase: float = 0.0
 
     def validate(self, op: OperatingPoint, modcfg: ModulationConfig) -> None:
         period = TWO_PI / modcfg.omega_m
@@ -69,8 +66,6 @@ class IntegrationConfig:
         samples_per_period: int = 512,
         n_periods: int = 8,
         transient_factor: float = 15.0,
-        initial_delta_p: float = 0.0,
-        initial_phase: float = 0.0,
     ) -> "IntegrationConfig":
         """Window aligned to the modulation period for clean projection."""
         period = TWO_PI / modcfg.omega_m
@@ -80,24 +75,18 @@ class IntegrationConfig:
         else:
             transient_periods = 1
         transient_cut = transient_periods * period
-        return cls(
-            dt=dt,
-            t_end=transient_cut + n_periods * period,
-            transient_cut=transient_cut,
-            initial_delta_p=initial_delta_p,
-            initial_phase=initial_phase,
-        )
+        return cls(dt=dt, t_end=transient_cut + n_periods * period, transient_cut=transient_cut)
 
 
-def _rk4(rate, y0: float, phi0: float, w0: float, w1: float, h: float, n_steps: int):
-    """Fixed-step RK4 of dy/dt = rate(t, y) with dphi/dt = w0 + w1*y.
+def _rk4(rate, y0: float, w0: float, w1: float, h: float, n_steps: int):
+    """Fixed-step RK4 of dy/dt = rate(t, y) with dphi/dt = w0 + w1*y, phi(0) = 0.
 
     Returns the sample times, y and phi, all of length n_steps + 1.
     """
     t_arr = np.empty(n_steps + 1)
     y_arr = np.empty(n_steps + 1)
     phi_arr = np.empty(n_steps + 1)
-    y, phi = y0, phi0
+    y, phi = y0, 0.0
     t_arr[0], y_arr[0], phi_arr[0] = 0.0, y, phi
     for i in range(n_steps):
         t = i * h
@@ -142,9 +131,7 @@ def integrate_reduced(
         drive = mu * math.cos(w * t)
         return c1 * drive + 2.0 * dp * (c2 * drive - gp)
 
-    t, dp, phi = _settled(
-        icfg, *_rk4(dpdot, icfg.initial_delta_p, icfg.initial_phase, wsto, nu_gp2, h, n_steps)
-    )
+    t, dp, phi = _settled(icfg, *_rk4(dpdot, icfg.initial_delta_p, wsto, nu_gp2, h, n_steps))
     demod = wsto + nu_gp2 * float(dp.mean())
     return TimeTrace(t=t, delta_p=dp, phi=phi - demod * t, demod_freq=demod)
 
@@ -174,9 +161,7 @@ def integrate_full(
         return 2.0 * (gm - gamma_g) * p
 
     p_start = p0 * (1.0 + 2.0 * icfg.initial_delta_p)
-    t, p, phi = _settled(
-        icfg, *_rk4(pdot, p_start, icfg.initial_phase, op.omega_o, nu_over_p0, h, n_steps)
-    )
+    t, p, phi = _settled(icfg, *_rk4(pdot, p_start, op.omega_o, nu_over_p0, h, n_steps))
     dp = (p / p0 - 1.0) / 2.0
     demod = op.omega_o + params.nu * op.gamma_p * (1.0 + 2.0 * float(dp.mean()))
     return TimeTrace(t=t, delta_p=dp, phi=phi - demod * t, demod_freq=demod)

@@ -19,15 +19,13 @@ must agree with the convolution line by line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridCoverageError, NumericalError, SeedBandError
 from .fourier import FourierSolution, solve_coefficients_matrix
-from .model import ModulationConfig, OperatingPoint
-
-TWO_PI = 2.0 * math.pi
+from .model import TWO_PI, ModulationConfig, OperatingPoint
 
 DEFAULT_J_MAX = 10
 DEFAULT_K_MAX = 40
@@ -45,15 +43,10 @@ _BETA_CAP = 2.0**15
 
 @dataclass(frozen=True)
 class LineSpectrum:
-    """Discrete line spectrum on the harmonic grid k * omega_m.
+    """Discrete line spectrum on the harmonic grid k * omega_m, offsets
+    counted from the shifted carrier omega_sto'."""
 
-    carrier_freq is the shifted carrier omega_sto' in rad/s; offsets are
-    integer harmonic offsets from it.
-    """
-
-    carrier_freq: float
     offsets: np.ndarray  # int, sorted ascending
-    amps: np.ndarray  # complex
     powers: np.ndarray  # |amp|^2, carrier-normalized
 
     def power_at(self, k: int) -> float:
@@ -123,15 +116,13 @@ def synthesize_time_trace(
     t = np.arange(samples_per_period * n_periods) * (period / samples_per_period)
     delta_p = np.full_like(t, sol.a0)
     phi = np.zeros_like(t)
-    nu_gp2 = 2.0 * sol.op.nu * sol.op.gamma_p
     for n in range(1, sol.n_harmonics + 1):
         x_abs = sol.x_abs(n)
         if x_abs == 0.0:
             continue
-        psi = sol.psi(n)
-        theta = n * w * t - psi
+        theta = n * w * t - sol.psi(n)
         delta_p += x_abs * np.cos(theta)
-        phi += (nu_gp2 * x_abs / (n * w)) * np.sin(theta)
+        phi += sol.beta(n) * np.sin(theta)
     return TimeTrace(t=t, delta_p=delta_p, phi=phi, demod_freq=shifted_carrier(sol))
 
 
@@ -166,7 +157,6 @@ def psd_analytic(
     sol: FourierSolution,
     j_max: int = DEFAULT_J_MAX,
     k_max: int = DEFAULT_K_MAX,
-    include_p0: bool = False,
 ) -> LineSpectrum:
     """Line spectrum from the Bessel-convolution expansion."""
     if j_max < 1:
@@ -179,22 +169,18 @@ def psd_analytic(
             break
         amps[k_max + n] += np.conj(x[n - 1]) / 2.0
         amps[k_max - n] += x[n - 1] / 2.0
-    nu_gp2 = 2.0 * sol.op.nu * sol.op.gamma_p
     for n in range(1, sol.n_harmonics + 1):
-        x_abs = abs(x[n - 1])
-        if x_abs == 0.0:
+        if x[n - 1] == 0.0:
             continue  # identity FM factor
-        beta = nu_gp2 * x_abs / (n * sol.modcfg.omega_m)
-        fm = _fm_factor(complex(x[n - 1]), beta, n, j_max, k_max)
+        fm = _fm_factor(complex(x[n - 1]), sol.beta(n), n, j_max, k_max)
         amps = np.convolve(amps, fm)[k_max : 3 * k_max + 1]
-    return _build_spectrum(sol, amps, k_max, include_p0)
+    return _build_spectrum(amps, k_max)
 
 
 def psd_fft(
     trace: TimeTrace,
     sol: FourierSolution,
     k_max: int = DEFAULT_K_MAX,
-    include_p0: bool = False,
 ) -> LineSpectrum:
     """Line spectrum from the FFT of the synthesized baseband signal.
 
@@ -212,26 +198,16 @@ def psd_fft(
     for k in range(-k_lim, k_lim + 1):
         c = coeffs[(k * n_per) % n_samples]
         amps[k_max + k] = c * np.exp(-1j * k * sol.modcfg.omega_m * trace.t[0])
-    return _build_spectrum(sol, amps, k_max, include_p0)
+    return _build_spectrum(amps, k_max)
 
 
-def _build_spectrum(
-    sol: FourierSolution, amps: np.ndarray, k_max: int, include_p0: bool
-) -> LineSpectrum:
+def _build_spectrum(amps: np.ndarray, k_max: int) -> LineSpectrum:
     powers = np.abs(amps) ** 2
-    if include_p0:
-        powers = powers * sol.op.p0
     if not np.isfinite(powers).all():
         raise NumericalError("line spectrum has non-finite powers")
     peak = powers.max()
     keep = powers > _LINE_POWER_FLOOR * peak if peak > 0.0 else powers > 0.0
-    offsets = np.arange(-k_max, k_max + 1)[keep]
-    return LineSpectrum(
-        carrier_freq=shifted_carrier(sol),
-        offsets=offsets,
-        amps=amps[keep],
-        powers=powers[keep],
-    )
+    return LineSpectrum(offsets=np.arange(-k_max, k_max + 1)[keep], powers=powers[keep])
 
 
 def sideband_asymmetry(spec: LineSpectrum) -> float:
@@ -240,30 +216,29 @@ def sideband_asymmetry(spec: LineSpectrum) -> float:
 
 
 def peak_frequency_deviation(sol: FourierSolution, method: str = "index-based") -> float:
-    """Peak frequency deviation in Hz.
+    """Peak frequency deviation in Hz, a magnitude: both methods use |nu|.
 
-    "index-based" evaluates nu*Gamma_p*|X_1|/pi (first-harmonic FM index);
-    "instantaneous" takes the swing of the instantaneous frequency over one
-    modulation period.
+    "index-based" evaluates |beta_1|*f_m = |nu|*Gamma_p*|X_1|/pi (first-harmonic
+    FM index); "instantaneous" takes half the peak-to-peak swing of the
+    instantaneous frequency 2*|nu|*Gamma_p*dp/(2*pi) over one modulation period.
     """
-    nu_gp = sol.op.nu * sol.op.gamma_p
     if method == "index-based":
-        return abs(nu_gp) * sol.x_abs(1) / math.pi
+        return abs(sol.beta(1)) * sol.modcfg.omega_m / TWO_PI
     if method == "instantaneous":
         trace = synthesize_time_trace(sol, samples_per_period=4096, n_periods=1)
         dev = trace.delta_p - sol.a0
-        return abs(nu_gp) * float(dev.max() - dev.min()) / (2.0 * math.pi)
+        return abs(sol.op.nu * sol.op.gamma_p) * float(dev.max() - dev.min()) / TWO_PI
     raise ValueError(f"unknown method {method!r}")
 
 
 def first_harmonic_index(
     op: OperatingPoint, mu: float, omega_m: float, n_harmonics: int = 10
 ) -> float:
-    """Modulation index beta_1 at the given drive settings."""
+    """Magnitude |beta_1| of the first-harmonic index at the given drive settings."""
     sol = solve_coefficients_matrix(
         op, ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=n_harmonics)
     )
-    return 2.0 * abs(op.nu) * op.gamma_p * sol.x_abs(1) / omega_m
+    return abs(sol.beta(1))
 
 
 def modulation_bandwidth(

@@ -6,7 +6,6 @@ only handles argument parsing and CSV serialization.  Rows follow grid order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 from .config import RunConfig, device_at
@@ -17,7 +16,13 @@ from .fourier import (
     solve_coefficients_recursive,
     truncation_error,
 )
-from .model import ModulationConfig, OperatingPoint, _operating_point, derive_operating_point
+from .model import (
+    TWO_PI,
+    ModulationConfig,
+    OperatingPoint,
+    _operating_point,
+    derive_operating_point,
+)
 from .spectrum import (
     modulation_bandwidth,
     peak_frequency_deviation,
@@ -25,8 +30,6 @@ from .spectrum import (
     sideband_asymmetry,
     solve_mu_for_beta1,
 )
-
-TWO_PI = 2.0 * math.pi
 
 TableMap = dict[str, tuple[list[str], list[tuple]]]
 

@@ -273,6 +273,9 @@ class TestExitCodes:
             ("asymmetry-map", "asymmetry-map.beta1_grid=0.5,-0.25"),
             ("operating-point", "operating-point.xi_grid=0.5"),
             ("psd-map", "psd-map.f_m_hz=1e308"),
+            ("psd-map", "device.gamma_hz_per_t=-1"),
+            ("psd-map", "device.alpha=0"),
+            ("psd-map", "device.mu0_h_app_t=0.5"),
         ],
     )
     def test_config_error_names_its_key(self, tmp_path, command, override):
@@ -317,6 +320,17 @@ def test_warnings_print_one_counted_line(tmp_path):
     assert lines[0].startswith("Warning: omega_m is not small")
     assert lines[0].endswith(" times)")
     assert "UserWarning" not in result.stderr
+
+
+def test_non_decay_warning_prints_one_counted_line(tmp_path):
+    args = ["--set", "bandwidth.mu=0.9", "--set", "bandwidth.f_m_grid_hz=1e6,2e6"]
+    result, out = run_cli(["bandwidth", *args], tmp_path)
+    assert result.exit_code == 0, result.output
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("Warning: harmonic coefficients do not decay")
+    assert lines[0].endswith(" times)")
+    assert (out / "bandwidth.csv").exists()
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -134,6 +134,6 @@ def test_default_cfg_keys_match_declarations():
         for key in parser[section]
     }
     declared = [f.metadata["key"] for f in fields(RunConfig) if f.metadata]
-    declared += list(_DEVICE_KEYS.values())
+    declared += [key for key, *_ in _DEVICE_KEYS.values()]
     assert len(declared) == len(set(declared))
     assert set(declared) == cfg_keys

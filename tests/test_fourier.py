@@ -1,6 +1,5 @@
 """Harmonic-balance solver: closed forms, limits, and method comparison."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,12 +12,13 @@ from stomod import (
     SingularSystemError,
     carrier_shift,
     derive_operating_point,
-    harmonic_descriptors,
+    peak_frequency_deviation,
     solve_coefficients_matrix,
     solve_coefficients_recursive,
     truncation_error,
 )
 from stomod.fourier import solution_difference
+from stomod.spectrum import first_harmonic_index
 
 from conftest import TWO_PI, make_device
 
@@ -226,18 +226,22 @@ def test_solution_difference_requires_equal_order(op2):
         solution_difference(a, b)
 
 
-def test_harmonic_descriptors_consistent(op2):
-    sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.1, omega_m=OMEGA_M))
-    descs = harmonic_descriptors(sol)
-    assert [d.n for d in descs] == list(range(1, sol.n_harmonics + 1))
-    for d in descs:
-        assert d.x_abs == pytest.approx(sol.x_abs(d.n), rel=1e-14)
-        assert d.beta == pytest.approx(
-            2.0 * op2.nu * op2.gamma_p * d.x_abs / (d.n * OMEGA_M), rel=1e-13
-        )
-        assert d.delta_f == pytest.approx(
-            op2.nu * op2.gamma_p * d.x_abs / math.pi, rel=1e-13
-        )
+def test_beta_sign_convention(op2):
+    # nu does not enter the power equation, so flipping its sign leaves X_n
+    # and flips every beta_n; the back-solve and the index-based deviation
+    # use |beta_1|.
+    cfg = ModulationConfig(mu=0.05, omega_m=OMEGA_M)
+    op_neg = derive_operating_point(make_device(1.8, nu=-100.0))
+    sol = solve_coefficients_matrix(op_neg, cfg)
+    sol_pos = solve_coefficients_matrix(op2, cfg)
+    assert sol.beta(1) < 0.0
+    assert sol.beta(1) == pytest.approx(-1.8685, abs=1e-4)
+    for n in range(1, sol.n_harmonics + 1):
+        assert sol.beta(n) == -sol_pos.beta(n)
+    assert abs(sol.beta(1)) == first_harmonic_index(op_neg, cfg.mu, OMEGA_M)
+    assert peak_frequency_deviation(sol, "index-based") == pytest.approx(
+        abs(sol.beta(1)) * F_M, rel=1e-14
+    )
 
 
 @settings(max_examples=25, deadline=None)

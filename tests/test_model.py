@@ -8,12 +8,12 @@ from hypothesis import given, strategies as st
 
 from stomod import (
     BelowThresholdError,
+    ConfigError,
     DeviceParams,
     ModulationConfig,
     NumericalError,
     UnsaturatedRegimeError,
     derive_operating_point,
-    frequency_dispersion,
 )
 from stomod.config import load_config
 from stomod.model import warn_if_fast_modulation
@@ -102,26 +102,29 @@ class TestOperatingPoint:
         assert op.omega_sto == pytest.approx(op.omega_o + op.nu * op.gamma_p, rel=1e-12)
 
 
+def _f_sto(xi_grid: str) -> list[float]:
+    cfg = load_config(overrides=[f"operating-point.xi_grid={xi_grid}"])
+    _, rows = operating_point_table(cfg)["operating_point"]
+    return [row[2] for row in rows]
+
+
 class TestDispersion:
     def test_threshold_point_allowed(self):
-        rows = frequency_dispersion(make_device(1.5), [1.0])
-        assert rows[0][1] == pytest.approx(F_O, rel=1e-14)
+        assert _f_sto("1.0") == [pytest.approx(F_O, rel=1e-14)]
 
     def test_below_threshold_grid_rejected(self):
-        with pytest.raises(ValueError):
-            frequency_dispersion(make_device(1.5), [0.9])
+        with pytest.raises(ConfigError):
+            load_config(overrides=["operating-point.xi_grid=0.9"])
 
     def test_linear_in_xi(self):
         # With constant nu the dispersion is affine: slope alpha*f_o*nu per xi.
-        rows = frequency_dispersion(make_device(1.5), [1.0, 2.0, 3.0, 4.0])
-        freqs = [f for _, f in rows]
         slope = 0.01 * F_O * 100.0
-        for i, f in enumerate(freqs):
+        for i, f in enumerate(_f_sto("1,2,3,4")):
             assert f == pytest.approx(F_O + i * slope, rel=1e-12)
 
     def test_monotone_for_positive_nu(self):
-        rows = frequency_dispersion(make_device(1.5), [1.0 + 0.05 * i for i in range(61)])
-        freqs = [f for _, f in rows]
+        freqs = _f_sto("lin:1:4:61")
+        assert len(freqs) == 61
         assert all(b > a for a, b in zip(freqs, freqs[1:]))
 
     def test_table_rows_equal_derive_operating_point(self):

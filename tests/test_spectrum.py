@@ -99,12 +99,6 @@ class TestAnalyticSpectrum:
         for k in range(-5, 6):
             assert base.power_at(k) == pytest.approx(deep.power_at(k), rel=1e-3)
 
-    def test_power_normalization_option(self, op2):
-        sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.1, omega_m=OMEGA_M))
-        rel = psd_analytic(sol, include_p0=False)
-        absd = psd_analytic(sol, include_p0=True)
-        assert absd.power_at(0) == pytest.approx(op2.p0 * rel.power_at(0), rel=1e-12)
-
     def test_bad_j_max_rejected(self, op2):
         sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.1, omega_m=OMEGA_M))
         with pytest.raises(ValueError):
