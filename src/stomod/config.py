@@ -101,10 +101,6 @@ class RunConfig:
     asym_slice_f_m_hz: float = _key("asymmetry-map.slice_f_m_hz", *_F_M)
     bw_mu: float = _key("bandwidth.mu", *_NON_NEGATIVE)
     bw_f_m_grid_hz: list[float] = _key("bandwidth.f_m_grid_hz", *_F_M)
-    bw_seed_mu: float = _key("bandwidth.seed_mu", lambda mu: 0.0 < mu < 1.0, "must be in (0, 1)")
-    bw_seed_corner_fraction: float = _key(
-        "bandwidth.seed_corner_fraction", lambda x: 0.0 < x <= 0.5, "must be in (0, 0.5]"
-    )
     err_mu: float = _key("error-analysis.mu", *_NON_NEGATIVE)
     err_f_m_grid_hz: list[float] = _key("error-analysis.f_m_grid_hz", *_F_M)
     err_n_values: list[int] = _key("error-analysis.n_values", *_AT_LEAST_1)

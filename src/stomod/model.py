@@ -112,16 +112,14 @@ def derive_operating_point(params: DeviceParams) -> OperatingPoint:
     BelowThresholdError
         If xi <= 1 (no sustained oscillation).
     NumericalError
-        If finite inputs overflow Gamma_p or underflow it to 0.
+        If finite inputs overflow Gamma_p or underflow it to 0, or if
+        nu*Gamma_p pulls the carrier omega_sto to or below 0.
     """
     if params.xi <= 1.0:
         raise BelowThresholdError(
             f"xi={params.xi} is at or below the oscillation threshold (xi > 1 required)"
         )
-    op = _operating_point(params)
-    if not 0.0 < op.gamma_p < math.inf:
-        raise NumericalError(f"Gamma_p={op.gamma_p} rad/s is not finite and positive")
-    return op
+    return _operating_point(params)
 
 
 def _operating_point(params: DeviceParams) -> OperatingPoint:
@@ -129,12 +127,18 @@ def _operating_point(params: DeviceParams) -> OperatingPoint:
     (xi = 1 gives the threshold point, Gamma_p = 0)."""
     omega_o = TWO_PI * params.gamma * (params.mu0_h_app - params.mu0_ms)
     gamma_p = params.alpha * omega_o * (params.xi - 1.0)
+    if not (0.0 < gamma_p < math.inf or gamma_p == 0.0 and params.xi == 1.0):
+        raise NumericalError(f"Gamma_p={gamma_p} rad/s is not finite and positive")
     p0 = 1.0 - 1.0 / params.xi
     # First-order negative damping sigma*I*(1 - p); only sigma*I = alpha*omega_o*xi enters.
     sigma_i = params.alpha * omega_o * params.xi
     c1 = sigma_i * (1.0 - p0)
     c2 = sigma_i * (1.0 - 2.0 * p0)
     omega_sto = omega_o + params.nu * gamma_p
+    if omega_sto <= 0.0:
+        raise NumericalError(
+            f"f_STO={omega_sto / TWO_PI:.4g} Hz at xi={params.xi} is not positive (nu={params.nu})"
+        )
     return OperatingPoint(
         omega_o=omega_o,
         omega_sto=omega_sto,

@@ -64,18 +64,17 @@ class IntegrationConfig:
         op: OperatingPoint,
         modcfg: ModulationConfig,
         samples_per_period: int = 512,
-        n_periods: int = 8,
-        transient_factor: float = 15.0,
     ) -> "IntegrationConfig":
-        """Window aligned to the modulation period for clean projection."""
+        """Window aligned to the modulation period for clean projection: a
+        transient of 15/Gamma_p rounded up to whole periods, then 8 periods."""
         period = TWO_PI / modcfg.omega_m
         dt = period / samples_per_period
         if op.gamma_p > 0.0:
-            transient_periods = math.ceil(transient_factor / op.gamma_p / period)
+            transient_periods = math.ceil(15.0 / op.gamma_p / period)
         else:
             transient_periods = 1
         transient_cut = transient_periods * period
-        return cls(dt=dt, t_end=transient_cut + n_periods * period, transient_cut=transient_cut)
+        return cls(dt=dt, t_end=transient_cut + 8 * period, transient_cut=transient_cut)
 
 
 def _rk4(rate, y0: float, w0: float, w1: float, h: float, n_steps: int):
@@ -171,7 +170,7 @@ def project_harmonics(
     trace: TimeTrace,
     modcfg: ModulationConfig,
     n_harmonics: int,
-    op: OperatingPoint | None = None,
+    op: OperatingPoint,
 ) -> FourierSolution:
     """Extract A0, A_n, B_n from a settled trace by harmonic projection.
 

@@ -246,10 +246,9 @@ def modulation_bandwidth(
     mu0: float,
     omega_m0: float,
     n_harmonics: int = 10,
-    freq_rtol: float = 1e-3,
 ) -> float:
     """Modulation bandwidth in Hz: where beta_1 falls to 1/sqrt(2) of its
-    flat-band value, scanning omega_m upward at constant mu/omega_m.
+    flat-band value, scanning omega_m upward at constant mu/omega_m, to 1e-3 relative.
     """
     if mu0 <= 0.0 or omega_m0 <= 0.0:
         raise SeedBandError(f"mu0={mu0} and omega_m0={omega_m0} must be positive")
@@ -272,7 +271,7 @@ def modulation_bandwidth(
         lo, hi = hi, 2.0 * hi
     else:
         raise SeedBandError("beta_1 never fell below the half-power target")
-    while (hi - lo) > freq_rtol * lo:
+    while (hi - lo) > 1e-3 * lo:
         mid = 0.5 * (lo + hi)
         if beta_at(mid) > target:
             lo = mid
@@ -287,9 +286,8 @@ def solve_mu_for_beta1(
     omega_m: float,
     n_harmonics: int = 10,
     mu_max: float = 0.5,
-    tol: float = 1e-10,
 ) -> float:
-    """Back-solve the modulation strength that produces a given beta_1."""
+    """Back-solve the modulation strength that produces a given beta_1, to 1e-10 in mu."""
     if beta1 < 0.0:
         raise ValueError(f"beta1 must be >= 0, got {beta1}")
     if beta1 == 0.0:
@@ -315,7 +313,7 @@ def solve_mu_for_beta1(
                 f"(beta_1({mu_max}) = {beta_hi:.4f})"
             )
         mu_hi = min(1.25 * mu_hi, mu_max)
-    while mu_hi - mu_lo > tol:
+    while mu_hi - mu_lo > 1e-10:
         mid = 0.5 * (mu_lo + mu_hi)
         if first_harmonic_index(op, mid, omega_m, n_harmonics) < beta1:
             mu_lo = mid

@@ -53,12 +53,8 @@ def _spectrum(cfg: RunConfig, op: OperatingPoint, beta1: float, omega_m: float):
 def operating_point_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
     """Frequency dispersion and derived constants over the xi grid, or at the
     xi of the one operating point selected."""
-    if op_filter is None:
-        points = [
-            (xi, _operating_point(replace(cfg.device, xi=xi))) for xi in cfg.dispersion_xi_grid
-        ]
-    else:
-        points = [(cfg.op_xis[label], op) for label, op in _ops(cfg, op_filter)]
+    xis = cfg.dispersion_xi_grid if op_filter is None else [device_at(cfg, op_filter).xi]
+    points = [(xi, _operating_point(replace(cfg.device, xi=xi))) for xi in xis]
     rows = [
         (xi, op.omega_o / TWO_PI, op.omega_sto / TWO_PI, op.gamma_p / TWO_PI, op.p0, op.c1, op.c2)
         for xi, op in points
@@ -122,8 +118,8 @@ def bandwidth_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
     rows = []
     for label, op in _ops(cfg, op_filter):
         mbw_ref = 2.0 * op.gamma_p / TWO_PI
-        seed = cfg.bw_seed_corner_fraction * 2.0 * op.gamma_p
-        mbw_meas = modulation_bandwidth(op, cfg.bw_seed_mu, seed, cfg.n_harmonics)
+        # Seeded at mu = 1e-4 and 2% of the 2*Gamma_p corner, deep in the flat band.
+        mbw_meas = modulation_bandwidth(op, 1e-4, 0.02 * 2.0 * op.gamma_p, cfg.n_harmonics)
         for f_m in cfg.bw_f_m_grid_hz:
             sol = solve_coefficients_matrix(
                 op,
@@ -168,10 +164,14 @@ def error_analysis_table(cfg: RunConfig, op_filter: str | None = None) -> TableM
         trunc_rows.append((label, f_m, cfg.err_n_ref, 0.0))
 
     omega_m = TWO_PI * cfg.err_recursive_f_m_hz
+    # mu depends on beta_1 only (back-solved at solver.n_harmonics), not on N.
+    mus = [
+        solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics)
+        for beta1 in cfg.err_recursive_beta1_grid
+    ]
     rec_rows = []
     for n_val in cfg.err_recursive_n_values:
-        for beta1 in cfg.err_recursive_beta1_grid:
-            mu = solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics)
+        for beta1, mu in zip(cfg.err_recursive_beta1_grid, mus):
             modcfg = ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=n_val)
             mat = solve_coefficients_matrix(op, modcfg)
             rec = solve_coefficients_recursive(op, modcfg)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import stomod
 from stomod import sweeps
 from stomod.cli import COMMANDS, main
+from stomod.config import load_config
 
 # Small grids keep the CLI tests quick without changing any physics.
 FAST_PSD = [
@@ -290,7 +291,7 @@ class TestExitCodes:
         "overrides",
         [
             ["device.mu0_h_app_t=1e300"],
-            ["device.gamma_hz_per_t=1e-300", "bandwidth.seed_corner_fraction=1e-300"],
+            ["device.gamma_hz_per_t=1e-320"],
         ],
     )
     def test_degenerate_rate_exits_3_without_traceback(self, tmp_path, overrides):
@@ -300,6 +301,35 @@ class TestExitCodes:
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["operating-point", "psd-map"])
+    def test_negative_carrier_exits_3_without_traceback(self, tmp_path, command):
+        # nu = -100 puts f_STO at or below 0 from xi = 2 up: on the xi grid and at OP3.
+        result, out = run_cli([command, "--set", "device.nu=-100"], tmp_path)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "f_STO" in result.stderr
+        assert not out.exists()
+
+
+def test_error_analysis_back_solves_each_beta1_once(monkeypatch):
+    # mu depends on beta_1 only, so every truncation order N reuses it.
+    beta1s = []
+    solve = sweeps.solve_mu_for_beta1
+    monkeypatch.setattr(
+        sweeps, "solve_mu_for_beta1", lambda *args: beta1s.append(args[1]) or solve(*args)
+    )
+    cfg = load_config(overrides=[
+        "error-analysis.n_values=3",
+        "error-analysis.n_ref=6",
+        "error-analysis.recursive_beta1_grid=0.5,1.0",
+        "error-analysis.recursive_n_values=3,5,10",
+    ])
+    _, rows = sweeps.error_analysis_table(cfg)["error_recursive"]
+    assert beta1s == [0.5, 1.0]
+    assert [(row[2], row[3]) for row in rows] == [
+        (n, beta1) for n in (3, 5, 10) for beta1 in (0.5, 1.0)
+    ]
 
 
 def test_operating_point_op_label_writes_one_row(tmp_path):
@@ -369,9 +399,7 @@ FUZZ_KEYS = {
     ],
     "bandwidth": [
         "bandwidth.mu",
-        "bandwidth.seed_mu",
         "bandwidth.f_m_grid_hz",
-        "bandwidth.seed_corner_fraction",
     ],
     "error-analysis": [
         "error-analysis.mu",

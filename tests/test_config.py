@@ -75,7 +75,6 @@ class TestLoadConfig:
             "psd-map.beta1_grid=",
             "psd-map.f_m_hz=-1e6",
             "operating-point.xi_grid=0.5,1.5",
-            "bandwidth.seed_mu=0",
             "spectrum.j_max=0",
             "spectrum.k_max=9",
             "device.alpha=nan",

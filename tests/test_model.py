@@ -66,6 +66,12 @@ class TestOperatingPoint:
         with pytest.raises(BelowThresholdError):
             derive_operating_point(make_device(xi))
 
+    def test_negative_carrier_rejected(self):
+        # f_STO = f_o + nu*Gamma_p/2pi crosses 0 at xi = 2 when nu = -100.
+        assert derive_operating_point(make_device(1.8, nu=-100.0)).omega_sto > 0.0
+        with pytest.raises(NumericalError, match="f_STO=.* at xi=3.8"):
+            derive_operating_point(make_device(3.8, nu=-100.0))
+
     def test_unsaturated_rejected(self):
         with pytest.raises(UnsaturatedRegimeError):
             make_device(1.5, mu0_h_app=0.7)
@@ -126,6 +132,15 @@ class TestDispersion:
         freqs = _f_sto("lin:1:4:61")
         assert len(freqs) == 61
         assert all(b > a for a, b in zip(freqs, freqs[1:]))
+
+    @pytest.mark.parametrize("op_filter", [None, "OP1"])
+    def test_underflowing_rate_rejected(self, op_filter):
+        # Gamma_p underflows to 0 above threshold; only xi = 1 may give 0.
+        cfg = load_config(overrides=[
+            "operating-point.xi_grid=1.0,1.2", "device.gamma_hz_per_t=1e-300", "device.alpha=1e-300"
+        ])
+        with pytest.raises(NumericalError, match="Gamma_p=0.0"):
+            operating_point_table(cfg, op_filter)
 
     def test_table_rows_equal_derive_operating_point(self):
         cfg = load_config()

@@ -13,6 +13,8 @@ from stomod import (
     integrate_full,
     integrate_reduced,
     project_harmonics,
+    psd_analytic,
+    psd_fft,
     solve_coefficients_matrix,
     synthesize_time_trace,
 )
@@ -69,6 +71,22 @@ class TestSteadyState:
         assert proj.a0 == pytest.approx(ref.a0, abs=1e-8)
         np.testing.assert_allclose(proj.a, ref.a, atol=1e-8)
         np.testing.assert_allclose(proj.b, ref.b, atol=1e-8)
+
+    @pytest.mark.parametrize("label", ["OP1", "OP2", "OP3"])
+    def test_trace_spectrum_matches_analytic_lines(self, all_ops, label):
+        # From the ODE to the spectrum with no solver in between: the FFT of
+        # the integrated trace against the Bessel convolution of the solved
+        # coefficients, on lines +-1..+-5 above the 1e-15 floor.
+        op = all_ops[label]
+        for f_m in (40e6, 100e6, 400e6):
+            for mu in (0.005, 0.05):
+                cfg, trace = _steady_solution(op, mu, f_m)
+                sol = solve_coefficients_matrix(op, cfg)
+                ana, fft = psd_analytic(sol), psd_fft(trace, sol)
+                for k in (*range(-5, 0), *range(1, 6)):
+                    ref = ana.power_at(k)
+                    if ref > 1e-15:
+                        assert fft.power_at(k) == pytest.approx(ref, rel=1e-4), (f_m, mu, k)
 
     def test_periodicity(self, op2):
         cfg, trace = _steady_solution(op2, 0.05, 100e6)
@@ -145,6 +163,13 @@ class TestProjection:
         assert back.a0 == pytest.approx(sol.a0, abs=1e-12)
         np.testing.assert_allclose(back.a, sol.a, atol=1e-12)
         np.testing.assert_allclose(back.b, sol.b, atol=1e-12)
+
+    def test_operating_point_required(self, op2):
+        # A solution without its operating point breaks every reader of sol.op.
+        cfg = ModulationConfig(mu=0.1, omega_m=TWO_PI * 100e6)
+        trace = synthesize_time_trace(solve_coefficients_matrix(op2, cfg), n_periods=4)
+        with pytest.raises(TypeError):
+            project_harmonics(trace, cfg, cfg.n_harmonics)
 
     def test_partial_period_rejected(self, op2):
         cfg = ModulationConfig(mu=0.1, omega_m=TWO_PI * 100e6)
