@@ -61,7 +61,6 @@ def _parse_int_list(text: str) -> list[int]:
 _PARSERS = {
     "int": int,
     "float": float,
-    "str": str,
     "list[float]": _parse_grid,
     "list[int]": _parse_int_list,
 }
@@ -86,9 +85,6 @@ class RunConfig:
     device: DeviceParams  # read from _DEVICE_KEYS; xi unused, per-OP xi below
     op_xis: dict[str, float]  # every label under [operating-points]
     n_harmonics: int = _key("solver.n_harmonics", *_AT_LEAST_1)
-    method: str = _key(
-        "solver.method", ("matrix", "recursive").__contains__, "is not 'matrix' or 'recursive'"
-    )
     j_max: int = _key("spectrum.j_max", *_AT_LEAST_1)
     k_max: int = _key("spectrum.k_max")
     dispersion_xi_grid: list[float] = _key(

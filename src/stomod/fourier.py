@@ -184,6 +184,17 @@ def carrier_shift(sol: FourierSolution) -> float:
     return sol.op.nu * sol.op.gamma_p * sol.a0 / math.pi
 
 
+def _distance_percent(x: np.ndarray, ref_x: np.ndarray) -> float:
+    """sum|X_n - X_ref_n| / sum|X_ref_n| in percent, with X_n = 0 past len(x)."""
+    ref_total = float(np.sum(np.abs(ref_x)))
+    if ref_total == 0.0:
+        return 0.0
+    shared = len(x)
+    err = float(np.sum(np.abs(x - ref_x[:shared])))
+    err += float(np.sum(np.abs(ref_x[shared:])))
+    return 100.0 * err / ref_total
+
+
 def truncation_error(
     op: OperatingPoint,
     modcfg: ModulationConfig,
@@ -192,22 +203,16 @@ def truncation_error(
 ) -> list[tuple[int, float]]:
     """Total truncation error (percent) of each order N against order n_ref.
 
-    The metric is the relative L1 distance of the harmonic magnitudes
-    |X_n|, with harmonics absent from the smaller solution counted at their
-    reference magnitude.
+    The metric is the relative L1 distance of the harmonics X_n, with
+    harmonics past N counted at their reference magnitude.
     """
     if n_ref <= max(n_values):
         raise ValueError(f"n_ref={n_ref} must exceed max(n_values)={max(n_values)}")
-    ref = solve_coefficients_matrix(op, replace(modcfg, n_harmonics=n_ref))
-    ref_x = ref.x
-    ref_total = float(np.sum(np.abs(ref_x)))
+    ref_x = solve_coefficients_matrix(op, replace(modcfg, n_harmonics=n_ref)).x
     out = []
     for n_val in n_values:
         sol = solve_coefficients_matrix(op, replace(modcfg, n_harmonics=n_val))
-        shared = min(n_val, n_ref)
-        err = float(np.sum(np.abs(sol.x[:shared] - ref_x[:shared])))
-        err += float(np.sum(np.abs(ref_x[shared:])))
-        out.append((n_val, 100.0 * err / ref_total if ref_total > 0.0 else 0.0))
+        out.append((n_val, _distance_percent(sol.x, ref_x)))
     return out
 
 
@@ -218,7 +223,4 @@ def solution_difference(sol: FourierSolution, ref: FourierSolution) -> float:
     """
     if sol.n_harmonics != ref.n_harmonics:
         raise ValueError("solutions must share the truncation order")
-    ref_total = float(np.sum(np.abs(ref.x)))
-    if ref_total == 0.0:
-        return 0.0
-    return 100.0 * float(np.sum(np.abs(sol.x - ref.x))) / ref_total
+    return _distance_percent(sol.x, ref.x)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridCoverageError, NumericalError, SeedBandError
-from .fourier import FourierSolution, solve_coefficients_matrix
+from .fourier import FourierSolution, carrier_shift, solve_coefficients_matrix
 from .model import TWO_PI, ModulationConfig, OperatingPoint
 
 DEFAULT_J_MAX = 10
@@ -93,8 +93,8 @@ class TimeTrace:
 
 
 def shifted_carrier(sol: FourierSolution) -> float:
-    """Shifted carrier omega_sto' = omega_sto + 2*nu*Gamma_p*A0, rad/s."""
-    return sol.op.omega_sto + 2.0 * sol.op.nu * sol.op.gamma_p * sol.a0
+    """Shifted carrier omega_sto' = omega_sto + 2*pi*f_s, rad/s."""
+    return sol.op.omega_sto + TWO_PI * carrier_shift(sol)
 
 
 def synthesize_time_trace(

@@ -41,12 +41,11 @@ def _ops(cfg: RunConfig, op_filter: str | None) -> list[tuple[str, OperatingPoin
 
 
 def _spectrum(cfg: RunConfig, op: OperatingPoint, beta1: float, omega_m: float):
-    """``(mu, sol, spec)``: back-solved mu, configured-method solution, line spectrum."""
+    """``(mu, sol, spec)``: back-solved mu, exact solution, line spectrum."""
     mu = solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics)
-    solver = (
-        solve_coefficients_matrix if cfg.method == "matrix" else solve_coefficients_recursive
+    sol = solve_coefficients_matrix(
+        op, ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=cfg.n_harmonics)
     )
-    sol = solver(op, ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=cfg.n_harmonics))
     return mu, sol, psd_analytic(sol, j_max=cfg.j_max, k_max=cfg.k_max)
 
 

@@ -277,6 +277,7 @@ class TestExitCodes:
             ("psd-map", "device.gamma_hz_per_t=-1"),
             ("psd-map", "device.alpha=0"),
             ("psd-map", "device.mu0_h_app_t=0.5"),
+            ("psd-map", "solver.method=matrix"),
         ],
     )
     def test_config_error_names_its_key(self, tmp_path, command, override):

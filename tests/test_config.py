@@ -34,7 +34,6 @@ class TestLoadConfig:
         cfg = load_config()
         assert set(cfg.op_xis) == {"OP1", "OP2", "OP3"}
         assert cfg.op_xis["OP2"] == 1.8
-        assert cfg.method == "matrix"
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -45,7 +44,7 @@ class TestLoadConfig:
         p.write_text("[solver]\nn_harmonics = 7\n")
         cfg = load_config(p)
         assert cfg.n_harmonics == 7
-        assert cfg.method == "matrix"  # untouched default survives
+        assert cfg.j_max == 10  # untouched default survives
 
     def test_override_wins_over_file(self, tmp_path):
         p = tmp_path / "user.cfg"
@@ -69,6 +68,7 @@ class TestLoadConfig:
         [
             "operating-points.OP1=0.9",
             "solver.method=magic",
+            "solver.method=matrix",
             "output.format=json",
             "solver.n_harmonics=0",
             "error-analysis.n_ref=5",

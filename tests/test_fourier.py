@@ -219,6 +219,36 @@ def test_truncation_reference_must_exceed_orders(op2):
         truncation_error(op2, cfg, [5, 10], n_ref=10)
 
 
+def _padded_l1_percent(x, ref_x):
+    padded = np.concatenate([x, np.zeros(len(ref_x) - len(x))])
+    return 100.0 * np.sum(np.abs(padded - ref_x)) / np.sum(np.abs(ref_x))
+
+
+def test_both_distances_are_one_metric(op2):
+    # Truncation error and the recursive-vs-matrix difference are the same
+    # relative L1 distance; a missing harmonic counts as zero.
+    cfg = ModulationConfig(mu=0.05, omega_m=OMEGA_M)
+    short = solve_coefficients_matrix(op2, replace(cfg, n_harmonics=3))
+    ref = solve_coefficients_matrix(op2, replace(cfg, n_harmonics=12))
+    [(_, err)] = truncation_error(op2, cfg, [3], 12)
+    assert err > 0.0
+    assert err == pytest.approx(_padded_l1_percent(short.x, ref.x), rel=1e-12)
+
+    cfg5 = replace(cfg, n_harmonics=5)
+    rec = solve_coefficients_recursive(op2, cfg5)
+    mat = solve_coefficients_matrix(op2, cfg5)
+    diff = solution_difference(rec, mat)
+    assert diff > 0.0
+    assert diff == pytest.approx(_padded_l1_percent(rec.x, mat.x), rel=1e-12)
+
+    undriven = replace(cfg, mu=0.0)
+    assert truncation_error(op2, undriven, [3], 12) == [(3, 0.0)]
+    zero5 = replace(cfg5, mu=0.0)
+    assert solution_difference(
+        solve_coefficients_recursive(op2, zero5), solve_coefficients_matrix(op2, zero5)
+    ) == 0.0
+
+
 def test_solution_difference_requires_equal_order(op2):
     a = solve_coefficients_matrix(op2, ModulationConfig(mu=0.05, omega_m=OMEGA_M, n_harmonics=5))
     b = solve_coefficients_matrix(op2, ModulationConfig(mu=0.05, omega_m=OMEGA_M, n_harmonics=6))

@@ -20,7 +20,7 @@ from stomod import (
 )
 from stomod.spectrum import TimeTrace
 
-from conftest import TWO_PI, make_device
+from conftest import OP_XIS, TWO_PI, make_device
 
 
 def _steady_solution(op, mu, f_m, n_harmonics=10, spp=512):
@@ -152,6 +152,24 @@ class TestFullModel:
         red = integrate_reduced(op2, cfg, icfg)
         denom = np.max(np.abs(red.delta_p))
         assert np.max(np.abs(full.delta_p - red.delta_p)) / denom < 0.05
+
+    @pytest.mark.parametrize("label", ["OP1", "OP2", "OP3"])
+    def test_reduced_error_scales_with_amplitude(self, all_ops, label):
+        # The reduced model drops O(dp^2) terms, so its error relative to the
+        # unreduced power equation is of order max|dp| itself (measured
+        # 0.90-2.11 x max|dp| on this grid, worst at OP3, 40 MHz, mu = 0.2).
+        params = make_device(OP_XIS[label])
+        for f_m in (40e6, 400e6):
+            for mu in (0.005, 0.02, 0.05, 0.2):
+                cfg = ModulationConfig(mu=mu, omega_m=TWO_PI * f_m)
+                icfg = IntegrationConfig.for_steady_state(
+                    all_ops[label], cfg, samples_per_period=512
+                )
+                full = integrate_full(params, cfg, icfg)
+                red = integrate_reduced(all_ops[label], cfg, icfg)
+                amp = np.max(np.abs(red.delta_p))
+                rel = np.max(np.abs(full.delta_p - red.delta_p)) / amp
+                assert rel <= 3.0 * amp, (f_m, mu, rel / amp)
 
 
 class TestProjection:
