@@ -1,6 +1,7 @@
 """Command-line front end: sweep commands writing deterministic CSV tables.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical error.
+Exit codes: 0 success, 2 configuration error (an unreadable config file and
+an unwritable output directory included), 3 numerical error.
 """
 
 from __future__ import annotations
@@ -37,13 +38,17 @@ def _fmt(value) -> str:
 def write_csv(path: Path, header: list[str], rows, meta: list[tuple[str, str]]) -> None:
     """Write a table atomically: metadata comments, header, fixed-format rows."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="\n") as fh:
-        for key, value in meta:
-            fh.write(f"# {key}: {value}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            for key, value in meta:
+                fh.write(f"# {key}: {value}\n")
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _run(command, config_path, overrides, out_dir, op_label):
@@ -67,15 +72,19 @@ def _run(command, config_path, overrides, out_dir, op_label):
             click.echo(f"numerical error: table {stem} is empty or not finite", err=True)
             sys.exit(3)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     meta = [
         ("stomod-version", __version__),
         ("command", command),
         ("config-hash", cfg.config_hash),
     ]
-    for stem, (header, rows) in tables.items():
-        write_csv(out / f"{stem}.csv", header, rows, meta)
-        click.echo(f"wrote {out / (stem + '.csv')} ({len(rows)} rows)")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for stem, (header, rows) in tables.items():
+            write_csv(out / f"{stem}.csv", header, rows, meta)
+            click.echo(f"wrote {out / (stem + '.csv')} ({len(rows)} rows)")
+    except OSError as exc:
+        click.echo(f"error: cannot write {out}: {exc}", err=True)
+        sys.exit(2)
 
 
 @click.group()

@@ -129,7 +129,10 @@ def _load_parser(path: Path | None, overrides: list[str]) -> tuple[configparser.
     if path is not None:
         if not Path(path).is_file():
             raise ConfigError(f"config file not found: {path}")
-        user_text = Path(path).read_text()
+        try:
+            user_text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
         try:
             parser.read_string(user_text)
         except configparser.Error as exc:

@@ -1,5 +1,6 @@
 """Brute-force ground truth: fixed-step RK4 integration of the coupled
-power/phase equations, plus harmonic projection of the settled trace.
+power/phase equations, plus harmonic projection of the settled trace by the
+same FFT (TimeTrace.harmonics) that the spectrum cross-check reads.
 
 Everything here is deliberately independent of the harmonic-balance solver
 so the two paths can be compared coefficient by coefficient.
@@ -174,18 +175,12 @@ def project_harmonics(
 ) -> FourierSolution:
     """Extract A0, A_n, B_n from a settled trace by harmonic projection.
 
-    The trace must span whole modulation periods on a uniform grid; the
-    projections use absolute time so the result is directly comparable to
-    the harmonic-balance coefficients.
+    The projection is TimeTrace.harmonics of dp, one FFT in absolute time, so
+    c_n = (B_n - i*A_n)/2 is directly comparable to the harmonic-balance
+    coefficients.
     """
-    trace.whole_periods(modcfg.omega_m)
-    a0 = float(trace.delta_p.mean())
-    a = np.empty(n_harmonics)
-    b = np.empty(n_harmonics)
-    for n in range(1, n_harmonics + 1):
-        theta = n * modcfg.omega_m * trace.t
-        a[n - 1] = 2.0 * float(np.mean(trace.delta_p * np.sin(theta)))
-        b[n - 1] = 2.0 * float(np.mean(trace.delta_p * np.cos(theta)))
+    c = trace.harmonics(trace.delta_p, modcfg.omega_m, n_harmonics)[n_harmonics:]
     return FourierSolution(
-        a0=a0, a=a, b=b, n_harmonics=n_harmonics, op=op, modcfg=modcfg
+        a0=float(c[0].real), a=-2.0 * c[1:].imag, b=2.0 * c[1:].real,
+        n_harmonics=n_harmonics, op=op, modcfg=modcfg,
     )

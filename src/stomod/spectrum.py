@@ -69,11 +69,13 @@ class TimeTrace:
     phi: np.ndarray
     demod_freq: float
 
-    def whole_periods(self, omega_m: float) -> int:
-        """Number of modulation periods the uniform grid spans, endpoint excluded.
+    def harmonics(self, values: np.ndarray, omega_m: float, k_max: int) -> np.ndarray:
+        """Complex coefficients c_k of values at k*omega_m, k = -k_max..k_max.
 
-        Anything else (too short, non-uniform, a partial period, samples
-        that do not divide evenly into periods) raises GridCoverageError.
+        values(t) = sum_k c_k * exp(i*k*omega_m*t), read off one FFT in the
+        absolute time that the synthesis and the oracle drive in.  The uniform
+        grid must span whole periods, endpoint excluded, sampled above 2*k_max
+        per period; anything else raises GridCoverageError.
         """
         n_samples = self.t.size
         if n_samples < 2:
@@ -89,7 +91,14 @@ class TimeTrace:
         n_per = int(round(n_per))
         if n_samples % n_per:
             raise GridCoverageError("samples do not divide evenly into periods")
-        return n_per
+        if 2 * k_max >= n_samples // n_per:
+            raise GridCoverageError(
+                f"k_max={k_max} is at or past the Nyquist limit of "
+                f"{n_samples // n_per} samples per period"
+            )
+        k = np.arange(-k_max, k_max + 1)
+        coeffs = np.fft.fft(values) / n_samples
+        return coeffs[(k * n_per) % n_samples] * np.exp(-1j * k * omega_m * self.t[0])
 
 
 def shifted_carrier(sol: FourierSolution) -> float:
@@ -182,23 +191,14 @@ def psd_fft(
     sol: FourierSolution,
     k_max: int = DEFAULT_K_MAX,
 ) -> LineSpectrum:
-    """Line spectrum from the FFT of the synthesized baseband signal.
+    """Line spectrum from the FFT of the sampled baseband signal.
 
-    The trace must cover an integer number of modulation periods on a
-    uniform grid; anything else is rejected rather than windowed.
+    Its lines are TimeTrace.harmonics of (1 + dp) * exp(i*phi), so the trace
+    must cover whole modulation periods on a uniform grid, sampled above
+    2*k_max per period; anything else is rejected rather than windowed.
     """
-    n_per = trace.whole_periods(sol.modcfg.omega_m)
-    n_samples = trace.t.size
     signal = (1.0 + trace.delta_p) * np.exp(1j * trace.phi)
-    coeffs = np.fft.fft(signal) / n_samples
-    # Phase-reference the bins to absolute time t[0] (the synthesis and the
-    # oracle both drive with cos(omega_m * t) in absolute time).
-    k_lim = min(k_max, n_samples // (2 * n_per) - 1)
-    amps = np.zeros(2 * k_max + 1, dtype=complex)
-    for k in range(-k_lim, k_lim + 1):
-        c = coeffs[(k * n_per) % n_samples]
-        amps[k_max + k] = c * np.exp(-1j * k * sol.modcfg.omega_m * trace.t[0])
-    return _build_spectrum(amps, k_max)
+    return _build_spectrum(trace.harmonics(signal, sol.modcfg.omega_m, k_max), k_max)
 
 
 def _build_spectrum(amps: np.ndarray, k_max: int) -> LineSpectrum:

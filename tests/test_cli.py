@@ -170,11 +170,23 @@ class TestDeterminism:
 
 class TestExitCodes:
     def test_config_error_exits_2(self, tmp_path):
-        result, out = run_cli(
-            ["operating-point", "--config", str(tmp_path / "missing.cfg")], tmp_path
-        )
-        assert result.exit_code == 2
-        assert not out.exists()
+        undecodable = tmp_path / "undecodable.cfg"
+        undecodable.write_bytes(b"\xff")
+        for path in (tmp_path / "missing.cfg", undecodable):
+            result, out = run_cli(["operating-point", "--config", str(path)], tmp_path)
+            assert result.exit_code == 2, result.output
+            assert isinstance(result.exception, SystemExit)
+            assert "Traceback" not in result.output
+            assert path.name in result.stderr
+            assert not out.exists()
+
+    def test_unwritable_out_exits_2(self, tmp_path):
+        (tmp_path / "afile").write_text("")
+        result, out = run_cli(["operating-point"], tmp_path, name="afile/sub")
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.stderr.startswith(f"error: cannot write {out}: ")
 
     def test_bad_override_exits_2(self, tmp_path):
         result, out = run_cli(["psd-map", "--set", "oops"], tmp_path)

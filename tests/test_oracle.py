@@ -18,7 +18,7 @@ from stomod import (
     solve_coefficients_matrix,
     synthesize_time_trace,
 )
-from stomod.spectrum import TimeTrace
+from stomod.spectrum import TimeTrace, _build_spectrum
 
 from conftest import OP_XIS, TWO_PI, make_device
 
@@ -27,6 +27,40 @@ def _steady_solution(op, mu, f_m, n_harmonics=10, spp=512):
     cfg = ModulationConfig(mu=mu, omega_m=TWO_PI * f_m, n_harmonics=n_harmonics)
     icfg = IntegrationConfig.for_steady_state(op, cfg, samples_per_period=spp)
     return cfg, integrate_reduced(op, cfg, icfg)
+
+
+def _direct_projection(trace, omega_m, n_harmonics):
+    """Reference: A0, A_n and B_n as sin/cos means over the whole trace."""
+    a = np.empty(n_harmonics)
+    b = np.empty(n_harmonics)
+    for n in range(1, n_harmonics + 1):
+        theta = n * omega_m * trace.t
+        a[n - 1] = 2.0 * float(np.mean(trace.delta_p * np.sin(theta)))
+        b[n - 1] = 2.0 * float(np.mean(trace.delta_p * np.cos(theta)))
+    return float(trace.delta_p.mean()), a, b
+
+
+def _psd_fft_per_bin(trace, sol, k_max):
+    """Reference: psd_fft with each line read from its own FFT bin in a loop."""
+    n_samples = trace.t.size
+    n_per = round(n_samples * (trace.t[1] - trace.t[0]) * sol.modcfg.omega_m / TWO_PI)
+    signal = (1.0 + trace.delta_p) * np.exp(1j * trace.phi)
+    coeffs = np.fft.fft(signal) / n_samples
+    amps = np.zeros(2 * k_max + 1, dtype=complex)
+    for k in range(-k_max, k_max + 1):
+        c = coeffs[(k * n_per) % n_samples]
+        amps[k_max + k] = c * np.exp(-1j * k * sol.modcfg.omega_m * trace.t[0])
+    return _build_spectrum(amps, k_max)
+
+
+def _synthesized_and_integrated(op, mu=0.05):
+    """(solution, trace) pairs: a 256-sample synthesis and a 512-sample RK4
+    trace at 40 and 400 MHz."""
+    for f_m in (40e6, 400e6):
+        cfg, integrated = _steady_solution(op, mu, f_m)
+        sol = solve_coefficients_matrix(op, cfg)
+        yield sol, synthesize_time_trace(sol, samples_per_period=256)
+        yield sol, integrated
 
 
 class TestValidation:
@@ -193,14 +227,42 @@ class TestProjection:
         cfg = ModulationConfig(mu=0.1, omega_m=TWO_PI * 100e6)
         sol = solve_coefficients_matrix(op2, cfg)
         trace = synthesize_time_trace(sol, samples_per_period=256, n_periods=4)
-        cut = TimeTrace(
-            t=trace.t[:-37],
-            delta_p=trace.delta_p[:-37],
-            phi=trace.phi[:-37],
-            demod_freq=trace.demod_freq,
-        )
-        with pytest.raises(GridCoverageError):
-            project_harmonics(cut, cfg, cfg.n_harmonics, op2)
+        for end, message in ((-37, "integer count"), (1, "trace too short")):
+            cut = TimeTrace(
+                t=trace.t[:end],
+                delta_p=trace.delta_p[:end],
+                phi=trace.phi[:end],
+                demod_freq=trace.demod_freq,
+            )
+            with pytest.raises(GridCoverageError, match=message):
+                project_harmonics(cut, cfg, cfg.n_harmonics, op2)
+
+    def test_past_nyquist_rejected(self, op2):
+        # 16 samples per period resolve harmonics up to 7; the 8th would alias.
+        cfg = ModulationConfig(mu=0.1, omega_m=TWO_PI * 100e6)
+        sol = solve_coefficients_matrix(op2, cfg)
+        trace = synthesize_time_trace(sol, samples_per_period=16, n_periods=4)
+        project_harmonics(trace, cfg, 7, op2)
+        with pytest.raises(GridCoverageError, match="k_max=8 .* 16 samples per period"):
+            project_harmonics(trace, cfg, 8, op2)
+
+    @pytest.mark.parametrize("label", ["OP1", "OP2", "OP3"])
+    def test_matches_direct_projection(self, all_ops, label):
+        op = all_ops[label]
+        for sol, trace in _synthesized_and_integrated(op):
+            a0, a, b = _direct_projection(trace, sol.modcfg.omega_m, 10)
+            proj = project_harmonics(trace, sol.modcfg, 10, op)
+            assert abs(proj.a0 - a0) <= 1e-14
+            np.testing.assert_allclose(proj.a, a, rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(proj.b, b, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("label", ["OP1", "OP2", "OP3"])
+    def test_fft_lines_match_per_bin_read_out(self, all_ops, label):
+        for sol, trace in _synthesized_and_integrated(all_ops[label]):
+            for k_max in (40, 127):
+                got, ref = psd_fft(trace, sol, k_max), _psd_fft_per_bin(trace, sol, k_max)
+                assert np.array_equal(got.offsets, ref.offsets)
+                assert np.array_equal(got.powers, ref.powers)
 
     def test_non_uniform_trace_rejected(self, op2):
         # Interior times jittered by 0.3*dt keep the first step and a

@@ -179,6 +179,14 @@ class TestFftSpectrum:
         with pytest.raises(GridCoverageError):
             psd_fft(warped, sol)
 
+    def test_past_nyquist_rejected(self, op2):
+        # 256 samples per period resolve lines up to |k| = 127.
+        sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.05, omega_m=OMEGA_M))
+        trace = synthesize_time_trace(sol)
+        for k_max in (128, 200):
+            with pytest.raises(GridCoverageError, match=f"k_max={k_max} .* 256 samples"):
+                psd_fft(trace, sol, k_max=k_max)
+
 
 class TestSynthesis:
     def test_sampling_floor(self, op2):
