@@ -6,6 +6,7 @@ an unwritable output directory included), 3 numerical error.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import sys
@@ -36,18 +37,34 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows, meta: list[tuple[str, str]]) -> None:
-    """Write a table atomically: metadata comments, header, fixed-format rows."""
-    tmp = path.with_name(path.name + ".tmp")
+    """Write one table: metadata comments, header, fixed-format rows."""
+    with open(path, "w", newline="\n") as fh:
+        for key, value in meta:
+            fh.write(f"# {key}: {value}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_tables(out: Path, tables: dict, meta: list[tuple[str, str]]) -> None:
+    """Write all of a command's tables or none: each goes to its .tmp file
+    first, and the renames start only once every .tmp is written and no
+    target is a directory."""
+    targets = [out / f"{stem}.csv" for stem in tables]
+    tmps = []
     try:
-        with open(tmp, "w", newline="\n") as fh:
-            for key, value in meta:
-                fh.write(f"# {key}: {value}\n")
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-        os.replace(tmp, path)
+        for path, (header, rows) in zip(targets, tables.values()):
+            tmps.append(path.with_name(path.name + ".tmp"))
+            write_csv(tmps[-1], header, rows, meta)
+        for path in targets:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
+        for tmp, path in zip(tmps, targets):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            if not tmp.is_dir():  # a directory in the way is not ours to remove
+                tmp.unlink(missing_ok=True)
         raise
 
 
@@ -79,12 +96,12 @@ def _run(command, config_path, overrides, out_dir, op_label):
     ]
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for stem, (header, rows) in tables.items():
-            write_csv(out / f"{stem}.csv", header, rows, meta)
-            click.echo(f"wrote {out / (stem + '.csv')} ({len(rows)} rows)")
+        _write_tables(out, tables, meta)
     except OSError as exc:
         click.echo(f"error: cannot write {out}: {exc}", err=True)
         sys.exit(2)
+    for stem, (_, rows) in tables.items():
+        click.echo(f"wrote {out / (stem + '.csv')} ({len(rows)} rows)")
 
 
 @click.group()

@@ -2,6 +2,12 @@
 power/phase equations, plus harmonic projection of the settled trace by the
 same FFT (TimeTrace.harmonics) that the spectrum cross-check reads.
 
+Both integrated power equations are linear in their state y, dy/dt =
+a(t) + b(t)*y: the reduced one in delta_p, the full one in u = 1/p (an exact
+Bernoulli substitution).  One RK4 step is then the affine map
+y_{i+1} = m_i*y_i + n_i, whose coefficients numpy forms for a block of steps
+at a time; Python runs only that recurrence.
+
 Everything here is deliberately independent of the harmonic-balance solver
 so the two paths can be compared coefficient by coefficient.
 """
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepSizeError
+from .errors import NumericalError, StepSizeError
 from .fourier import FourierSolution
 from .model import TWO_PI, DeviceParams, ModulationConfig, OperatingPoint, derive_operating_point
 from .spectrum import TimeTrace
@@ -22,6 +28,9 @@ from .spectrum import TimeTrace
 _STEPS_PER_PERIOD_MIN = 200
 _GAMMA_P_DT_MAX = 0.1
 _TRANSIENT_GAMMA_P_MIN = 10.0
+
+# RK4 steps per vectorised block: bounds the stage arrays, and so peak memory.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -78,29 +87,54 @@ class IntegrationConfig:
         return cls(dt=dt, t_end=transient_cut + 8 * period, transient_cut=transient_cut)
 
 
-def _rk4(rate, y0: float, w0: float, w1: float, h: float, n_steps: int):
-    """Fixed-step RK4 of dy/dt = rate(t, y) with dphi/dt = w0 + w1*y, phi(0) = 0.
+def _rk4(coeffs, y0: float, h: float, n_steps: int, phase_rate):
+    """Fixed-step RK4 of dy/dt = a(t) + b(t)*y with dphi/dt = phase_rate(y), phi(0) = 0.
 
-    Returns the sample times, y and phi, all of length n_steps + 1.
+    The rate is affine in y, so one RK4 step is the affine map
+    y_{i+1} = m_i*y_i + n_i: every stage state is Y_j = c_j + d_j*y_i, and m_i
+    and n_i are the RK4 stability polynomial of a and b at t_i, t_i + h/2
+    and t_{i+1}.  Each block of _BLOCK steps evaluates coeffs(t) -> (a, b)
+    once on its half-step grid and forms m and n with numpy, which leaves
+    Python only the recurrence.  The phase step is h/6 times the RK4
+    weighted sum of phase_rate over the four stage states, accumulated by
+    np.cumsum.  Returns the sample times, y and phi, all of length
+    n_steps + 1; a trace that is not finite raises NumericalError.
     """
-    t_arr = np.empty(n_steps + 1)
-    y_arr = np.empty(n_steps + 1)
-    phi_arr = np.empty(n_steps + 1)
-    y, phi = y0, 0.0
-    t_arr[0], y_arr[0], phi_arr[0] = 0.0, y, phi
-    for i in range(n_steps):
-        t = i * h
-        k1 = rate(t, y)
-        k2 = rate(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rate(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rate(t + h, y + h * k3)
-        # phase rate is affine in y, so its RK4 stages reuse the k's
-        phi += h * (w0 + w1 * (y + (h / 6.0) * (k1 + k2 + k3)))
-        y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t_arr[i + 1] = (i + 1) * h
-        y_arr[i + 1] = y
-        phi_arr[i + 1] = phi
-    return t_arr, y_arr, phi_arr
+    y = np.empty(n_steps + 1)
+    phi = np.empty(n_steps + 1)
+    y[0], phi[0] = y0, 0.0
+    half, sixth = 0.5 * h, h / 6.0
+    # A blow-up is reported below as one NumericalError, not as numpy warnings.
+    with np.errstate(all="ignore"):
+        for lo in range(0, n_steps, _BLOCK):
+            hi = min(lo + _BLOCK, n_steps)
+            a, b = coeffs(np.arange(2 * lo, 2 * hi + 1) * half)
+            a1, b1, a2, b2, a4, b4 = a[:-1:2], b[:-1:2], a[1::2], b[1::2], a[2::2], b[2::2]
+            # Stage j's state is c_j + d_j*y_i and its slope k_j = kc_j + kd_j*y_i;
+            # stage 1 is y_i itself, with slope a1 + b1*y_i.
+            c2, d2 = half * a1, 1.0 + half * b1
+            kc2, kd2 = a2 + b2 * c2, b2 * d2
+            c3, d3 = half * kc2, 1.0 + half * kd2
+            kc3, kd3 = a2 + b2 * c3, b2 * d3
+            c4, d4 = h * kc3, 1.0 + h * kd3
+            m = 1.0 + sixth * (b1 + 2.0 * (kd2 + kd3) + b4 * d4)
+            n = sixth * (a1 + 2.0 * (kc2 + kc3) + (a4 + b4 * c4))
+            y_i, out = float(y[lo]), []
+            for m_i, n_i in zip(m.tolist(), n.tolist()):
+                y_i = m_i * y_i + n_i
+                out.append(y_i)
+            y[lo + 1 : hi + 1] = out
+            y_lo = y[lo:hi]
+            dphi = sixth * (
+                phase_rate(y_lo)
+                + 2.0 * (phase_rate(c2 + d2 * y_lo) + phase_rate(c3 + d3 * y_lo))
+                + phase_rate(c4 + d4 * y_lo)
+            )
+            dphi[0] += phi[lo]
+            np.cumsum(dphi, out=phi[lo + 1 : hi + 1])
+    if not (np.isfinite(y).all() and np.isfinite(phi).all()):
+        raise NumericalError("RK4 trace is not finite")
+    return np.arange(n_steps + 1) * h, y, phi
 
 
 def _settled(icfg: IntegrationConfig, t: np.ndarray, y: np.ndarray, phi: np.ndarray):
@@ -127,11 +161,13 @@ def integrate_reduced(
     h = icfg.dt
     n_steps = int(round(icfg.t_end / h))
 
-    def dpdot(t: float, dp: float) -> float:
-        drive = mu * math.cos(w * t)
-        return c1 * drive + 2.0 * dp * (c2 * drive - gp)
+    def coeffs(t: np.ndarray):
+        drive = mu * np.cos(w * t)
+        return c1 * drive, 2.0 * (c2 * drive - gp)
 
-    t, dp, phi = _settled(icfg, *_rk4(dpdot, icfg.initial_delta_p, wsto, nu_gp2, h, n_steps))
+    t, dp, phi = _settled(
+        icfg, *_rk4(coeffs, icfg.initial_delta_p, h, n_steps, lambda y: wsto + nu_gp2 * y)
+    )
     demod = wsto + nu_gp2 * float(dp.mean())
     return TimeTrace(t=t, delta_p=dp, phi=phi - demod * t, demod_freq=demod)
 
@@ -142,9 +178,17 @@ def integrate_full(
     """Exploratory RK4 integration of the unreduced power/phase pair.
 
     Integrates dp/dt = 2*(Gamma_minus(p, t) - Gamma_G)*p with the same
-    first-order damping model, without linearizing about p0.  No acceptance
+    first-order damping model, without linearizing about p0.  The power
+    equation is of Bernoulli type: with S = sigma*I*(1 + mu*cos(omega_m*t)),
+    the exact substitution u = 1/p makes it linear,
+    du/dt = 2*S - 2*(S - Gamma_G)*u, so it is stepped by the same affine RK4
+    as the reduced equations and p is read back as 1/u.  No acceptance
     claim is attached to this path; it exists for cross-checking the
     reduced equations at small mu.
+
+    Raises ValueError if initial_delta_p gives a start power
+    p0*(1 + 2*initial_delta_p) that is not positive and finite, and
+    NumericalError if the trace is not finite.
     """
     op = derive_operating_point(params)
     icfg.validate(op, modcfg)
@@ -156,12 +200,21 @@ def integrate_full(
     h = icfg.dt
     n_steps = int(round(icfg.t_end / h))
 
-    def pdot(t: float, p: float) -> float:
-        gm = sigma_i * (1.0 + mu * math.cos(w * t)) * (1.0 - p)
-        return 2.0 * (gm - gamma_g) * p
-
     p_start = p0 * (1.0 + 2.0 * icfg.initial_delta_p)
-    t, p, phi = _settled(icfg, *_rk4(pdot, p_start, op.omega_o, nu_over_p0, h, n_steps))
+    if not (p_start > 0.0 and math.isfinite(p_start)):
+        raise ValueError(
+            f"initial_delta_p={icfg.initial_delta_p} gives a start power "
+            f"p0*(1 + 2*initial_delta_p) = {p_start:.3e}, which must be positive and finite"
+        )
+
+    def coeffs(t: np.ndarray):
+        s = sigma_i * (1.0 + mu * np.cos(w * t))
+        return 2.0 * s, -2.0 * (s - gamma_g)
+
+    t, u, phi = _settled(
+        icfg, *_rk4(coeffs, 1.0 / p_start, h, n_steps, lambda u: op.omega_o + nu_over_p0 / u)
+    )
+    p = 1.0 / u
     dp = (p / p0 - 1.0) / 2.0
     demod = op.omega_o + params.nu * op.gamma_p * (1.0 + 2.0 * float(dp.mean()))
     return TimeTrace(t=t, delta_p=dp, phi=phi - demod * t, demod_freq=demod)

@@ -188,6 +188,21 @@ class TestExitCodes:
         assert "Traceback" not in result.output
         assert result.stderr.startswith(f"error: cannot write {out}: ")
 
+    @pytest.mark.parametrize("blocker", ["asymmetry_slice.csv", "asymmetry_slice.csv.tmp"])
+    def test_failed_write_leaves_no_table(self, tmp_path, blocker):
+        # asymmetry-map writes asymmetry_map.csv before asymmetry_slice.csv; a
+        # directory in the way of the second keeps the first from appearing.
+        out = tmp_path / "out"
+        (out / blocker).mkdir(parents=True)
+        result, _ = run_cli(["asymmetry-map", *FAST_ASYM], tmp_path)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.stderr.startswith(f"error: cannot write {out}: ")
+        assert "wrote" not in result.output
+        assert sorted(p.name for p in out.iterdir()) == [blocker]
+        assert (out / blocker).is_dir()
+
     def test_bad_override_exits_2(self, tmp_path):
         result, out = run_cli(["psd-map", "--set", "oops"], tmp_path)
         assert result.exit_code == 2
