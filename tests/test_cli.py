@@ -381,14 +381,33 @@ def test_warnings_print_one_counted_line(tmp_path):
 
 
 def test_non_decay_warning_prints_one_counted_line(tmp_path):
-    args = ["--set", "bandwidth.mu=0.9", "--set", "bandwidth.f_m_grid_hz=1e6,2e6"]
-    result, out = run_cli(["bandwidth", *args], tmp_path)
+    # mu = 0.9 at OP1 is past the model's validity; error-analysis still
+    # tabulates it, while bandwidth refuses its negative power (below).
+    args = [
+        "--op-label", "OP1",
+        "--set", "error-analysis.mu=0.9",
+        "--set", "error-analysis.f_m_grid_hz=1e6,2e6",
+        "--set", "error-analysis.n_values=5",
+        "--set", "error-analysis.recursive_beta1_grid=0.5",
+        "--set", "error-analysis.recursive_n_values=5",
+    ]
+    result, out = run_cli(["error-analysis", *args], tmp_path)
     assert result.exit_code == 0, result.output
     lines = result.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("Warning: harmonic coefficients do not decay")
     assert lines[0].endswith(" times)")
-    assert (out / "bandwidth.csv").exists()
+    assert (out / "error_truncation.csv").exists()
+
+
+def test_negative_power_exits_3_without_output(tmp_path):
+    # At OP1, 1 MHz, mu = 0.9 the steady state reaches dp ~ -82: 1 + dp < 0.
+    args = ["--set", "bandwidth.mu=0.9", "--set", "bandwidth.f_m_grid_hz=1e6,2e6"]
+    result, out = run_cli(["bandwidth", *args], tmp_path)
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "negative power" in result.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -22,6 +22,7 @@ from stomod import (
     solve_mu_for_beta1,
     synthesize_time_trace,
 )
+from stomod.config import load_config
 from stomod.spectrum import TimeTrace, first_harmonic_index, shifted_carrier
 from stomod.spectrum import jv as stomod_jv
 
@@ -29,6 +30,19 @@ from conftest import TWO_PI, make_device
 
 F_M = 100e6
 OMEGA_M = TWO_PI * F_M
+
+
+def _reference_trace(sol, samples_per_period, n_periods):
+    """dp and phi by the direct cos/sin sum over harmonics, each phase
+    n*omega_m*t reduced exactly modulo one period before the cosine."""
+    i = np.arange(samples_per_period * n_periods)
+    delta_p = np.full(i.size, sol.a0)
+    phi = np.zeros(i.size)
+    for n in range(1, sol.n_harmonics + 1):
+        theta = TWO_PI * ((n * i) % samples_per_period) / samples_per_period - sol.psi(n)
+        delta_p += sol.x_abs(n) * np.cos(theta)
+        phi += sol.beta(n) * np.sin(theta)
+    return delta_p, phi
 
 
 def _mu_for_beta1_no_coupling(op, beta1, omega_m):
@@ -189,6 +203,26 @@ class TestFftSpectrum:
 
 
 class TestSynthesis:
+    @pytest.mark.parametrize("n_periods", [1, 8])
+    @pytest.mark.parametrize("samples_per_period", [16, 17, 256])
+    @pytest.mark.parametrize("n_harmonics", [1, 10, 20, 40])
+    def test_matches_direct_sum(self, all_ops, n_harmonics, samples_per_period, n_periods):
+        # Solved harmonics decay below round-off long before n = 20, so
+        # seeded ones that fall as 1/n (every 7th exactly zero) make every
+        # harmonic past Nyquist fold visibly onto its alias.
+        rng = np.random.default_rng(n_harmonics)
+        n = np.arange(1, n_harmonics + 1)
+        a, b = rng.normal(size=(2, n_harmonics)) / n
+        a[2::7] = b[2::7] = 0.0
+        for op in all_ops.values():
+            modcfg = ModulationConfig(mu=0.05, omega_m=OMEGA_M, n_harmonics=n_harmonics)
+            sol = replace(solve_coefficients_matrix(op, modcfg), a0=0.1, a=a, b=b)
+            trace = synthesize_time_trace(sol, samples_per_period, n_periods)
+            ref_dp, ref_phi = _reference_trace(sol, samples_per_period, n_periods)
+            assert trace.delta_p.size == trace.t.size == samples_per_period * n_periods
+            assert np.abs(trace.delta_p - ref_dp).max() <= 1e-13 * np.abs(ref_dp).max()
+            assert np.abs(trace.phi - ref_phi).max() <= 1e-13 * np.abs(ref_phi).max()
+
     def test_sampling_floor(self, op2):
         sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.05, omega_m=OMEGA_M))
         with pytest.raises(ValueError):
@@ -209,6 +243,62 @@ class TestDerivedFigures:
         idx = peak_frequency_deviation(sol, "index-based")
         inst = peak_frequency_deviation(sol, "instantaneous")
         assert inst == pytest.approx(idx, rel=0.01)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # f_m near 1 GHz is fast
+    def test_instantaneous_matches_dense_sampling(self, all_ops):
+        # The 75 default bandwidth rows, plus OP1 at 10 MHz and mu = 0.5:
+        # max dp ~ 40 with harmonics up to n ~ 8 above 1% of |X_1|.
+        cfg = load_config(None)
+        cases = [(op, cfg.bw_mu, f_m) for op in all_ops.values() for f_m in cfg.bw_f_m_grid_hz]
+        cases.append((all_ops["OP1"], 0.5, 10e6))
+        sols = [
+            solve_coefficients_matrix(
+                op, ModulationConfig(mu=mu, omega_m=TWO_PI * f_m, n_harmonics=cfg.n_harmonics)
+            )
+            for op, mu, f_m in cases
+        ]
+        # dp - A0 = sum B_n cos(n*theta) + A_n sin(n*theta) on 2**18 samples
+        # of one period, every case at once, one block of samples at a time.
+        m, block = 2**18, 2**14
+        n = np.arange(1, cfg.n_harmonics + 1)
+        coef = np.array([np.concatenate([sol.b, sol.a]) for sol in sols]).T
+        hi, lo = np.full(len(sols), -np.inf), np.full(len(sols), np.inf)
+        for start in range(0, m, block):
+            theta = np.outer(np.arange(start, start + block), n) % m * (TWO_PI / m)
+            dp = np.hstack([np.cos(theta), np.sin(theta)]) @ coef
+            hi, lo = np.maximum(hi, dp.max(axis=0)), np.minimum(lo, dp.min(axis=0))
+        for (op, mu, f_m), sol, swing in zip(cases, sols, hi - lo):
+            ref = abs(op.nu * op.gamma_p) * swing / TWO_PI
+            got = peak_frequency_deviation(sol, "instantaneous")
+            assert got == pytest.approx(ref, rel=1e-9, abs=0.0), (op.xi, mu, f_m)
+
+    def test_instantaneous_finds_the_higher_of_two_peaks(self, op2):
+        # |X_2| > |X_1| gives two maxima and two minima per period; a
+        # 2**18-sample sweep of the same series is the reference.
+        sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.05, omega_m=OMEGA_M))
+        a = np.zeros(sol.n_harmonics)
+        b = np.zeros(sol.n_harmonics)
+        a[:3], b[:3] = [0.03, 0.2, 0.01], [0.02, -0.1, 0.015]
+        sol = replace(sol, a0=-0.05, a=a, b=b)
+        dp, _ = _reference_trace(sol, 2**18, 1)
+        ref = abs(op2.nu * op2.gamma_p) * (dp.max() - dp.min()) / TWO_PI
+        got = peak_frequency_deviation(sol, "instantaneous")
+        assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    def test_unmodulated_instantaneous_deviation_is_zero(self, op2):
+        # mu = 0 is a valid bandwidth.mu: dp is flat and the Newton curvature 0.
+        sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.0, omega_m=OMEGA_M))
+        assert peak_frequency_deviation(sol, "instantaneous") == 0.0
+
+    def test_negative_power_rejected(self, op1):
+        # OP1 at 1 MHz and mu = 0.9 reaches dp ~ -82.
+        with pytest.warns(UserWarning, match="do not decay"):
+            sol = solve_coefficients_matrix(
+                op1, ModulationConfig(mu=0.9, omega_m=TWO_PI * 1e6)
+            )
+        with pytest.raises(NumericalError, match="negative power: min dp = -8"):
+            peak_frequency_deviation(sol, "instantaneous")
+        assert peak_frequency_deviation(sol, "index-based") > 0.0
 
     def test_peak_deviation_formula(self, op2):
         sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.05, omega_m=OMEGA_M))
