@@ -1,11 +1,12 @@
 """Command-line front end: sweep commands writing deterministic CSV tables.
 
-Exit codes: 0 success, 2 configuration error (an unreadable config file and
-an unwritable output directory included), 3 numerical error.
+Exit codes: 0 success, 2 usage or configuration error (an unreadable config
+file and an unwritable output directory included), 3 numerical error.
 """
 
 from __future__ import annotations
 
+import argparse
 import errno
 import math
 import os
@@ -14,7 +15,6 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
-import click
 import numpy as np
 
 from . import __version__, sweeps
@@ -68,7 +68,8 @@ def _write_tables(out: Path, tables: dict, meta: list[tuple[str, str]]) -> None:
         raise
 
 
-def _run(command, config_path, overrides, out_dir, op_label):
+def _run(command, config_path, overrides, out_dir, op_label) -> int:
+    """Run one command and return its exit code: 0, 2 or 3."""
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -76,18 +77,18 @@ def _run(command, config_path, overrides, out_dir, op_label):
             # Looked up at call time, so a rebound sweeps function is the one run.
             tables = _table_func(command)(cfg, op_filter=op_label)
     except ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except StomodError as exc:
-        click.echo(f"numerical error: {exc}", err=True)
-        sys.exit(3)
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
     finally:
         for message, count in Counter(str(w.message) for w in caught).items():
-            click.echo(f"Warning: {message} ({count} times)", err=True)
+            print(f"Warning: {message} ({count} times)", file=sys.stderr)
     for stem, (_, rows) in tables.items():
         if not rows or not all(math.isfinite(v) for r in rows for v in r if isinstance(v, float)):
-            click.echo(f"numerical error: table {stem} is empty or not finite", err=True)
-            sys.exit(3)
+            print(f"numerical error: table {stem} is empty or not finite", file=sys.stderr)
+            return 3
     out = Path(out_dir)
     meta = [
         ("stomod-version", __version__),
@@ -98,32 +99,32 @@ def _run(command, config_path, overrides, out_dir, op_label):
         out.mkdir(parents=True, exist_ok=True)
         _write_tables(out, tables, meta)
     except OSError as exc:
-        click.echo(f"error: cannot write {out}: {exc}", err=True)
-        sys.exit(2)
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return 2
     for stem, (_, rows) in tables.items():
-        click.echo(f"wrote {out / (stem + '.csv')} ({len(rows)} rows)")
+        print(f"wrote {out / (stem + '.csv')} ({len(rows)} rows)")
+    return 0
 
 
-@click.group()
-@click.version_option(__version__)
-def main() -> None:
+def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
     """Modulated spin-torque oscillator spectra: sweeps and tables."""
-
-
-for _command in COMMANDS:
-
-    @main.command(_command, help=_table_func(_command).__doc__)
-    @click.option("--config", "config_path", type=click.Path(), default=None,
-                  help="Key=value config file overlaying the built-in defaults.")
-    @click.option("--set", "overrides", multiple=True, metavar="SECTION.KEY=VALUE",
-                  help="Override a single config value (repeatable; wins over files).")
-    @click.option("--out", "out_dir", type=click.Path(file_okay=False), default="results",
-                  show_default=True, help="Output directory for CSV tables.")
-    @click.option("--op-label", default=None,
-                  help="Restrict to a single operating-point label.")
-    @click.pass_context
-    def _cmd(ctx, config_path, overrides, out_dir, op_label):
-        _run(ctx.info_name, config_path, overrides, out_dir, op_label)
+    shared = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    shared.add_argument("--config", help="Key=value config file overlaying the built-in defaults.")
+    shared.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
+                        help="Override a single config value (repeatable; wins over files).")
+    shared.add_argument("--out", default="results", help="Output directory (default: %(default)s).")
+    shared.add_argument("--op-label", help="Restrict to a single operating-point label.")
+    parser = argparse.ArgumentParser(prog="stomod", allow_abbrev=False, description=main.__doc__)
+    parser.add_argument("--version", action="version", version=f"stomod, version {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command in COMMANDS:
+        doc = _table_func(command).__doc__
+        commands.add_parser(command, parents=[shared], allow_abbrev=False, help=doc, description=doc)
+    args = parser.parse_args(argv)
+    code = _run(args.command, args.config, args.set, args.out, args.op_label)
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
 if __name__ == "__main__":

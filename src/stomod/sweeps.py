@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .config import RunConfig, device_at
+from .errors import NumericalError
 from .fourier import (
     carrier_shift,
     solution_difference,
@@ -126,16 +127,12 @@ def bandwidth_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
                     mu=cfg.bw_mu, omega_m=TWO_PI * f_m, n_harmonics=cfg.n_harmonics
                 ),
             )
-            rows.append(
-                (
-                    label,
-                    f_m,
-                    peak_frequency_deviation(sol, "index-based"),
-                    peak_frequency_deviation(sol, "instantaneous"),
-                    mbw_ref,
-                    mbw_meas,
-                )
-            )
+            try:
+                delta_f_inst = peak_frequency_deviation(sol, "instantaneous")
+            except NumericalError as exc:
+                raise NumericalError(f"{label} at f_m = {f_m:g} Hz: {exc}") from exc
+            delta_f_index = peak_frequency_deviation(sol, "index-based")
+            rows.append((label, f_m, delta_f_index, delta_f_inst, mbw_ref, mbw_meas))
     header = [
         "op_label",
         "f_m_hz",

@@ -12,7 +12,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from scipy.special import jv
 
 from stomod import (
@@ -241,7 +240,6 @@ def test_criterion_10_asymmetry_map_monotonicity(report):
 
 
 def test_criterion_11_cli_determinism(tmp_path, report):
-    runner = CliRunner()
     ok = True
     jobs = [
         ["operating-point"],
@@ -256,9 +254,9 @@ def test_criterion_11_cli_determinism(tmp_path, report):
     for i, args in enumerate(jobs):
         out_a = tmp_path / f"a{i}"
         out_b = tmp_path / f"b{i}"
-        ra = runner.invoke(cli_main, [*args, "--out", str(out_a)])
-        rb = runner.invoke(cli_main, [*args, "--out", str(out_b)])
-        ok &= ra.exit_code == 0 and rb.exit_code == 0
+        code_a = cli_main([*args, "--out", str(out_a)], standalone_mode=False)
+        code_b = cli_main([*args, "--out", str(out_b)], standalone_mode=False)
+        ok &= code_a == 0 and code_b == 0
         names = sorted(p.name for p in out_a.iterdir())
         ok &= names == sorted(p.name for p in out_b.iterdir())
         for name in names:

@@ -1,14 +1,16 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import io
 import math
 import os
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import stomod
@@ -35,10 +37,33 @@ FAST_ERR = [
 ]
 
 
+def invoke(argv):
+    """Run ``main(argv)`` in-process, capturing stdout and stderr.
+
+    ``exception`` is None after exit code 0, else the SystemExit that ends the
+    run: argparse's own, or the one the installed script raises for a
+    non-zero code that ``main`` returns.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    exception = None
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = main(argv, standalone_mode=False)
+        except SystemExit as exc:
+            exception, code = exc, exc.code
+    if code and exception is None:
+        exception = SystemExit(code)
+    return SimpleNamespace(
+        exit_code=code,
+        output=stdout.getvalue() + stderr.getvalue(),
+        stderr=stderr.getvalue(),
+        exception=exception,
+    )
+
+
 def run_cli(args, tmp_path, name="out"):
     out = tmp_path / name
-    result = CliRunner().invoke(main, [*args, "--out", str(out)])
-    return result, out
+    return invoke([*args, "--out", str(out)]), out
 
 
 def read_table(path):
@@ -182,11 +207,13 @@ class TestExitCodes:
 
     def test_unwritable_out_exits_2(self, tmp_path):
         (tmp_path / "afile").write_text("")
-        result, out = run_cli(["operating-point"], tmp_path, name="afile/sub")
-        assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert "Traceback" not in result.output
-        assert result.stderr.startswith(f"error: cannot write {out}: ")
+        # Below a regular file, and the regular file itself.
+        for name in ("afile/sub", "afile"):
+            result, out = run_cli(["operating-point"], tmp_path, name=name)
+            assert result.exit_code == 2, result.output
+            assert isinstance(result.exception, SystemExit)
+            assert "Traceback" not in result.output
+            assert result.stderr.startswith(f"error: cannot write {out}: ")
 
     @pytest.mark.parametrize("blocker", ["asymmetry_slice.csv", "asymmetry_slice.csv.tmp"])
     def test_failed_write_leaves_no_table(self, tmp_path, blocker):
@@ -277,6 +304,7 @@ class TestExitCodes:
             ["error-analysis", "--set", "error-analysis.recursive_n_values="],
             ["operating-point", "--set", "solver.n_harmonic=5"],
             ["operating-point", "--op-label", "OP9"],
+            ["psd-map", "--op", "OP1"],  # an abbreviated option
         ],
     )
     def test_bad_input_exits_2_without_traceback(self, tmp_path, args):
@@ -407,17 +435,24 @@ def test_negative_power_exits_3_without_output(tmp_path):
     assert result.exit_code == 3, result.output
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert "negative power" in result.stderr
+    assert "OP1 at f_m = 1e+06 Hz" in result.stderr
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_command_help_is_table_docstring(command):
-    result = CliRunner().invoke(main, [command, "--help"])
+    result = invoke([command, "--help"])
     assert result.exit_code == 0
     table_func = getattr(sweeps, command.replace("-", "_") + "_table")
     assert table_func.__doc__.split()[:4] == result.output.split("\n\n")[1].split()[:4]
     for option in ("--config", "--set", "--out", "--op-label"):
         assert option in result.output
+
+
+def test_version_exits_0():
+    result = invoke(["--version"])
+    assert result.exit_code == 0
+    assert result.output == f"stomod, version {stomod.__version__}\n"
 
 
 # Small grids on OP1 only, so that each fuzzed run takes milliseconds.
@@ -483,7 +518,7 @@ def fuzzed_runs(draw):
 def test_fuzzed_values_end_in_a_clean_exit(args):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        result = CliRunner().invoke(main, [*args, "--out", str(out)])
+        result = invoke([*args, "--out", str(out)])
         assert result.exit_code in (0, 2, 3), result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         if result.exit_code != 0:
@@ -494,10 +529,14 @@ def test_fuzzed_values_end_in_a_clean_exit(args):
             assert not any("nan" in line or "inf" in line for line in data), path
 
 
-def test_cli_import_loads_no_scipy():
+@pytest.mark.parametrize("package", ["scipy", "click"])
+def test_cli_import_loads_no(package):
     src = str(Path(stomod.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, stomod.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, stomod.cli; "
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
