@@ -120,7 +120,9 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
     for command in COMMANDS:
         doc = _table_func(command).__doc__
         commands.add_parser(command, parents=[shared], allow_abbrev=False, help=doc, description=doc)
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # reported with the command's usage, not the top level's
+        commands.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     code = _run(args.command, args.config, args.set, args.out, args.op_label)
     if standalone_mode:
         sys.exit(code)

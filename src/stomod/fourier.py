@@ -64,9 +64,6 @@ class FourierSolution:
     def x_abs(self, n: int) -> float:
         return math.hypot(self.b[n - 1], self.a[n - 1])
 
-    def psi(self, n: int) -> float:
-        return math.atan2(float(self.a[n - 1]), float(self.b[n - 1]))
-
     def beta(self, n: int) -> float:
         """Signed FM index beta_n = 2*nu*Gamma_p*|X_n|/(n*omega_m) of harmonic n.
 

@@ -54,9 +54,6 @@ class LineSpectrum:
         idx = np.nonzero(self.offsets == k)[0]
         return float(self.powers[idx[0]]) if idx.size else 0.0
 
-    def total_power(self) -> float:
-        return float(np.sum(self.powers))
-
 
 @dataclass(frozen=True)
 class TimeTrace:
@@ -157,18 +154,6 @@ def jv(j_max: int, beta: float) -> np.ndarray:
     return np.fft.fft(np.exp(1j * beta * np.sin(theta)))[: j_max + 1].real / m
 
 
-def _fm_factor(x_n: complex, beta: float, n: int, j_max: int, k_max: int) -> np.ndarray:
-    fm = np.zeros(2 * k_max + 1, dtype=complex)
-    bessel = jv(min(j_max, k_max // n), beta)
-    fm[k_max] = bessel[0]
-    u = np.conj(x_n) / abs(x_n)
-    for j in range(1, bessel.size):
-        bj = bessel[j]
-        fm[k_max + n * j] += bj * u**j
-        fm[k_max - n * j] += (-1) ** j * bj * np.conj(u) ** j
-    return fm
-
-
 def psd_analytic(
     sol: FourierSolution,
     j_max: int = DEFAULT_J_MAX,
@@ -179,16 +164,17 @@ def psd_analytic(
         raise ValueError(f"j_max must be >= 1, got {j_max}")
     amps = np.zeros(2 * k_max + 1, dtype=complex)
     amps[k_max] = 1.0 + sol.a0
-    x = sol.x
-    for n in range(1, sol.n_harmonics + 1):
-        if n > k_max:
-            break
-        amps[k_max + n] += np.conj(x[n - 1]) / 2.0
-        amps[k_max - n] += x[n - 1] / 2.0
-    for n in range(1, sol.n_harmonics + 1):
-        if x[n - 1] == 0.0:
+    x = sol.x[:k_max]  # harmonics past k_max fall off the grid
+    amps[k_max + 1 : k_max + 1 + x.size] = np.conj(x) / 2.0
+    amps[k_max - x.size : k_max] = x[::-1] / 2.0
+    for n, x_n in enumerate(sol.x, start=1):
+        if x_n == 0.0:
             continue  # identity FM factor
-        fm = _fm_factor(complex(x[n - 1]), sol.beta(n), n, j_max, k_max)
+        j = np.arange(min(j_max, k_max // n) + 1)
+        taps = jv(j[-1], sol.beta(n)) * (np.conj(x_n) / abs(x_n)) ** j
+        fm = np.zeros(2 * k_max + 1, dtype=complex)
+        fm[k_max + n * j] = taps
+        fm[k_max - n * j] = (-1.0) ** j * np.conj(taps)
         amps = np.convolve(amps, fm)[k_max : 3 * k_max + 1]
     return _build_spectrum(amps, k_max)
 
@@ -222,31 +208,50 @@ def sideband_asymmetry(spec: LineSpectrum) -> float:
     return spec.power_at(+1) - spec.power_at(-1)
 
 
+def _dp_extremes(sol: FourierSolution) -> tuple[float, float]:
+    """Largest and smallest dp over one modulation period.
+
+    They are the extremes of max(64, 8N) samples, each kept or bettered by
+    Newton steps on the analytic derivative.  A minimum with 1 + dp <= 0
+    (negative power) raises NumericalError.
+    """
+    dp = _sample_period(sol, max(64, 8 * sol.n_harmonics))[0]
+    n, xc = np.arange(1, sol.n_harmonics + 1), np.conj(sol.x)
+    theta = TWO_PI / dp.size * np.array([dp.argmax(), dp.argmin()])
+    for _ in range(4):  # quadratic from the sampled extreme: 2 steps reach round-off
+        z = xc * np.exp(1j * np.outer(theta, n))  # |X_n| exp(i(n*theta - psi_n))
+        curv = (n * n * z.real).sum(axis=1)
+        theta = theta - (n * z.imag).sum(axis=1) / np.where(curv != 0.0, curv, np.inf)
+    polished = sol.a0 + (xc * np.exp(1j * np.outer(theta, n))).real.sum(axis=1)
+    hi, lo = np.fmax(dp.max(), polished[0]), np.fmin(dp.min(), polished[1])
+    if 1.0 + lo <= 0.0:
+        raise NumericalError(f"negative power: min dp = {lo:.6g} makes 1 + dp <= 0")
+    return float(hi), float(lo)
+
+
+def _refuse_negative_power(sol: FourierSolution) -> None:
+    """Raise NumericalError if 1 + dp <= 0 anywhere in the period.
+
+    The bound dp >= A0 - sum|X_n| clears most solutions without sampling;
+    the rest go through _dp_extremes.
+    """
+    if 1.0 + sol.a0 - np.hypot(sol.a, sol.b).sum() <= 0.0:
+        _dp_extremes(sol)
+
+
 def peak_frequency_deviation(sol: FourierSolution, method: str = "index-based") -> float:
     """Peak frequency deviation in Hz, a magnitude: both methods use |nu|.
 
     "index-based" evaluates |beta_1|*f_m = |nu|*Gamma_p*|X_1|/pi (first-harmonic
     FM index); "instantaneous" takes half the peak-to-peak swing of the
-    instantaneous frequency 2*|nu|*Gamma_p*dp/(2*pi) over one modulation period.
-    Its dp extremes are the largest and smallest of max(64, 8N) samples, each
-    kept or bettered by Newton steps on the analytic derivative; a minimum
-    with 1 + dp <= 0 (negative power) raises NumericalError.
+    instantaneous frequency 2*|nu|*Gamma_p*dp/(2*pi) over one modulation period,
+    from the dp extremes of _dp_extremes (negative power raises NumericalError).
     """
     if method == "index-based":
         return abs(sol.beta(1)) * sol.modcfg.omega_m / TWO_PI
     if method == "instantaneous":
-        dp = _sample_period(sol, max(64, 8 * sol.n_harmonics))[0]
-        n, xc = np.arange(1, sol.n_harmonics + 1), np.conj(sol.x)
-        theta = TWO_PI / dp.size * np.array([dp.argmax(), dp.argmin()])
-        for _ in range(4):  # quadratic from the sampled extreme: 2 steps reach round-off
-            z = xc * np.exp(1j * np.outer(theta, n))  # |X_n| exp(i(n*theta - psi_n))
-            curv = (n * n * z.real).sum(axis=1)
-            theta = theta - (n * z.imag).sum(axis=1) / np.where(curv != 0.0, curv, np.inf)
-        polished = sol.a0 + (xc * np.exp(1j * np.outer(theta, n))).real.sum(axis=1)
-        hi, lo = np.fmax(dp.max(), polished[0]), np.fmin(dp.min(), polished[1])
-        if 1.0 + lo <= 0.0:
-            raise NumericalError(f"negative power: min dp = {lo:.6g} makes 1 + dp <= 0")
-        return abs(sol.op.nu * sol.op.gamma_p) * float(hi - lo) / TWO_PI
+        hi, lo = _dp_extremes(sol)
+        return abs(sol.op.nu * sol.op.gamma_p) * (hi - lo) / TWO_PI
     raise ValueError(f"unknown method {method!r}")
 
 

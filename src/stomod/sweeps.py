@@ -6,6 +6,7 @@ only handles argument parsing and CSV serialization.  Rows follow grid order.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
 
 from .config import RunConfig, device_at
@@ -25,6 +26,7 @@ from .model import (
     derive_operating_point,
 )
 from .spectrum import (
+    _refuse_negative_power,
     modulation_bandwidth,
     peak_frequency_deviation,
     psd_analytic,
@@ -41,12 +43,27 @@ def _ops(cfg: RunConfig, op_filter: str | None) -> list[tuple[str, OperatingPoin
     return [(label, derive_operating_point(device_at(cfg, label))) for label in labels]
 
 
-def _spectrum(cfg: RunConfig, op: OperatingPoint, beta1: float, omega_m: float):
-    """``(mu, sol, spec)``: back-solved mu, exact solution, line spectrum."""
+@contextmanager
+def _row(name: str):
+    """Prefix a NumericalError raised in the block with the table row it hit."""
+    try:
+        yield
+    except NumericalError as exc:
+        raise NumericalError(f"{name}: {exc}") from exc
+
+
+def _spectrum(cfg: RunConfig, label: str, op: OperatingPoint, beta1: float, f_m: float):
+    """``(mu, sol, spec)``: back-solved mu, exact solution, line spectrum.
+
+    A solution with negative power (1 + dp <= 0) raises NumericalError.
+    """
+    omega_m = TWO_PI * f_m
     mu = solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics)
     sol = solve_coefficients_matrix(
         op, ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=cfg.n_harmonics)
     )
+    with _row(f"{label} at beta1 = {beta1:g}, f_m = {f_m:g} Hz"):
+        _refuse_negative_power(sol)
     return mu, sol, psd_analytic(sol, j_max=cfg.j_max, k_max=cfg.k_max)
 
 
@@ -66,11 +83,10 @@ def operating_point_table(cfg: RunConfig, op_filter: str | None = None) -> Table
 def psd_map_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
     """Line spectra vs beta_1 at the fixed modulation frequency, for each
     operating point."""
-    omega_m = TWO_PI * cfg.psd_f_m_hz
     rows = []
     for label, op in _ops(cfg, op_filter):
         for beta1 in cfg.psd_beta1_grid:
-            mu, sol, spec = _spectrum(cfg, op, beta1, omega_m)
+            mu, sol, spec = _spectrum(cfg, label, op, beta1, cfg.psd_f_m_hz)
             f_s = carrier_shift(sol)
             rows.extend(
                 (label, beta1, mu, int(k), float(p), f_s)
@@ -85,7 +101,7 @@ def _asymmetry_rows(cfg: RunConfig, ops, beta1_grid, f_m_grid):
     for label, op in ops:
         for beta1 in beta1_grid:
             for f_m in f_m_grid:
-                _, _, spec = _spectrum(cfg, op, beta1, TWO_PI * f_m)
+                _, _, spec = _spectrum(cfg, label, op, beta1, f_m)
                 rows.append(
                     (
                         label,
@@ -127,10 +143,8 @@ def bandwidth_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
                     mu=cfg.bw_mu, omega_m=TWO_PI * f_m, n_harmonics=cfg.n_harmonics
                 ),
             )
-            try:
+            with _row(f"{label} at f_m = {f_m:g} Hz"):
                 delta_f_inst = peak_frequency_deviation(sol, "instantaneous")
-            except NumericalError as exc:
-                raise NumericalError(f"{label} at f_m = {f_m:g} Hz: {exc}") from exc
             delta_f_index = peak_frequency_deviation(sol, "index-based")
             rows.append((label, f_m, delta_f_index, delta_f_inst, mbw_ref, mbw_meas))
     header = [
@@ -157,6 +171,8 @@ def error_analysis_table(cfg: RunConfig, op_filter: str | None = None) -> TableM
         )
         for n_val, err in truncation_error(op, modcfg, cfg.err_n_values, cfg.err_n_ref):
             trunc_rows.append((label, f_m, n_val, err))
+        with _row(f"{label} at f_m = {f_m:g} Hz, n = {cfg.err_n_ref}"):
+            _refuse_negative_power(solve_coefficients_matrix(op, modcfg))  # the reference row
         trunc_rows.append((label, f_m, cfg.err_n_ref, 0.0))
 
     omega_m = TWO_PI * cfg.err_recursive_f_m_hz
@@ -170,6 +186,8 @@ def error_analysis_table(cfg: RunConfig, op_filter: str | None = None) -> TableM
         for beta1, mu in zip(cfg.err_recursive_beta1_grid, mus):
             modcfg = ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=n_val)
             mat = solve_coefficients_matrix(op, modcfg)
+            with _row(f"{label} at beta1 = {beta1:g}, n = {n_val}"):
+                _refuse_negative_power(mat)
             rec = solve_coefficients_recursive(op, modcfg)
             p_mat = psd_analytic(mat, j_max=cfg.j_max, k_max=cfg.k_max).power_at(+1)
             p_rec = psd_analytic(rec, j_max=cfg.j_max, k_max=cfg.k_max).power_at(+1)

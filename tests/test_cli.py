@@ -241,6 +241,9 @@ class TestExitCodes:
     def test_unsupported_format_exits_2(self, tmp_path):
         result, out = run_cli(["psd-map", *FAST_PSD, "--format", "json"], tmp_path)
         assert result.exit_code == 2
+        # Reported with the command's usage, not the top-level one.
+        assert result.stderr.startswith("usage: stomod psd-map ")
+        assert "stomod psd-map: error: unrecognized arguments: --format json" in result.stderr
 
     def test_numerical_error_exits_3_without_partial_output(self, tmp_path):
         # beta1 = 50 is unreachable with the mu <= 0.5 back-solve window.
@@ -409,8 +412,8 @@ def test_warnings_print_one_counted_line(tmp_path):
 
 
 def test_non_decay_warning_prints_one_counted_line(tmp_path):
-    # mu = 0.9 at OP1 is past the model's validity; error-analysis still
-    # tabulates it, while bandwidth refuses its negative power (below).
+    # mu = 0.9 at OP1 is past the model's validity: the N = 5 solve does not
+    # decay, and the N = 20 reference reaches dp ~ -720, a negative power.
     args = [
         "--op-label", "OP1",
         "--set", "error-analysis.mu=0.9",
@@ -420,12 +423,13 @@ def test_non_decay_warning_prints_one_counted_line(tmp_path):
         "--set", "error-analysis.recursive_n_values=5",
     ]
     result, out = run_cli(["error-analysis", *args], tmp_path)
-    assert result.exit_code == 0, result.output
-    lines = result.stderr.splitlines()
+    assert result.exit_code == 3, result.output
+    error, *lines = result.stderr.splitlines()
+    assert error.startswith("numerical error: OP1 at f_m = 1e+06 Hz, n = 20: negative power")
     assert len(lines) == 1
     assert lines[0].startswith("Warning: harmonic coefficients do not decay")
     assert lines[0].endswith(" times)")
-    assert (out / "error_truncation.csv").exists()
+    assert not out.exists()
 
 
 def test_negative_power_exits_3_without_output(tmp_path):
@@ -436,6 +440,39 @@ def test_negative_power_exits_3_without_output(tmp_path):
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert "negative power" in result.stderr
     assert "OP1 at f_m = 1e+06 Hz" in result.stderr
+    assert not out.exists()
+
+
+# nu = 10 keeps beta_1 = 10000 inside jv's range at 1 MHz, and the mu ~ 0.29
+# that OP1 needs for it makes min dp ~ -1.07: each command names the row.
+NEGATIVE_POWER_ROWS = {
+    "psd-map": (
+        ["psd-map.f_m_hz=1e6", "psd-map.beta1_grid=10000"],
+        "beta1 = 10000, f_m = 1e+06 Hz",
+    ),
+    "asymmetry-map": (
+        ["asymmetry-map.f_m_grid_hz=1e6", "asymmetry-map.beta1_grid=10000"],
+        "beta1 = 10000, f_m = 1e+06 Hz",
+    ),
+    "error-analysis": (
+        [
+            "error-analysis.n_values=5",
+            "error-analysis.recursive_f_m_hz=1e6",
+            "error-analysis.recursive_beta1_grid=10000",
+            "error-analysis.recursive_n_values=10",
+        ],
+        "beta1 = 10000, n = 10",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", NEGATIVE_POWER_ROWS)
+def test_negative_power_exits_3_in_every_table_command(tmp_path, command):
+    overrides, row = NEGATIVE_POWER_ROWS[command]
+    sets = [arg for key in ["device.nu=10", *overrides] for arg in ("--set", key)]
+    result, out = run_cli([command, "--op-label", "OP1", *sets], tmp_path)
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith(f"numerical error: OP1 at {row}: negative power")
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Line spectrum: analytic convolution, FFT cross-check, derived figures."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,13 @@ from stomod import (
     synthesize_time_trace,
 )
 from stomod.config import load_config
-from stomod.spectrum import TimeTrace, first_harmonic_index, shifted_carrier
+from stomod.spectrum import (
+    TimeTrace,
+    _build_spectrum,
+    _refuse_negative_power,
+    first_harmonic_index,
+    shifted_carrier,
+)
 from stomod.spectrum import jv as stomod_jv
 
 from conftest import TWO_PI, make_device
@@ -39,10 +46,37 @@ def _reference_trace(sol, samples_per_period, n_periods):
     delta_p = np.full(i.size, sol.a0)
     phi = np.zeros(i.size)
     for n in range(1, sol.n_harmonics + 1):
-        theta = TWO_PI * ((n * i) % samples_per_period) / samples_per_period - sol.psi(n)
+        psi = math.atan2(sol.a[n - 1], sol.b[n - 1])
+        theta = TWO_PI * ((n * i) % samples_per_period) / samples_per_period - psi
         delta_p += sol.x_abs(n) * np.cos(theta)
         phi += sol.beta(n) * np.sin(theta)
     return delta_p, phi
+
+
+def _per_tap_psd(sol, j_max, k_max):
+    """psd_analytic built one tap at a time: the NAM comb line by line, then
+    each harmonic's Bessel FM comb order by order, truncated to +-k_max."""
+    amps = np.zeros(2 * k_max + 1, dtype=complex)
+    amps[k_max] = 1.0 + sol.a0
+    x = sol.x
+    for n in range(1, sol.n_harmonics + 1):
+        if n > k_max:
+            break
+        amps[k_max + n] += np.conj(x[n - 1]) / 2.0
+        amps[k_max - n] += x[n - 1] / 2.0
+    for n in range(1, sol.n_harmonics + 1):
+        if x[n - 1] == 0.0:
+            continue
+        fm = np.zeros(2 * k_max + 1, dtype=complex)
+        bessel = stomod_jv(min(j_max, k_max // n), sol.beta(n))
+        fm[k_max] = bessel[0]
+        x_n = complex(x[n - 1])
+        u = np.conj(x_n) / abs(x_n)
+        for j in range(1, bessel.size):
+            fm[k_max + n * j] += bessel[j] * u**j
+            fm[k_max - n * j] += (-1) ** j * bessel[j] * np.conj(u) ** j
+        amps = np.convolve(amps, fm)[k_max : 3 * k_max + 1]
+    return _build_spectrum(amps, k_max)
 
 
 def _mu_for_beta1_no_coupling(op, beta1, omega_m):
@@ -103,7 +137,7 @@ class TestAnalyticSpectrum:
         spec = psd_analytic(sol)
         trace = synthesize_time_trace(sol, samples_per_period=1024, n_periods=1)
         mean_sq = float(np.mean((1.0 + trace.delta_p) ** 2))
-        assert spec.total_power() == pytest.approx(mean_sq, rel=1e-8)
+        assert float(np.sum(spec.powers)) == pytest.approx(mean_sq, rel=1e-8)
 
     def test_expansion_depth_converged(self, op2):
         # Raising j_max and k_max must not move the low-order lines.
@@ -112,6 +146,22 @@ class TestAnalyticSpectrum:
         deep = psd_analytic(sol, j_max=14, k_max=60)
         for k in range(-5, 6):
             assert base.power_at(k) == pytest.approx(deep.power_at(k), rel=1e-3)
+
+    # k_max < N and k_max // n < j_max are both in the grid.
+    @pytest.mark.parametrize("n_harmonics", [1, 3, 10, 20])
+    @pytest.mark.parametrize("j_max, k_max", [(10, 40), (16, 64), (3, 12), (1, 5)])
+    def test_combs_match_per_tap_loops_bit_for_bit(self, all_ops, n_harmonics, j_max, k_max):
+        for op in all_ops.values():
+            for f_m in (1e6, 1e7, 1e8, 1e9):
+                for mu in (0.0, 0.01, 0.1):
+                    modcfg = ModulationConfig(mu=mu, omega_m=TWO_PI * f_m, n_harmonics=n_harmonics)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")  # validity warnings do not matter here
+                        sol = solve_coefficients_matrix(op, modcfg)
+                    spec = psd_analytic(sol, j_max=j_max, k_max=k_max)
+                    ref = _per_tap_psd(sol, j_max, k_max)
+                    assert np.array_equal(spec.offsets, ref.offsets)
+                    assert np.array_equal(spec.powers, ref.powers)
 
     def test_bad_j_max_rejected(self, op2):
         sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.1, omega_m=OMEGA_M))
@@ -299,6 +349,18 @@ class TestDerivedFigures:
         with pytest.raises(NumericalError, match="negative power: min dp = -8"):
             peak_frequency_deviation(sol, "instantaneous")
         assert peak_frequency_deviation(sol, "index-based") > 0.0
+
+    @pytest.mark.parametrize("mu, negative", [(0.3, True), (0.2, False)])
+    def test_power_check_samples_what_the_bound_cannot_clear(self, op1, mu, negative):
+        # At OP1, 1 MHz both fail the bound A0 - sum|X_n| > -1, so the sampled
+        # extremes decide: min dp ~ -1.95 at mu = 0.3, ~ -0.28 at mu = 0.2.
+        sol = solve_coefficients_matrix(op1, ModulationConfig(mu=mu, omega_m=TWO_PI * 1e6))
+        assert 1.0 + sol.a0 - np.abs(sol.x).sum() <= 0.0
+        if negative:
+            with pytest.raises(NumericalError, match="negative power: min dp = -1.9"):
+                _refuse_negative_power(sol)
+        else:
+            _refuse_negative_power(sol)
 
     def test_peak_deviation_formula(self, op2):
         sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.05, omega_m=OMEGA_M))
