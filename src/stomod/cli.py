@@ -106,6 +106,16 @@ def _run(command, config_path, overrides, out_dir, op_label) -> int:
     return 0
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: it reports its unknown options with its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, unknown = super().parse_known_args(args, namespace)
+        if unknown:
+            self.error(f"unrecognized arguments: {' '.join(unknown)}")
+        return namespace, unknown
+
+
 def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
     """Modulated spin-torque oscillator spectra: sweeps and tables."""
     shared = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
@@ -116,13 +126,11 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
     shared.add_argument("--op-label", help="Restrict to a single operating-point label.")
     parser = argparse.ArgumentParser(prog="stomod", allow_abbrev=False, description=main.__doc__)
     parser.add_argument("--version", action="version", version=f"stomod, version {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for command in COMMANDS:
         doc = _table_func(command).__doc__
         commands.add_parser(command, parents=[shared], allow_abbrev=False, help=doc, description=doc)
-    args, unknown = parser.parse_known_args(argv)
-    if unknown:  # reported with the command's usage, not the top level's
-        commands.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
+    args = parser.parse_args(argv)
     code = _run(args.command, args.config, args.set, args.out, args.op_label)
     if standalone_mode:
         sys.exit(code)

@@ -265,6 +265,28 @@ def first_harmonic_index(
     return abs(sol.beta(1))
 
 
+def _rising_crossing(f, target: float, x0: float, x_max: float) -> float:
+    """Where f, rising from f(0) = 0, reaches target: march x0*1.25**k up to x_max
+    to bracket it, then bisect to 1e-10 in x.  A fall of f before the target,
+    or a target still out of reach at x_max, raises NumericalError."""
+    lo, f_lo, hi = 0.0, 0.0, min(x0, x_max)
+    while not (f_hi := f(hi)) >= target:  # a NaN marches on to x_max
+        if f_hi < f_lo:
+            raise NumericalError(f"target {target:.6g} not reachable: the value falls past "
+                                 f"{lo:.4g} (largest value {f_lo:.6g})")
+        if hi >= x_max:
+            raise NumericalError(f"target {target:.6g} not reachable up to {x_max:g} "
+                                 f"(largest value {f_hi:.6g})")
+        lo, f_lo, hi = hi, f_hi, min(1.25 * hi, x_max)
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def modulation_bandwidth(
     op: OperatingPoint,
     mu0: float,
@@ -272,36 +294,25 @@ def modulation_bandwidth(
     n_harmonics: int = 10,
 ) -> float:
     """Modulation bandwidth in Hz: where beta_1 falls to 1/sqrt(2) of its
-    flat-band value, scanning omega_m upward at constant mu/omega_m, to 1e-3 relative.
+    flat-band value beta_1(omega_m0), scanning omega_m = omega_m0*(1 + s)
+    upward at constant mu/omega_m, to 1e-10 in s and at most 2**60 in s.
     """
     if mu0 <= 0.0 or omega_m0 <= 0.0:
         raise SeedBandError(f"mu0={mu0} and omega_m0={omega_m0} must be positive")
     beta_i = first_harmonic_index(op, mu0, omega_m0, n_harmonics)
+    if not beta_i > 0.0:
+        raise SeedBandError(f"flat-band beta_1 = {beta_i:g} at the seed; there is no corner")
     beta_2x = first_harmonic_index(op, 2.0 * mu0, 2.0 * omega_m0, n_harmonics)
     if beta_i - beta_2x > 0.01 * beta_i:
         raise SeedBandError(
             f"seed omega_m0={omega_m0:.3e} rad/s is not in the flat band "
             f"(beta_1 drops {100.0 * (beta_i - beta_2x) / beta_i:.2f}% by 2*omega_m0)"
         )
-    target = beta_i / math.sqrt(2.0)
-
-    def beta_at(w: float) -> float:
-        return first_harmonic_index(op, mu0 * w / omega_m0, w, n_harmonics)
-
-    lo, hi = omega_m0, 2.0 * omega_m0
-    for _ in range(60):
-        if beta_at(hi) < target:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise SeedBandError("beta_1 never fell below the half-power target")
-    while (hi - lo) > 1e-3 * lo:
-        mid = 0.5 * (lo + hi)
-        if beta_at(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi) / TWO_PI
+    s = _rising_crossing(
+        lambda s: beta_i - first_harmonic_index(op, mu0 * (1 + s), omega_m0 * (1 + s), n_harmonics),
+        beta_i * (1.0 - 1.0 / math.sqrt(2.0)), 1.0, 2.0**60,
+    )
+    return omega_m0 * (1.0 + s) / TWO_PI
 
 
 def solve_mu_for_beta1(
@@ -311,36 +322,15 @@ def solve_mu_for_beta1(
     n_harmonics: int = 10,
     mu_max: float = 0.5,
 ) -> float:
-    """Back-solve the modulation strength that produces a given beta_1, to 1e-10 in mu."""
+    """Back-solve the modulation strength that produces a given beta_1, to 1e-10 in mu.
+
+    beta_1(mu) rises at small mu but turns once mu*C2 rivals Gamma_p; a turn
+    before the target, or a target out of reach at mu_max, is a NumericalError.
+    """
     if beta1 < 0.0:
         raise ValueError(f"beta1 must be >= 0, got {beta1}")
     if beta1 == 0.0:
         return 0.0
-    # March upward to bracket the target; beta_1(mu) is monotone at small mu
-    # but the truncated series misbehaves once mu*C2 rivals Gamma_p, so a
-    # decrease before the target is reported rather than bisected through.
-    mu_lo, beta_lo = 0.0, 0.0
-    mu_hi = min(1e-6, mu_max)
-    while True:
-        beta_hi = first_harmonic_index(op, mu_hi, omega_m, n_harmonics)
-        if beta_hi >= beta1:
-            break
-        if beta_hi < beta_lo:
-            raise NumericalError(
-                f"beta1={beta1} unreachable: beta_1(mu) turns non-monotone near "
-                f"mu={mu_lo:.4g} (max reached {beta_lo:.4f})"
-            )
-        mu_lo, beta_lo = mu_hi, beta_hi
-        if mu_hi >= mu_max:
-            raise NumericalError(
-                f"beta1={beta1} not reachable with mu <= {mu_max} "
-                f"(beta_1({mu_max}) = {beta_hi:.4f})"
-            )
-        mu_hi = min(1.25 * mu_hi, mu_max)
-    while mu_hi - mu_lo > 1e-10:
-        mid = 0.5 * (mu_lo + mu_hi)
-        if first_harmonic_index(op, mid, omega_m, n_harmonics) < beta1:
-            mu_lo = mid
-        else:
-            mu_hi = mid
-    return 0.5 * (mu_lo + mu_hi)
+    return _rising_crossing(
+        lambda mu: first_harmonic_index(op, mu, omega_m, n_harmonics), beta1, 1e-6, mu_max
+    )

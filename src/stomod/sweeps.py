@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from .config import RunConfig, device_at
-from .errors import NumericalError
+from .errors import StomodError
 from .fourier import (
     carrier_shift,
     solution_difference,
@@ -45,11 +45,11 @@ def _ops(cfg: RunConfig, op_filter: str | None) -> list[tuple[str, OperatingPoin
 
 @contextmanager
 def _row(name: str):
-    """Prefix a NumericalError raised in the block with the table row it hit."""
+    """Prefix an error raised in the block with the table row it hit, keeping its class."""
     try:
         yield
-    except NumericalError as exc:
-        raise NumericalError(f"{name}: {exc}") from exc
+    except StomodError as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
 
 
 def _spectrum(cfg: RunConfig, label: str, op: OperatingPoint, beta1: float, f_m: float):
@@ -58,13 +58,13 @@ def _spectrum(cfg: RunConfig, label: str, op: OperatingPoint, beta1: float, f_m:
     A solution with negative power (1 + dp <= 0) raises NumericalError.
     """
     omega_m = TWO_PI * f_m
-    mu = solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics)
-    sol = solve_coefficients_matrix(
-        op, ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=cfg.n_harmonics)
-    )
     with _row(f"{label} at beta1 = {beta1:g}, f_m = {f_m:g} Hz"):
+        mu = solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics)
+        sol = solve_coefficients_matrix(
+            op, ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=cfg.n_harmonics)
+        )
         _refuse_negative_power(sol)
-    return mu, sol, psd_analytic(sol, j_max=cfg.j_max, k_max=cfg.k_max)
+        return mu, sol, psd_analytic(sol, j_max=cfg.j_max, k_max=cfg.k_max)
 
 
 def operating_point_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
@@ -135,17 +135,15 @@ def bandwidth_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
     for label, op in _ops(cfg, op_filter):
         mbw_ref = 2.0 * op.gamma_p / TWO_PI
         # Seeded at mu = 1e-4 and 2% of the 2*Gamma_p corner, deep in the flat band.
-        mbw_meas = modulation_bandwidth(op, 1e-4, 0.02 * 2.0 * op.gamma_p, cfg.n_harmonics)
+        seed = 0.02 * 2.0 * op.gamma_p
+        with _row(f"{label} bandwidth search from f_m = {seed / TWO_PI:g} Hz"):
+            mbw_meas = modulation_bandwidth(op, 1e-4, seed, cfg.n_harmonics)
         for f_m in cfg.bw_f_m_grid_hz:
-            sol = solve_coefficients_matrix(
-                op,
-                ModulationConfig(
-                    mu=cfg.bw_mu, omega_m=TWO_PI * f_m, n_harmonics=cfg.n_harmonics
-                ),
-            )
+            modcfg = ModulationConfig(cfg.bw_mu, TWO_PI * f_m, cfg.n_harmonics)
             with _row(f"{label} at f_m = {f_m:g} Hz"):
+                sol = solve_coefficients_matrix(op, modcfg)
                 delta_f_inst = peak_frequency_deviation(sol, "instantaneous")
-            delta_f_index = peak_frequency_deviation(sol, "index-based")
+                delta_f_index = peak_frequency_deviation(sol, "index-based")
             rows.append((label, f_m, delta_f_index, delta_f_inst, mbw_ref, mbw_meas))
     header = [
         "op_label",
@@ -169,28 +167,29 @@ def error_analysis_table(cfg: RunConfig, op_filter: str | None = None) -> TableM
         modcfg = ModulationConfig(
             mu=cfg.err_mu, omega_m=TWO_PI * f_m, n_harmonics=cfg.err_n_ref
         )
-        for n_val, err in truncation_error(op, modcfg, cfg.err_n_values, cfg.err_n_ref):
-            trunc_rows.append((label, f_m, n_val, err))
+        with _row(f"{label} at f_m = {f_m:g} Hz"):
+            errs = truncation_error(op, modcfg, cfg.err_n_values, cfg.err_n_ref)
+        trunc_rows.extend((label, f_m, n_val, err) for n_val, err in errs)
         with _row(f"{label} at f_m = {f_m:g} Hz, n = {cfg.err_n_ref}"):
             _refuse_negative_power(solve_coefficients_matrix(op, modcfg))  # the reference row
         trunc_rows.append((label, f_m, cfg.err_n_ref, 0.0))
 
     omega_m = TWO_PI * cfg.err_recursive_f_m_hz
     # mu depends on beta_1 only (back-solved at solver.n_harmonics), not on N.
-    mus = [
-        solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics)
-        for beta1 in cfg.err_recursive_beta1_grid
-    ]
+    mus = []
+    for beta1 in cfg.err_recursive_beta1_grid:
+        with _row(f"{label} at beta1 = {beta1:g}, f_m = {cfg.err_recursive_f_m_hz:g} Hz"):
+            mus.append(solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics))
     rec_rows = []
     for n_val in cfg.err_recursive_n_values:
         for beta1, mu in zip(cfg.err_recursive_beta1_grid, mus):
             modcfg = ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=n_val)
-            mat = solve_coefficients_matrix(op, modcfg)
             with _row(f"{label} at beta1 = {beta1:g}, n = {n_val}"):
+                mat = solve_coefficients_matrix(op, modcfg)
                 _refuse_negative_power(mat)
-            rec = solve_coefficients_recursive(op, modcfg)
-            p_mat = psd_analytic(mat, j_max=cfg.j_max, k_max=cfg.k_max).power_at(+1)
-            p_rec = psd_analytic(rec, j_max=cfg.j_max, k_max=cfg.k_max).power_at(+1)
+                rec = solve_coefficients_recursive(op, modcfg)
+                p_mat = psd_analytic(mat, j_max=cfg.j_max, k_max=cfg.k_max).power_at(+1)
+                p_rec = psd_analytic(rec, j_max=cfg.j_max, k_max=cfg.k_max).power_at(+1)
             sb_err = 100.0 * abs(p_rec - p_mat) / p_mat if p_mat > 0.0 else 0.0
             rec_rows.append(
                 (

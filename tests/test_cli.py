@@ -252,6 +252,24 @@ class TestExitCodes:
         )
         assert result.exit_code == 3
         assert not out.exists() or not list(out.iterdir())
+        # The back-solve's error names the row it hit.
+        assert "OP1 at beta1 = 50, f_m = 1e+08 Hz" in result.stderr
+
+    def test_zero_flat_band_index_exits_3_before_the_bandwidth_search(self, tmp_path):
+        # nu = 0 makes beta_1 = 0 everywhere; the search would otherwise climb
+        # mu past 1 (one "mu=... >= 1" warning per step) and never find a corner.
+        result, out = run_cli(["bandwidth", "--set", "device.nu=0"], tmp_path)
+        assert result.exit_code == 3, result.output
+        assert "numerical error: OP1 " in result.stderr
+        assert "mu=" not in result.stderr
+        assert not out.exists()
+
+    def test_unknown_option_before_the_command_gets_the_top_level_usage(self, tmp_path):
+        result, out = run_cli(["--foo", "psd-map", *FAST_PSD], tmp_path)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("usage: stomod [")
+        assert "stomod: error: unrecognized arguments: --foo" in result.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("override", ["spectrum.j_max=0", "spectrum.k_max=0"])
     def test_bad_spectrum_key_exits_2(self, tmp_path, override):
@@ -321,6 +339,7 @@ class TestExitCodes:
         "command,override",
         [
             ("error-analysis", "error-analysis.n_values="),
+            ("error-analysis", "error-analysis.n_values=1,x"),
             ("asymmetry-map", "asymmetry-map.beta1_grid=0.5,nan"),
             ("psd-map", "device.nu=5%"),
             ("psd-map", "psd-map.f_m_hz=abc"),

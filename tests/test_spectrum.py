@@ -386,6 +386,12 @@ class TestDerivedFigures:
         with pytest.raises(ValueError):
             modulation_bandwidth(op2, 0.0, OMEGA_M)
 
+    def test_bandwidth_refuses_a_zero_flat_band_index(self):
+        # nu = 0 carries no FM: beta_1 is 0 at every omega_m, so there is no corner.
+        op = derive_operating_point(make_device(1.8, nu=0.0))
+        with pytest.raises(SeedBandError, match="flat-band beta_1 = 0"):
+            modulation_bandwidth(op, 1e-4, 0.02 * 2.0 * op.gamma_p)
+
     def test_index_backsolve_round_trip(self, op2):
         for beta1 in (0.3, 1.0, 2.5):
             mu = solve_mu_for_beta1(op2, beta1, OMEGA_M)
@@ -397,3 +403,10 @@ class TestDerivedFigures:
             solve_mu_for_beta1(op2, -1.0, OMEGA_M)
         with pytest.raises(NumericalError):
             solve_mu_for_beta1(op2, 50.0, OMEGA_M)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_index_backsolve_refuses_a_falling_index(self, op1):
+        # At 1 MHz beta_1(mu) peaks at about 5.26e5 near mu = 0.33, below mu_max.
+        with pytest.raises(NumericalError, match=r"target 1e\+06 not reachable: the value falls "
+                                                 r"past 0\.33\d* \(largest value 526\d{3}\)"):
+            solve_mu_for_beta1(op1, 1e6, TWO_PI * 1e6)
