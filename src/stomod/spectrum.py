@@ -267,19 +267,19 @@ def first_harmonic_index(
 
 def _rising_crossing(f, target: float, x0: float, x_max: float) -> float:
     """Where f, rising from f(0) = 0, reaches target: march x0*1.25**k up to x_max
-    to bracket it, then bisect to 1e-10 in x.  A fall of f before the target,
-    or a target still out of reach at x_max, raises NumericalError."""
+    to bracket it, then bisect to 1e-10 in x or until the midpoint rounds onto
+    an end.  A fall of f before the target by more than round-off (1e-12 of
+    the target), or a target still out of reach at x_max, raises NumericalError."""
     lo, f_lo, hi = 0.0, 0.0, min(x0, x_max)
     while not (f_hi := f(hi)) >= target:  # a NaN marches on to x_max
-        if f_hi < f_lo:
+        if f_hi < f_lo - 1e-12 * target:
             raise NumericalError(f"target {target:.6g} not reachable: the value falls past "
                                  f"{lo:.4g} (largest value {f_lo:.6g})")
         if hi >= x_max:
             raise NumericalError(f"target {target:.6g} not reachable up to {x_max:g} "
                                  f"(largest value {f_hi:.6g})")
         lo, f_lo, hi = hi, f_hi, min(1.25 * hi, x_max)
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > 1e-10 and lo < (mid := 0.5 * (lo + hi)) < hi:
         if f(mid) < target:
             lo = mid
         else:
@@ -295,10 +295,11 @@ def modulation_bandwidth(
 ) -> float:
     """Modulation bandwidth in Hz: where beta_1 falls to 1/sqrt(2) of its
     flat-band value beta_1(omega_m0), scanning omega_m = omega_m0*(1 + s)
-    upward at constant mu/omega_m, to 1e-10 in s and at most 2**60 in s.
+    upward at constant mu/omega_m, to 1e-10 in s (or round-off), while
+    mu = mu0*(1 + s) stays within the small-modulation range mu <= 1.
     """
-    if mu0 <= 0.0 or omega_m0 <= 0.0:
-        raise SeedBandError(f"mu0={mu0} and omega_m0={omega_m0} must be positive")
+    if not (0.0 < mu0 < 1.0 and omega_m0 > 0.0):
+        raise SeedBandError(f"mu0={mu0} must be in (0, 1) and omega_m0={omega_m0} positive")
     beta_i = first_harmonic_index(op, mu0, omega_m0, n_harmonics)
     if not beta_i > 0.0:
         raise SeedBandError(f"flat-band beta_1 = {beta_i:g} at the seed; there is no corner")
@@ -310,7 +311,7 @@ def modulation_bandwidth(
         )
     s = _rising_crossing(
         lambda s: beta_i - first_harmonic_index(op, mu0 * (1 + s), omega_m0 * (1 + s), n_harmonics),
-        beta_i * (1.0 - 1.0 / math.sqrt(2.0)), 1.0, 2.0**60,
+        beta_i * (1.0 - 1.0 / math.sqrt(2.0)), 1.0, 1.0 / mu0 - 1.0,
     )
     return omega_m0 * (1.0 + s) / TWO_PI
 

@@ -377,6 +377,26 @@ class TestDerivedFigures:
         mbw = modulation_bandwidth(op2, 1e-4, 0.02 * 2.0 * op2.gamma_p)
         assert mbw == pytest.approx(2.0 * op2.gamma_p / TWO_PI, rel=0.02)
 
+    def test_bandwidth_corner_is_solved_to_round_off(self, all_ops):
+        # At the returned corner beta_1 is the flat-band value over sqrt(2) to
+        # round-off, not to the resolution of a coarse stop.
+        for op in all_ops.values():
+            seed = 0.02 * 2.0 * op.gamma_p
+            omega = TWO_PI * modulation_bandwidth(op, 1e-4, seed)
+            corner = first_harmonic_index(op, 1e-4 * omega / seed, omega)
+            flat = first_harmonic_index(op, 1e-4, seed)
+            assert corner == pytest.approx(flat / math.sqrt(2.0), rel=1e-9)
+
+    def test_bandwidth_corner_from_a_seed_far_below_it(self, all_ops):
+        # From 1e5 below the default seed the corner sits near s = 5e6, where a
+        # step of s is coarser than 1e-10; the bisection ends at round-off.
+        # From 1e7 below, the first steps of the march differ from the flat band
+        # by round-off only, which is not a fall.
+        for op in all_ops.values():
+            for scale in (1e5, 1e7):
+                mbw = modulation_bandwidth(op, 1e-4 / scale, 0.02 * 2.0 * op.gamma_p / scale)
+                assert mbw == pytest.approx(2.0 * op.gamma_p / TWO_PI, rel=0.02)
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_bandwidth_seed_must_be_in_flat_band(self, op2):
         with pytest.raises(SeedBandError):
@@ -385,6 +405,8 @@ class TestDerivedFigures:
     def test_bandwidth_rejects_bad_seed_values(self, op2):
         with pytest.raises(ValueError):
             modulation_bandwidth(op2, 0.0, OMEGA_M)
+        with pytest.raises(SeedBandError, match=r"must be in \(0, 1\)"):
+            modulation_bandwidth(op2, 1.0, OMEGA_M)
 
     def test_bandwidth_refuses_a_zero_flat_band_index(self):
         # nu = 0 carries no FM: beta_1 is 0 at every omega_m, so there is no corner.
