@@ -71,7 +71,9 @@ def _key(key: str, ok: Callable | None = None, rule: str = ""):
     return field(metadata={"key": key, "ok": ok, "rule": rule})
 
 
-_AT_LEAST_1 = (lambda n: n >= 1, "must be >= 1")
+# Expansion orders and spectrum depths: a value past 10**4 is refused before
+# any array of that size is allocated.
+_DEPTH = (lambda n: 1 <= n <= 10_000, "must be in [1, 10000]")
 _ABOVE_THRESHOLD = (lambda xi: xi > 1.0, "must exceed 1")
 _NON_NEGATIVE = (lambda x: x >= 0.0, "must be >= 0")
 _POSITIVE = (lambda x: x > 0.0, "must be > 0")
@@ -84,9 +86,9 @@ class RunConfig:
 
     device: DeviceParams  # read from _DEVICE_KEYS; xi unused, per-OP xi below
     op_xis: dict[str, float]  # every label under [operating-points]
-    n_harmonics: int = _key("solver.n_harmonics", *_AT_LEAST_1)
-    j_max: int = _key("spectrum.j_max", *_AT_LEAST_1)
-    k_max: int = _key("spectrum.k_max")
+    n_harmonics: int = _key("solver.n_harmonics", *_DEPTH)
+    j_max: int = _key("spectrum.j_max", *_DEPTH)
+    k_max: int = _key("spectrum.k_max", *_DEPTH)
     dispersion_xi_grid: list[float] = _key(
         "operating-point.xi_grid", lambda xi: xi >= 1.0, "is below threshold (xi >= 1)"
     )
@@ -99,12 +101,12 @@ class RunConfig:
     bw_f_m_grid_hz: list[float] = _key("bandwidth.f_m_grid_hz", *_F_M)
     err_mu: float = _key("error-analysis.mu", *_NON_NEGATIVE)
     err_f_m_grid_hz: list[float] = _key("error-analysis.f_m_grid_hz", *_F_M)
-    err_n_values: list[int] = _key("error-analysis.n_values", *_AT_LEAST_1)
-    err_n_ref: int = _key("error-analysis.n_ref")
+    err_n_values: list[int] = _key("error-analysis.n_values", *_DEPTH)
+    err_n_ref: int = _key("error-analysis.n_ref", *_DEPTH)
     err_recursive_beta1_grid: list[float] = _key(
         "error-analysis.recursive_beta1_grid", *_NON_NEGATIVE
     )
-    err_recursive_n_values: list[int] = _key("error-analysis.recursive_n_values", *_AT_LEAST_1)
+    err_recursive_n_values: list[int] = _key("error-analysis.recursive_n_values", *_DEPTH)
     err_recursive_f_m_hz: float = _key("error-analysis.recursive_f_m_hz", *_F_M)
     config_hash: str
 

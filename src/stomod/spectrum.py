@@ -12,14 +12,19 @@ with one FM factor per harmonic n,
                       -n*j: (-1)^j * J_j(beta_n) * (X_n/|X_n|)^j}.
 
 Line powers are squared moduli, normalized so the unmodulated carrier has
-power 1.  The FFT path synthesizes s(t) over whole modulation periods and
-must agree with the convolution line by line.  It samples dp and dphi by one
-inverse FFT of the coefficients per period, folding harmonics past Nyquist.
+power 1.  One kernel, _line_spectra, evaluates this for a whole table of
+points: it builds the combs and Bessel values of many points at once and
+leaves only each point's chain of convolutions to a per-point loop;
+psd_analytic is its one-point call.  The FFT path synthesizes s(t) over
+whole modulation periods and must agree with the convolution line by line.
+It samples dp and dphi by one inverse FFT of the coefficients per period,
+folding harmonics past Nyquist.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +42,13 @@ DEFAULT_N_PERIODS = 8
 # noise (FFT floor) and dropped.
 _LINE_POWER_FLOOR = 1e-22
 
-# Largest |beta| that jv accepts.  Its FFT length grows with |beta|, so a
+# Points per block of _line_spectra, and the most elements one of its work
+# arrays (FM combs, Bessel FFT samples) holds: the kernel's memory is bounded
+# whatever the grid size, spectrum depth or FM index.
+_BLOCK = 4
+_WORK_ELEMENTS = 1 << 12
+
+# Largest |beta| that _bessel_rows accepts.  Its FFT length grows with |beta|, so a
 # non-finite or absurd FM index is refused before anything is allocated.
 _BETA_CAP = 2.0**15
 
@@ -139,19 +150,113 @@ def synthesize_time_trace(
     return TimeTrace(t=t, delta_p=delta_p, phi=phi, demod_freq=shifted_carrier(sol))
 
 
-def jv(j_max: int, beta: float) -> np.ndarray:
-    """Bessel values J_0(beta) .. J_{j_max}(beta) of the first kind.
+def _check_beta(beta: float) -> None:
+    """Refuse an FM index that is not finite or past _BETA_CAP."""
+    if not abs(beta) <= _BETA_CAP:
+        raise NumericalError(f"FM index beta={beta} is not finite or exceeds {_BETA_CAP:g}")
+
+
+def _bessel_rows(j_max: list[int], beta: list[float]) -> np.ndarray:
+    """Row r holds J_0(beta[r]) .. J_{j_max[r]}(beta[r]) of the first kind, zero past j_max[r].
 
     By the Jacobi-Anger expansion (DLMF 10.12.1) J_j(beta) is the j-th
     Fourier coefficient of exp(i*beta*sin(theta)).  Its spectrum falls off
     beyond |j| ~ |beta|, so M samples with M > 2*(|beta| + j_max) + 40 make
-    the aliasing error negligible against round-off.
+    the aliasing error negligible against round-off.  Each row takes the
+    power of two M it needs; rows with the same M share FFT calls of at most
+    _WORK_ELEMENTS samples, whose rows equal one-row calls bit for bit.
     """
-    if not abs(beta) <= _BETA_CAP:
-        raise NumericalError(f"FM index beta={beta} is not finite or exceeds {_BETA_CAP:g}")
-    m = 1 << int(2.0 * (abs(beta) + j_max) + 40.0).bit_length()
-    theta = np.arange(m) * (TWO_PI / m)
-    return np.fft.fft(np.exp(1j * beta * np.sin(theta)))[: j_max + 1].real / m
+    for b in beta:
+        _check_beta(b)
+    m = [1 << int(2.0 * (abs(b) + j) + 40.0).bit_length() for b, j in zip(beta, j_max)]
+    out = np.zeros((len(beta), max(j_max, default=0) + 1))
+    beta = np.asarray(beta, dtype=float)
+    for size in set(m):
+        sin_theta = np.sin(np.arange(size) * (TWO_PI / size))
+        rows = [r for r, m_r in enumerate(m) if m_r == size]
+        step = max(1, _WORK_ELEMENTS // size)
+        for part in (rows[i : i + step] for i in range(0, len(rows), step)):
+            width = max(j_max[r] for r in part) + 1
+            samples = 1j * beta[part, None] * sin_theta
+            np.exp(samples, out=samples)
+            out[part, :width] = np.fft.fft(samples, axis=1)[:, :width].real / size
+    out[np.arange(out.shape[1]) > np.asarray(j_max)[:, None]] = 0.0
+    return out
+
+
+def jv(j_max: int, beta: float) -> np.ndarray:
+    """Bessel values J_0(beta) .. J_{j_max}(beta) of the first kind: one row of _bessel_rows."""
+    return _bessel_rows([j_max], [beta])[0]
+
+
+def _fm_combs(
+    n: np.ndarray, beta: list[float], x: np.ndarray, j_max: int, k_max: int
+) -> np.ndarray:
+    """FM combs of the (point, harmonic) rows, one per row on the 2*k_max+1 offsets:
+
+        {0: J_0(beta_n),  +n*j: J_j(beta_n) * u^j,  -n*j: (-1)^j * conj(J_j(beta_n) * u^j)}
+
+    with u = conj(X_n)/|X_n| and j up to min(j_max, k_max // n).
+    """
+    orders = np.minimum(j_max, k_max // n)
+    bessel = _bessel_rows(orders.tolist(), beta)
+    rr, jj = np.nonzero(np.arange(bessel.shape[1]) <= orders[:, None])
+    u = np.conj(x) / np.hypot(x.real, x.imag)  # |X_n| as scalar abs() takes it
+    taps = bessel[rr, jj] * u[rr] ** jj
+    combs = np.zeros((n.size, 2 * k_max + 1), dtype=complex)
+    nj = n[rr] * jj
+    combs[rr, k_max + nj] = taps
+    combs[rr, k_max - nj] = (-1.0) ** jj * np.conj(taps)
+    return combs
+
+
+def _line_spectra(
+    sols: Sequence[FourierSolution], j_max: int, k_max: int
+) -> Iterator[LineSpectrum]:
+    """Line spectra of many solutions, in order, from the Bessel-convolution expansion.
+
+    Points go in blocks of _BLOCK: one (points, 2*k_max+1) array holds their
+    amplitude combs, and the block's (point, harmonic) rows get their Bessel
+    values, taps and FM combs together, _WORK_ELEMENTS comb entries at a
+    time.  Only each point's np.convolve chain over its live harmonics, in
+    order, runs point by point.  A point's error (an FM index past _BETA_CAP,
+    non-finite lines) is raised at its turn, after the spectra before it.
+    """
+    if j_max < 1:
+        raise ValueError(f"j_max must be >= 1, got {j_max}")
+    width = 2 * k_max + 1
+    chunk = max(1, _WORK_ELEMENTS // width)
+    for start in range(0, len(sols), _BLOCK):
+        block = sols[start : start + _BLOCK]
+        amps = np.zeros((len(block), width), dtype=complex)
+        point, n, beta, x, failed = [], [], [], [], None
+        for i, sol in enumerate(block):
+            xs = sol.x
+            head = xs[:k_max]  # harmonics past k_max fall off the grid
+            amps[i, k_max] = 1.0 + sol.a0
+            amps[i, k_max + 1 : k_max + 1 + head.size] = np.conj(head) / 2.0
+            amps[i, k_max - head.size : k_max] = head[::-1] / 2.0
+            live = np.flatnonzero(xs)  # X_n = 0 has the identity FM comb
+            betas = [sol.beta(h) for h in (live + 1).tolist()]
+            try:
+                for b in betas:
+                    _check_beta(b)
+            except NumericalError as exc:
+                failed, block = exc, block[:i]
+                break
+            point += [i] * live.size
+            n += (live + 1).tolist()
+            beta += betas
+            x += xs[live].tolist()
+        n, x, acc = np.array(n, dtype=int), np.array(x, dtype=complex), list(amps)
+        for r in range(0, len(point), chunk):
+            rows = slice(r, r + chunk)
+            for p, comb in zip(point[rows], _fm_combs(n[rows], beta[rows], x[rows], j_max, k_max)):
+                acc[p] = np.convolve(acc[p], comb)[k_max : 3 * k_max + 1]
+        for a in acc[: len(block)]:
+            yield _build_spectrum(a, k_max)
+        if failed is not None:
+            raise failed
 
 
 def psd_analytic(
@@ -159,24 +264,8 @@ def psd_analytic(
     j_max: int = DEFAULT_J_MAX,
     k_max: int = DEFAULT_K_MAX,
 ) -> LineSpectrum:
-    """Line spectrum from the Bessel-convolution expansion."""
-    if j_max < 1:
-        raise ValueError(f"j_max must be >= 1, got {j_max}")
-    amps = np.zeros(2 * k_max + 1, dtype=complex)
-    amps[k_max] = 1.0 + sol.a0
-    x = sol.x[:k_max]  # harmonics past k_max fall off the grid
-    amps[k_max + 1 : k_max + 1 + x.size] = np.conj(x) / 2.0
-    amps[k_max - x.size : k_max] = x[::-1] / 2.0
-    for n, x_n in enumerate(sol.x, start=1):
-        if x_n == 0.0:
-            continue  # identity FM factor
-        j = np.arange(min(j_max, k_max // n) + 1)
-        taps = jv(j[-1], sol.beta(n)) * (np.conj(x_n) / abs(x_n)) ** j
-        fm = np.zeros(2 * k_max + 1, dtype=complex)
-        fm[k_max + n * j] = taps
-        fm[k_max - n * j] = (-1.0) ** j * np.conj(taps)
-        amps = np.convolve(amps, fm)[k_max : 3 * k_max + 1]
-    return _build_spectrum(amps, k_max)
+    """Line spectrum from the Bessel-convolution expansion: the one-point call of _line_spectra."""
+    return next(_line_spectra([sol], j_max, k_max))
 
 
 def psd_fft(

@@ -12,6 +12,7 @@ from dataclasses import replace
 from .config import RunConfig, device_at
 from .errors import StomodError
 from .fourier import (
+    FourierSolution,
     carrier_shift,
     solution_difference,
     solve_coefficients_matrix,
@@ -26,10 +27,11 @@ from .model import (
     derive_operating_point,
 )
 from .spectrum import (
+    LineSpectrum,
+    _line_spectra,
     _refuse_negative_power,
     modulation_bandwidth,
     peak_frequency_deviation,
-    psd_analytic,
     sideband_asymmetry,
     solve_mu_for_beta1,
 )
@@ -52,19 +54,37 @@ def _row(name: str):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-def _spectrum(cfg: RunConfig, label: str, op: OperatingPoint, beta1: float, f_m: float):
-    """``(mu, sol, spec)``: back-solved mu, exact solution, line spectrum.
+def _spectra(cfg: RunConfig, rows: list[tuple[str, FourierSolution]]) -> list[LineSpectrum]:
+    """Line spectra of a table's ``(row name, solution)`` pairs from one kernel
+    call; an error is prefixed with the name of the row it hit."""
+    spectra = _line_spectra([sol for _, sol in rows], cfg.j_max, cfg.k_max)
+    out = []
+    for name, _ in rows:
+        with _row(name):
+            out.append(next(spectra))
+    return out
 
-    A solution with negative power (1 + dp <= 0) raises NumericalError.
+
+def _grid_spectra(cfg: RunConfig, points: list[tuple[str, OperatingPoint, float, float]]):
+    """``(mu, sol, spec)`` at each ``(label, op, beta1, f_m)`` point: back-solved
+    mu, exact solution, line spectrum.
+
+    Each point's back-solve, solve and negative-power check (1 + dp <= 0
+    raises NumericalError) run under its row name; then one kernel call gives
+    every spectrum.
     """
-    omega_m = TWO_PI * f_m
-    with _row(f"{label} at beta1 = {beta1:g}, f_m = {f_m:g} Hz"):
-        mu = solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics)
-        sol = solve_coefficients_matrix(
-            op, ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=cfg.n_harmonics)
-        )
-        _refuse_negative_power(sol)
-        return mu, sol, psd_analytic(sol, j_max=cfg.j_max, k_max=cfg.k_max)
+    solved = []
+    for label, op, beta1, f_m in points:
+        name, omega_m = f"{label} at beta1 = {beta1:g}, f_m = {f_m:g} Hz", TWO_PI * f_m
+        with _row(name):
+            mu = solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics)
+            sol = solve_coefficients_matrix(
+                op, ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=cfg.n_harmonics)
+            )
+            _refuse_negative_power(sol)
+        solved.append((name, mu, sol))
+    spectra = _spectra(cfg, [(name, sol) for name, _, sol in solved])
+    return [(mu, sol, spec) for (_, mu, sol), spec in zip(solved, spectra)]
 
 
 def operating_point_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
@@ -83,37 +103,37 @@ def operating_point_table(cfg: RunConfig, op_filter: str | None = None) -> Table
 def psd_map_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
     """Line spectra vs beta_1 at the fixed modulation frequency, for each
     operating point."""
+    points = [
+        (label, op, beta1, cfg.psd_f_m_hz)
+        for label, op in _ops(cfg, op_filter)
+        for beta1 in cfg.psd_beta1_grid
+    ]
     rows = []
-    for label, op in _ops(cfg, op_filter):
-        for beta1 in cfg.psd_beta1_grid:
-            mu, sol, spec = _spectrum(cfg, label, op, beta1, cfg.psd_f_m_hz)
-            f_s = carrier_shift(sol)
-            rows.extend(
-                (label, beta1, mu, int(k), float(p), f_s)
-                for k, p in zip(spec.offsets, spec.powers)
-            )
+    for (label, _, beta1, _), (mu, sol, spec) in zip(points, _grid_spectra(cfg, points)):
+        f_s = carrier_shift(sol)
+        rows.extend(
+            (label, beta1, mu, int(k), float(p), f_s) for k, p in zip(spec.offsets, spec.powers)
+        )
     header = ["op_label", "beta1", "mu", "k", "power", "f_s_hz"]
     return {"psd_map": (header, rows)}
 
 
-def _asymmetry_rows(cfg: RunConfig, ops, beta1_grid, f_m_grid):
-    rows = []
-    for label, op in ops:
-        for beta1 in beta1_grid:
-            for f_m in f_m_grid:
-                _, _, spec = _spectrum(cfg, label, op, beta1, f_m)
-                rows.append(
-                    (
-                        label,
-                        beta1,
-                        f_m,
-                        sideband_asymmetry(spec),
-                        spec.power_at(+1),
-                        spec.power_at(-1),
-                        spec.power_at(0),
-                    )
-                )
-    return rows
+def _asymmetry_rows(cfg, ops, beta1_grid, f_m_grid):
+    points = [
+        (label, op, beta1, f_m) for label, op in ops for beta1 in beta1_grid for f_m in f_m_grid
+    ]
+    return [
+        (
+            label,
+            beta1,
+            f_m,
+            sideband_asymmetry(spec),
+            spec.power_at(+1),
+            spec.power_at(-1),
+            spec.power_at(0),
+        )
+        for (label, _, beta1, f_m), (_, _, spec) in zip(points, _grid_spectra(cfg, points))
+    ]
 
 
 def asymmetry_map_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
@@ -180,27 +200,33 @@ def error_analysis_table(cfg: RunConfig, op_filter: str | None = None) -> TableM
     for beta1 in cfg.err_recursive_beta1_grid:
         with _row(f"{label} at beta1 = {beta1:g}, f_m = {cfg.err_recursive_f_m_hz:g} Hz"):
             mus.append(solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics))
-    rec_rows = []
+    solved = []
     for n_val in cfg.err_recursive_n_values:
         for beta1, mu in zip(cfg.err_recursive_beta1_grid, mus):
             modcfg = ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=n_val)
-            with _row(f"{label} at beta1 = {beta1:g}, n = {n_val}"):
+            name = f"{label} at beta1 = {beta1:g}, n = {n_val}"
+            with _row(name):
                 mat = solve_coefficients_matrix(op, modcfg)
                 _refuse_negative_power(mat)
                 rec = solve_coefficients_recursive(op, modcfg)
-                p_mat = psd_analytic(mat, j_max=cfg.j_max, k_max=cfg.k_max).power_at(+1)
-                p_rec = psd_analytic(rec, j_max=cfg.j_max, k_max=cfg.k_max).power_at(+1)
-            sb_err = 100.0 * abs(p_rec - p_mat) / p_mat if p_mat > 0.0 else 0.0
-            rec_rows.append(
-                (
-                    label,
-                    cfg.err_recursive_f_m_hz,
-                    n_val,
-                    beta1,
-                    solution_difference(rec, mat),
-                    sb_err,
-                )
+            solved.append((name, n_val, beta1, mat, rec))
+    # One kernel call for the matrix and recursive solutions of every row, in pairs.
+    spectra = _spectra(cfg, [(name, s) for name, _, _, mat, rec in solved for s in (mat, rec)])
+    rec_rows = []
+    pairs = zip(spectra[::2], spectra[1::2])
+    for (_, n_val, beta1, mat, rec), (spec_mat, spec_rec) in zip(solved, pairs):
+        p_mat, p_rec = spec_mat.power_at(+1), spec_rec.power_at(+1)
+        sb_err = 100.0 * abs(p_rec - p_mat) / p_mat if p_mat > 0.0 else 0.0
+        rec_rows.append(
+            (
+                label,
+                cfg.err_recursive_f_m_hz,
+                n_val,
+                beta1,
+                solution_difference(rec, mat),
+                sb_err,
             )
+        )
     return {
         "error_truncation": (["op_label", "f_m_hz", "n", "error_percent"], trunc_rows),
         "error_recursive": (

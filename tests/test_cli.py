@@ -271,6 +271,53 @@ class TestExitCodes:
         assert "stomod: error: unrecognized arguments: --foo" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["psd-map", "--set", "psd-map.beta1_grid=0.5"],
+            ["psd-map", "--set", "psd-map.beta1_grid=0,0.5"],
+            [
+                "asymmetry-map",
+                "--set", "asymmetry-map.beta1_grid=0.5",
+                "--set", "asymmetry-map.f_m_grid_hz=1e8",
+            ],
+            [
+                "asymmetry-map",
+                "--set", "asymmetry-map.beta1_grid=0,0.5",
+                "--set", "asymmetry-map.f_m_grid_hz=1e8",
+            ],
+        ],
+    )
+    def test_errors_from_one_spectrum_call_per_table_name_their_row(self, tmp_path, args):
+        # nu = 1e300 overflows the FM index of every modulated row; a beta1 = 0
+        # row before it has no FM comb and passes, so the error names the next row.
+        result, out = run_cli([*args, "--set", "device.nu=1e300"], tmp_path)
+        assert result.exit_code == 3, result.output
+        assert result.stderr.startswith(
+            "numerical error: OP1 at beta1 = 0.5, f_m = 1e+08 Hz: FM index"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("psd-map", ["spectrum.k_max=1000000000000"]),
+            ("psd-map", ["spectrum.j_max=1000000000000"]),
+            ("psd-map", ["solver.n_harmonics=1000000000000", "spectrum.k_max=1000000000000"]),
+            ("error-analysis", ["error-analysis.n_ref=1000000000000"]),
+            ("error-analysis", ["error-analysis.n_values=1000000000000"]),
+            ("error-analysis", ["error-analysis.recursive_n_values=1000000000000"]),
+        ],
+    )
+    def test_absurd_expansion_order_exits_2_naming_the_key(self, tmp_path, command, overrides):
+        # The key's bound is checked before anything of that size is allocated.
+        args = [command, "--set", "psd-map.beta1_grid=0.5"]
+        result, out = run_cli([*args, *(a for o in overrides for a in ("--set", o))], tmp_path)
+        assert result.exit_code == 2, result.output
+        key = overrides[0].split("=")[0]
+        assert f"{key}: 1000000000000 must be in [1, 10000]" in result.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("override", ["spectrum.j_max=0", "spectrum.k_max=0"])
     def test_bad_spectrum_key_exits_2(self, tmp_path, override):
         result, out = run_cli(["psd-map", *FAST_PSD, "--set", override], tmp_path)

@@ -25,8 +25,10 @@ from stomod import (
 )
 from stomod.config import load_config
 from stomod.spectrum import (
+    _BLOCK,
     TimeTrace,
     _build_spectrum,
+    _line_spectra,
     _refuse_negative_power,
     first_harmonic_index,
     shifted_carrier,
@@ -171,6 +173,62 @@ class TestAnalyticSpectrum:
     def test_missing_line_reports_zero(self, op2):
         sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.0, omega_m=OMEGA_M))
         assert psd_analytic(sol).power_at(7) == 0.0
+
+
+class TestLineSpectraKernel:
+    """One _line_spectra call on many points against one psd_analytic call each."""
+
+    @staticmethod
+    def _sols(all_ops, n_harmonics):
+        # 3 OPs x 3 f_m x 4 mu = 36 points, several blocks; mu = 0 rows (no
+        # live harmonic) sit between live ones.
+        sols = []
+        for op in all_ops.values():
+            for f_m in (1e6, 1e7, 1e8):
+                for mu in (0.0, 0.003, 0.01, 0.1):
+                    modcfg = ModulationConfig(mu=mu, omega_m=TWO_PI * f_m, n_harmonics=n_harmonics)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")  # validity warnings do not matter here
+                        sols.append(solve_coefficients_matrix(op, modcfg))
+        return sols
+
+    # k_max // n < j_max for n >= 5 at (10, 40); k_max = N at (10, 20) and (4, 1).
+    # At N = 20 and (10, 40) or (16, 64) a block's rows span several comb chunks.
+    @pytest.mark.parametrize("n_harmonics, j_max, k_max",
+                             [(1, 10, 40), (1, 4, 1), (20, 10, 40), (20, 10, 20), (20, 16, 64)])
+    def test_one_call_matches_one_at_a_time_calls(self, all_ops, n_harmonics, j_max, k_max):
+        sols = self._sols(all_ops, n_harmonics)
+        assert len(sols) > _BLOCK
+        assert any(sol.a0 == 0.0 and not sol.x.any() for sol in sols)
+        # The rows' FM indices straddle the Bessel grid sizes 64, 128 and 256.
+        sizes = {
+            1 << int(2.0 * (abs(sol.beta(n)) + min(j_max, k_max // n)) + 40.0).bit_length()
+            for sol in sols
+            for n in range(1, n_harmonics + 1)
+        }
+        assert {64, 128, 256} <= sizes
+        batched = list(_line_spectra(sols, j_max, k_max))
+        assert len(batched) == len(sols)
+        for sol, spec in zip(sols, batched):
+            ref = psd_analytic(sol, j_max=j_max, k_max=k_max)
+            assert np.array_equal(spec.offsets, ref.offsets)
+            assert np.array_equal(spec.powers, ref.powers)
+
+    @pytest.mark.parametrize("bad_at", [3, _BLOCK, _BLOCK + 2])
+    @pytest.mark.parametrize("fault", ["huge FM index", "non-finite line"])
+    def test_an_error_waits_for_its_point(self, op2, bad_at, fault):
+        sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.05, omega_m=OMEGA_M))
+        if fault == "huge FM index":
+            bad, message = replace(sol, op=replace(sol.op, nu=1e300)), "FM index"
+        else:
+            bad, message = replace(sol, a0=math.nan), "non-finite"
+        sols = [sol] * bad_at + [bad] + [sol] * 3
+        spectra = _line_spectra(sols, 10, 40)
+        ref = psd_analytic(sol)
+        for _ in range(bad_at):
+            assert np.array_equal(next(spectra).powers, ref.powers)
+        with pytest.raises(NumericalError, match=message):
+            next(spectra)
 
 
 class TestBessel:
