@@ -37,8 +37,8 @@ def _parse_grid(text: str) -> list[float]:
             start, stop, num = float(start), float(stop), int(num)
         except ValueError as exc:
             raise ConfigError(f"bad grid range {text!r}") from exc
-        if num < 1:
-            raise ConfigError(f"grid {text!r} must have at least one point")
+        if not 1 <= num <= _MAX_DEPTH:
+            raise ConfigError(f"grid {text!r} must have 1 to {_MAX_DEPTH} points")
         if kind == "lin":
             return [float(v) for v in np.linspace(start, stop, num)]
         if start <= 0.0 or stop <= 0.0:
@@ -71,9 +71,10 @@ def _key(key: str, ok: Callable | None = None, rule: str = ""):
     return field(metadata={"key": key, "ok": ok, "rule": rule})
 
 
-# Expansion orders and spectrum depths: a value past 10**4 is refused before
-# any array of that size is allocated.
-_DEPTH = (lambda n: 1 <= n <= 10_000, "must be in [1, 10000]")
+# Expansion orders, spectrum depths and grid-range point counts: a value past
+# 10**4 is refused before any array of that size is allocated.
+_MAX_DEPTH = 10_000
+_DEPTH = (lambda n: 1 <= n <= _MAX_DEPTH, f"must be in [1, {_MAX_DEPTH}]")
 _ABOVE_THRESHOLD = (lambda xi: xi > 1.0, "must exceed 1")
 _NON_NEGATIVE = (lambda x: x >= 0.0, "must be >= 0")
 _POSITIVE = (lambda x: x > 0.0, "must be > 0")

@@ -6,7 +6,8 @@ Both integrated power equations are linear in their state y, dy/dt =
 a(t) + b(t)*y: the reduced one in delta_p, the full one in u = 1/p (an exact
 Bernoulli substitution).  One RK4 step is then the affine map
 y_{i+1} = m_i*y_i + n_i, whose coefficients numpy forms for a block of steps
-at a time; Python runs only that recurrence.
+at a time; a log-depth doubling scan of those maps then gives the block's
+states, so no step runs in Python.
 
 Everything here is deliberately independent of the harmonic-balance solver
 so the two paths can be compared coefficient by coefficient.
@@ -30,7 +31,7 @@ _GAMMA_P_DT_MAX = 0.1
 _TRANSIENT_GAMMA_P_MIN = 10.0
 
 # RK4 steps per vectorised block: bounds the stage arrays, and so peak memory.
-_BLOCK = 1024
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,30 @@ class IntegrationConfig:
         return cls(dt=dt, t_end=transient_cut + 8 * period, transient_cut=transient_cut)
 
 
+def _affine_scan(m: np.ndarray, n: np.ndarray, y0: float) -> np.ndarray:
+    """y_1 .. y_L of the recurrence y_{i+1} = m_i*y_i + n_i from y_0 = y0, L = len(m).
+
+    A log-depth doubling scan, in place on n (m is overwritten too): with y0
+    folded into n[0], the pass at span s composes each map with the map
+    ending s steps before it, so that afterwards n[i] is y_{i+1} for i < 2s
+    and otherwise the offset of the composed steps i-2s+1 .. i; the passes
+    end once 2s >= L.  Later passes read m only from index 2s on, so only
+    that part is composed, into a second buffer: numpy would copy an
+    overlapping operand.  No division, so m = 0 and negative m need no
+    special case, and a NaN or inf at step i makes y_{i+1} and every later
+    state non-finite, as the sequential recurrence does.  Returns n.
+    """
+    n[0] += m[0] * y0
+    other = np.empty_like(m)
+    span = 1
+    while span < n.size:
+        n[span:] += m[span:] * n[:-span]
+        np.multiply(m[2 * span :], m[span:-span], out=other[2 * span :])
+        m, other = other, m
+        span *= 2
+    return n
+
+
 def _rk4(coeffs, y0: float, h: float, n_steps: int, phase_rate):
     """Fixed-step RK4 of dy/dt = a(t) + b(t)*y with dphi/dt = phase_rate(y), phi(0) = 0.
 
@@ -94,11 +119,12 @@ def _rk4(coeffs, y0: float, h: float, n_steps: int, phase_rate):
     y_{i+1} = m_i*y_i + n_i: every stage state is Y_j = c_j + d_j*y_i, and m_i
     and n_i are the RK4 stability polynomial of a and b at t_i, t_i + h/2
     and t_{i+1}.  Each block of _BLOCK steps evaluates coeffs(t) -> (a, b)
-    once on its half-step grid and forms m and n with numpy, which leaves
-    Python only the recurrence.  The phase step is h/6 times the RK4
-    weighted sum of phase_rate over the four stage states, accumulated by
-    np.cumsum.  Returns the sample times, y and phi, all of length
-    n_steps + 1; a trace that is not finite raises NumericalError.
+    once on its half-step grid, forms m and n with numpy, and turns them
+    into the block's states by _affine_scan, with no per-step Python loop.
+    The phase step is h/6 times the RK4 weighted sum of phase_rate over the
+    four stage states, accumulated by np.cumsum.  Returns the sample times,
+    y and phi, all of length n_steps + 1; a trace that is not finite raises
+    NumericalError.
     """
     y = np.empty(n_steps + 1)
     phi = np.empty(n_steps + 1)
@@ -119,11 +145,7 @@ def _rk4(coeffs, y0: float, h: float, n_steps: int, phase_rate):
             c4, d4 = h * kc3, 1.0 + h * kd3
             m = 1.0 + sixth * (b1 + 2.0 * (kd2 + kd3) + b4 * d4)
             n = sixth * (a1 + 2.0 * (kc2 + kc3) + (a4 + b4 * c4))
-            y_i, out = float(y[lo]), []
-            for m_i, n_i in zip(m.tolist(), n.tolist()):
-                y_i = m_i * y_i + n_i
-                out.append(y_i)
-            y[lo + 1 : hi + 1] = out
+            y[lo + 1 : hi + 1] = _affine_scan(m, n, y[lo])
             y_lo = y[lo:hi]
             dphi = sixth * (
                 phase_rate(y_lo)

@@ -201,7 +201,15 @@ def _fm_combs(
     orders = np.minimum(j_max, k_max // n)
     bessel = _bessel_rows(orders.tolist(), beta)
     rr, jj = np.nonzero(np.arange(bessel.shape[1]) <= orders[:, None])
-    u = np.conj(x) / np.hypot(x.real, x.imag)  # |X_n| as scalar abs() takes it
+    r = np.hypot(x.real, x.imag)  # |X_n| as scalar abs() takes it
+    # numpy's complex division multiplies by 1/r, which overflows for a
+    # subnormal r: scale those rows alone by an exact power of two first.
+    tiny = r < np.finfo(float).tiny
+    if tiny.any():
+        x = x.copy()  # may be a view of the caller's rows
+        x[tiny] *= 2.0**600
+        r[tiny] = np.hypot(x[tiny].real, x[tiny].imag)
+    u = np.conj(x) / r
     taps = bessel[rr, jj] * u[rr] ** jj
     combs = np.zeros((n.size, 2 * k_max + 1), dtype=complex)
     nj = n[rr] * jj

@@ -318,6 +318,28 @@ class TestExitCodes:
         assert f"{key}: 1000000000000 must be in [1, 10000]" in result.stderr
         assert not out.exists()
 
+    def test_absurd_grid_range_exits_2_naming_the_key(self, tmp_path):
+        result, out = run_cli(
+            ["psd-map", "--set", "psd-map.beta1_grid=lin:0:1:1000000000000"], tmp_path
+        )
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: psd-map.beta1_grid: grid 'lin:0:1:1000000000000'")
+        assert not out.exists()
+
+    def test_subnormal_harmonics_give_a_finite_table(self, tmp_path):
+        # |X_n| is subnormal for n = 78..80 here; their FM combs used to be NaN.
+        result, out = run_cli(
+            ["psd-map", "--op-label", "OP2", "--set", "psd-map.beta1_grid=1.0",
+             "--set", "solver.n_harmonics=300", "--set", "spectrum.k_max=600"],
+            tmp_path,
+        )
+        assert result.exit_code == 0, result.output
+        assert "Warning:" not in result.stderr
+        _, header, rows = read_table(out / "psd_map.csv")
+        assert rows
+        power = header.index("power")
+        assert all(math.isfinite(float(row[power])) for row in rows)
+
     @pytest.mark.parametrize("override", ["spectrum.j_max=0", "spectrum.k_max=0"])
     def test_bad_spectrum_key_exits_2(self, tmp_path, override):
         result, out = run_cli(["psd-map", *FAST_PSD, "--set", override], tmp_path)

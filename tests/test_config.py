@@ -28,6 +28,15 @@ class TestGridParsing:
         with pytest.raises(ConfigError):
             _parse_grid(bad)
 
+    @pytest.mark.parametrize("kind", ["lin", "log"])
+    def test_range_point_count_is_bounded(self, kind):
+        # Refused before np.linspace/np.geomspace allocate 10**12 points.
+        assert len(_parse_grid(f"{kind}:1:2:10000")) == 10_000
+        with pytest.raises(ConfigError, match="must have 1 to 10000 points"):
+            _parse_grid(f"{kind}:1:2:10001")
+        with pytest.raises(ConfigError, match="must have 1 to 10000 points"):
+            _parse_grid(f"{kind}:1:2:1000000000000")
+
 
 class TestLoadConfig:
     def test_defaults_load(self):

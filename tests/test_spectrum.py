@@ -28,6 +28,7 @@ from stomod.spectrum import (
     _BLOCK,
     TimeTrace,
     _build_spectrum,
+    _fm_combs,
     _line_spectra,
     _refuse_negative_power,
     first_harmonic_index,
@@ -164,6 +165,30 @@ class TestAnalyticSpectrum:
                     ref = _per_tap_psd(sol, j_max, k_max)
                     assert np.array_equal(spec.offsets, ref.offsets)
                     assert np.array_equal(spec.powers, ref.powers)
+
+    def test_subnormal_harmonic_has_the_comb_of_its_phase(self):
+        # numpy's complex division takes 1/|X_n|, which overflows for a
+        # subnormal |X_n|; such a row's u = conj(X_n)/|X_n| must be that of
+        # the normal number with the same phase.
+        x = np.array([3 + 4j, (3 + 4j) * 2.0**-1060])
+        assert 0.0 < abs(x[1]) < np.finfo(float).tiny
+        combs = _fm_combs(np.array([1, 1]), [0.5, 0.5], x, 10, 40)
+        assert np.array_equal(combs[0], combs[1])
+
+    def test_subnormal_harmonics_act_as_zero(self, op2):
+        # At N = 300 (mu of beta1 = 1), |X_n| is subnormal for n = 78..80 and
+        # 0 from n = 81.  Their FM index rounds to 0, so their combs are the
+        # identity and the lines equal those with the three set to 0.
+        modcfg = ModulationConfig(mu=0.0267593695679, omega_m=OMEGA_M, n_harmonics=300)
+        sol = solve_coefficients_matrix(op2, modcfg)
+        subnormal = np.abs(sol.x) < np.finfo(float).tiny
+        assert (np.flatnonzero(subnormal & (sol.x != 0)) + 1).tolist() == [78, 79, 80]
+        spec = psd_analytic(sol, j_max=10, k_max=600)
+        a, b = np.where(subnormal, 0.0, sol.a), np.where(subnormal, 0.0, sol.b)
+        ref = psd_analytic(replace(sol, a=a, b=b), j_max=10, k_max=600)
+        assert np.isfinite(spec.powers).all()
+        assert np.array_equal(spec.offsets, ref.offsets)
+        assert np.array_equal(spec.powers, ref.powers)
 
     def test_bad_j_max_rejected(self, op2):
         sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.1, omega_m=OMEGA_M))
