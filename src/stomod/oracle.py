@@ -5,9 +5,12 @@ same FFT (TimeTrace.harmonics) that the spectrum cross-check reads.
 Both integrated power equations are linear in their state y, dy/dt =
 a(t) + b(t)*y: the reduced one in delta_p, the full one in u = 1/p (an exact
 Bernoulli substitution).  One RK4 step is then the affine map
-y_{i+1} = m_i*y_i + n_i, whose coefficients numpy forms for a block of steps
-at a time; a log-depth doubling scan of those maps then gives the block's
-states, so no step runs in Python.
+y_{i+1} = m_i*y_i + n_i.  The coefficients are periodic in the modulation
+and the step divides its period, so the maps repeat every period: numpy
+forms them once per call for one block of whole periods, a log-depth
+doubling scan composes them into the block's prefix maps, and each block of
+the trace is then one affine update of its first state.  No step runs in
+Python.
 
 Everything here is deliberately independent of the harmonic-balance solver
 so the two paths can be compared coefficient by coefficient.
@@ -30,14 +33,19 @@ _STEPS_PER_PERIOD_MIN = 200
 _GAMMA_P_DT_MAX = 0.1
 _TRANSIENT_GAMMA_P_MIN = 10.0
 
-# RK4 steps per vectorised block: bounds the stage arrays, and so peak memory.
+# RK4 steps per block, rounded down to whole modulation periods (at least
+# one): bounds the stage arrays, and so peak memory.
 _BLOCK = 2048
+# How far, in ulps of the period, dt times the steps per period may miss it.
+_PERIOD_ULPS = 4
 
 
 @dataclass(frozen=True)
 class IntegrationConfig:
     """Fixed-step integration window.
 
+    dt must divide the modulation period into whole steps, to within a few
+    ulps, because the stepper reuses one period's RK4 maps for every period.
     transient_cut must be long enough for the 2*Gamma_p relaxation to die
     out; the window after it should span whole modulation periods if the
     trace is to be projected.
@@ -54,6 +62,15 @@ class IntegrationConfig:
             raise StepSizeError(
                 f"dt={self.dt:.3e} exceeds period/{_STEPS_PER_PERIOD_MIN} "
                 f"= {period / _STEPS_PER_PERIOD_MIN:.3e}"
+            )
+        steps = period / self.dt if self.dt > 0.0 else math.nan
+        if not (
+            math.isfinite(steps)
+            and abs(round(steps) * self.dt - period) <= _PERIOD_ULPS * math.ulp(period)
+        ):
+            raise StepSizeError(
+                f"dt={self.dt:.6e} does not divide the modulation period "
+                f"{period:.6e} into whole steps (period/dt = {steps:.9g})"
             )
         if op.gamma_p > 0.0 and self.dt > _GAMMA_P_DT_MAX / op.gamma_p:
             raise StepSizeError(
@@ -112,45 +129,57 @@ def _affine_scan(m: np.ndarray, n: np.ndarray, y0: float) -> np.ndarray:
     return n
 
 
-def _rk4(coeffs, y0: float, h: float, n_steps: int, phase_rate):
+def _rk4(coeffs, y0: float, h: float, n_steps: int, period_steps: int, phase_rate):
     """Fixed-step RK4 of dy/dt = a(t) + b(t)*y with dphi/dt = phase_rate(y), phi(0) = 0.
 
     The rate is affine in y, so one RK4 step is the affine map
     y_{i+1} = m_i*y_i + n_i: every stage state is Y_j = c_j + d_j*y_i, and m_i
     and n_i are the RK4 stability polynomial of a and b at t_i, t_i + h/2
-    and t_{i+1}.  Each block of _BLOCK steps evaluates coeffs(t) -> (a, b)
-    once on its half-step grid, forms m and n with numpy, and turns them
-    into the block's states by _affine_scan, with no per-step Python loop.
-    The phase step is h/6 times the RK4 weighted sum of phase_rate over the
-    four stage states, accumulated by np.cumsum.  Returns the sample times,
-    y and phi, all of length n_steps + 1; a trace that is not finite raises
+    and t_{i+1}.  coeffs(t) -> (a, b) must repeat every period_steps steps,
+    so the maps do too.  They are formed once, for one block of whole periods
+    (_BLOCK steps rounded down to whole periods, at least one) starting at
+    t = 0: one coeffs call on its half-step grid, then the stage algebra.
+    np.cumprod of m gives the block's prefix gains and _affine_scan from
+    y = 0 its prefix offsets, so every block of the trace, each starting on
+    a period boundary, is y[lo + i + 1] = gain_i*y[lo] + offset_i.  The phase
+    step is h/6 times the RK4 weighted sum of phase_rate over the four stage
+    states, accumulated by np.cumsum.  Returns the sample times, y and phi,
+    all of length n_steps + 1; a trace that is not finite raises
     NumericalError.
     """
+    size = period_steps * max(1, _BLOCK // period_steps)
     y = np.empty(n_steps + 1)
     phi = np.empty(n_steps + 1)
     y[0], phi[0] = y0, 0.0
     half, sixth = 0.5 * h, h / 6.0
     # A blow-up is reported below as one NumericalError, not as numpy warnings.
     with np.errstate(all="ignore"):
-        for lo in range(0, n_steps, _BLOCK):
-            hi = min(lo + _BLOCK, n_steps)
-            a, b = coeffs(np.arange(2 * lo, 2 * hi + 1) * half)
-            a1, b1, a2, b2, a4, b4 = a[:-1:2], b[:-1:2], a[1::2], b[1::2], a[2::2], b[2::2]
-            # Stage j's state is c_j + d_j*y_i and its slope k_j = kc_j + kd_j*y_i;
-            # stage 1 is y_i itself, with slope a1 + b1*y_i.
-            c2, d2 = half * a1, 1.0 + half * b1
-            kc2, kd2 = a2 + b2 * c2, b2 * d2
-            c3, d3 = half * kc2, 1.0 + half * kd2
-            kc3, kd3 = a2 + b2 * c3, b2 * d3
-            c4, d4 = h * kc3, 1.0 + h * kd3
-            m = 1.0 + sixth * (b1 + 2.0 * (kd2 + kd3) + b4 * d4)
-            n = sixth * (a1 + 2.0 * (kc2 + kc3) + (a4 + b4 * c4))
-            y[lo + 1 : hi + 1] = _affine_scan(m, n, y[lo])
+        a, b = coeffs(np.arange(2 * size + 1) * half)
+        a1, b1, a2, b2, a4, b4 = a[:-1:2], b[:-1:2], a[1::2], b[1::2], a[2::2], b[2::2]
+        # Stage j's state is c_j + d_j*y_i and its slope k_j = kc_j + kd_j*y_i;
+        # stage 1 is y_i itself, with slope a1 + b1*y_i.
+        c2, d2 = half * a1, 1.0 + half * b1
+        kc2, kd2 = a2 + b2 * c2, b2 * d2
+        c3, d3 = half * kc2, 1.0 + half * kd2
+        kc3, kd3 = a2 + b2 * c3, b2 * d3
+        c4, d4 = h * kc3, 1.0 + h * kd3
+        m = 1.0 + sixth * (b1 + 2.0 * (kd2 + kd3) + b4 * d4)
+        n = sixth * (a1 + 2.0 * (kc2 + kc3) + (a4 + b4 * c4))
+        gain = np.cumprod(m)
+        offset = _affine_scan(m, n, 0.0)
+        for lo in range(0, n_steps, size):
+            hi = min(lo + size, n_steps)
+            width = hi - lo
+            np.multiply(gain[:width], y[lo], out=y[lo + 1 : hi + 1])
+            y[lo + 1 : hi + 1] += offset[:width]
             y_lo = y[lo:hi]
             dphi = sixth * (
                 phase_rate(y_lo)
-                + 2.0 * (phase_rate(c2 + d2 * y_lo) + phase_rate(c3 + d3 * y_lo))
-                + phase_rate(c4 + d4 * y_lo)
+                + 2.0 * (
+                    phase_rate(c2[:width] + d2[:width] * y_lo)
+                    + phase_rate(c3[:width] + d3[:width] * y_lo)
+                )
+                + phase_rate(c4[:width] + d4[:width] * y_lo)
             )
             dphi[0] += phi[lo]
             np.cumsum(dphi, out=phi[lo + 1 : hi + 1])
@@ -182,13 +211,16 @@ def integrate_reduced(
     nu_gp2 = 2.0 * op.nu * op.gamma_p
     h = icfg.dt
     n_steps = int(round(icfg.t_end / h))
+    period_steps = round(TWO_PI / w / h)
 
     def coeffs(t: np.ndarray):
         drive = mu * np.cos(w * t)
         return c1 * drive, 2.0 * (c2 * drive - gp)
 
     t, dp, phi = _settled(
-        icfg, *_rk4(coeffs, icfg.initial_delta_p, h, n_steps, lambda y: wsto + nu_gp2 * y)
+        icfg, *_rk4(
+            coeffs, icfg.initial_delta_p, h, n_steps, period_steps, lambda y: wsto + nu_gp2 * y
+        )
     )
     demod = wsto + nu_gp2 * float(dp.mean())
     return TimeTrace(t=t, delta_p=dp, phi=phi - demod * t, demod_freq=demod)
@@ -221,6 +253,7 @@ def integrate_full(
     nu_over_p0 = params.nu * op.gamma_p / p0
     h = icfg.dt
     n_steps = int(round(icfg.t_end / h))
+    period_steps = round(TWO_PI / w / h)
 
     p_start = p0 * (1.0 + 2.0 * icfg.initial_delta_p)
     if not (p_start > 0.0 and math.isfinite(p_start)):
@@ -234,7 +267,10 @@ def integrate_full(
         return 2.0 * s, -2.0 * (s - gamma_g)
 
     t, u, phi = _settled(
-        icfg, *_rk4(coeffs, 1.0 / p_start, h, n_steps, lambda u: op.omega_o + nu_over_p0 / u)
+        icfg, *_rk4(
+            coeffs, 1.0 / p_start, h, n_steps, period_steps,
+            lambda u: op.omega_o + nu_over_p0 / u,
+        )
     )
     p = 1.0 / u
     dp = (p / p0 - 1.0) / 2.0

@@ -90,7 +90,8 @@ class TimeTrace:
         if n_samples < 2:
             raise GridCoverageError("trace too short")
         dt = self.t[1] - self.t[0]
-        if not np.allclose(np.diff(self.t), dt, rtol=1e-9, atol=0.0):
+        # A NaN spacing fails the comparison, so it is refused too.
+        if not np.abs(np.diff(self.t) - dt).max() <= 1e-9 * abs(dt):
             raise GridCoverageError("trace is not uniformly sampled")
         n_per = n_samples * dt / (TWO_PI / omega_m)
         if abs(n_per - round(n_per)) > 1e-9 * n_per or round(n_per) < 1:

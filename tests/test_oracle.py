@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stomod import (
     GridCoverageError,
@@ -165,6 +166,39 @@ class TestValidation:
         icfg = IntegrationConfig.for_steady_state(op1, cfg)
         icfg.validate(op1, cfg)  # should not raise
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        label=st.sampled_from(sorted(OP_XIS)),
+        f_m=st.floats(1e6, 1e9),
+        spp=st.integers(200, 4096),
+    )
+    def test_factory_step_divides_the_period(self, all_ops, label, f_m, spp):
+        # dt = period/spp always passes the divide rule; the only refusal left
+        # is a step too coarse for the relaxation, at slow modulation.
+        op = all_ops[label]
+        cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * f_m)
+        icfg = IntegrationConfig.for_steady_state(op, cfg, samples_per_period=spp)
+        if icfg.dt <= 0.1 / op.gamma_p:
+            icfg.validate(op, cfg)
+        else:
+            with pytest.raises(StepSizeError, match="gamma_p"):
+                icfg.validate(op, cfg)
+
+    @pytest.mark.parametrize("steps", [512.5, 512 * (1 + 1e-12)])
+    def test_step_must_divide_the_period(self, op2, steps):
+        # The stepper reuses one period's RK4 maps for every period, so a dt
+        # that misses the period, even by 1e-12, would drift the drive phase.
+        cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 100e6)
+        period = TWO_PI / cfg.omega_m
+        icfg = IntegrationConfig(
+            dt=period / steps, t_end=20 * period, transient_cut=12 * period
+        )
+        match = r"dt=.* does not divide the modulation period 1\.000000e-08"
+        with pytest.raises(StepSizeError, match=match):
+            integrate_reduced(op2, cfg, icfg)
+        with pytest.raises(StepSizeError, match=match):
+            integrate_full(make_device(OP_XIS["OP2"]), cfg, icfg)
+
 
 class TestSteadyState:
     @pytest.mark.parametrize("label,f_m", [("OP1", 40e6), ("OP3", 400e6)])
@@ -308,10 +342,11 @@ class TestStepper:
             assert _rel(trace.delta_p, dp) <= 1e-8, f_m
             assert _rel(_raw_phase(trace), phi) <= 1e-8, f_m
 
-    @pytest.mark.parametrize("n_steps", [7 * 400, 7 * 400 + 3])
+    @pytest.mark.parametrize("n_steps", [12 * 512, 12 * 512 + 3])
     def test_block_boundaries(self, op2, monkeypatch, n_steps):
-        # A 7-step block puts hundreds of block edges inside the trace; the
-        # last block is full or partial depending on n_steps.
+        # A 7-step block rounds up to one 512-step period, which puts 11
+        # block edges inside the trace; the last block is full or partial
+        # depending on n_steps.
         cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 100e6)
         dt = (TWO_PI / cfg.omega_m) / 512
         icfg = IntegrationConfig(dt=dt, t_end=n_steps * dt, transient_cut=2048 * dt)
@@ -386,7 +421,8 @@ class TestAffineScan:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("term", ["a", "b"])
     def test_non_finite_step_raises(self, bad, term):
-        # A non-finite a(t) spoils n_i; a non-finite b(t) spoils m_i too.
+        # A non-finite a(t) spoils n_i; a non-finite b(t) spoils m_i too.  The
+        # spike does not repeat, so its period is the whole run.
         h, n_steps = 1e-3, 3000
         t_bad = 1500 * h
 
@@ -396,7 +432,7 @@ class TestAffineScan:
             return (a + spike, b) if term == "a" else (a, b + spike)
 
         with pytest.raises(NumericalError, match="RK4 trace is not finite"):
-            oracle._rk4(coeffs, 0.0, h, n_steps, lambda y: y)
+            oracle._rk4(coeffs, 0.0, h, n_steps, n_steps, lambda y: y)
 
 
 class TestGuards:

@@ -326,6 +326,22 @@ class TestFftSpectrum:
         with pytest.raises(GridCoverageError):
             psd_fft(warped, sol)
 
+    @pytest.mark.parametrize("slip,refused", [(2e-9, True), (5e-10, False), (math.nan, True)])
+    def test_uniform_grid_tolerance(self, op2, slip, refused):
+        # One interior step longer than the first by slip*dt: the grid check
+        # allows 1e-9 relative, and a NaN time is never uniform.
+        sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.05, omega_m=OMEGA_M))
+        trace = synthesize_time_trace(sol)
+        t = trace.t.copy()
+        t[t.size // 2 :] += slip * (t[1] - t[0])
+        slipped = replace(trace, t=t)
+        if refused:
+            with pytest.raises(GridCoverageError, match="not uniformly sampled"):
+                slipped.harmonics(slipped.delta_p, OMEGA_M, 5)
+        else:
+            got = slipped.harmonics(slipped.delta_p, OMEGA_M, 5)
+            assert np.isfinite(got).all()
+
     def test_past_nyquist_rejected(self, op2):
         # 256 samples per period resolve lines up to |k| = 127.
         sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.05, omega_m=OMEGA_M))
