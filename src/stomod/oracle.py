@@ -7,10 +7,10 @@ a(t) + b(t)*y: the reduced one in delta_p, the full one in u = 1/p (an exact
 Bernoulli substitution).  One RK4 step is then the affine map
 y_{i+1} = m_i*y_i + n_i.  The coefficients are periodic in the modulation
 and the step divides its period, so the maps repeat every period: numpy
-forms them once per call for one block of whole periods, a log-depth
-doubling scan composes them into the block's prefix maps, and each block of
-the trace is then one affine update of its first state.  No step runs in
-Python.
+forms one period's maps once per call, a log-depth doubling scan composes
+them into the period's prefix maps and a second scan steps whole periods,
+so the trace is one broadcast from each period's first state.  No step or
+period runs in Python.
 
 Everything here is deliberately independent of the harmonic-balance solver
 so the two paths can be compared coefficient by coefficient.
@@ -33,9 +33,6 @@ _STEPS_PER_PERIOD_MIN = 200
 _GAMMA_P_DT_MAX = 0.1
 _TRANSIENT_GAMMA_P_MIN = 10.0
 
-# RK4 steps per block, rounded down to whole modulation periods (at least
-# one): bounds the stage arrays, and so peak memory.
-_BLOCK = 2048
 # How far, in ulps of the period, dt times the steps per period may miss it.
 _PERIOD_ULPS = 4
 
@@ -57,6 +54,9 @@ class IntegrationConfig:
     initial_delta_p: float = 0.0
 
     def validate(self, op: OperatingPoint, modcfg: ModulationConfig) -> None:
+        for name in ("t_end", "transient_cut"):
+            if not math.isfinite(getattr(self, name)):
+                raise StepSizeError(f"{name}={getattr(self, name)} is not finite")
         period = TWO_PI / modcfg.omega_m
         if self.dt > period / _STEPS_PER_PERIOD_MIN:
             raise StepSizeError(
@@ -93,10 +93,11 @@ class IntegrationConfig:
         modcfg: ModulationConfig,
         samples_per_period: int = 512,
     ) -> "IntegrationConfig":
-        """Window aligned to the modulation period for clean projection: a
-        transient of 15/Gamma_p rounded up to whole periods, then 8 periods."""
+        """Window aligned to the modulation period for clean projection: at least
+        `samples_per_period` steps per period (more if dt <= 0.1/Gamma_p needs them),
+        a transient of 15/Gamma_p rounded up to whole periods, then 8 periods."""
         period = TWO_PI / modcfg.omega_m
-        dt = period / samples_per_period
+        dt = period / max(samples_per_period, math.ceil(period * op.gamma_p / _GAMMA_P_DT_MAX))
         if op.gamma_p > 0.0:
             transient_periods = math.ceil(15.0 / op.gamma_p / period)
         else:
@@ -132,29 +133,31 @@ def _affine_scan(m: np.ndarray, n: np.ndarray, y0: float) -> np.ndarray:
 def _rk4(coeffs, y0: float, h: float, n_steps: int, period_steps: int, phase_rate):
     """Fixed-step RK4 of dy/dt = a(t) + b(t)*y with dphi/dt = phase_rate(y), phi(0) = 0.
 
-    The rate is affine in y, so one RK4 step is the affine map
-    y_{i+1} = m_i*y_i + n_i: every stage state is Y_j = c_j + d_j*y_i, and m_i
-    and n_i are the RK4 stability polynomial of a and b at t_i, t_i + h/2
-    and t_{i+1}.  coeffs(t) -> (a, b) must repeat every period_steps steps,
-    so the maps do too.  They are formed once, for one block of whole periods
-    (_BLOCK steps rounded down to whole periods, at least one) starting at
-    t = 0: one coeffs call on its half-step grid, then the stage algebra.
-    np.cumprod of m gives the block's prefix gains and _affine_scan from
-    y = 0 its prefix offsets, so every block of the trace, each starting on
-    a period boundary, is y[lo + i + 1] = gain_i*y[lo] + offset_i.  The phase
-    step is h/6 times the RK4 weighted sum of phase_rate over the four stage
-    states, accumulated by np.cumsum.  Returns the sample times, y and phi,
-    all of length n_steps + 1; a trace that is not finite raises
-    NumericalError.
+    Every stage state is Y_j = c_j + d_j*y_i, so one step is the affine map
+    y_{i+1} = m_i*y_i + n_i, the RK4 stability polynomial of a and b at t_i,
+    t_i + h/2 and t_{i+1}.  coeffs(t) -> (a, b) must repeat every
+    P = period_steps steps, so the maps are formed for one period: np.cumprod
+    of m gives its prefix gains, _affine_scan from y = 0 its prefix offsets,
+    and a second _affine_scan steps the whole-period map from y0 to each
+    period's first state y[k*P].  One broadcast over the trace, padded to
+    whole periods and viewed as (periods, P), gives the rest.  The phase
+    steps (h/6 times the RK4 weighted sum of phase_rate over the stage
+    states, each passed in one scratch array that phase_rate may overwrite)
+    are summed in place over the same view and accumulated by np.cumsum.
+    Returns the sample times, y and phi, all of length n_steps + 1; a trace
+    that is not finite raises NumericalError.
     """
-    size = period_steps * max(1, _BLOCK // period_steps)
-    y = np.empty(n_steps + 1)
-    phi = np.empty(n_steps + 1)
-    y[0], phi[0] = y0, 0.0
+    periods = -(-n_steps // period_steps)
+    y = np.empty(periods * period_steps + 1)
+    phi = np.zeros_like(y)
+    y[0] = y0
+    # Row k: the states y_i and the phase steps phi_{i+1} - phi_i of period k.
+    y_i = y[:-1].reshape(periods, period_steps)
+    dphi = phi[1:].reshape(periods, period_steps)
     half, sixth = 0.5 * h, h / 6.0
     # A blow-up is reported below as one NumericalError, not as numpy warnings.
     with np.errstate(all="ignore"):
-        a, b = coeffs(np.arange(2 * size + 1) * half)
+        a, b = coeffs(np.arange(2 * period_steps + 1) * half)
         a1, b1, a2, b2, a4, b4 = a[:-1:2], b[:-1:2], a[1::2], b[1::2], a[2::2], b[2::2]
         # Stage j's state is c_j + d_j*y_i and its slope k_j = kc_j + kd_j*y_i;
         # stage 1 is y_i itself, with slope a1 + b1*y_i.
@@ -167,22 +170,19 @@ def _rk4(coeffs, y0: float, h: float, n_steps: int, period_steps: int, phase_rat
         n = sixth * (a1 + 2.0 * (kc2 + kc3) + (a4 + b4 * c4))
         gain = np.cumprod(m)
         offset = _affine_scan(m, n, 0.0)
-        for lo in range(0, n_steps, size):
-            hi = min(lo + size, n_steps)
-            width = hi - lo
-            np.multiply(gain[:width], y[lo], out=y[lo + 1 : hi + 1])
-            y[lo + 1 : hi + 1] += offset[:width]
-            y_lo = y[lo:hi]
-            dphi = sixth * (
-                phase_rate(y_lo)
-                + 2.0 * (
-                    phase_rate(c2[:width] + d2[:width] * y_lo)
-                    + phase_rate(c3[:width] + d3[:width] * y_lo)
-                )
-                + phase_rate(c4[:width] + d4[:width] * y_lo)
-            )
-            dphi[0] += phi[lo]
-            np.cumsum(dphi, out=phi[lo + 1 : hi + 1])
+        y[period_steps::period_steps] = _affine_scan(
+            np.full(periods, gain[-1]), np.full(periods, offset[-1]), y0
+        )
+        np.multiply.outer(y_i[:, 0], gain[:-1], out=y_i[:, 1:])
+        y_i[:, 1:] += offset[:-1]
+        stage = np.empty_like(y_i)
+        for c, d, weight in ((0.0, 1.0, 1.0), (c2, d2, 2.0), (c3, d3, 2.0), (c4, d4, 1.0)):
+            np.multiply(d, y_i, out=stage)
+            stage += c
+            dphi += np.multiply(phase_rate(stage), weight, out=stage)
+        dphi *= sixth
+        np.cumsum(phi, out=phi)
+    y, phi = y[: n_steps + 1], phi[: n_steps + 1]
     if not (np.isfinite(y).all() and np.isfinite(phi).all()):
         raise NumericalError("RK4 trace is not finite")
     return np.arange(n_steps + 1) * h, y, phi
@@ -195,6 +195,21 @@ def _settled(icfg: IntegrationConfig, t: np.ndarray, y: np.ndarray, phi: np.ndar
     return t[keep], y[keep], phi[keep]
 
 
+def _integrate(op: OperatingPoint, modcfg: ModulationConfig, icfg: IntegrationConfig,
+               coeffs, y0: float, phase_rate, delta_p) -> TimeTrace:
+    """Validate, step and settle icfg's window, map y to delta_p and demodulate
+    at omega_sto + 2*nu*Gamma_p*<delta_p>: for the full model, that is
+    omega_o + nu*Gamma_p*(1 + 2*<delta_p>)."""
+    icfg.validate(op, modcfg)
+    h = icfg.dt
+    t, y, phi = _settled(icfg, *_rk4(
+        coeffs, y0, h, round(icfg.t_end / h), round(TWO_PI / modcfg.omega_m / h), phase_rate
+    ))
+    dp = delta_p(y)
+    demod = op.omega_sto + 2.0 * op.nu * op.gamma_p * float(dp.mean())
+    return TimeTrace(t=t, delta_p=dp, phi=phi - demod * t, demod_freq=demod)
+
+
 def integrate_reduced(
     op: OperatingPoint, modcfg: ModulationConfig, icfg: IntegrationConfig
 ) -> TimeTrace:
@@ -204,26 +219,18 @@ def integrate_reduced(
     omega_sto + 2*nu*Gamma_p*<delta_p> with the mean taken over the
     retained window.
     """
-    icfg.validate(op, modcfg)
     mu, w = modcfg.mu, modcfg.omega_m
     c1, c2, gp = op.c1, op.c2, op.gamma_p
-    wsto = op.omega_sto
-    nu_gp2 = 2.0 * op.nu * op.gamma_p
-    h = icfg.dt
-    n_steps = int(round(icfg.t_end / h))
-    period_steps = round(TWO_PI / w / h)
+    wsto, nu_gp2 = op.omega_sto, 2.0 * op.nu * op.gamma_p
 
     def coeffs(t: np.ndarray):
         drive = mu * np.cos(w * t)
         return c1 * drive, 2.0 * (c2 * drive - gp)
 
-    t, dp, phi = _settled(
-        icfg, *_rk4(
-            coeffs, icfg.initial_delta_p, h, n_steps, period_steps, lambda y: wsto + nu_gp2 * y
-        )
+    return _integrate(
+        op, modcfg, icfg, coeffs, icfg.initial_delta_p,
+        lambda dp: np.add(np.multiply(dp, nu_gp2, out=dp), wsto, out=dp), lambda dp: dp,
     )
-    demod = wsto + nu_gp2 * float(dp.mean())
-    return TimeTrace(t=t, delta_p=dp, phi=phi - demod * t, demod_freq=demod)
 
 
 def integrate_full(
@@ -245,15 +252,11 @@ def integrate_full(
     NumericalError if the trace is not finite.
     """
     op = derive_operating_point(params)
-    icfg.validate(op, modcfg)
     mu, w = modcfg.mu, modcfg.omega_m
     gamma_g = params.alpha * op.omega_o
     sigma_i = gamma_g * params.xi
     p0 = op.p0
     nu_over_p0 = params.nu * op.gamma_p / p0
-    h = icfg.dt
-    n_steps = int(round(icfg.t_end / h))
-    period_steps = round(TWO_PI / w / h)
 
     p_start = p0 * (1.0 + 2.0 * icfg.initial_delta_p)
     if not (p_start > 0.0 and math.isfinite(p_start)):
@@ -266,16 +269,11 @@ def integrate_full(
         s = sigma_i * (1.0 + mu * np.cos(w * t))
         return 2.0 * s, -2.0 * (s - gamma_g)
 
-    t, u, phi = _settled(
-        icfg, *_rk4(
-            coeffs, 1.0 / p_start, h, n_steps, period_steps,
-            lambda u: op.omega_o + nu_over_p0 / u,
-        )
+    return _integrate(
+        op, modcfg, icfg, coeffs, 1.0 / p_start,
+        lambda u: np.add(np.divide(nu_over_p0, u, out=u), op.omega_o, out=u),
+        lambda u: (1.0 / u / p0 - 1.0) / 2.0,
     )
-    p = 1.0 / u
-    dp = (p / p0 - 1.0) / 2.0
-    demod = op.omega_o + params.nu * op.gamma_p * (1.0 + 2.0 * float(dp.mean()))
-    return TimeTrace(t=t, delta_p=dp, phi=phi - demod * t, demod_freq=demod)
 
 
 def project_harmonics(
