@@ -47,22 +47,22 @@ RESIDUAL_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class FourierSolution:
-    """Fourier coefficients of the steady-state power perturbation."""
+    """A0 and the harmonics X_n = B_n + i*A_n (n = 1..N) of the steady-state
+    power perturbation; A_n, B_n and N are read from x."""
 
     a0: float
-    a: np.ndarray  # A_1 .. A_N
-    b: np.ndarray  # B_1 .. B_N
-    n_harmonics: int
+    x: np.ndarray  # X_1 .. X_N
     op: OperatingPoint
     modcfg: ModulationConfig
 
-    @property
-    def x(self) -> np.ndarray:
-        """Complex harmonics X_n = B_n + i A_n, n = 1..N."""
-        return self.b + 1j * self.a
+    a = property(lambda self: self.x.imag, doc="Sine coefficients A_1 .. A_N.")
+    b = property(lambda self: self.x.real, doc="Cosine coefficients B_1 .. B_N.")
+    n_harmonics = property(lambda self: self.x.size, doc="Truncation order N.")
 
     def x_abs(self, n: int) -> float:
-        return math.hypot(self.b[n - 1], self.a[n - 1])
+        """|X_n| by libm hypot, bit for bit np.hypot(x.real, x.imag)[n - 1], unlike
+        np.abs of a complex array or Python's float hypot."""
+        return float(abs(self.x[n - 1]))
 
     def beta(self, n: int) -> float:
         """Signed FM index beta_n = 2*nu*Gamma_p*|X_n|/(n*omega_m) of harmonic n.
@@ -70,26 +70,6 @@ class FourierSolution:
         It carries the sign of nu, as the FM phase needs; a magnitude is its abs().
         """
         return 2.0 * self.op.nu * self.op.gamma_p * self.x_abs(n) / (n * self.modcfg.omega_m)
-
-
-def _finish(
-    op: OperatingPoint,
-    modcfg: ModulationConfig,
-    a0: float,
-    a: np.ndarray,
-    b: np.ndarray,
-) -> FourierSolution:
-    sol = FourierSolution(
-        a0=a0, a=a, b=b, n_harmonics=modcfg.n_harmonics, op=op, modcfg=modcfg
-    )
-    n_h = modcfg.n_harmonics
-    if sol.x_abs(n_h) > sol.x_abs(1) > 0.0:
-        warnings.warn(
-            f"harmonic coefficients do not decay (|X_{n_h}| > |X_1|); "
-            f"truncation order N={n_h} may be too small",
-            stacklevel=4,
-        )
-    return sol
 
 
 def _solve(op: OperatingPoint, modcfg: ModulationConfig, exact: bool) -> FourierSolution:
@@ -100,7 +80,7 @@ def _solve(op: OperatingPoint, modcfg: ModulationConfig, exact: bool) -> Fourier
     """
     n_h = modcfg.n_harmonics
     if modcfg.mu == 0.0:
-        return _finish(op, modcfg, 0.0, np.zeros(n_h), np.zeros(n_h))
+        return FourierSolution(a0=0.0, x=np.zeros(n_h, dtype=complex), op=op, modcfg=modcfg)
     w = modcfg.omega_m
     g = 2.0 * op.gamma_p
     e = modcfg.mu * op.c2
@@ -147,8 +127,13 @@ def _solve(op: OperatingPoint, modcfg: ModulationConfig, exact: bool) -> Fourier
                 f"harmonic-balance residual {residual:.3e} exceeds "
                 f"{RESIDUAL_RTOL:.0e} * {scale:.3e}"
             )
-    x_arr = np.array(xs)
-    return _finish(op, modcfg, a0, x_arr.imag, x_arr.real)
+    if abs(xs[-1]) > abs(xs[0]) > 0.0:
+        warnings.warn(
+            f"harmonic coefficients do not decay (|X_{n_h}| > |X_1|); "
+            f"truncation order N={n_h} may be too small",
+            stacklevel=3,
+        )
+    return FourierSolution(a0=a0, x=np.array(xs), op=op, modcfg=modcfg)
 
 
 def solve_coefficients_matrix(
@@ -205,11 +190,16 @@ def truncation_error(
     """
     if n_ref <= max(n_values):
         raise ValueError(f"n_ref={n_ref} must exceed max(n_values)={max(n_values)}")
-    ref_x = solve_coefficients_matrix(op, replace(modcfg, n_harmonics=n_ref)).x
+    ref = solve_coefficients_matrix(op, replace(modcfg, n_harmonics=n_ref))
+    return _truncation_error(ref, n_values)
+
+
+def _truncation_error(ref: FourierSolution, n_values: list[int]) -> list[tuple[int, float]]:
+    """truncation_error against a solved reference, at its operating point and drive."""
     out = []
     for n_val in n_values:
-        sol = solve_coefficients_matrix(op, replace(modcfg, n_harmonics=n_val))
-        out.append((n_val, _distance_percent(sol.x, ref_x)))
+        sol = solve_coefficients_matrix(ref.op, replace(ref.modcfg, n_harmonics=n_val))
+        out.append((n_val, _distance_percent(sol.x, ref.x)))
     return out
 
 

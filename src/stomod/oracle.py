@@ -19,7 +19,7 @@ so the two paths can be compared coefficient by coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -144,8 +144,8 @@ def _rk4(coeffs, y0: float, h: float, n_steps: int, period_steps: int, phase_rat
     steps (h/6 times the RK4 weighted sum of phase_rate over the stage
     states, each passed in one scratch array that phase_rate may overwrite)
     are summed in place over the same view and accumulated by np.cumsum.
-    Returns the sample times, y and phi, all of length n_steps + 1; a trace
-    that is not finite raises NumericalError.
+    Returns y and phi at t = i*h, i = 0..n_steps; a trace that is not finite
+    raises NumericalError.
     """
     periods = -(-n_steps // period_steps)
     y = np.empty(periods * period_steps + 1)
@@ -185,14 +185,17 @@ def _rk4(coeffs, y0: float, h: float, n_steps: int, period_steps: int, phase_rat
     y, phi = y[: n_steps + 1], phi[: n_steps + 1]
     if not (np.isfinite(y).all() and np.isfinite(phi).all()):
         raise NumericalError("RK4 trace is not finite")
-    return np.arange(n_steps + 1) * h, y, phi
+    return y, phi
 
 
-def _settled(icfg: IntegrationConfig, t: np.ndarray, y: np.ndarray, phi: np.ndarray):
-    """The samples from transient_cut on, endpoint-exclusive."""
-    keep = t >= icfg.transient_cut - 0.5 * icfg.dt
-    keep[-1] = False
-    return t[keep], y[keep], phi[keep]
+def _settled(icfg: IntegrationConfig, y: np.ndarray, phi: np.ndarray):
+    """t, y and phi, sampled at t = i*dt, from the first t >= transient_cut - dt/2
+    on, endpoint-exclusive; y is copied, so a trace keeps no full-length buffer."""
+    cut = icfg.transient_cut - 0.5 * icfg.dt
+    # From one sample early, as cut/dt may round past the first one.
+    t = np.arange(max(0, math.ceil(cut / icfg.dt) - 1), y.size - 1) * icfg.dt
+    t = t[np.searchsorted(t, cut) :]
+    return t, y[y.size - 1 - t.size : -1].copy(), phi[phi.size - 1 - t.size : -1]
 
 
 def _integrate(op: OperatingPoint, modcfg: ModulationConfig, icfg: IntegrationConfig,
@@ -282,14 +285,13 @@ def project_harmonics(
     n_harmonics: int,
     op: OperatingPoint,
 ) -> FourierSolution:
-    """Extract A0, A_n, B_n from a settled trace by harmonic projection.
+    """Extract A0 and X_n = B_n + i*A_n, n = 1..n_harmonics, from a settled trace
+    by harmonic projection; the solution's modcfg carries n_harmonics.
 
     The projection is TimeTrace.harmonics of dp, one FFT in absolute time, so
-    c_n = (B_n - i*A_n)/2 is directly comparable to the harmonic-balance
+    c_n = conj(X_n)/2 is directly comparable to the harmonic-balance
     coefficients.
     """
     c = trace.harmonics(trace.delta_p, modcfg.omega_m, n_harmonics)[n_harmonics:]
-    return FourierSolution(
-        a0=float(c[0].real), a=-2.0 * c[1:].imag, b=2.0 * c[1:].real,
-        n_harmonics=n_harmonics, op=op, modcfg=modcfg,
-    )
+    modcfg = replace(modcfg, n_harmonics=n_harmonics)
+    return FourierSolution(a0=float(c[0].real), x=2.0 * np.conj(c[1:]), op=op, modcfg=modcfg)

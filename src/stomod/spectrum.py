@@ -333,7 +333,7 @@ def _refuse_negative_power(sol: FourierSolution) -> None:
     The bound dp >= A0 - sum|X_n| clears most solutions without sampling;
     the rest go through _dp_extremes.
     """
-    if 1.0 + sol.a0 - np.hypot(sol.a, sol.b).sum() <= 0.0:
+    if 1.0 + sol.a0 - np.hypot(sol.x.real, sol.x.imag).sum() <= 0.0:
         _dp_extremes(sol)
 
 

@@ -13,11 +13,11 @@ from .config import RunConfig, device_at
 from .errors import StomodError
 from .fourier import (
     FourierSolution,
+    _truncation_error,
     carrier_shift,
     solution_difference,
     solve_coefficients_matrix,
     solve_coefficients_recursive,
-    truncation_error,
 )
 from .model import (
     TWO_PI,
@@ -188,10 +188,11 @@ def error_analysis_table(cfg: RunConfig, op_filter: str | None = None) -> TableM
             mu=cfg.err_mu, omega_m=TWO_PI * f_m, n_harmonics=cfg.err_n_ref
         )
         with _row(f"{label} at f_m = {f_m:g} Hz"):
-            errs = truncation_error(op, modcfg, cfg.err_n_values, cfg.err_n_ref)
+            ref = solve_coefficients_matrix(op, modcfg)
+            errs = _truncation_error(ref, cfg.err_n_values)
         trunc_rows.extend((label, f_m, n_val, err) for n_val, err in errs)
         with _row(f"{label} at f_m = {f_m:g} Hz, n = {cfg.err_n_ref}"):
-            _refuse_negative_power(solve_coefficients_matrix(op, modcfg))  # the reference row
+            _refuse_negative_power(ref)  # the reference row
         trunc_rows.append((label, f_m, cfg.err_n_ref, 0.0))
 
     omega_m = TWO_PI * cfg.err_recursive_f_m_hz

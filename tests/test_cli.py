@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stomod
-from stomod import sweeps
+from stomod import fourier, sweeps
 from stomod.cli import COMMANDS, main
 from stomod.config import load_config
+from stomod.model import TWO_PI
 
 # Small grids keep the CLI tests quick without changing any physics.
 FAST_PSD = [
@@ -476,6 +477,23 @@ def test_error_analysis_back_solves_each_beta1_once(monkeypatch):
     assert beta1s == [0.5, 1.0]
     assert [(row[2], row[3]) for row in rows] == [
         (n, beta1) for n in (3, 5, 10) for beta1 in (0.5, 1.0)
+    ]
+
+
+def test_error_analysis_solves_each_reference_once(monkeypatch):
+    # The order-n_ref reference of each f_m gives both the truncation
+    # distances and the reference row's negative-power check.
+    orders = []
+    solve = fourier._solve
+    monkeypatch.setattr(
+        fourier, "_solve",
+        lambda op, modcfg, exact: orders.append((modcfg.omega_m, modcfg.n_harmonics))
+        or solve(op, modcfg, exact),
+    )
+    cfg = load_config()
+    sweeps.error_analysis_table(cfg)
+    assert [w for w, n in orders if n == cfg.err_n_ref] == [
+        TWO_PI * f_m for f_m in cfg.err_f_m_grid_hz
     ]
 
 

@@ -1,6 +1,6 @@
 """Harmonic-balance solver: closed forms, limits, and method comparison."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -204,6 +204,26 @@ def test_harmonic_magnitudes_decay(op2):
     sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.2, omega_m=OMEGA_M))
     mags = np.abs(sol.x)
     assert all(mags[i + 1] < mags[i] for i in range(len(mags) - 1))
+
+
+def test_solution_stores_only_its_complex_harmonics(op1):
+    # A_n, B_n and N are read from X_n, so they cannot disagree with it.
+    cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 40e6, n_harmonics=20)
+    sol = solve_coefficients_matrix(op1, cfg)
+    assert [f.name for f in fields(sol)] == ["a0", "x", "op", "modcfg"]
+    assert sol.n_harmonics == sol.x.size == 20
+    assert np.array_equal(sol.b + 1j * sol.a, sol.x)
+
+
+def test_harmonic_magnitude_is_taken_one_way(op1):
+    # |X_n| of one harmonic equals |X_n| of the array, bit for bit, so an
+    # array FM index matches the scalar one.  At n = 5 here Python's float
+    # hypot differs from libm's in the last bit.
+    cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 40e6, n_harmonics=20)
+    sol = solve_coefficients_matrix(op1, cfg)
+    mags = np.hypot(sol.x.real, sol.x.imag)
+    for n in range(1, sol.n_harmonics + 1):
+        assert sol.x_abs(n) == mags[n - 1], n
 
 
 def test_truncation_error_decreases_with_n(op2):

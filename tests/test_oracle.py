@@ -60,13 +60,13 @@ def _psd_fft_per_bin(trace, sol, k_max):
 
 
 def _scalar_rk4(rate, y0, w0, w1, h, n_steps):
-    """Reference: the scalar RK4 loop of dy/dt = rate(t, y) with
-    dphi/dt = w0 + w1*y that the vectorised stepper replaced."""
-    t_arr = np.empty(n_steps + 1)
+    """Reference: y and phi at t = i*h, i = 0..n_steps, by the scalar RK4 loop
+    of dy/dt = rate(t, y) with dphi/dt = w0 + w1*y that the vectorised
+    stepper replaced."""
     y_arr = np.empty(n_steps + 1)
     phi_arr = np.empty(n_steps + 1)
     y, phi = y0, 0.0
-    t_arr[0], y_arr[0], phi_arr[0] = 0.0, y, phi
+    y_arr[0], phi_arr[0] = y, phi
     for i in range(n_steps):
         t = i * h
         k1 = rate(t, y)
@@ -75,10 +75,9 @@ def _scalar_rk4(rate, y0, w0, w1, h, n_steps):
         k4 = rate(t + h, y + h * k3)
         phi += h * (w0 + w1 * (y + (h / 6.0) * (k1 + k2 + k3)))
         y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t_arr[i + 1] = (i + 1) * h
         y_arr[i + 1] = y
         phi_arr[i + 1] = phi
-    return t_arr, y_arr, phi_arr
+    return y_arr, phi_arr
 
 
 def _scalar_reduced(op, cfg, icfg):
@@ -356,28 +355,34 @@ class TestStepper:
             assert _rel(_raw_phase(trace), phi) <= 1e-8, f_m
 
     @pytest.mark.parametrize(
-        "n_steps",
-        [pytest.param(3 * 512, id="whole"), pytest.param(3 * 512 + 100, id="partial"),
-         pytest.param(400, id="short")],
+        "n_steps,cut_steps",
+        [pytest.param(3 * 512, 256, id="whole"), pytest.param(3 * 512 + 100, 256, id="partial"),
+         pytest.param(400, 256, id="short"), pytest.param(3 * 512, 255.5, id="half-step-cut")],
     )
-    def test_runs_match_scalar_loop(self, op2, n_steps):
+    def test_runs_match_scalar_loop(self, op2, n_steps, cut_steps):
         # Whole periods, a partial last period and a run shorter than one
         # period: the stepper pads the trace to whole periods and cuts it
         # back.  At 10 MHz one 512-step period outlasts OP2's 10/Gamma_p
         # transient, and the start off the steady state exercises y0.  The
         # unreduced model keeps test_full_matches_p_form_loop's 1e-8
-        # (measured 2.6e-9 here).
+        # (measured 2.6e-9 here).  The window is the samples of every time
+        # t = i*dt, i < n_steps, with t >= transient_cut - dt/2; the
+        # half-step cut puts that bound on sample 255 up to rounding.
         cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 10e6)
         dt = (TWO_PI / cfg.omega_m) / 512
         icfg = IntegrationConfig(
-            dt=dt, t_end=n_steps * dt, transient_cut=256 * dt, initial_delta_p=0.01
+            dt=dt, t_end=n_steps * dt, transient_cut=cut_steps * dt, initial_delta_p=0.01
         )
+        t_all = np.arange(n_steps) * dt
+        t_window = t_all[t_all >= icfg.transient_cut - 0.5 * dt]
+        assert t_window.size == n_steps - math.ceil(cut_steps - 0.5)
         params = make_device(OP_XIS["OP2"])
         for trace, (dp, phi), tol in (
             (integrate_reduced(op2, cfg, icfg), _scalar_reduced(op2, cfg, icfg), 1e-12),
             (integrate_full(params, cfg, icfg), _scalar_full(params, cfg, icfg), 1e-8),
         ):
-            assert trace.t.size == dp.size == n_steps - 256
+            assert np.array_equal(trace.t, t_window)
+            assert dp.size == t_window.size
             assert _rel(trace.delta_p, dp) <= tol
             assert _rel(_raw_phase(trace), phi) <= tol
 
@@ -520,7 +525,8 @@ class TestProjection:
         cfg = ModulationConfig(mu=0.1, omega_m=TWO_PI * 100e6)
         sol = solve_coefficients_matrix(op2, cfg)
         trace = synthesize_time_trace(sol, samples_per_period=16, n_periods=4)
-        project_harmonics(trace, cfg, 7, op2)
+        # The solution's modcfg carries the order projected, not cfg's 10.
+        assert project_harmonics(trace, cfg, 7, op2).modcfg.n_harmonics == 7
         with pytest.raises(GridCoverageError, match="k_max=8 .* 16 samples per period"):
             project_harmonics(trace, cfg, 8, op2)
 

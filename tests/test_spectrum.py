@@ -184,8 +184,7 @@ class TestAnalyticSpectrum:
         subnormal = np.abs(sol.x) < np.finfo(float).tiny
         assert (np.flatnonzero(subnormal & (sol.x != 0)) + 1).tolist() == [78, 79, 80]
         spec = psd_analytic(sol, j_max=10, k_max=600)
-        a, b = np.where(subnormal, 0.0, sol.a), np.where(subnormal, 0.0, sol.b)
-        ref = psd_analytic(replace(sol, a=a, b=b), j_max=10, k_max=600)
+        ref = psd_analytic(replace(sol, x=np.where(subnormal, 0.0, sol.x)), j_max=10, k_max=600)
         assert np.isfinite(spec.powers).all()
         assert np.array_equal(spec.offsets, ref.offsets)
         assert np.array_equal(spec.powers, ref.powers)
@@ -365,7 +364,7 @@ class TestSynthesis:
         a[2::7] = b[2::7] = 0.0
         for op in all_ops.values():
             modcfg = ModulationConfig(mu=0.05, omega_m=OMEGA_M, n_harmonics=n_harmonics)
-            sol = replace(solve_coefficients_matrix(op, modcfg), a0=0.1, a=a, b=b)
+            sol = replace(solve_coefficients_matrix(op, modcfg), a0=0.1, x=b + 1j * a)
             trace = synthesize_time_trace(sol, samples_per_period, n_periods)
             ref_dp, ref_phi = _reference_trace(sol, samples_per_period, n_periods)
             assert trace.delta_p.size == trace.t.size == samples_per_period * n_periods
@@ -425,10 +424,9 @@ class TestDerivedFigures:
         # |X_2| > |X_1| gives two maxima and two minima per period; a
         # 2**18-sample sweep of the same series is the reference.
         sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.05, omega_m=OMEGA_M))
-        a = np.zeros(sol.n_harmonics)
-        b = np.zeros(sol.n_harmonics)
-        a[:3], b[:3] = [0.03, 0.2, 0.01], [0.02, -0.1, 0.015]
-        sol = replace(sol, a0=-0.05, a=a, b=b)
+        x = np.zeros(sol.n_harmonics, dtype=complex)
+        x[:3] = [0.02 + 0.03j, -0.1 + 0.2j, 0.015 + 0.01j]  # B_n + i*A_n
+        sol = replace(sol, a0=-0.05, x=x)
         dp, _ = _reference_trace(sol, 2**18, 1)
         ref = abs(op2.nu * op2.gamma_p) * (dp.max() - dp.min()) / TWO_PI
         got = peak_frequency_deviation(sol, "instantaneous")
