@@ -26,6 +26,11 @@ pair then closes as a real 2x2 system once A0 = e*B1/g is eliminated, and
 X_n = q_n*X_{n-1} gives the rest, in O(N) operations.  The matrix method
 solves this truncated system exactly; the recursive method takes every
 q_{n+1} as zero, dropping the n+1 coupling of each harmonic.
+
+The diagonal g - i*n*w holds Gamma_p, omega_m and N but not mu, the one
+input a mu back-solve varies, so it is keyed without mu: _diagonal forms it
+once per (g, w, N) and keeps the last few, and a back-solve's ~70 solves at
+one point share one.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,6 +77,18 @@ class FourierSolution:
         """
         return 2.0 * self.op.nu * self.op.gamma_p * self.x_abs(n) / (n * self.modcfg.omega_m)
 
+    @property
+    def betas(self) -> np.ndarray:
+        """beta(n) for n = 1..N as one array, each element bit for bit beta(n)."""
+        x, n_w = self.x, np.arange(1, self.x.size + 1) * self.modcfg.omega_m
+        return 2.0 * self.op.nu * self.op.gamma_p * np.hypot(x.real, x.imag) / n_w
+
+
+@lru_cache(maxsize=4, typed=True)
+def _diagonal(g: float, w: float, n_h: int) -> tuple[complex, ...]:
+    """Diagonal g - i*n*w of the recurrence, n = 0..N; it holds no mu."""
+    return tuple([complex(g, -n * w) for n in range(n_h + 1)])
+
 
 def _solve(op: OperatingPoint, modcfg: ModulationConfig, exact: bool) -> FourierSolution:
     """Continued-fraction solve of the truncated balance equations.
@@ -85,16 +103,21 @@ def _solve(op: OperatingPoint, modcfg: ModulationConfig, exact: bool) -> Fourier
     g = 2.0 * op.gamma_p
     e = modcfg.mu * op.c2
     drive = modcfg.mu * op.c1
-    # Diagonal 2*Gamma_p - i*n*omega_m of the recurrence, n = 0..N.
-    diag = [complex(g, -n * w) for n in range(n_h + 1)]
-    q = [0j] * (n_h + 2)
+    diag = _diagonal(g, w, n_h)
     try:
-        # Backward ratios q_n = X_n / X_{n-1} for n = N..2, from q_{N+1} = 0.
-        for n in range(n_h, 1, -1):
-            q[n] = e / (diag[n] - e * q[n + 1] if exact else diag[n])
+        # Ratios q_n = X_n / X_{n-1} for n = 2..N; exact ones run backward from q_{N+1} = 0.
+        if exact:
+            q, qs = 0j, []
+            for c in diag[:1:-1]:
+                q = e / (c - e * q)
+                qs.append(q)
+            qs.reverse()
+            d = diag[1] - e * q
+        else:
+            qs = [e / c for c in diag[2:]]
+            d = diag[1]
         # n = 1: (g - i*w - e*q_2)*X_1 - (2*e^2/g)*Re X_1 = mu*C1, a real 2x2
         # system in (B_1, A_1) once A0 = e*B_1/g is eliminated.
-        d = diag[1] - e * q[2] if exact else diag[1]
         det = d.real * d.real + d.imag * d.imag - 2.0 * e * e * d.real / g
         x = complex(drive * d.real / det, -drive * d.imag / det)
     except ZeroDivisionError as exc:  # a zero pivot
@@ -103,7 +126,7 @@ def _solve(op: OperatingPoint, modcfg: ModulationConfig, exact: bool) -> Fourier
             f"omega_m={modcfg.omega_m})"
         ) from exc
     xs = [x]
-    for q_n in q[2 : n_h + 1]:
+    for q_n in qs:
         x *= q_n
         xs.append(x)
     a0 = e * xs[0].real / g
@@ -115,12 +138,20 @@ def _solve(op: OperatingPoint, modcfg: ModulationConfig, exact: bool) -> Fourier
             f"mu={modcfg.mu}, omega_m={modcfg.omega_m})"
         )
     if exact:
-        ext = [0j, *xs, 0j]
-        res = [
-            c * x_n - e * (lo + hi) for c, lo, x_n, hi in zip(diag[1:], ext, xs, ext[2:])
-        ]
-        res[0] -= drive + 2.0 * e * a0
-        residual = max(abs(e * xs[0].real - g * a0), *map(abs, res))
+        # Largest |row residual| in row order: DC, n = 1 with its drive, then
+        # (g - i*n*w)*X_n - e*(X_{n-1} + X_{n+1}) with X_{N+1} = 0.
+        residual = abs(e * xs[0].real - g * a0)
+        xs.append(0j)
+        r = abs(diag[1] * xs[0] - e * (0j + xs[1]) - (drive + 2.0 * e * a0))
+        if r > residual:
+            residual = r
+        lo, x_n = xs[0], xs[1]
+        for c, hi in zip(diag[2:], xs[2:]):
+            r = abs(c * x_n - e * (lo + hi))
+            if r > residual:
+                residual = r
+            lo, x_n = x_n, hi
+        xs.pop()
         scale = max(abs(drive), op.gamma_p)
         if residual > RESIDUAL_RTOL * scale:
             raise NumericalError(
@@ -190,7 +221,7 @@ def truncation_error(
     """
     if n_ref <= max(n_values):
         raise ValueError(f"n_ref={n_ref} must exceed max(n_values)={max(n_values)}")
-    ref = solve_coefficients_matrix(op, replace(modcfg, n_harmonics=n_ref))
+    ref = solve_coefficients_matrix(op, modcfg.at_order(n_ref))
     return _truncation_error(ref, n_values)
 
 
@@ -198,7 +229,7 @@ def _truncation_error(ref: FourierSolution, n_values: list[int]) -> list[tuple[i
     """truncation_error against a solved reference, at its operating point and drive."""
     out = []
     for n_val in n_values:
-        sol = solve_coefficients_matrix(ref.op, replace(ref.modcfg, n_harmonics=n_val))
+        sol = solve_coefficients_matrix(ref.op, ref.modcfg.at_order(n_val))
         out.append((n_val, _distance_percent(sol.x, ref.x)))
     return out
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from copy import copy
 from dataclasses import dataclass, fields
 
 from .errors import BelowThresholdError, NumericalError, UnsaturatedRegimeError
@@ -100,8 +101,19 @@ class ModulationConfig:
             )
         if self.omega_m <= 0.0 or not math.isfinite(self.omega_m):
             raise ValueError(f"omega_m must be positive and finite, got {self.omega_m}")
-        if self.n_harmonics < 1:
-            raise ValueError(f"n_harmonics must be >= 1, got {self.n_harmonics}")
+        _check_order(self.n_harmonics)
+
+    def at_order(self, n_harmonics: int) -> ModulationConfig:
+        """This config at order n_harmonics; unlike replace, it does not warn about mu again."""
+        _check_order(n_harmonics)
+        out = copy(self)
+        object.__setattr__(out, "n_harmonics", n_harmonics)
+        return out
+
+
+def _check_order(n_harmonics: int) -> None:
+    if n_harmonics < 1:
+        raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
 
 
 def derive_operating_point(params: DeviceParams) -> OperatingPoint:

@@ -19,7 +19,7 @@ so the two paths can be compared coefficient by coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -293,5 +293,5 @@ def project_harmonics(
     coefficients.
     """
     c = trace.harmonics(trace.delta_p, modcfg.omega_m, n_harmonics)[n_harmonics:]
-    modcfg = replace(modcfg, n_harmonics=n_harmonics)
+    modcfg = modcfg.at_order(n_harmonics)
     return FourierSolution(a0=float(c[0].real), x=2.0 * np.conj(c[1:]), op=op, modcfg=modcfg)

@@ -123,7 +123,7 @@ def _sample_period(sol: FourierSolution, m: int) -> np.ndarray:
     onto its alias exactly as the sampled cos/sin sum does.
     """
     n, x = np.arange(1, sol.n_harmonics + 1), sol.x
-    beta = np.array([sol.beta(k) for k in n])
+    beta = sol.betas
     half = np.stack([np.conj(x), -1j * beta * np.exp(-1j * np.angle(x))]) / 2.0  # bins +n
     coef = np.zeros((2, m), dtype=complex)
     coef[0, 0] = sol.a0
@@ -246,7 +246,7 @@ def _line_spectra(
             amps[i, k_max + 1 : k_max + 1 + head.size] = np.conj(head) / 2.0
             amps[i, k_max - head.size : k_max] = head[::-1] / 2.0
             live = np.flatnonzero(xs)  # X_n = 0 has the identity FM comb
-            betas = [sol.beta(h) for h in (live + 1).tolist()]
+            betas = sol.betas[live].tolist()
             try:
                 for b in betas:
                     _check_beta(b)

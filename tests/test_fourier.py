@@ -1,5 +1,9 @@
 """Harmonic-balance solver: closed forms, limits, and method comparison."""
 
+import cmath
+import math
+import random
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,7 +21,8 @@ from stomod import (
     solve_coefficients_recursive,
     truncation_error,
 )
-from stomod.fourier import solution_difference
+from stomod import fourier
+from stomod.fourier import RESIDUAL_RTOL, FourierSolution, solution_difference
 from stomod.spectrum import first_harmonic_index
 
 from conftest import TWO_PI, make_device
@@ -224,6 +229,180 @@ def test_harmonic_magnitude_is_taken_one_way(op1):
     mags = np.hypot(sol.x.real, sol.x.imag)
     for n in range(1, sol.n_harmonics + 1):
         assert sol.x_abs(n) == mags[n - 1], n
+
+
+def test_fm_index_array_equals_each_scalar_index(all_ops):
+    for op in all_ops.values():
+        for f_m, n_h in [(20e6, 1), (40e6, 20), (400e6, 7)]:
+            cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * f_m, n_harmonics=n_h)
+            sol = solve_coefficients_matrix(op, cfg)
+            assert sol.betas.tolist() == [sol.beta(n) for n in range(1, n_h + 1)]
+
+
+def _reference_solve(op, modcfg, exact):
+    """_solve as it was before its diagonal was cached: the diagonal rebuilt on
+    every call, the exact test inside the recurrence, and the residual from a
+    padded copy of X_n.  Kept verbatim as the differential reference."""
+    n_h = modcfg.n_harmonics
+    if modcfg.mu == 0.0:
+        return FourierSolution(a0=0.0, x=np.zeros(n_h, dtype=complex), op=op, modcfg=modcfg)
+    w = modcfg.omega_m
+    g = 2.0 * op.gamma_p
+    e = modcfg.mu * op.c2
+    drive = modcfg.mu * op.c1
+    # Diagonal 2*Gamma_p - i*n*omega_m of the recurrence, n = 0..N.
+    diag = [complex(g, -n * w) for n in range(n_h + 1)]
+    q = [0j] * (n_h + 2)
+    try:
+        # Backward ratios q_n = X_n / X_{n-1} for n = N..2, from q_{N+1} = 0.
+        for n in range(n_h, 1, -1):
+            q[n] = e / (diag[n] - e * q[n + 1] if exact else diag[n])
+        # n = 1: (g - i*w - e*q_2)*X_1 - (2*e^2/g)*Re X_1 = mu*C1, a real 2x2
+        # system in (B_1, A_1) once A0 = e*B_1/g is eliminated.
+        d = diag[1] - e * q[2] if exact else diag[1]
+        det = d.real * d.real + d.imag * d.imag - 2.0 * e * e * d.real / g
+        x = complex(drive * d.real / det, -drive * d.imag / det)
+    except ZeroDivisionError as exc:  # a zero pivot
+        raise SingularSystemError(
+            f"harmonic-balance system is singular (gamma_p={op.gamma_p}, "
+            f"omega_m={modcfg.omega_m})"
+        ) from exc
+    xs = [x]
+    for q_n in q[2 : n_h + 1]:
+        x *= q_n
+        xs.append(x)
+    a0 = e * xs[0].real / g
+    # Overflow upstream (det = inf, say) leaves NaN here.  NaN would pass the
+    # residual check below, which the recursive method does not run anyway.
+    if not (math.isfinite(a0) and all(map(cmath.isfinite, xs))):
+        raise NumericalError(
+            f"harmonic-balance coefficients are not finite (gamma_p={op.gamma_p}, "
+            f"mu={modcfg.mu}, omega_m={modcfg.omega_m})"
+        )
+    if exact:
+        ext = [0j, *xs, 0j]
+        res = [
+            c * x_n - e * (lo + hi) for c, lo, x_n, hi in zip(diag[1:], ext, xs, ext[2:])
+        ]
+        res[0] -= drive + 2.0 * e * a0
+        residual = max(abs(e * xs[0].real - g * a0), *map(abs, res))
+        scale = max(abs(drive), op.gamma_p)
+        if residual > RESIDUAL_RTOL * scale:
+            raise NumericalError(
+                f"harmonic-balance residual {residual:.3e} exceeds "
+                f"{RESIDUAL_RTOL:.0e} * {scale:.3e}"
+            )
+    if abs(xs[-1]) > abs(xs[0]) > 0.0:
+        warnings.warn(
+            f"harmonic coefficients do not decay (|X_{n_h}| > |X_1|); "
+            f"truncation order N={n_h} may be too small",
+            stacklevel=3,
+        )
+    return FourierSolution(a0=a0, x=np.array(xs), op=op, modcfg=modcfg)
+
+
+def _outcome(solve, op, modcfg, exact):
+    """(bits of a0, bytes of x) or (exception class, message), and the warnings raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            sol = solve(op, modcfg, exact)
+            result = (sol.a0.hex(), sol.x.tobytes())
+        except Exception as exc:  # any failure must be the reference's own
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _random_configs(seed, draws_per_order):
+    """Log-uniform mu in [1e-7, 0.99] and f_m in [1e5, 5e9] Hz at each order."""
+    rng = random.Random(seed)
+    for n_h in (1, 2, 3, 10, 20, 50):
+        for _ in range(draws_per_order):
+            mu = 10.0 ** rng.uniform(-7.0, math.log10(0.99))
+            f_m = 10.0 ** rng.uniform(5.0, math.log10(5e9))
+            yield ModulationConfig(mu=mu, omega_m=TWO_PI * f_m, n_harmonics=n_h)
+
+
+def test_solve_matches_reference_bit_for_bit(all_ops, op1, op2):
+    # Same a0, same bytes of x, same exceptions and same warnings as the
+    # reference, by both methods.  The fixed cases add a zero pivot, an
+    # overflow and a refused residual to the random ones.
+    cases = [(op, cfg) for op in all_ops.values() for cfg in _random_configs(20, 60)]
+    flat = replace(op2, gamma_p=0.0)
+    cases += [
+        (flat, ModulationConfig(mu=0.05, omega_m=OMEGA_M, n_harmonics=1)),
+        (flat, ModulationConfig(mu=0.05, omega_m=OMEGA_M)),
+        (derive_operating_point(make_device(1.8, gamma=1e305)), ModulationConfig(mu=0.05, omega_m=OMEGA_M)),
+        (op1, ModulationConfig(mu=0.9, omega_m=TWO_PI * 3e6, n_harmonics=50)),
+    ]
+    kinds = set()
+    for op, modcfg in cases:
+        for exact in (True, False):
+            result, caught = _outcome(fourier._solve, op, modcfg, exact)
+            assert (result, caught) == _outcome(_reference_solve, op, modcfg, exact), (op, modcfg)
+            kinds.add(result[0] if isinstance(result[0], type) else "solved")
+            kinds.update(category for category, _ in caught)
+    assert kinds == {"solved", UserWarning, SingularSystemError, NumericalError}
+
+
+class _ResidualProbe:
+    """Stands in for RESIDUAL_RTOL: `residual > RESIDUAL_RTOL * scale` records
+    the residual and accepts it, so a refused residual is compared too."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __mul__(self, scale):
+        return self
+
+    def __lt__(self, residual):
+        self.seen.append(residual)
+        return False
+
+
+def test_residual_matches_reference_bit_for_bit(all_ops, monkeypatch):
+    got, ref = _ResidualProbe(), _ResidualProbe()
+    monkeypatch.setattr(fourier, "RESIDUAL_RTOL", got)
+    monkeypatch.setitem(globals(), "RESIDUAL_RTOL", ref)
+    for op in all_ops.values():
+        for modcfg in _random_configs(21, 60):
+            _outcome(fourier._solve, op, modcfg, True)
+            _outcome(_reference_solve, op, modcfg, True)
+    assert len(got.seen) > 1000
+    assert [r.hex() for r in got.seen] == [r.hex() for r in ref.seen]
+
+
+def test_cached_diagonal_is_keyed_exactly(op2):
+    # The cache holds a few diagonals; interleaved orders and omega_m one ulp
+    # apart each get their own, equal to one formed afresh.
+    assert 1 <= fourier._diagonal.cache_info().maxsize <= 8
+    omegas = [OMEGA_M, math.nextafter(OMEGA_M, math.inf)]
+    keys = [(w, n_h) for n_h in (3, 10) for w in omegas] * 2
+    solved = [
+        solve_coefficients_matrix(op2, ModulationConfig(mu=0.05, omega_m=w, n_harmonics=n_h))
+        for w, n_h in keys
+    ]
+    assert solved[0].x.tobytes() != solved[1].x.tobytes()
+    for (w, n_h), sol in zip(keys, solved):
+        fourier._diagonal.cache_clear()
+        fresh = solve_coefficients_matrix(op2, ModulationConfig(mu=0.05, omega_m=w, n_harmonics=n_h))
+        assert (sol.a0, sol.x.tobytes()) == (fresh.a0, fresh.x.tobytes())
+
+
+def test_derived_orders_do_not_repeat_the_mu_warning(op2):
+    # A mu >= 1 config warns once, when it is built; the reference and the
+    # truncation orders derived from it do not warn again.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg = ModulationConfig(mu=1.0, omega_m=TWO_PI * 400e6)
+        truncation_error(op2, cfg, [1, 2, 3], 5)
+        derived = cfg.at_order(3)
+    assert [str(w.message) for w in caught] == [
+        "mu=1.0 >= 1: outside the small-modulation validity range"
+    ]
+    assert (derived.mu, derived.omega_m, derived.n_harmonics) == (1.0, cfg.omega_m, 3)
+    with pytest.raises(ValueError, match="n_harmonics"):
+        cfg.at_order(0)
 
 
 def test_truncation_error_decreases_with_n(op2):
