@@ -15,10 +15,12 @@ Line powers are squared moduli, normalized so the unmodulated carrier has
 power 1.  One kernel, _line_spectra, evaluates this for a whole table of
 points: it builds the combs and Bessel values of many points at once and
 leaves only each point's chain of convolutions to a per-point loop;
-psd_analytic is its one-point call.  The FFT path synthesizes s(t) over
-whole modulation periods and must agree with the convolution line by line.
-It samples dp and dphi by one inverse FFT of the coefficients per period,
-folding harmonics past Nyquist.
+psd_analytic is its one-point call.  Each convolution of the chain computes
+only the 2*k_max+1 kept lines, bit for bit equal to those lines of the full
+convolution.  The FFT path synthesizes s(t) over whole modulation periods
+and must agree with the convolution line by line.  It samples dp and dphi
+by one inverse FFT of the coefficients per period, folding harmonics past
+Nyquist; the dp extremes sample dp alone.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,8 +110,8 @@ class TimeTrace:
                 f"{n_samples // n_per} samples per period"
             )
         k = np.arange(-k_max, k_max + 1)
-        coeffs = np.fft.fft(values) / n_samples
-        return coeffs[(k * n_per) % n_samples] * np.exp(-1j * k * omega_m * self.t[0])
+        coeffs = np.fft.fft(values)[(k * n_per) % n_samples] / n_samples
+        return coeffs * np.exp(-1j * k * omega_m * self.t[0])
 
 
 def shifted_carrier(sol: FourierSolution) -> float:
@@ -116,18 +119,23 @@ def shifted_carrier(sol: FourierSolution) -> float:
     return sol.op.omega_sto + TWO_PI * carrier_shift(sol)
 
 
-def _sample_period(sol: FourierSolution, m: int) -> np.ndarray:
-    """Rows dp and phi at theta = 2*pi*i/m, i = 0..m-1, from one inverse FFT.
+def _sample_period(sol: FourierSolution, m: int, *, phase: bool) -> np.ndarray:
+    """Row dp and, if phase, row phi at theta = 2*pi*i/m, i = 0..m-1, from one
+    inverse FFT.
 
     Harmonic n sits on bins n mod m and -n mod m, so one past Nyquist folds
-    onto its alias exactly as the sampled cos/sin sum does.
+    onto its alias exactly as the sampled cos/sin sum does.  Each row is
+    transformed on its own, so dp alone equals dp sampled with phi bit for bit.
     """
     n, x = np.arange(1, sol.n_harmonics + 1), sol.x
-    beta = sol.betas
-    half = np.stack([np.conj(x), -1j * beta * np.exp(-1j * np.angle(x))]) / 2.0  # bins +n
-    coef = np.zeros((2, m), dtype=complex)
+    half = [np.conj(x)]
+    if phase:
+        half.append(-1j * sol.betas * np.exp(-1j * np.angle(x)))
+    half = np.stack(half) / 2.0  # bins +n
+    coef = np.zeros((len(half), m), dtype=complex)
     coef[0, 0] = sol.a0
-    np.add.at(coef, (slice(None), np.r_[n, -n] % m), np.hstack([half, np.conj(half)]))
+    np.add.at(coef, (slice(None), np.concatenate([n, -n]) % m),
+              np.concatenate([half, np.conj(half)], axis=1))
     return np.fft.ifft(coef, norm="forward").real
 
 
@@ -147,7 +155,7 @@ def synthesize_time_trace(
     if n_periods < 1:
         raise ValueError(f"n_periods must be >= 1, got {n_periods}")
     t = np.arange(samples_per_period * n_periods) * (TWO_PI / sol.modcfg.omega_m / samples_per_period)
-    delta_p, phi = np.tile(_sample_period(sol, samples_per_period), n_periods)
+    delta_p, phi = np.tile(_sample_period(sol, samples_per_period, phase=True), n_periods)
     return TimeTrace(t=t, delta_p=delta_p, phi=phi, demod_freq=shifted_carrier(sol))
 
 
@@ -155,6 +163,14 @@ def _check_beta(beta: float) -> None:
     """Refuse an FM index that is not finite or past _BETA_CAP."""
     if not abs(beta) <= _BETA_CAP:
         raise NumericalError(f"FM index beta={beta} is not finite or exceeds {_BETA_CAP:g}")
+
+
+@lru_cache(maxsize=8)
+def _sin_grid(size: int) -> np.ndarray:
+    """sin(2*pi*i/size), i = 0..size-1, formed once per FFT size and read-only."""
+    grid = np.sin(np.arange(size) * (TWO_PI / size))
+    grid.flags.writeable = False
+    return grid
 
 
 def _bessel_rows(j_max: list[int], beta: list[float]) -> np.ndarray:
@@ -173,7 +189,7 @@ def _bessel_rows(j_max: list[int], beta: list[float]) -> np.ndarray:
     out = np.zeros((len(beta), max(j_max, default=0) + 1))
     beta = np.asarray(beta, dtype=float)
     for size in set(m):
-        sin_theta = np.sin(np.arange(size) * (TWO_PI / size))
+        sin_theta = _sin_grid(size)
         rows = [r for r, m_r in enumerate(m) if m_r == size]
         step = max(1, _WORK_ELEMENTS // size)
         for part in (rows[i : i + step] for i in range(0, len(rows), step)):
@@ -228,8 +244,11 @@ def _line_spectra(
     amplitude combs, and the block's (point, harmonic) rows get their Bessel
     values, taps and FM combs together, _WORK_ELEMENTS comb entries at a
     time.  Only each point's np.convolve chain over its live harmonics, in
-    order, runs point by point.  A point's error (an FM index past _BETA_CAP,
-    non-finite lines) is raised at its turn, after the spectra before it.
+    order, runs point by point.  Each link computes only the 2*k_max+1 kept
+    lines (mode "same"): numpy builds each from the same overlap as the full
+    4*k_max+1-line convolution, so they equal its slice [k_max : 3*k_max+1]
+    bit for bit.  A point's error (an FM index past _BETA_CAP, non-finite
+    lines) is raised at its turn, after the spectra before it.
     """
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
@@ -261,7 +280,7 @@ def _line_spectra(
         for r in range(0, len(point), chunk):
             rows = slice(r, r + chunk)
             for p, comb in zip(point[rows], _fm_combs(n[rows], beta[rows], x[rows], j_max, k_max)):
-                acc[p] = np.convolve(acc[p], comb)[k_max : 3 * k_max + 1]
+                acc[p] = np.convolve(acc[p], comb, mode="same")
         for a in acc[: len(block)]:
             yield _build_spectrum(a, k_max)
         if failed is not None:
@@ -313,7 +332,7 @@ def _dp_extremes(sol: FourierSolution) -> tuple[float, float]:
     Newton steps on the analytic derivative.  A minimum with 1 + dp <= 0
     (negative power) raises NumericalError.
     """
-    dp = _sample_period(sol, max(64, 8 * sol.n_harmonics))[0]
+    dp = _sample_period(sol, max(64, 8 * sol.n_harmonics), phase=False)[0]
     n, xc = np.arange(1, sol.n_harmonics + 1), np.conj(sol.x)
     theta = TWO_PI / dp.size * np.array([dp.argmax(), dp.argmin()])
     for _ in range(4):  # quadratic from the sampled extreme: 2 steps reach round-off
@@ -392,24 +411,29 @@ def modulation_bandwidth(
     n_harmonics: int = 10,
 ) -> float:
     """Modulation bandwidth in Hz: where beta_1 falls to 1/sqrt(2) of its
-    flat-band value beta_1(omega_m0), scanning omega_m = omega_m0*(1 + s)
-    upward at constant mu/omega_m, to 1e-10 in s (or round-off), while
-    mu = mu0*(1 + s) stays within the small-modulation range mu <= 1.
+    flat-band value, scanning omega_m = omega_m0*(1 + s) upward at constant
+    mu/omega_m, to 1e-10 in s (or round-off), while mu = mu0*(1 + s) stays
+    within the small-modulation range mu <= 1.
+
+    The flat-band value is the limit omega_m -> 0, which at constant mu/omega_m
+    takes mu -> 0 too.  There the balance equations reduce to
+    X_1 = mu*C1/(2*Gamma_p - i*omega_m), so beta_1 -> |nu*C1|*mu0/omega_m0
+    exactly.  The seed must lie in the flat band: beta_1 there within 1% of it.
     """
     if not (0.0 < mu0 < 1.0 and omega_m0 > 0.0):
         raise SeedBandError(f"mu0={mu0} must be in (0, 1) and omega_m0={omega_m0} positive")
-    beta_i = first_harmonic_index(op, mu0, omega_m0, n_harmonics)
-    if not beta_i > 0.0:
-        raise SeedBandError(f"flat-band beta_1 = {beta_i:g} at the seed; there is no corner")
-    beta_2x = first_harmonic_index(op, 2.0 * mu0, 2.0 * omega_m0, n_harmonics)
-    if beta_i - beta_2x > 0.01 * beta_i:
+    flat = abs(op.nu * op.c1) * mu0 / omega_m0
+    if not flat > 0.0:
+        raise SeedBandError(f"flat-band beta_1 = {flat:g}; there is no corner")
+    beta_seed = first_harmonic_index(op, mu0, omega_m0, n_harmonics)
+    if abs(flat - beta_seed) > 0.01 * flat:
         raise SeedBandError(
-            f"seed omega_m0={omega_m0:.3e} rad/s is not in the flat band "
-            f"(beta_1 drops {100.0 * (beta_i - beta_2x) / beta_i:.2f}% by 2*omega_m0)"
+            f"seed omega_m0={omega_m0:.3e} rad/s is not in the flat band (beta_1 there "
+            f"differs from its flat-band value by {100.0 * abs(flat - beta_seed) / flat:.2f}%)"
         )
     s = _rising_crossing(
-        lambda s: beta_i - first_harmonic_index(op, mu0 * (1 + s), omega_m0 * (1 + s), n_harmonics),
-        beta_i * (1.0 - 1.0 / math.sqrt(2.0)), 1.0, 1.0 / mu0 - 1.0,
+        lambda s: flat - first_harmonic_index(op, mu0 * (1 + s), omega_m0 * (1 + s), n_harmonics),
+        flat * (1.0 - 1.0 / math.sqrt(2.0)), 1.0, 1.0 / mu0 - 1.0,
     )
     return omega_m0 * (1.0 + s) / TWO_PI
 

@@ -1,0 +1,40 @@
+"""tools/compare_tables.py: the table-by-table report of two checkouts."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_tables.py"
+_spec = importlib.util.spec_from_file_location("compare_tables", _PATH)
+compare_tables = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_tables)
+
+TABLE = "# stomod-version: 0.1.0\n# command: psd-map\na,b\n1,2\n3,4\n5,6\n"
+
+
+@pytest.mark.parametrize("head, report", [
+    (TABLE, "identical"),
+    (TABLE.replace("3,4", "3,5"), "1 of 3 rows differ"),
+    (TABLE + "7,8\n", "1 of 4 rows differ"),
+    (TABLE.replace("psd-map", "bandwidth").replace("5,6", "5,7"),
+     "1 of 3 rows differ; header lines differ"),
+    (None, "only in base"),
+], ids=["identical", "one row", "extra row", "header and row", "missing"])
+def test_report(tmp_path, head, report):
+    (tmp_path / "base.csv").write_text(TABLE)
+    if head is not None:
+        (tmp_path / "head.csv").write_text(head)
+    assert compare_tables.compare(tmp_path / "base.csv", tmp_path / "head.csv") == report
+
+
+def test_a_failing_command_fails_the_run(tmp_path, capsys):
+    # The base's stomod has no cli module, so each command exits 1 there; the
+    # head has no src/stomod at all.
+    (tmp_path / "base" / "src" / "stomod").mkdir(parents=True)
+    (tmp_path / "base" / "src" / "stomod" / "__init__.py").write_text("")
+    assert compare_tables.main([str(tmp_path / "base"), str(tmp_path / "head")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("FAILED") == 6
+    assert "psd-map exited 1" in err and "head: no src/stomod" in err

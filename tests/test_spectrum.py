@@ -82,6 +82,57 @@ def _per_tap_psd(sol, j_max, k_max):
     return _build_spectrum(amps, k_max)
 
 
+def _reference_sample_period(sol, m):
+    """_sample_period as it was when dp and phi were always sampled together.
+    Kept verbatim as the differential reference."""
+    n, x = np.arange(1, sol.n_harmonics + 1), sol.x
+    beta = sol.betas
+    half = np.stack([np.conj(x), -1j * beta * np.exp(-1j * np.angle(x))]) / 2.0  # bins +n
+    coef = np.zeros((2, m), dtype=complex)
+    coef[0, 0] = sol.a0
+    np.add.at(coef, (slice(None), np.r_[n, -n] % m), np.hstack([half, np.conj(half)]))
+    return np.fft.ifft(coef, norm="forward").real
+
+
+def _reference_dp_extremes(sol):
+    """_dp_extremes as it was, on the two-row sampler above.  Kept verbatim."""
+    dp = _reference_sample_period(sol, max(64, 8 * sol.n_harmonics))[0]
+    n, xc = np.arange(1, sol.n_harmonics + 1), np.conj(sol.x)
+    theta = TWO_PI / dp.size * np.array([dp.argmax(), dp.argmin()])
+    for _ in range(4):  # quadratic from the sampled extreme: 2 steps reach round-off
+        z = xc * np.exp(1j * np.outer(theta, n))  # |X_n| exp(i(n*theta - psi_n))
+        curv = (n * n * z.real).sum(axis=1)
+        theta = theta - (n * z.imag).sum(axis=1) / np.where(curv != 0.0, curv, np.inf)
+    polished = sol.a0 + (xc * np.exp(1j * np.outer(theta, n))).real.sum(axis=1)
+    hi, lo = np.fmax(dp.max(), polished[0]), np.fmin(dp.min(), polished[1])
+    if 1.0 + lo <= 0.0:
+        raise NumericalError(f"negative power: min dp = {lo:.6g} makes 1 + dp <= 0")
+    return float(hi), float(lo)
+
+
+def _reference_instantaneous(sol):
+    hi, lo = _reference_dp_extremes(sol)
+    return abs(sol.op.nu * sol.op.gamma_p) * (hi - lo) / TWO_PI
+
+
+def _reference_refuse_negative_power(sol):
+    if 1.0 + sol.a0 - np.hypot(sol.x.real, sol.x.imag).sum() <= 0.0:
+        _reference_dp_extremes(sol)
+
+
+def _outcome(func, sol):
+    """Bits of the returned value (None if none) or (exception class, message),
+    and the warnings raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = func(sol)
+            result = None if value is None else float(value).hex()
+        except Exception as exc:  # any failure must be the reference's own
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
 def _mu_for_beta1_no_coupling(op, beta1, omega_m):
     # Exact inversion when C2 = 0: |X1| = mu*C1/sqrt(w^2 + 4 Gp^2).
     return (
@@ -253,6 +304,76 @@ class TestLineSpectraKernel:
             assert np.array_equal(next(spectra).powers, ref.powers)
         with pytest.raises(NumericalError, match=message):
             next(spectra)
+
+
+class TestExactAnchors:
+    """Two exact identities of the expansion check the kernel without old code."""
+
+    def test_one_harmonic_law(self, all_ops):
+        # With X_n = 0 for n >= 2, dp = A0 + |X_1|*cos(u) and phi = beta_1*sin(u),
+        # u = omega_m*t - psi_1, and J_{k-1} + J_{k+1} = (2k/beta)*J_k collapses
+        # the convolution to
+        #     P_k = J_k(beta_1)^2 * (1 + A0 + k*omega_m/(2*nu*Gamma_p))^2,
+        # beta_1 signed as beta(1) is.  Lines |k| < j_max use no tap past j_max.
+        # Both sides use the same J_j, so they differ by the rounding of a few
+        # products and sums (each <= eps) and by how far those J_j miss the
+        # recurrence: the FFT's round-off, about eps*log2(M) on unit samples,
+        # M <= 2**8 here (|beta_1| < 53).  Each amplitude is at most sqrt(S) in
+        # modulus, S = (|1 + A0| + |X_1|)**2, so |dP| <= 2*(4 + 8)*eps*S ~ 3e-15*S;
+        # the tolerance 1e-14*S leaves a factor 3 (measured: 4.3e-16*S).
+        rng = np.random.default_rng(2012)
+        j_max, k_max = 10, 40
+        betas = []
+        for op in all_ops.values():
+            for _ in range(40):
+                omega_m = TWO_PI * 10.0 ** rng.uniform(7.0, 9.0)
+                modcfg = ModulationConfig(mu=10.0 ** rng.uniform(-3.0, -0.5), omega_m=omega_m)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # validity warnings do not matter here
+                    sol = solve_coefficients_matrix(op, modcfg)
+                nu = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.0, 3.0)
+                x = np.zeros_like(sol.x)
+                x[0] = sol.x[0]
+                one = replace(sol, x=x, op=replace(op, nu=nu))
+                beta1 = one.beta(1)
+                betas.append(beta1)
+                bessel = stomod_jv(j_max, beta1)
+                tol = 1e-14 * (abs(1.0 + one.a0) + abs(x[0])) ** 2
+                spec = psd_analytic(one, j_max=j_max, k_max=k_max)
+                for k in range(1 - j_max, j_max):
+                    am_fm = 1.0 + one.a0 + k * omega_m / (2.0 * nu * op.gamma_p)
+                    assert abs(spec.power_at(k) - bessel[abs(k)] ** 2 * am_fm**2) <= tol, (k, beta1)
+                # The paper's sideband asymmetry in closed form.
+                delta = 2.0 * (1.0 + one.a0) * bessel[1] ** 2 * omega_m / (nu * op.gamma_p)
+                assert abs(sideband_asymmetry(spec) - delta) <= 2.0 * tol
+        # The draws cover both signs of beta_1, tiny indices and indices past j_max.
+        assert min(betas) < -10.0 < 10.0 < max(betas)
+        assert min(map(abs, betas)) < 1e-3
+
+    def test_parseval_in_closed_form(self, all_ops):
+        # |exp(i*phi)| = 1, so sum_k P_k = <(1 + dp)^2> = (1 + A0)^2 + sum|X_n|^2/2
+        # once j_max and k_max hold the FM combs; each deeper (j_max, k_max)
+        # comes closer.  At beta_1 <= 1.3, (20, 80) drops taps below J_21(1.3)^2
+        # ~ 5e-48, so only round-off is left.  Each of N = 10 convolutions keeps
+        # the l2 norm (sum_j J_j^2 = 1) and adds at most (2*j_max + 1)*eps of it,
+        # 10*41*eps ~ 5e-14 relative; the tolerance is 1e-13 (measured: 8.8e-16,
+        # and 1.8e-8 at (5, 20)).
+        rng = np.random.default_rng(2013)
+        tol = 1e-13
+        ladder = [(5, 20), (10, 40), (20, 80)]
+        for op in all_ops.values():
+            for _ in range(12):
+                omega_m = TWO_PI * 10.0 ** rng.uniform(math.log10(20e6), math.log10(400e6))
+                mu = solve_mu_for_beta1(op, rng.uniform(0.05, 1.3), omega_m)
+                sol = solve_coefficients_matrix(op, ModulationConfig(mu=mu, omega_m=omega_m))
+                total = (1.0 + sol.a0) ** 2 + np.sum(np.abs(sol.x) ** 2) / 2.0
+                deficits = [
+                    abs(total - psd_analytic(sol, j_max=j, k_max=k).powers.sum()) / total
+                    for j, k in ladder
+                ]
+                assert deficits[-1] <= tol, deficits
+                for shallow, deep in zip(deficits, deficits[1:]):
+                    assert deep <= shallow + tol, deficits
 
 
 class TestBessel:
@@ -459,6 +580,41 @@ class TestDerivedFigures:
         else:
             _refuse_negative_power(sol)
 
+    def test_dp_sampler_matches_two_row_reference_bit_for_bit(self, all_ops, op1):
+        # dp alone is transformed as it was beside phi: the instantaneous
+        # deviation and the negative-power refusal give the same bits, the same
+        # exceptions and messages, and the same warnings as the old sampler.
+        rng = np.random.default_rng(2014)
+        sols = []
+        for op in all_ops.values():
+            for n_h in (1, 3, 10, 20, 50):
+                for _ in range(12):
+                    modcfg = ModulationConfig(
+                        mu=10.0 ** rng.uniform(-4.0, math.log10(0.9)),
+                        omega_m=TWO_PI * 10.0 ** rng.uniform(5.0, 9.0), n_harmonics=n_h,
+                    )
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")  # validity warnings do not matter here
+                        try:
+                            sols.append(solve_coefficients_matrix(op, modcfg))
+                        except NumericalError:  # a refused residual: no solution to sample
+                            pass
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            # OP1 at 1 MHz: min dp ~ -1.95 at mu = 0.3 and ~ -82 at mu = 0.9.
+            sols += [solve_coefficients_matrix(op1, ModulationConfig(mu=mu, omega_m=TWO_PI * 1e6))
+                     for mu in (0.3, 0.9)]
+        refused = 0
+        for sol in sols:
+            got = _outcome(lambda s: peak_frequency_deviation(s, "instantaneous"), sol)
+            assert got == _outcome(_reference_instantaneous, sol)
+            assert _outcome(_refuse_negative_power, sol) == _outcome(
+                _reference_refuse_negative_power, sol
+            )
+            refused += isinstance(got[0], tuple)
+        assert len(sols) > 150
+        assert refused > 2  # the two fixed cases and random ones
+
     def test_peak_deviation_formula(self, op2):
         sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.05, omega_m=OMEGA_M))
         assert peak_frequency_deviation(sol) == pytest.approx(
@@ -476,12 +632,13 @@ class TestDerivedFigures:
 
     def test_bandwidth_corner_is_solved_to_round_off(self, all_ops):
         # At the returned corner beta_1 is the flat-band value over sqrt(2) to
-        # round-off, not to the resolution of a coarse stop.
+        # round-off, not to the resolution of a coarse stop.  The flat band is
+        # the omega_m -> 0 limit |nu*C1|*mu0/omega_m0, not beta_1 at the seed.
         for op in all_ops.values():
             seed = 0.02 * 2.0 * op.gamma_p
             omega = TWO_PI * modulation_bandwidth(op, 1e-4, seed)
             corner = first_harmonic_index(op, 1e-4 * omega / seed, omega)
-            flat = first_harmonic_index(op, 1e-4, seed)
+            flat = abs(op.nu * op.c1) * 1e-4 / seed
             assert corner == pytest.approx(flat / math.sqrt(2.0), rel=1e-9)
 
     def test_bandwidth_corner_from_a_seed_far_below_it(self, all_ops):
