@@ -222,16 +222,10 @@ def truncation_error(
     if n_ref <= max(n_values):
         raise ValueError(f"n_ref={n_ref} must exceed max(n_values)={max(n_values)}")
     ref = solve_coefficients_matrix(op, modcfg.at_order(n_ref))
-    return _truncation_error(ref, n_values)
-
-
-def _truncation_error(ref: FourierSolution, n_values: list[int]) -> list[tuple[int, float]]:
-    """truncation_error against a solved reference, at its operating point and drive."""
-    out = []
-    for n_val in n_values:
-        sol = solve_coefficients_matrix(ref.op, ref.modcfg.at_order(n_val))
-        out.append((n_val, _distance_percent(sol.x, ref.x)))
-    return out
+    return [
+        (n_val, _distance_percent(solve_coefficients_matrix(op, modcfg.at_order(n_val)).x, ref.x))
+        for n_val in n_values
+    ]
 
 
 def solution_difference(sol: FourierSolution, ref: FourierSolution) -> float:

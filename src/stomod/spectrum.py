@@ -51,8 +51,8 @@ _LINE_POWER_FLOOR = 1e-22
 _BLOCK = 4
 _WORK_ELEMENTS = 1 << 12
 
-# Largest |beta| that _bessel_rows accepts.  Its FFT length grows with |beta|, so a
-# non-finite or absurd FM index is refused before anything is allocated.
+# Largest |beta| that _check_beta accepts.  _bessel_rows' FFT length grows with |beta|,
+# so jv and _line_spectra refuse a non-finite or absurd FM index before it runs.
 _BETA_CAP = 2.0**15
 
 
@@ -181,10 +181,9 @@ def _bessel_rows(j_max: list[int], beta: list[float]) -> np.ndarray:
     beyond |j| ~ |beta|, so M samples with M > 2*(|beta| + j_max) + 40 make
     the aliasing error negligible against round-off.  Each row takes the
     power of two M it needs; rows with the same M share FFT calls of at most
-    _WORK_ELEMENTS samples, whose rows equal one-row calls bit for bit.
+    _WORK_ELEMENTS samples, whose rows equal one-row calls bit for bit.  Each
+    beta must have passed _check_beta.
     """
-    for b in beta:
-        _check_beta(b)
     m = [1 << int(2.0 * (abs(b) + j) + 40.0).bit_length() for b, j in zip(beta, j_max)]
     out = np.zeros((len(beta), max(j_max, default=0) + 1))
     beta = np.asarray(beta, dtype=float)
@@ -203,6 +202,7 @@ def _bessel_rows(j_max: list[int], beta: list[float]) -> np.ndarray:
 
 def jv(j_max: int, beta: float) -> np.ndarray:
     """Bessel values J_0(beta) .. J_{j_max}(beta) of the first kind: one row of _bessel_rows."""
+    _check_beta(beta)
     return _bessel_rows([j_max], [beta])[0]
 
 

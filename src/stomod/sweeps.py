@@ -1,19 +1,21 @@
 """Sweep computations behind the CLI commands.
 
 Each function returns ``{filename_stem: (header, rows)}`` so the CLI layer
-only handles argument parsing and CSV serialization.  Rows follow grid order.
+only handles argument parsing and CSV serialization.  Rows follow grid order,
+and every table solves them through one step, _solve_rows.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import replace
+from typing import NamedTuple
 
 from .config import RunConfig, device_at
 from .errors import StomodError
 from .fourier import (
     FourierSolution,
-    _truncation_error,
+    _distance_percent,
     carrier_shift,
     solution_difference,
     solve_coefficients_matrix,
@@ -39,6 +41,18 @@ from .spectrum import (
 TableMap = dict[str, tuple[list[str], list[tuple]]]
 
 
+class _Row(NamedTuple):
+    """One table row to solve.  With beta1 given, modcfg's mu is back-solved for
+    it at solver.n_harmonics.  refuse=False skips the negative-power check."""
+
+    name: str
+    op: OperatingPoint
+    modcfg: ModulationConfig
+    beta1: float | None = None
+    recursive: bool = False
+    refuse: bool = True
+
+
 def _ops(cfg: RunConfig, op_filter: str | None) -> list[tuple[str, OperatingPoint]]:
     """The configured operating points, or only the one labelled ``op_filter``."""
     labels = list(cfg.op_xis) if op_filter is None else [op_filter]
@@ -54,37 +68,50 @@ def _row(name: str):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-def _spectra(cfg: RunConfig, rows: list[tuple[str, FourierSolution]]) -> list[LineSpectrum]:
-    """Line spectra of a table's ``(row name, solution)`` pairs from one kernel
-    call; an error is prefixed with the name of the row it hit."""
-    spectra = _line_spectra([sol for _, sol in rows], cfg.j_max, cfg.k_max)
+def _solve_rows(cfg: RunConfig, rows: list[_Row]) -> list[FourierSolution]:
+    """The solutions of a table's rows, in order.
+
+    Each row runs under its name: back-solve mu if it gives beta1, solve by
+    its method, then, if it asks, refuse negative power (1 + dp <= 0 raises
+    NumericalError).  So the first failing row raises, named.
+    """
+    sols = []
+    for row in rows:
+        with _row(row.name):
+            modcfg = row.modcfg
+            if row.beta1 is not None:
+                mu = solve_mu_for_beta1(row.op, row.beta1, modcfg.omega_m, cfg.n_harmonics)
+                modcfg = replace(modcfg, mu=mu)
+            solve = solve_coefficients_recursive if row.recursive else solve_coefficients_matrix
+            sols.append(solve(row.op, modcfg))
+            if row.refuse:
+                _refuse_negative_power(sols[-1])
+    return sols
+
+
+def _spectra(cfg: RunConfig, rows: list[_Row], sols: list[FourierSolution]) -> list[LineSpectrum]:
+    """Line spectra of a table's solved rows from one kernel call; an error is
+    prefixed with the name of the row it hit."""
+    spectra = _line_spectra(sols, cfg.j_max, cfg.k_max)
     out = []
-    for name, _ in rows:
-        with _row(name):
+    for row in rows:
+        with _row(row.name):
             out.append(next(spectra))
     return out
 
 
-def _grid_spectra(cfg: RunConfig, points: list[tuple[str, OperatingPoint, float, float]]):
-    """``(mu, sol, spec)`` at each ``(label, op, beta1, f_m)`` point: back-solved
-    mu, exact solution, line spectrum.
-
-    Each point's back-solve, solve and negative-power check (1 + dp <= 0
-    raises NumericalError) run under its row name; then one kernel call gives
-    every spectrum.
-    """
-    solved = []
-    for label, op, beta1, f_m in points:
-        name, omega_m = f"{label} at beta1 = {beta1:g}, f_m = {f_m:g} Hz", TWO_PI * f_m
-        with _row(name):
-            mu = solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics)
-            sol = solve_coefficients_matrix(
-                op, ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=cfg.n_harmonics)
-            )
-            _refuse_negative_power(sol)
-        solved.append((name, mu, sol))
-    spectra = _spectra(cfg, [(name, sol) for name, _, sol in solved])
-    return [(mu, sol, spec) for (_, mu, sol), spec in zip(solved, spectra)]
+def _grid_spectra(cfg: RunConfig, ops, beta1_grid, f_m_grid):
+    """``(label, beta1, f_m, sol, spec)`` over the (op, beta1, f_m) grid: the
+    exact solution at the back-solved mu (``sol.modcfg.mu``) and its line spectrum."""
+    points = [(label, op, b, f) for label, op in ops for b in beta1_grid for f in f_m_grid]
+    rows = [
+        _Row(f"{label} at beta1 = {beta1:g}, f_m = {f_m:g} Hz", op,
+             ModulationConfig(0.0, TWO_PI * f_m, cfg.n_harmonics), beta1)
+        for label, op, beta1, f_m in points
+    ]
+    sols = _solve_rows(cfg, rows)
+    return [(label, beta1, f_m, sol, spec) for (label, _, beta1, f_m), sol, spec
+            in zip(points, sols, _spectra(cfg, rows, sols))]
 
 
 def operating_point_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
@@ -103,14 +130,10 @@ def operating_point_table(cfg: RunConfig, op_filter: str | None = None) -> Table
 def psd_map_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
     """Line spectra vs beta_1 at the fixed modulation frequency, for each
     operating point."""
-    points = [
-        (label, op, beta1, cfg.psd_f_m_hz)
-        for label, op in _ops(cfg, op_filter)
-        for beta1 in cfg.psd_beta1_grid
-    ]
+    grid = _grid_spectra(cfg, _ops(cfg, op_filter), cfg.psd_beta1_grid, [cfg.psd_f_m_hz])
     rows = []
-    for (label, _, beta1, _), (mu, sol, spec) in zip(points, _grid_spectra(cfg, points)):
-        f_s = carrier_shift(sol)
+    for label, beta1, _, sol, spec in grid:
+        mu, f_s = sol.modcfg.mu, carrier_shift(sol)
         rows.extend(
             (label, beta1, mu, int(k), float(p), f_s) for k, p in zip(spec.offsets, spec.powers)
         )
@@ -118,62 +141,44 @@ def psd_map_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
     return {"psd_map": (header, rows)}
 
 
-def _asymmetry_rows(cfg, ops, beta1_grid, f_m_grid):
-    points = [
-        (label, op, beta1, f_m) for label, op in ops for beta1 in beta1_grid for f_m in f_m_grid
-    ]
-    return [
-        (
-            label,
-            beta1,
-            f_m,
-            sideband_asymmetry(spec),
-            spec.power_at(+1),
-            spec.power_at(-1),
-            spec.power_at(0),
-        )
-        for (label, _, beta1, f_m), (_, _, spec) in zip(points, _grid_spectra(cfg, points))
-    ]
-
-
 def asymmetry_map_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
     """Sideband power difference over the (beta_1, f_m) grid, plus the
     fixed-frequency slice."""
     ops = _ops(cfg, op_filter)
     header = ["op_label", "beta1", "f_m_hz", "delta", "p_upper", "p_lower", "p_carrier"]
-    grid_rows = _asymmetry_rows(cfg, ops, cfg.asym_beta1_grid, cfg.asym_f_m_grid_hz)
-    slice_rows = _asymmetry_rows(cfg, ops, cfg.asym_beta1_grid, [cfg.asym_slice_f_m_hz])
-    return {
-        "asymmetry_map": (header, grid_rows),
-        "asymmetry_slice": (header, slice_rows),
-    }
+    tables = {}
+    for stem, f_m_grid in [("asymmetry_map", cfg.asym_f_m_grid_hz),
+                           ("asymmetry_slice", [cfg.asym_slice_f_m_hz])]:
+        grid = _grid_spectra(cfg, ops, cfg.asym_beta1_grid, f_m_grid)
+        tables[stem] = (header, [
+            (label, beta1, f_m, sideband_asymmetry(spec),
+             spec.power_at(+1), spec.power_at(-1), spec.power_at(0))
+            for label, beta1, f_m, _, spec in grid
+        ])
+    return tables
 
 
 def bandwidth_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
     """Peak frequency deviation vs f_m and the measured modulation bandwidth."""
-    rows = []
+    table = []
     for label, op in _ops(cfg, op_filter):
         mbw_ref = 2.0 * op.gamma_p / TWO_PI
         # Seeded at mu = 1e-4 and 2% of the 2*Gamma_p corner, deep in the flat band.
         seed = 0.02 * 2.0 * op.gamma_p
         with _row(f"{label} bandwidth search from f_m = {seed / TWO_PI:g} Hz"):
             mbw_meas = modulation_bandwidth(op, 1e-4, seed, cfg.n_harmonics)
-        for f_m in cfg.bw_f_m_grid_hz:
-            modcfg = ModulationConfig(cfg.bw_mu, TWO_PI * f_m, cfg.n_harmonics)
-            with _row(f"{label} at f_m = {f_m:g} Hz"):
-                sol = solve_coefficients_matrix(op, modcfg)
-                delta_f_inst = peak_frequency_deviation(sol, "instantaneous")
-                delta_f_index = peak_frequency_deviation(sol, "index-based")
-            rows.append((label, f_m, delta_f_index, delta_f_inst, mbw_ref, mbw_meas))
-    header = [
-        "op_label",
-        "f_m_hz",
-        "delta_f_index_hz",
-        "delta_f_inst_hz",
-        "mbw_hz",
-        "mbw_measured_hz",
-    ]
-    return {"bandwidth": (header, rows)}
+        rows = [
+            _Row(f"{label} at f_m = {f_m:g} Hz", op,
+                 ModulationConfig(cfg.bw_mu, TWO_PI * f_m, cfg.n_harmonics))
+            for f_m in cfg.bw_f_m_grid_hz
+        ]
+        for f_m, sol in zip(cfg.bw_f_m_grid_hz, _solve_rows(cfg, rows)):
+            delta_f_inst = peak_frequency_deviation(sol, "instantaneous")
+            delta_f_index = peak_frequency_deviation(sol, "index-based")
+            table.append((label, f_m, delta_f_index, delta_f_inst, mbw_ref, mbw_meas))
+    header = ["op_label", "f_m_hz", "delta_f_index_hz", "delta_f_inst_hz", "mbw_hz",
+              "mbw_measured_hz"]
+    return {"bandwidth": (header, table)}
 
 
 def error_analysis_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
@@ -182,18 +187,19 @@ def error_analysis_table(cfg: RunConfig, op_filter: str | None = None) -> TableM
     ops = _ops(cfg, op_filter)
     label, op = ops[min(1, len(ops) - 1)]
 
-    trunc_rows = []
+    # Per f_m, the short orders and then their order-n_ref reference, which
+    # alone is refused: a short order is truncated on purpose.
+    orders, rows = [*cfg.err_n_values, cfg.err_n_ref], []
     for f_m in cfg.err_f_m_grid_hz:
-        modcfg = ModulationConfig(
-            mu=cfg.err_mu, omega_m=TWO_PI * f_m, n_harmonics=cfg.err_n_ref
-        )
-        with _row(f"{label} at f_m = {f_m:g} Hz"):
-            ref = solve_coefficients_matrix(op, modcfg)
-            errs = _truncation_error(ref, cfg.err_n_values)
-        trunc_rows.extend((label, f_m, n_val, err) for n_val, err in errs)
-        with _row(f"{label} at f_m = {f_m:g} Hz, n = {cfg.err_n_ref}"):
-            _refuse_negative_power(ref)  # the reference row
-        trunc_rows.append((label, f_m, cfg.err_n_ref, 0.0))
+        modcfg = ModulationConfig(mu=cfg.err_mu, omega_m=TWO_PI * f_m, n_harmonics=cfg.err_n_ref)
+        name = f"{label} at f_m = {f_m:g} Hz"
+        rows += [_Row(name, op, modcfg.at_order(n), refuse=False) for n in cfg.err_n_values]
+        rows.append(_Row(f"{name}, n = {cfg.err_n_ref}", op, modcfg))
+    sols, trunc_rows = _solve_rows(cfg, rows), []
+    for i, f_m in enumerate(cfg.err_f_m_grid_hz):
+        group = sols[i * len(orders) : (i + 1) * len(orders)]
+        trunc_rows += [(label, f_m, n, _distance_percent(sol.x, group[-1].x))
+                       for n, sol in zip(orders, group)]
 
     omega_m = TWO_PI * cfg.err_recursive_f_m_hz
     # mu depends on beta_1 only (back-solved at solver.n_harmonics), not on N.
@@ -201,44 +207,26 @@ def error_analysis_table(cfg: RunConfig, op_filter: str | None = None) -> TableM
     for beta1 in cfg.err_recursive_beta1_grid:
         with _row(f"{label} at beta1 = {beta1:g}, f_m = {cfg.err_recursive_f_m_hz:g} Hz"):
             mus.append(solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics))
-    solved = []
-    for n_val in cfg.err_recursive_n_values:
-        for beta1, mu in zip(cfg.err_recursive_beta1_grid, mus):
-            modcfg = ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=n_val)
-            name = f"{label} at beta1 = {beta1:g}, n = {n_val}"
-            with _row(name):
-                mat = solve_coefficients_matrix(op, modcfg)
-                _refuse_negative_power(mat)
-                rec = solve_coefficients_recursive(op, modcfg)
-            solved.append((name, n_val, beta1, mat, rec))
-    # One kernel call for the matrix and recursive solutions of every row, in pairs.
-    spectra = _spectra(cfg, [(name, s) for name, _, _, mat, rec in solved for s in (mat, rec)])
-    rec_rows = []
-    pairs = zip(spectra[::2], spectra[1::2])
-    for (_, n_val, beta1, mat, rec), (spec_mat, spec_rec) in zip(solved, pairs):
+    keys = [(n, beta1, mu) for n in cfg.err_recursive_n_values
+            for beta1, mu in zip(cfg.err_recursive_beta1_grid, mus)]
+    # The matrix and recursive solutions of each key as adjacent rows; only the
+    # matrix one is refused.
+    rows = []
+    for n, beta1, mu in keys:
+        modcfg, name = ModulationConfig(mu, omega_m, n), f"{label} at beta1 = {beta1:g}, n = {n}"
+        rows += [_Row(name, op, modcfg), _Row(name, op, modcfg, recursive=True, refuse=False)]
+    sols = _solve_rows(cfg, rows)
+    spectra, rec_rows = _spectra(cfg, rows, sols), []
+    for (n, beta1, _), mat, rec, spec_mat, spec_rec in zip(
+        keys, sols[::2], sols[1::2], spectra[::2], spectra[1::2]
+    ):
         p_mat, p_rec = spec_mat.power_at(+1), spec_rec.power_at(+1)
         sb_err = 100.0 * abs(p_rec - p_mat) / p_mat if p_mat > 0.0 else 0.0
-        rec_rows.append(
-            (
-                label,
-                cfg.err_recursive_f_m_hz,
-                n_val,
-                beta1,
-                solution_difference(rec, mat),
-                sb_err,
-            )
-        )
+        rec_rows.append((label, cfg.err_recursive_f_m_hz, n, beta1,
+                         solution_difference(rec, mat), sb_err))
+    rec_header = ["op_label", "f_m_hz", "n", "beta1", "coeff_error_percent",
+                  "sideband_error_percent"]
     return {
         "error_truncation": (["op_label", "f_m_hz", "n", "error_percent"], trunc_rows),
-        "error_recursive": (
-            [
-                "op_label",
-                "f_m_hz",
-                "n",
-                "beta1",
-                "coeff_error_percent",
-                "sideband_error_percent",
-            ],
-            rec_rows,
-        ),
+        "error_recursive": (rec_header, rec_rows),
     }

@@ -17,7 +17,8 @@ import stomod
 from stomod import fourier, sweeps
 from stomod.cli import COMMANDS, main
 from stomod.config import load_config
-from stomod.model import TWO_PI
+from stomod.model import TWO_PI, ModulationConfig
+from stomod.spectrum import _refuse_negative_power
 
 # Small grids keep the CLI tests quick without changing any physics.
 FAST_PSD = [
@@ -480,6 +481,25 @@ def test_error_analysis_back_solves_each_beta1_once(monkeypatch):
     ]
 
 
+def test_error_recursive_rows_compare_the_two_methods():
+    # Each row's coefficient error is the recursive solution's distance from
+    # the matrix one, both at the row's back-solved mu and order.
+    cfg = load_config(overrides=[
+        "error-analysis.recursive_beta1_grid=0.5", "error-analysis.recursive_n_values=5",
+    ])
+    _, rows = sweeps.error_analysis_table(cfg)["error_recursive"]
+    label, op = sweeps._ops(cfg, None)[1]
+    omega_m = TWO_PI * cfg.err_recursive_f_m_hz
+    modcfg = ModulationConfig(sweeps.solve_mu_for_beta1(op, 0.5, omega_m, cfg.n_harmonics),
+                              omega_m, 5)
+    error = fourier.solution_difference(
+        fourier.solve_coefficients_recursive(op, modcfg),
+        fourier.solve_coefficients_matrix(op, modcfg),
+    )
+    assert error > 0.0
+    assert rows[0][:5] == (label, cfg.err_recursive_f_m_hz, 5, 0.5, error)
+
+
 def test_error_analysis_solves_each_reference_once(monkeypatch):
     # The order-n_ref reference of each f_m gives both the truncation
     # distances and the reference row's negative-power check.
@@ -579,6 +599,51 @@ def test_negative_power_exits_3_in_every_table_command(tmp_path, command):
     result, out = run_cli([command, "--op-label", "OP1", *sets], tmp_path)
     assert result.exit_code == 3, result.output
     assert result.stderr.startswith(f"numerical error: OP1 at {row}: negative power")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, error", [
+    ("10000,1e9", "beta1 = 10000, f_m = 1e+06 Hz: negative power"),
+    ("1e9,10000", "beta1 = 1e+09, f_m = 1e+06 Hz: target 1e+09 not reachable"),
+])
+def test_first_failing_row_wins(tmp_path, grid, error):
+    # Each row is back-solved, solved and checked before the next: beta_1 =
+    # 10000 gives a negative power, and 1e9 is past the peak of beta_1(mu).
+    sets = ["device.nu=10", "psd-map.f_m_hz=1e6", f"psd-map.beta1_grid={grid}"]
+    args = [arg for key in sets for arg in ("--set", key)]
+    result, out = run_cli(["psd-map", "--op-label", "OP1", *args], tmp_path)
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith(f"numerical error: OP1 at {error}")
+    assert not out.exists()
+
+
+def test_short_orders_are_not_refused(tmp_path):
+    # The N = 10 solution at OP1, 1 MHz, mu = 0.3 dips to min dp ~ -1.95, a
+    # negative power; only its N = 20 reference is checked, and it passes.
+    sets = ["error-analysis.mu=0.3", "error-analysis.f_m_grid_hz=1e6",
+            "error-analysis.n_values=10", "error-analysis.n_ref=20"]
+    op = sweeps._ops(load_config(), "OP1")[0][1]
+    short = fourier.solve_coefficients_matrix(op, ModulationConfig(0.3, TWO_PI * 1e6, 10))
+    with pytest.raises(stomod.NumericalError, match=r"negative power: min dp = -1\.9"):
+        _refuse_negative_power(short)
+    args = [arg for key in sets for arg in ("--set", key)]
+    result, out = run_cli(["error-analysis", "--op-label", "OP1", *args], tmp_path)
+    assert result.exit_code == 0, result.output
+    _, _, rows = read_table(out / "error_truncation.csv")
+    assert [int(row[2]) for row in rows] == [10, 20]
+
+
+def test_failing_reference_solve_is_named_by_its_order(tmp_path):
+    # At OP1, 1 MHz, mu = 0.5 the order-40 reference fails the residual gate,
+    # after its short order N = 5 is solved.
+    sets = ["error-analysis.mu=0.5", "error-analysis.f_m_grid_hz=1e6",
+            "error-analysis.n_values=5", "error-analysis.n_ref=40"]
+    args = [arg for key in sets for arg in ("--set", key)]
+    result, out = run_cli(["error-analysis", "--op-label", "OP1", *args], tmp_path)
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith(
+        "numerical error: OP1 at f_m = 1e+06 Hz, n = 40: harmonic-balance residual"
+    )
     assert not out.exists()
 
 

@@ -28,6 +28,40 @@ def test_report(tmp_path, head, report):
     assert compare_tables.compare(tmp_path / "base.csv", tmp_path / "head.csv") == report
 
 
+WARNING = "Warning: omega_m is not small compared to omega_sto ({} times)\n"
+
+
+@pytest.mark.parametrize("head, report", [
+    (WARNING.format(3), "identical"),
+    (WARNING.format(4), "1 of 1 lines differ"),
+    ("", "1 of 1 lines differ"),
+    (WARNING.format(3) + WARNING.format(1), "1 of 2 lines differ"),
+], ids=["identical", "count", "missing", "extra"])
+def test_stderr_report(head, report):
+    assert compare_tables.compare_stderr(WARNING.format(3), head) == report
+
+
+def test_stderr_is_reported_per_command(tmp_path, capsys):
+    # Two checkouts whose stomod.cli prints one warning line, with a count
+    # that differs only for bandwidth on the head side.
+    for side, count in (("base", 3), ("head", 4)):
+        (tmp_path / side / "src" / "stomod").mkdir(parents=True)
+        (tmp_path / side / "src" / "stomod" / "__init__.py").write_text("")
+        (tmp_path / side / "src" / "stomod" / "cli.py").write_text(
+            "import sys\n"
+            "def main(argv):\n"
+            "    n = " + str(count) + " if argv[0] == 'bandwidth' else 3\n"
+            "    print(f'Warning: slow ({n} times)', file=sys.stderr)\n"
+        )
+    assert compare_tables.main([str(tmp_path / "base"), str(tmp_path / "head")]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == [
+        f"{command} stderr: {'1 of 1 lines differ' if command == 'bandwidth' else 'identical'}"
+        for command in compare_tables.COMMANDS
+    ]
+
+
 def test_a_failing_command_fails_the_run(tmp_path, capsys):
     # The base's stomod has no cli module, so each command exits 1 there; the
     # head has no src/stomod at all.

@@ -23,8 +23,10 @@ from stomod import (
     solve_mu_for_beta1,
     synthesize_time_trace,
 )
+from stomod import spectrum
 from stomod.config import load_config
 from stomod.spectrum import (
+    _BETA_CAP,
     _BLOCK,
     TimeTrace,
     _build_spectrum,
@@ -391,10 +393,25 @@ class TestBessel:
         assert values[0] == 1.0
         assert all(v == 0.0 for v in values[1:])
 
-    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 2.0**16])
+    @pytest.mark.parametrize(
+        "beta", [math.nan, math.inf, -math.inf, 2.0**16, math.nextafter(_BETA_CAP, math.inf)]
+    )
     def test_non_finite_or_huge_index_rejected(self, beta):
         with pytest.raises(NumericalError):
             stomod_jv(4, beta)
+
+    @pytest.mark.parametrize("n_live", [1, 3, 10])
+    def test_each_fm_index_is_checked_once(self, op2, monkeypatch, n_live):
+        # A spectrum checks each live harmonic's FM index once, in _line_spectra;
+        # _bessel_rows leaves the check to its callers.
+        checked = []
+        check = spectrum._check_beta
+        monkeypatch.setattr(spectrum, "_check_beta", lambda b: checked.append(b) or check(b))
+        modcfg = ModulationConfig(mu=0.1, omega_m=OMEGA_M, n_harmonics=n_live)
+        sol = solve_coefficients_matrix(op2, modcfg)
+        assert np.count_nonzero(sol.x) == n_live
+        psd_analytic(sol)
+        assert checked == sol.betas.tolist()
 
 
 class TestNonFiniteLines:

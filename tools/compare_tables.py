@@ -5,8 +5,10 @@
 
 Runs each of the five CLI commands with the default config in each checkout
 (its own src/ on PYTHONPATH) and prints, for every table, "identical" or how
-many data rows differ.  It only reports: the exit status is 1 if a command
-fails on either side, and 0 otherwise, whatever the tables hold.
+many data rows differ, then, for every command, whether its stderr (the
+warning lines and their counts) is identical.  It only reports: the exit
+status is 1 if a command fails on either side, and 0 otherwise, whatever the
+tables and warnings hold.
 """
 
 from __future__ import annotations
@@ -21,19 +23,21 @@ COMMANDS = ("operating-point", "psd-map", "asymmetry-map", "bandwidth", "error-a
 RUN_CLI = "import sys; from stomod.cli import main; main(sys.argv[1:])"
 
 
-def run_commands(checkout: Path, out: Path) -> list[str]:
-    """Run every command of checkout, writing to out; return the failures."""
+def run_commands(checkout: Path, out: Path) -> tuple[dict[str, str], list[str]]:
+    """Run every command of checkout, writing to out; return each command's
+    stderr and the failures."""
     src = checkout.resolve() / "src"
     if not (src / "stomod").is_dir():  # an installed stomod would stand in for it
-        return [f"{checkout}: no src/stomod"]
+        return {}, [f"{checkout}: no src/stomod"]
     env = dict(os.environ, PYTHONPATH=str(src))
-    failures = []
+    stderr, failures = {}, []
     for command in COMMANDS:
         proc = subprocess.run([sys.executable, "-c", RUN_CLI, command, "--out", str(out)],
                               env=env, cwd=out.parent, capture_output=True, text=True)
+        stderr[command] = proc.stderr
         if proc.returncode != 0:
             failures.append(f"{checkout}: {command} exited {proc.returncode}\n{proc.stderr}")
-    return failures
+    return stderr, failures
 
 
 def _split(data: bytes) -> tuple[list[str], list[str]]:
@@ -51,9 +55,19 @@ def compare(base: Path, head: Path) -> str:
     if a == b:
         return "identical"
     (top_a, rows_a), (top_b, rows_b) = _split(a), _split(b)
-    differ = sum(x != y for x, y in zip(rows_a, rows_b)) + abs(len(rows_a) - len(rows_b))
     note = "" if top_a == top_b else "; header lines differ"
-    return f"{differ} of {max(len(rows_a), len(rows_b))} rows differ{note}"
+    return _differ(rows_a, rows_b, "rows") + note
+
+
+def compare_stderr(base: str, head: str) -> str:
+    """'identical', or how many lines of a command's two stderr texts differ."""
+    return "identical" if base == head else _differ(base.splitlines(), head.splitlines(), "lines")
+
+
+def _differ(a: list[str], b: list[str], unit: str) -> str:
+    """How many of the lines a and b differ, position by position."""
+    differ = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
+    return f"{differ} of {max(len(a), len(b))} {unit} differ"
 
 
 def main(argv: list[str]) -> int:
@@ -63,13 +77,18 @@ def main(argv: list[str]) -> int:
     checkouts = [Path(p) for p in argv]
     with tempfile.TemporaryDirectory() as tmp:
         outs = [Path(tmp, side, "out") for side in ("base", "head")]
-        failures = []
+        stderrs, failures = [], []
         for checkout, out in zip(checkouts, outs):
             out.parent.mkdir()
-            failures += run_commands(checkout, out)
+            stderr, failed = run_commands(checkout, out)
+            stderrs.append(stderr)
+            failures += failed
         stems = sorted({p.name for out in outs if out.is_dir() for p in out.glob("*.csv")})
         for stem in stems:
             print(f"{stem}: {compare(outs[0] / stem, outs[1] / stem)}")
+    for command in COMMANDS:
+        if all(command in stderr for stderr in stderrs):
+            print(f"{command} stderr: {compare_stderr(*(s[command] for s in stderrs))}")
     for failure in failures:
         print(f"FAILED {failure}", file=sys.stderr)
     return 1 if failures else 0
