@@ -144,13 +144,15 @@ def _rk4(coeffs, y0: float, h: float, n_steps: int, period_steps: int, phase_rat
     steps (h/6 times the RK4 weighted sum of phase_rate over the stage
     states, each passed in one scratch array that phase_rate may overwrite)
     are summed in place over the same view and accumulated by np.cumsum.
+    Stage 1's state is y_i itself and its weight 1, so the sum starts as its
+    rate, taken on a copy of y_i; stage 4 (weight 1) is added unscaled.
     Returns y and phi at t = i*h, i = 0..n_steps; a trace that is not finite
     raises NumericalError.
     """
     periods = -(-n_steps // period_steps)
     y = np.empty(periods * period_steps + 1)
-    phi = np.zeros_like(y)
-    y[0] = y0
+    phi = np.empty_like(y)
+    y[0], phi[0] = y0, 0.0
     # Row k: the states y_i and the phase steps phi_{i+1} - phi_i of period k.
     y_i = y[:-1].reshape(periods, period_steps)
     dphi = phi[1:].reshape(periods, period_steps)
@@ -175,11 +177,13 @@ def _rk4(coeffs, y0: float, h: float, n_steps: int, period_steps: int, phase_rat
         )
         np.multiply.outer(y_i[:, 0], gain[:-1], out=y_i[:, 1:])
         y_i[:, 1:] += offset[:-1]
-        stage = np.empty_like(y_i)
-        for c, d, weight in ((0.0, 1.0, 1.0), (c2, d2, 2.0), (c3, d3, 2.0), (c4, d4, 1.0)):
+        stage = y_i.copy()
+        dphi[...] = phase_rate(stage)
+        for c, d, double in ((c2, d2, True), (c3, d3, True), (c4, d4, False)):
             np.multiply(d, y_i, out=stage)
             stage += c
-            dphi += np.multiply(phase_rate(stage), weight, out=stage)
+            rate = phase_rate(stage)
+            dphi += np.multiply(rate, 2.0, out=stage) if double else rate
         dphi *= sixth
         np.cumsum(phi, out=phi)
     y, phi = y[: n_steps + 1], phi[: n_steps + 1]

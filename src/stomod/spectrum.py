@@ -20,7 +20,8 @@ only the 2*k_max+1 kept lines, bit for bit equal to those lines of the full
 convolution.  The FFT path synthesizes s(t) over whole modulation periods
 and must agree with the convolution line by line.  It samples dp and dphi
 by one inverse FFT of the coefficients per period, folding harmonics past
-Nyquist; the dp extremes sample dp alone.
+Nyquist, and reads the lines off one FFT of a period; the dp extremes
+sample dp alone.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .model import TWO_PI, ModulationConfig, OperatingPoint
 DEFAULT_J_MAX = 10
 DEFAULT_K_MAX = 40
 DEFAULT_SAMPLES_PER_PERIOD = 256
-DEFAULT_N_PERIODS = 8
+DEFAULT_N_PERIODS = 1
 
 # Lines below this fraction of the strongest line are considered numerical
 # noise (FFT floor) and dropped.
@@ -87,7 +88,11 @@ class TimeTrace:
         values(t) = sum_k c_k * exp(i*k*omega_m*t), read off one FFT in the
         absolute time that the synthesis and the oracle drive in.  The uniform
         grid must span whole periods, endpoint excluded, sampled above 2*k_max
-        per period; anything else raises GridCoverageError.
+        per period; anything else raises GridCoverageError.  Bin k*n_per of
+        the FFT of n_per periods of m samples is bin k mod m of the FFT of
+        the periods' sample-by-sample sum, an exact identity of the DFT that
+        needs no two periods to be equal, so the periods are folded first
+        and one m-sample FFT is taken.
         """
         n_samples = self.t.size
         if n_samples < 2:
@@ -104,13 +109,13 @@ class TimeTrace:
         n_per = int(round(n_per))
         if n_samples % n_per:
             raise GridCoverageError("samples do not divide evenly into periods")
-        if 2 * k_max >= n_samples // n_per:
+        m = n_samples // n_per
+        if 2 * k_max >= m:
             raise GridCoverageError(
-                f"k_max={k_max} is at or past the Nyquist limit of "
-                f"{n_samples // n_per} samples per period"
+                f"k_max={k_max} is at or past the Nyquist limit of {m} samples per period"
             )
         k = np.arange(-k_max, k_max + 1)
-        coeffs = np.fft.fft(values)[(k * n_per) % n_samples] / n_samples
+        coeffs = np.fft.fft(values.reshape(n_per, m).sum(axis=0))[k % m] / n_samples
         return coeffs * np.exp(-1j * k * omega_m * self.t[0])
 
 
@@ -148,7 +153,9 @@ def synthesize_time_trace(
 
     The grid covers exactly n_periods modulation periods, endpoint excluded,
     so projections and FFTs are leak-free.  One period is sampled by an
-    inverse FFT of the coefficients and repeated n_periods times.
+    inverse FFT of the coefficients and repeated n_periods times.  The
+    steady state repeats every period, so one period (the default) holds
+    every line that TimeTrace.harmonics reads.
     """
     if samples_per_period < 16:
         raise ValueError(f"samples_per_period must be >= 16, got {samples_per_period}")
@@ -306,6 +313,8 @@ def psd_fft(
     Its lines are TimeTrace.harmonics of (1 + dp) * exp(i*phi), so the trace
     must cover whole modulation periods on a uniform grid, sampled above
     2*k_max per period; anything else is rejected rather than windowed.
+    The signal is formed over the whole trace and its periods folded before
+    the one-period FFT, so a one-period trace costs the least.
     """
     signal = (1.0 + trace.delta_p) * np.exp(1j * trace.phi)
     return _build_spectrum(trace.harmonics(signal, sol.modcfg.omega_m, k_max), k_max)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from stomod import DeviceParams, derive_operating_point
@@ -20,6 +21,19 @@ def make_device(xi: float, **overrides) -> DeviceParams:
     kw = dict(DEVICE_KW, xi=xi)
     kw.update(overrides)
     return DeviceParams(**kw)
+
+
+def full_fft_read_out(trace, values, omega_m, k_max):
+    """Reference for TimeTrace.harmonics: c_k, k = -k_max..k_max, each read in
+    a loop from its own bin k*n_per of one FFT over the whole trace."""
+    n_samples = trace.t.size
+    n_per = round(n_samples * (trace.t[1] - trace.t[0]) * omega_m / TWO_PI)
+    coeffs = np.fft.fft(values) / n_samples
+    amps = np.zeros(2 * k_max + 1, dtype=complex)
+    for k in range(-k_max, k_max + 1):
+        c = coeffs[(k * n_per) % n_samples]
+        amps[k_max + k] = c * np.exp(-1j * k * omega_m * trace.t[0])
+    return amps
 
 
 @pytest.fixture(scope="session")

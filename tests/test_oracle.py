@@ -26,7 +26,7 @@ from stomod import (
 from stomod import oracle
 from stomod.spectrum import TimeTrace, _build_spectrum
 
-from conftest import OP_XIS, TWO_PI, make_device
+from conftest import OP_XIS, TWO_PI, full_fft_read_out, make_device
 
 
 def _steady_solution(op, mu, f_m, n_harmonics=10, spp=512):
@@ -44,19 +44,6 @@ def _direct_projection(trace, omega_m, n_harmonics):
         a[n - 1] = 2.0 * float(np.mean(trace.delta_p * np.sin(theta)))
         b[n - 1] = 2.0 * float(np.mean(trace.delta_p * np.cos(theta)))
     return float(trace.delta_p.mean()), a, b
-
-
-def _psd_fft_per_bin(trace, sol, k_max):
-    """Reference: psd_fft with each line read from its own FFT bin in a loop."""
-    n_samples = trace.t.size
-    n_per = round(n_samples * (trace.t[1] - trace.t[0]) * sol.modcfg.omega_m / TWO_PI)
-    signal = (1.0 + trace.delta_p) * np.exp(1j * trace.phi)
-    coeffs = np.fft.fft(signal) / n_samples
-    amps = np.zeros(2 * k_max + 1, dtype=complex)
-    for k in range(-k_max, k_max + 1):
-        c = coeffs[(k * n_per) % n_samples]
-        amps[k_max + k] = c * np.exp(-1j * k * sol.modcfg.omega_m * trace.t[0])
-    return _build_spectrum(amps, k_max)
 
 
 def _scalar_rk4(rate, y0, w0, w1, h, n_steps):
@@ -125,8 +112,8 @@ def _rel(got, ref):
 
 
 def _synthesized_and_integrated(op, mu=0.05):
-    """(solution, trace) pairs: a 256-sample synthesis and a 512-sample RK4
-    trace at 40 and 400 MHz."""
+    """(solution, trace) pairs: a one-period, 256-sample synthesis and an
+    8-period RK4 trace of 512 samples per period, at 40 and 400 MHz."""
     for f_m in (40e6, 400e6):
         cfg, integrated = _steady_solution(op, mu, f_m)
         sol = solve_coefficients_matrix(op, cfg)
@@ -387,6 +374,79 @@ class TestStepper:
             assert _rel(_raw_phase(trace), phi) <= tol
 
 
+def _reference_rk4(coeffs, y0, h, n_steps, period_steps, phase_rate):
+    """_rk4 as it was before its phase sum dropped the passes that multiply
+    by 1, add 0 or zero-fill: all four stages go through one loop.  Kept
+    verbatim as the differential reference."""
+    periods = -(-n_steps // period_steps)
+    y = np.empty(periods * period_steps + 1)
+    phi = np.zeros_like(y)
+    y[0] = y0
+    # Row k: the states y_i and the phase steps phi_{i+1} - phi_i of period k.
+    y_i = y[:-1].reshape(periods, period_steps)
+    dphi = phi[1:].reshape(periods, period_steps)
+    half, sixth = 0.5 * h, h / 6.0
+    # A blow-up is reported below as one NumericalError, not as numpy warnings.
+    with np.errstate(all="ignore"):
+        a, b = coeffs(np.arange(2 * period_steps + 1) * half)
+        a1, b1, a2, b2, a4, b4 = a[:-1:2], b[:-1:2], a[1::2], b[1::2], a[2::2], b[2::2]
+        # Stage j's state is c_j + d_j*y_i and its slope k_j = kc_j + kd_j*y_i;
+        # stage 1 is y_i itself, with slope a1 + b1*y_i.
+        c2, d2 = half * a1, 1.0 + half * b1
+        kc2, kd2 = a2 + b2 * c2, b2 * d2
+        c3, d3 = half * kc2, 1.0 + half * kd2
+        kc3, kd3 = a2 + b2 * c3, b2 * d3
+        c4, d4 = h * kc3, 1.0 + h * kd3
+        m = 1.0 + sixth * (b1 + 2.0 * (kd2 + kd3) + b4 * d4)
+        n = sixth * (a1 + 2.0 * (kc2 + kc3) + (a4 + b4 * c4))
+        gain = np.cumprod(m)
+        offset = oracle._affine_scan(m, n, 0.0)
+        y[period_steps::period_steps] = oracle._affine_scan(
+            np.full(periods, gain[-1]), np.full(periods, offset[-1]), y0
+        )
+        np.multiply.outer(y_i[:, 0], gain[:-1], out=y_i[:, 1:])
+        y_i[:, 1:] += offset[:-1]
+        stage = np.empty_like(y_i)
+        for c, d, weight in ((0.0, 1.0, 1.0), (c2, d2, 2.0), (c3, d3, 2.0), (c4, d4, 1.0)):
+            np.multiply(d, y_i, out=stage)
+            stage += c
+            dphi += np.multiply(phase_rate(stage), weight, out=stage)
+        dphi *= sixth
+        np.cumsum(phi, out=phi)
+    y, phi = y[: n_steps + 1], phi[: n_steps + 1]
+    if not (np.isfinite(y).all() and np.isfinite(phi).all()):
+        raise NumericalError("RK4 trace is not finite")
+    return y, phi
+
+
+def _stepped(monkeypatch, stepper, integrate, model, op, cfg):
+    """Bytes of the y and phi that stepper returns inside one integrate call."""
+    seen = []
+
+    def spy(*args):
+        y, phi = stepper(*args)
+        seen.append((y.tobytes(), phi.tobytes()))
+        return y, phi
+
+    monkeypatch.setattr(oracle, "_rk4", spy)
+    integrate(model, cfg, IntegrationConfig.for_steady_state(op, cfg))
+    monkeypatch.undo()
+    assert len(seen) == 1
+    return seen[0]
+
+
+@pytest.mark.parametrize("mu", [0.005, 0.05])
+def test_rk4_matches_reference_bit_for_bit(all_ops, monkeypatch, mu):
+    runs = [(integrate_reduced, label, op) for label, op in all_ops.items()]
+    runs.append((integrate_full, "OP2", make_device(OP_XIS["OP2"])))
+    for integrate, label, model in runs:
+        for f_m in (40e6, 160e6):
+            cfg = ModulationConfig(mu=mu, omega_m=TWO_PI * f_m)
+            got = _stepped(monkeypatch, oracle._rk4, integrate, model, all_ops[label], cfg)
+            ref = _stepped(monkeypatch, _reference_rk4, integrate, model, all_ops[label], cfg)
+            assert got == ref, (integrate.__name__, label, f_m)
+
+
 def _sequential(m, n, y0):
     """y_1 .. y_L of y_{i+1} = m_i*y_i + n_i, one step at a time."""
     y, out = y0, []
@@ -542,11 +602,31 @@ class TestProjection:
 
     @pytest.mark.parametrize("label", ["OP1", "OP2", "OP3"])
     def test_fft_lines_match_per_bin_read_out(self, all_ops, label):
+        # A one-period synthesis has nothing to fold: its lines equal the
+        # per-bin read-out of the full FFT bit for bit.  The 8-period RK4
+        # trace is folded first.  Each folded sample sums n_per values in
+        # turn, off by at most (n_per - 1)*eps/2 * n_per*max|v|; the m-point
+        # DFT and the division by n_per*m leave at most (n_per - 1)*eps/2 *
+        # max|v| on a line.  The two FFTs' own round-off, about
+        # eps*sqrt(log2(N)/N)*max|v| per line for N samples, is far below,
+        # so n_per*eps*max|v| bounds the difference (measured 1.1*eps).
+        periods = set()
         for sol, trace in _synthesized_and_integrated(all_ops[label]):
+            omega_m = sol.modcfg.omega_m
+            n_per = round(trace.t.size * (trace.t[1] - trace.t[0]) * omega_m / TWO_PI)
+            periods.add(n_per)
+            signal = (1.0 + trace.delta_p) * np.exp(1j * trace.phi)
             for k_max in (40, 127):
-                got, ref = psd_fft(trace, sol, k_max), _psd_fft_per_bin(trace, sol, k_max)
-                assert np.array_equal(got.offsets, ref.offsets)
-                assert np.array_equal(got.powers, ref.powers)
+                ref = full_fft_read_out(trace, signal, omega_m, k_max)
+                if n_per == 1:
+                    got, want = psd_fft(trace, sol, k_max), _build_spectrum(ref, k_max)
+                    assert np.array_equal(got.offsets, want.offsets)
+                    assert np.array_equal(got.powers, want.powers)
+                else:
+                    got = trace.harmonics(signal, omega_m, k_max)
+                    bound = n_per * np.finfo(float).eps * np.abs(signal).max()
+                    assert np.abs(got - ref).max() <= bound, (omega_m, k_max)
+        assert periods == {1, 8}
 
     def test_non_uniform_trace_rejected(self, op2):
         # Interior times jittered by 0.3*dt keep the first step and a

@@ -1,6 +1,7 @@
 """Line spectrum: analytic convolution, FFT cross-check, derived figures."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -38,7 +39,7 @@ from stomod.spectrum import (
 )
 from stomod.spectrum import jv as stomod_jv
 
-from conftest import TWO_PI, make_device
+from conftest import TWO_PI, full_fft_read_out, make_device
 
 F_M = 100e6
 OMEGA_M = TWO_PI * F_M
@@ -486,6 +487,86 @@ class TestFftSpectrum:
         for k_max in (128, 200):
             with pytest.raises(GridCoverageError, match=f"k_max={k_max} .* 256 samples"):
                 psd_fft(trace, sol, k_max=k_max)
+
+
+def _signal(trace):
+    return (1.0 + trace.delta_p) * np.exp(1j * trace.phi)
+
+
+def _trace_on(t, trace):
+    """trace's samples on the times t, cut to their length."""
+    return TimeTrace(t=t, delta_p=trace.delta_p[: t.size], phi=trace.phi[: t.size],
+                     demod_freq=trace.demod_freq)
+
+
+class TestHarmonicsFold:
+    """TimeTrace.harmonics folds a trace's whole periods into one before its
+    one FFT.  Each folded sample sums n_per values in turn, which moves a
+    line by at most (n_per - 1)*eps/2 * max|v|, and the FFTs' own round-off
+    is far below that, so n_per*eps*max|v| bounds every difference here."""
+
+    @staticmethod
+    def _bound(n_per, values):
+        return n_per * np.finfo(float).eps * np.abs(values).max()
+
+    def test_tiled_periods_match_one_period(self, all_ops):
+        for op in all_ops.values():
+            sol = solve_coefficients_matrix(op, ModulationConfig(mu=0.05, omega_m=OMEGA_M))
+            one = synthesize_time_trace(sol)
+            for n_per in (2, 3, 8):
+                tiled = synthesize_time_trace(sol, n_periods=n_per)
+                for values, want in ((tiled.delta_p, one.delta_p), (_signal(tiled), _signal(one))):
+                    got = tiled.harmonics(values, OMEGA_M, 127)
+                    ref = one.harmonics(want, OMEGA_M, 127)
+                    assert np.abs(got - ref).max() <= self._bound(n_per, values), n_per
+
+    @pytest.mark.parametrize("n_per", [2, 5, 8])
+    def test_unequal_periods_match_full_fft(self, n_per):
+        # Seeded noise, so no two periods are alike: only the exact identity
+        # of the DFT, not periodicity, makes the folded lines right.  The grid
+        # starts at 7*dt, so the time shift of each line is exercised too.
+        rng = np.random.default_rng(n_per)
+        m = 64
+        t = (np.arange(n_per * m) + 7) * (TWO_PI / OMEGA_M / m)
+        values = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
+        trace = TimeTrace(t=t, delta_p=values.real, phi=values.imag, demod_freq=0.0)
+        assert np.abs(values[:m] - values[m : 2 * m]).min() > 0.0
+        for v in (values, values.real):
+            got = trace.harmonics(v, OMEGA_M, 31)
+            ref = full_fft_read_out(trace, v, OMEGA_M, 31)
+            assert np.abs(got - ref).max() <= self._bound(n_per, v)
+
+    def test_synthesis_spans_one_period(self, op2):
+        sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.05, omega_m=OMEGA_M))
+        trace = synthesize_time_trace(sol)
+        dt = trace.t[1] - trace.t[0]
+        assert trace.t.size == trace.delta_p.size == trace.phi.size == 256
+        assert trace.t[0] == 0.0
+        assert trace.t.size * dt == pytest.approx(TWO_PI / OMEGA_M, rel=1e-15)
+
+    @pytest.mark.parametrize("n_periods", [1, 4])
+    def test_refusals_keep_their_messages(self, op2, n_periods):
+        sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.05, omega_m=OMEGA_M))
+        trace = synthesize_time_trace(sol, n_periods=n_periods)
+        jittered = trace.t.copy()
+        jittered[2:-1:2] += 0.3 * (trace.t[1] - trace.t[0])
+        four = synthesize_time_trace(sol, n_periods=4)
+        cases = [
+            (_trace_on(trace.t[:-37], trace), 5,
+             r"trace spans [0-9.]+ modulation periods; an integer count is required"),
+            (_trace_on(trace.t[:1], trace), 5, "trace too short"),
+            (_trace_on(jittered, trace), 5, "trace is not uniformly sampled"),
+            (trace, 128, "k_max=128 is at or past the Nyquist limit of 256 samples per period"),
+            # Four whole periods in 1,022 samples: an integer period count
+            # that does not divide the samples.
+            (_trace_on(np.arange(1022) * (four.t[-1] + four.t[1]) / 1022, four), 5,
+             "samples do not divide evenly into periods"),
+        ]
+        for cut, k_max, message in cases:
+            for values in (cut.delta_p, _signal(cut)):
+                with pytest.raises(GridCoverageError) as info:
+                    cut.harmonics(values, OMEGA_M, k_max)
+                assert re.fullmatch(message, str(info.value)), str(info.value)
 
 
 class TestSynthesis:
