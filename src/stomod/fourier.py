@@ -21,11 +21,12 @@ three-term recurrence
 
 truncated by X_{N+1} = 0.  Its solution is the minimal one, which backward
 recurrence delivers stably: the ratios q_n = X_n/X_{n-1} obey the continued
-fraction q_n = e / ((g - i*n*w) - e*q_{n+1}) from q_{N+1} = 0.  The n = 1
+fraction q_n = e / ((g - i*n*w) - up*q_{n+1}) from q_{N+1} = 0.  The n = 1
 pair then closes as a real 2x2 system once A0 = e*B1/g is eliminated, and
-X_n = q_n*X_{n-1} gives the rest, in O(N) operations.  The matrix method
-solves this truncated system exactly; the recursive method takes every
-q_{n+1} as zero, dropping the n+1 coupling of each harmonic.
+X_n = q_n*X_{n-1} gives the rest, in O(N) operations.  Both methods run
+this one recurrence: the matrix method takes up = e and solves the
+truncated system exactly; the recursive method takes up = 0, dropping each
+harmonic's coupling to the one above.
 
 The diagonal g - i*n*w holds Gamma_p, omega_m and N but not mu, the one
 input a mu back-solve varies, so it is keyed without mu: _diagonal forms it
@@ -93,8 +94,8 @@ def _diagonal(g: float, w: float, n_h: int) -> tuple[complex, ...]:
 def _solve(op: OperatingPoint, modcfg: ModulationConfig, exact: bool) -> FourierSolution:
     """Continued-fraction solve of the truncated balance equations.
 
-    With exact=False every ratio q_{n+1} is taken as zero, which drops the
-    n+1 coupling of each harmonic (the recursive method).
+    exact=False sets up, the coupling to the harmonic above, to 0.0 (the
+    recursive method): c - 0.0*q is c for a finite q, as Re c >= 0, Im c != 0.
     """
     n_h = modcfg.n_harmonics
     if modcfg.mu == 0.0:
@@ -104,19 +105,16 @@ def _solve(op: OperatingPoint, modcfg: ModulationConfig, exact: bool) -> Fourier
     e = modcfg.mu * op.c2
     drive = modcfg.mu * op.c1
     diag = _diagonal(g, w, n_h)
+    up = e if exact else 0.0
     try:
-        # Ratios q_n = X_n / X_{n-1} for n = 2..N; exact ones run backward from q_{N+1} = 0.
-        if exact:
-            q, qs = 0j, []
-            for c in diag[:1:-1]:
-                q = e / (c - e * q)
-                qs.append(q)
-            qs.reverse()
-            d = diag[1] - e * q
-        else:
-            qs = [e / c for c in diag[2:]]
-            d = diag[1]
-        # n = 1: (g - i*w - e*q_2)*X_1 - (2*e^2/g)*Re X_1 = mu*C1, a real 2x2
+        # Ratios q_n = X_n / X_{n-1} for n = 2..N, backward from q_{N+1} = 0.
+        q, qs = 0j, []
+        for c in diag[:1:-1]:
+            q = e / (c - up * q)
+            qs.append(q)
+        qs.reverse()
+        d = diag[1] - up * q
+        # n = 1: (g - i*w - up*q_2)*X_1 - (2*e^2/g)*Re X_1 = mu*C1, a real 2x2
         # system in (B_1, A_1) once A0 = e*B_1/g is eliminated.
         det = d.real * d.real + d.imag * d.imag - 2.0 * e * e * d.real / g
         x = complex(drive * d.real / det, -drive * d.imag / det)
@@ -180,9 +178,9 @@ def solve_coefficients_recursive(
 ) -> FourierSolution:
     """Approximate solve with the n+1 coupling of every harmonic dropped.
 
-    Each harmonic is then forced only by the previous one, so X_n follows
-    from X_{n-1} by a single division.  Cheap and usually close to the
-    matrix method, but degrades near sideband minima.
+    The matrix method's recurrence with that coupling zero: each harmonic is forced
+    only by the previous one, X_n/X_{n-1} = mu*C2/(2*Gamma_p - i*n*omega_m).
+    Cheap and usually close to the matrix method, but degrades near sideband minima.
     """
     warn_if_fast_modulation(op, modcfg)
     return _solve(op, modcfg, exact=False)

@@ -167,13 +167,13 @@ def bandwidth_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
         seed = 0.02 * 2.0 * op.gamma_p
         with _row(f"{label} bandwidth search from f_m = {seed / TWO_PI:g} Hz"):
             mbw_meas = modulation_bandwidth(op, 1e-4, seed, cfg.n_harmonics)
-        rows = [
-            _Row(f"{label} at f_m = {f_m:g} Hz", op,
-                 ModulationConfig(cfg.bw_mu, TWO_PI * f_m, cfg.n_harmonics))
-            for f_m in cfg.bw_f_m_grid_hz
-        ]
-        for f_m, sol in zip(cfg.bw_f_m_grid_hz, _solve_rows(cfg, rows)):
-            delta_f_inst = peak_frequency_deviation(sol, "instantaneous")
+        for f_m in cfg.bw_f_m_grid_hz:
+            # Its instantaneous deviation refuses negative power: one dp pass per row.
+            row = _Row(f"{label} at f_m = {f_m:g} Hz", op,
+                       ModulationConfig(cfg.bw_mu, TWO_PI * f_m, cfg.n_harmonics), refuse=False)
+            [sol] = _solve_rows(cfg, [row])
+            with _row(row.name):
+                delta_f_inst = peak_frequency_deviation(sol, "instantaneous")
             delta_f_index = peak_frequency_deviation(sol, "index-based")
             table.append((label, f_m, delta_f_index, delta_f_inst, mbw_ref, mbw_meas))
     header = ["op_label", "f_m_hz", "delta_f_index_hz", "delta_f_inst_hz", "mbw_hz",

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stomod
-from stomod import fourier, sweeps
+from stomod import fourier, spectrum, sweeps
 from stomod.cli import COMMANDS, main
 from stomod.config import load_config
 from stomod.model import TWO_PI, ModulationConfig
@@ -515,6 +515,22 @@ def test_error_analysis_solves_each_reference_once(monkeypatch):
     assert [w for w, n in orders if n == cfg.err_n_ref] == [
         TWO_PI * f_m for f_m in cfg.err_f_m_grid_hz
     ]
+
+
+@pytest.mark.filterwarnings("ignore:omega_m is not small:UserWarning")  # f_m = 1 GHz
+@pytest.mark.parametrize("overrides, passes", [
+    (["bandwidth.mu=0.3", "bandwidth.f_m_grid_hz=1e7,1e8,1e9"], 9),
+    ([], 75),
+], ids=["bound-not-cleared", "default"])
+def test_bandwidth_samples_each_rows_dp_extremes_once(monkeypatch, overrides, passes):
+    # A row's instantaneous deviation also refuses its negative power, so a
+    # row whose bound 1 + A0 - sum|X_n| does not clear (at mu = 0.3) is not
+    # sampled a second time by a separate refusal.
+    calls = []
+    extremes = spectrum._dp_extremes
+    monkeypatch.setattr(spectrum, "_dp_extremes", lambda sol: calls.append(sol) or extremes(sol))
+    _, rows = sweeps.bandwidth_table(load_config(overrides=overrides))["bandwidth"]
+    assert len(rows) == len(calls) == passes
 
 
 def test_operating_point_op_label_writes_one_row(tmp_path):

@@ -41,7 +41,8 @@ def test_stderr_report(head, report):
     assert compare_tables.compare_stderr(WARNING.format(3), head) == report
 
 
-def test_stderr_is_reported_per_command(tmp_path, capsys):
+def test_stderr_is_reported_per_command(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(compare_tables, "CASES", {})  # reported by the test below
     # Two checkouts whose stomod.cli prints one warning line, with a count
     # that differs only for bandwidth on the head side.
     for side, count in (("base", 3), ("head", 4)):
@@ -60,6 +61,37 @@ def test_stderr_is_reported_per_command(tmp_path, capsys):
         f"{command} stderr: {'1 of 1 lines differ' if command == 'bandwidth' else 'identical'}"
         for command in compare_tables.COMMANDS
     ]
+
+
+def test_cases_report_exit_and_stderr_without_failing_the_run(tmp_path, monkeypatch, capsys):
+    # Both checkouts exit 2 on the option before the command; the bandwidth
+    # case at mu = 0.3 exits 0 with one warning at the base, and 3 with
+    # another at the head.  Only the default commands set the status.  One
+    # command and two cases keep the interpreter starts few.
+    names = ("option-before-command", "bandwidth-bound-not-cleared")
+    monkeypatch.setattr(compare_tables, "COMMANDS", ("psd-map",))
+    monkeypatch.setattr(compare_tables, "CASES", {n: compare_tables.CASES[n] for n in names})
+    for side, code, count in (("base", 0, 1), ("head", 3, 2)):
+        (tmp_path / side / "src" / "stomod").mkdir(parents=True)
+        (tmp_path / side / "src" / "stomod" / "__init__.py").write_text("")
+        (tmp_path / side / "src" / "stomod" / "cli.py").write_text(
+            "import sys\n"
+            "def main(argv):\n"
+            "    if argv[0] == '--foo':\n"
+            "        sys.exit(2)\n"
+            "    if 'bandwidth.mu=0.3' in argv:\n"
+            f"        print('Warning: slow ({count} times)', file=sys.stderr)\n"
+            f"        sys.exit({code})\n"
+        )
+    assert compare_tables.main([str(tmp_path / "base"), str(tmp_path / "head")]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    reports = {
+        "option-before-command": "exit 2, stderr identical",
+        "bandwidth-bound-not-cleared": "exit 0 on base, 3 on head, stderr 1 of 1 lines differ",
+    }
+    assert out.splitlines() == ["psd-map stderr: identical",
+                                *(f"case {name}: {reports[name]}" for name in names)]
 
 
 def test_a_failing_command_fails_the_run(tmp_path, capsys):

@@ -6,9 +6,11 @@
 Runs each of the five CLI commands with the default config in each checkout
 (its own src/ on PYTHONPATH) and prints, for every table, "identical" or how
 many data rows differ, then, for every command, whether its stderr (the
-warning lines and their counts) is identical.  It only reports: the exit
-status is 1 if a command fails on either side, and 0 otherwise, whatever the
-tables and warnings hold.
+warning lines and their counts) is identical.  Then it runs a fixed list of
+error and warning cases (CASES) on both sides and prints each case's exit
+code and whether its stderr is identical.  It only reports: the exit status
+is 1 if one of the five default commands fails on either side, and 0
+otherwise, whatever the tables, warnings and cases hold.
 """
 
 from __future__ import annotations
@@ -22,22 +24,65 @@ from pathlib import Path
 COMMANDS = ("operating-point", "psd-map", "asymmetry-map", "bandwidth", "error-analysis")
 RUN_CLI = "import sys; from stomod.cli import main; main(sys.argv[1:])"
 
+# Runs that end in an error or a warning, each with --out added: the config
+# errors (exit 2) and numerical errors (exit 3) and the warning runs of the CI
+# install job, plus a bandwidth run at mu = 0.3 with a row that the bound
+# 1 + A0 - sum|X_n| does not clear, and a beta_1 past the peak of beta_1(mu).
+CASES = {
+    "deep-spectrum": ("psd-map", "--set", "psd-map.beta1_grid=0.5",
+                      "--set", "spectrum.k_max=1000000000000"),
+    "wide-grid": ("psd-map", "--set", "psd-map.beta1_grid=lin:0:1:1000000000000"),
+    "removed-key": ("psd-map", "--set", "solver.method=matrix"),
+    "unknown-option": ("psd-map", "--format", "json"),
+    "option-before-command": ("--foo", "psd-map"),
+    "subnormal-harmonics": ("psd-map", "--op-label", "OP2", "--set", "psd-map.beta1_grid=1.0",
+                            "--set", "solver.n_harmonics=300", "--set", "spectrum.k_max=600"),
+    "bandwidth-negative-power": ("bandwidth", "--set", "bandwidth.mu=0.9",
+                                 "--set", "bandwidth.f_m_grid_hz=1e6,2e6"),
+    "error-analysis-negative-power": (
+        "error-analysis", "--op-label", "OP1", "--set", "error-analysis.mu=0.9",
+        "--set", "error-analysis.f_m_grid_hz=1e6,2e6", "--set", "error-analysis.n_values=5",
+        "--set", "error-analysis.recursive_beta1_grid=0.5",
+        "--set", "error-analysis.recursive_n_values=5"),
+    "no-fm": ("bandwidth", "--set", "device.nu=0"),
+    "mu-one": ("error-analysis", "--op-label", "OP2", "--set", "error-analysis.mu=1.0",
+               "--set", "error-analysis.f_m_grid_hz=400e6",
+               "--set", "error-analysis.n_values=1,2,3",
+               "--set", "error-analysis.recursive_beta1_grid=0.5",
+               "--set", "error-analysis.recursive_n_values=3"),
+    "bandwidth-bound-not-cleared": ("bandwidth", "--set", "bandwidth.mu=0.3",
+                                    "--set", "bandwidth.f_m_grid_hz=1e7,1e8,1e9"),
+    "unreachable-beta1": ("error-analysis",
+                          "--set", "error-analysis.recursive_beta1_grid=0.5,1e9"),
+}
 
-def run_commands(checkout: Path, out: Path) -> tuple[dict[str, str], list[str]]:
-    """Run every command of checkout, writing to out; return each command's
-    stderr and the failures."""
+
+def run_commands(
+    checkout: Path, out: Path
+) -> tuple[dict[str, str], dict[str, tuple[int, str]], list[str]]:
+    """Run every command of checkout, writing to out, then every case, each
+    writing to its own directory beside out.  Return each command's stderr,
+    each case's exit code and stderr, and the failures of the commands."""
     src = checkout.resolve() / "src"
     if not (src / "stomod").is_dir():  # an installed stomod would stand in for it
-        return {}, [f"{checkout}: no src/stomod"]
+        return {}, {}, [f"{checkout}: no src/stomod"]
     env = dict(os.environ, PYTHONPATH=str(src))
+
+    def run(args, out_dir):
+        return subprocess.run([sys.executable, "-c", RUN_CLI, *args, "--out", str(out_dir)],
+                              env=env, cwd=out.parent, capture_output=True, text=True)
+
     stderr, failures = {}, []
     for command in COMMANDS:
-        proc = subprocess.run([sys.executable, "-c", RUN_CLI, command, "--out", str(out)],
-                              env=env, cwd=out.parent, capture_output=True, text=True)
+        proc = run([command], out)
         stderr[command] = proc.stderr
         if proc.returncode != 0:
             failures.append(f"{checkout}: {command} exited {proc.returncode}\n{proc.stderr}")
-    return stderr, failures
+    cases = {}
+    for name, args in CASES.items():
+        proc = run(args, out.parent / name)
+        cases[name] = proc.returncode, proc.stderr
+    return stderr, cases, failures
 
 
 def _split(data: bytes) -> tuple[list[str], list[str]]:
@@ -64,6 +109,13 @@ def compare_stderr(base: str, head: str) -> str:
     return "identical" if base == head else _differ(base.splitlines(), head.splitlines(), "lines")
 
 
+def compare_case(base: tuple[int, str], head: tuple[int, str]) -> str:
+    """A case's exit code, or both if they differ, and whether its stderr is identical."""
+    (code_a, err_a), (code_b, err_b) = base, head
+    code = f"exit {code_a}" if code_a == code_b else f"exit {code_a} on base, {code_b} on head"
+    return f"{code}, stderr {compare_stderr(err_a, err_b)}"
+
+
 def _differ(a: list[str], b: list[str], unit: str) -> str:
     """How many of the lines a and b differ, position by position."""
     differ = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
@@ -77,11 +129,12 @@ def main(argv: list[str]) -> int:
     checkouts = [Path(p) for p in argv]
     with tempfile.TemporaryDirectory() as tmp:
         outs = [Path(tmp, side, "out") for side in ("base", "head")]
-        stderrs, failures = [], []
+        stderrs, cases, failures = [], [], []
         for checkout, out in zip(checkouts, outs):
             out.parent.mkdir()
-            stderr, failed = run_commands(checkout, out)
+            stderr, case, failed = run_commands(checkout, out)
             stderrs.append(stderr)
+            cases.append(case)
             failures += failed
         stems = sorted({p.name for out in outs if out.is_dir() for p in out.glob("*.csv")})
         for stem in stems:
@@ -89,6 +142,9 @@ def main(argv: list[str]) -> int:
     for command in COMMANDS:
         if all(command in stderr for stderr in stderrs):
             print(f"{command} stderr: {compare_stderr(*(s[command] for s in stderrs))}")
+    for name in CASES:
+        if all(name in case for case in cases):
+            print(f"case {name}: {compare_case(*(c[name] for c in cases))}")
     for failure in failures:
         print(f"FAILED {failure}", file=sys.stderr)
     return 1 if failures else 0
