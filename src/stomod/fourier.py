@@ -32,6 +32,10 @@ The diagonal g - i*n*w holds Gamma_p, omega_m and N but not mu, the one
 input a mu back-solve varies, so it is keyed without mu: _diagonal forms it
 once per (g, w, N) and keeps the last few, and a back-solve's ~70 solves at
 one point share one.
+
+A matrix solve is gated by its balance residual, within RESIDUAL_RTOL of the
+rate scale; gate=False skips that check alone, for the evaluations of a
+search whose caller gates the solution it keeps.
 """
 
 from __future__ import annotations
@@ -86,30 +90,35 @@ class FourierSolution:
 
 
 @lru_cache(maxsize=4, typed=True)
-def _diagonal(g: float, w: float, n_h: int) -> tuple[complex, ...]:
-    """Diagonal g - i*n*w of the recurrence, n = 0..N; it holds no mu."""
-    return tuple([complex(g, -n * w) for n in range(n_h + 1)])
+def _diagonal(g: float, w: float, n_h: int) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """Diagonal g - i*n*w of the recurrence, n = 0..N, and its tail n = N..2
+    in the order the backward recurrence reads it; it holds no mu."""
+    diag = tuple([complex(g, -n * w) for n in range(n_h + 1)])
+    return diag, diag[:1:-1]
 
 
-def _solve(op: OperatingPoint, modcfg: ModulationConfig, exact: bool) -> FourierSolution:
+def _solve(
+    op: OperatingPoint, modcfg: ModulationConfig, exact: bool, gate: bool = True
+) -> FourierSolution:
     """Continued-fraction solve of the truncated balance equations.
 
     exact=False sets up, the coupling to the harmonic above, to 0.0 (the
     recursive method): c - 0.0*q is c for a finite q, as Re c >= 0, Im c != 0.
+    The residual check runs for exact=True only, and gate=False skips it.
     """
     n_h = modcfg.n_harmonics
     if modcfg.mu == 0.0:
-        return FourierSolution(a0=0.0, x=np.zeros(n_h, dtype=complex), op=op, modcfg=modcfg)
+        return FourierSolution(0.0, np.zeros(n_h, dtype=complex), op, modcfg)
     w = modcfg.omega_m
     g = 2.0 * op.gamma_p
     e = modcfg.mu * op.c2
     drive = modcfg.mu * op.c1
-    diag = _diagonal(g, w, n_h)
+    diag, tail = _diagonal(g, w, n_h)
     up = e if exact else 0.0
     try:
         # Ratios q_n = X_n / X_{n-1} for n = 2..N, backward from q_{N+1} = 0.
         q, qs = 0j, []
-        for c in diag[:1:-1]:
+        for c in tail:
             q = e / (c - up * q)
             qs.append(q)
         qs.reverse()
@@ -135,7 +144,7 @@ def _solve(op: OperatingPoint, modcfg: ModulationConfig, exact: bool) -> Fourier
             f"harmonic-balance coefficients are not finite (gamma_p={op.gamma_p}, "
             f"mu={modcfg.mu}, omega_m={modcfg.omega_m})"
         )
-    if exact:
+    if exact and gate:
         # Largest |row residual| in row order: DC, n = 1 with its drive, then
         # (g - i*n*w)*X_n - e*(X_{n-1} + X_{n+1}) with X_{N+1} = 0.
         residual = abs(e * xs[0].real - g * a0)
@@ -162,15 +171,21 @@ def _solve(op: OperatingPoint, modcfg: ModulationConfig, exact: bool) -> Fourier
             f"truncation order N={n_h} may be too small",
             stacklevel=3,
         )
-    return FourierSolution(a0=a0, x=np.array(xs), op=op, modcfg=modcfg)
+    return FourierSolution(a0, np.array(xs), op, modcfg)
 
 
 def solve_coefficients_matrix(
-    op: OperatingPoint, modcfg: ModulationConfig
+    op: OperatingPoint, modcfg: ModulationConfig, *, gate: bool = True
 ) -> FourierSolution:
-    """Solve the truncated harmonic-balance system exactly."""
+    """Solve the truncated harmonic-balance system exactly.
+
+    The solution is gated by default: a balance residual past RESIDUAL_RTOL
+    of the rate scale raises NumericalError.  gate=False skips only that
+    check, for a search's evaluations whose caller gates the solution it
+    keeps; non-finite coefficients and a zero pivot still raise.
+    """
     warn_if_fast_modulation(op, modcfg)
-    return _solve(op, modcfg, exact=True)
+    return _solve(op, modcfg, exact=True, gate=gate)
 
 
 def solve_coefficients_recursive(

@@ -382,12 +382,11 @@ def peak_frequency_deviation(sol: FourierSolution, method: str = "index-based") 
 
 
 def first_harmonic_index(
-    op: OperatingPoint, mu: float, omega_m: float, n_harmonics: int = 10
+    op: OperatingPoint, mu: float, omega_m: float, n_harmonics: int = 10, *, gate: bool = True
 ) -> float:
-    """Magnitude |beta_1| of the first-harmonic index at the given drive settings."""
-    sol = solve_coefficients_matrix(
-        op, ModulationConfig(mu=mu, omega_m=omega_m, n_harmonics=n_harmonics)
-    )
+    """Magnitude |beta_1| of the first-harmonic index at the given drive settings,
+    from one matrix solve, gated unless gate=False (see solve_coefficients_matrix)."""
+    sol = solve_coefficients_matrix(op, ModulationConfig(mu, omega_m, n_harmonics), gate=gate)
     return abs(sol.beta(1))
 
 
@@ -458,11 +457,15 @@ def solve_mu_for_beta1(
 
     beta_1(mu) rises at small mu but turns once mu*C2 rivals Gamma_p; a turn
     before the target, or a target out of reach at mu_max, is a NumericalError.
+    The search's evaluations are ungated (gate=False): the balance residual is
+    not checked at each mu.  A caller that keeps the solution at the returned
+    mu gates it by a default solve_coefficients_matrix, as the tables do.
     """
     if beta1 < 0.0:
         raise ValueError(f"beta1 must be >= 0, got {beta1}")
     if beta1 == 0.0:
         return 0.0
     return _rising_crossing(
-        lambda mu: first_harmonic_index(op, mu, omega_m, n_harmonics), beta1, 1e-6, mu_max
+        lambda mu: first_harmonic_index(op, mu, omega_m, n_harmonics, gate=False),
+        beta1, 1e-6, mu_max,
     )

@@ -81,7 +81,7 @@ def _solve_rows(cfg: RunConfig, rows: list[_Row]) -> list[FourierSolution]:
             modcfg = row.modcfg
             if row.beta1 is not None:
                 mu = solve_mu_for_beta1(row.op, row.beta1, modcfg.omega_m, cfg.n_harmonics)
-                modcfg = replace(modcfg, mu=mu)
+                modcfg = ModulationConfig(mu, modcfg.omega_m, modcfg.n_harmonics)
             solve = solve_coefficients_recursive if row.recursive else solve_coefficients_matrix
             sols.append(solve(row.op, modcfg))
             if row.refuse:

@@ -507,8 +507,8 @@ def test_error_analysis_solves_each_reference_once(monkeypatch):
     solve = fourier._solve
     monkeypatch.setattr(
         fourier, "_solve",
-        lambda op, modcfg, exact: orders.append((modcfg.omega_m, modcfg.n_harmonics))
-        or solve(op, modcfg, exact),
+        lambda op, modcfg, *args, **kwargs: orders.append((modcfg.omega_m, modcfg.n_harmonics))
+        or solve(op, modcfg, *args, **kwargs),
     )
     cfg = load_config()
     sweeps.error_analysis_table(cfg)

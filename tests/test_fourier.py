@@ -188,7 +188,16 @@ def test_recursive_matches_upward_march(all_ops, label):
     assert worst_a0 <= 1e-14
 
 
-@pytest.mark.parametrize("solver", [solve_coefficients_matrix, solve_coefficients_recursive])
+def ungated_matrix(op, modcfg):
+    """The matrix solve without its balance-residual check."""
+    return solve_coefficients_matrix(op, modcfg, gate=False)
+
+
+# gate=False skips only the residual check: a zero pivot and non-finite
+# coefficients still raise.
+@pytest.mark.parametrize(
+    "solver", [solve_coefficients_matrix, solve_coefficients_recursive, ungated_matrix]
+)
 @pytest.mark.parametrize("n_h", [1, 2, 10])
 def test_zero_restoration_rate_is_singular(op2, solver, n_h):
     op = replace(op2, gamma_p=0.0)
@@ -196,7 +205,9 @@ def test_zero_restoration_rate_is_singular(op2, solver, n_h):
         solver(op, ModulationConfig(mu=0.05, omega_m=OMEGA_M, n_harmonics=n_h))
 
 
-@pytest.mark.parametrize("solver", [solve_coefficients_matrix, solve_coefficients_recursive])
+@pytest.mark.parametrize(
+    "solver", [solve_coefficients_matrix, solve_coefficients_recursive, ungated_matrix]
+)
 def test_overflow_raises_instead_of_nan(solver):
     # gamma = 1e305 Hz/T is finite, but (2*Gamma_p)^2 in the n = 1 closure
     # overflows and would leave NaN coefficients.
@@ -370,6 +381,38 @@ def test_residual_matches_reference_bit_for_bit(all_ops, monkeypatch):
             _outcome(_reference_solve, op, modcfg, True)
     assert len(got.seen) > 1000
     assert [r.hex() for r in got.seen] == [r.hex() for r in ref.seen]
+
+
+def test_ungated_solve_equals_the_gated_one_where_the_gate_passes(all_ops):
+    # Same a0, same bytes of x, same exceptions and same warnings, wherever
+    # the gated solve is not refused for its residual.
+    def ungated(op, modcfg, exact):
+        return fourier._solve(op, modcfg, exact, gate=False)
+
+    kinds = set()
+    for op in all_ops.values():
+        for modcfg in _random_configs(22, 60):
+            gated = _outcome(fourier._solve, op, modcfg, True)
+            (kind, text), caught = gated
+            if kind is NumericalError and text.startswith("harmonic-balance residual"):
+                kinds.add("refused")
+                continue
+            assert _outcome(ungated, op, modcfg, True) == gated, (op, modcfg)
+            kinds.add(kind if isinstance(kind, type) else "solved")
+            kinds.update(category for category, _ in caught)
+    assert kinds == {"solved", UserWarning, "refused"}
+
+
+def test_ungated_solve_returns_where_the_gate_refuses(op1):
+    # At OP1, 1 MHz, mu = 0.5, N = 40 the truncated system is near-singular:
+    # the gated solve refuses its residual, the ungated one returns it finite.
+    modcfg = ModulationConfig(mu=0.5, omega_m=TWO_PI * 1e6, n_harmonics=40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the non-decay warning
+        with pytest.raises(NumericalError, match="harmonic-balance residual"):
+            solve_coefficients_matrix(op1, modcfg)
+        sol = solve_coefficients_matrix(op1, modcfg, gate=False)
+    assert math.isfinite(sol.a0) and np.isfinite(sol.x).all()
 
 
 def test_cached_diagonal_is_keyed_exactly(op2):

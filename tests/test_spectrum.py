@@ -778,6 +778,43 @@ class TestDerivedFigures:
         with pytest.raises(NumericalError):
             solve_mu_for_beta1(op2, 50.0, OMEGA_M)
 
+    @staticmethod
+    def _gated_backsolve(op, beta1, omega_m, n_harmonics):
+        """The reference: the back-solve's search over gated evaluations."""
+        return spectrum._rising_crossing(
+            lambda mu: first_harmonic_index(op, mu, omega_m, n_harmonics), beta1, 1e-6, 0.5
+        )
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_index_backsolve_matches_the_gated_search(self, all_ops):
+        # The same mu bits, or the same error text, as the gated search on a
+        # seeded set: beta_1 log-uniform in [1e-2, 1e3], f_m in [0.1 MHz, 2 GHz].
+        rng = np.random.default_rng(25)
+        kinds = set()
+        for op in all_ops.values():
+            for n_harmonics in (10, 20, 40):
+                for _ in range(20):
+                    beta1, f_m = 10.0 ** rng.uniform([-2.0, 5.0], [3.0, math.log10(2e9)])
+                    args = (op, beta1, TWO_PI * f_m, n_harmonics)
+                    got, ref = (_outcome(lambda a: solve(*a), args)
+                                for solve in (solve_mu_for_beta1, self._gated_backsolve))
+                    assert got == ref, args
+                    kinds.add(ref[0][0] if isinstance(ref[0], tuple) else "solved")
+        assert kinds == {"solved", NumericalError}
+
+    def test_index_backsolve_evaluations_are_ungated(self, op2, monkeypatch):
+        # Each evaluation is one dense solve without the residual check: 72 at
+        # OP2, 100 MHz, beta_1 = 0.75.  The bandwidth search keeps the gate.
+        calls = []
+        solve = spectrum.solve_coefficients_matrix
+        monkeypatch.setattr(spectrum, "solve_coefficients_matrix",
+                            lambda op, modcfg, **kw: calls.append(kw) or solve(op, modcfg, **kw))
+        solve_mu_for_beta1(op2, 0.75, OMEGA_M)
+        assert calls == [{"gate": False}] * 72
+        calls.clear()
+        modulation_bandwidth(op2, 1e-4, 0.02 * 2.0 * op2.gamma_p)
+        assert calls and calls == [{"gate": True}] * len(calls)
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_index_backsolve_refuses_a_falling_index(self, op1):
         # At 1 MHz beta_1(mu) peaks at about 5.26e5 near mu = 0.33, below mu_max.

@@ -28,6 +28,8 @@ RUN_CLI = "import sys; from stomod.cli import main; main(sys.argv[1:])"
 # errors (exit 2) and numerical errors (exit 3) and the warning runs of the CI
 # install job, plus a bandwidth run at mu = 0.3 with a row that the bound
 # 1 + A0 - sum|X_n| does not clear, and a beta_1 past the peak of beta_1(mu).
+# The two beta_1 back-solves at OP1, 1 MHz end in a fall of beta_1(mu) and in
+# a row whose kept solution fails the residual check.
 CASES = {
     "deep-spectrum": ("psd-map", "--set", "psd-map.beta1_grid=0.5",
                       "--set", "spectrum.k_max=1000000000000"),
@@ -54,6 +56,12 @@ CASES = {
                                     "--set", "bandwidth.f_m_grid_hz=1e7,1e8,1e9"),
     "unreachable-beta1": ("error-analysis",
                           "--set", "error-analysis.recursive_beta1_grid=0.5,1e9"),
+    "falling-beta1": ("error-analysis", "--op-label", "OP1",
+                      "--set", "error-analysis.recursive_f_m_hz=1e6",
+                      "--set", "error-analysis.recursive_beta1_grid=1e6"),
+    "breakdown-beta1": ("psd-map", "--op-label", "OP1", "--set", "psd-map.f_m_hz=1e6",
+                        "--set", "psd-map.beta1_grid=1e9", "--set", "solver.n_harmonics=40",
+                        "--set", "spectrum.k_max=40"),
 }
 
 
