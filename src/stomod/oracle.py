@@ -12,6 +12,14 @@ them into the period's prefix maps and a second scan steps whole periods,
 so the trace is one broadcast from each period's first state.  No step or
 period runs in Python.
 
+The reduced phase rate, omega_sto + 2*nu*Gamma_p*delta_p, is linear in the
+stepped state, so each phase step is an affine function of y_i too, and a
+whole period's phase one of the period's first state: the transient enters
+the phase as one sum over the period starts, and only the periods from the
+one holding the first retained sample on are expanded.  The full model's
+phase rate, omega_o + nu*Gamma_p/(p0*u), is not linear in u, so its phase
+is still summed stage by stage over every step.
+
 Everything here is deliberately independent of the harmonic-balance solver
 so the two paths can be compared coefficient by coefficient.
 """
@@ -130,24 +138,56 @@ def _affine_scan(m: np.ndarray, n: np.ndarray, y0: float) -> np.ndarray:
     return n
 
 
-def _rk4(coeffs, y0: float, h: float, n_steps: int, period_steps: int, phase_rate):
-    """Fixed-step RK4 of dy/dt = a(t) + b(t)*y with dphi/dt = phase_rate(y), phi(0) = 0.
+def _period_maps(coeffs, y0: float, h: float, period_steps: int, periods: int):
+    """One period's RK4 maps of dy/dt = a(t) + b(t)*y, and each period's end state.
 
     Every stage state is Y_j = c_j + d_j*y_i, so one step is the affine map
     y_{i+1} = m_i*y_i + n_i, the RK4 stability polynomial of a and b at t_i,
     t_i + h/2 and t_{i+1}.  coeffs(t) -> (a, b) must repeat every
     P = period_steps steps, so the maps are formed for one period: np.cumprod
-    of m gives its prefix gains, _affine_scan from y = 0 its prefix offsets,
-    and a second _affine_scan steps the whole-period map from y0 to each
-    period's first state y[k*P].  One broadcast over the trace, padded to
-    whole periods and viewed as (periods, P), gives the rest.  The phase
-    steps (h/6 times the RK4 weighted sum of phase_rate over the stage
-    states, each passed in one scratch array that phase_rate may overwrite)
-    are summed in place over the same view and accumulated by np.cumsum.
-    Stage 1's state is y_i itself and its weight 1, so the sum starts as its
-    rate, taken on a copy of y_i; stage 4 (weight 1) is added unscaled.
-    Returns y and phi at t = i*h, i = 0..n_steps; a trace that is not finite
-    raises NumericalError.
+    of m gives its prefix gains and _affine_scan from y = 0 its prefix
+    offsets, so that y_{kP+i+1} = gain[i]*y_{kP} + offset[i]; a second
+    _affine_scan steps the whole-period map from y0 to y[k*P],
+    k = 1..periods.  Returns the stages' (c_j, d_j) for j = 2, 3, 4, gain,
+    offset and those period ends.  Non-finite values are left to the caller.
+    """
+    half, sixth = 0.5 * h, h / 6.0
+    a, b = coeffs(np.arange(2 * period_steps + 1) * half)
+    a1, b1, a2, b2, a4, b4 = a[:-1:2], b[:-1:2], a[1::2], b[1::2], a[2::2], b[2::2]
+    # Stage j's state is c_j + d_j*y_i and its slope k_j = kc_j + kd_j*y_i;
+    # stage 1 is y_i itself, with slope a1 + b1*y_i.
+    c2, d2 = half * a1, 1.0 + half * b1
+    kc2, kd2 = a2 + b2 * c2, b2 * d2
+    c3, d3 = half * kc2, 1.0 + half * kd2
+    kc3, kd3 = a2 + b2 * c3, b2 * d3
+    c4, d4 = h * kc3, 1.0 + h * kd3
+    m = 1.0 + sixth * (b1 + 2.0 * (kd2 + kd3) + b4 * d4)
+    n = sixth * (a1 + 2.0 * (kc2 + kc3) + (a4 + b4 * c4))
+    gain = np.cumprod(m)
+    offset = _affine_scan(m, n, 0.0)
+    ends = _affine_scan(np.full(periods, gain[-1]), np.full(periods, offset[-1]), y0)
+    return ((c2, d2), (c3, d3), (c4, d4)), gain, offset, ends
+
+
+def _expand(rows: np.ndarray, gain: np.ndarray, offset: np.ndarray) -> None:
+    """Fill each row of whole-period states from its first column, in place."""
+    np.multiply.outer(rows[:, 0], gain[:-1], out=rows[:, 1:])
+    rows[:, 1:] += offset[:-1]
+
+
+def _rk4(coeffs, y0: float, h: float, n_steps: int, period_steps: int, phase_rate):
+    """Fixed-step RK4 of dy/dt = a(t) + b(t)*y with dphi/dt = phase_rate(y), phi(0) = 0.
+
+    The period maps come from _period_maps.  One broadcast over the trace,
+    padded to whole periods and viewed as (periods, P), gives every state
+    from its period's first one.  The phase is taken stage by stage, as
+    phase_rate need not be linear: h/6 times the RK4 weighted sum of
+    phase_rate over the stage states, each passed in one scratch array that
+    phase_rate may overwrite, summed in place over the same view and
+    accumulated by np.cumsum.  Stage 1's state is y_i itself and its weight
+    1, so the sum starts as its rate, taken on a copy of y_i; stage 4
+    (weight 1) is added unscaled.  Returns y and phi at t = i*h,
+    i = 0..n_steps; a trace that is not finite raises NumericalError.
     """
     periods = -(-n_steps // period_steps)
     y = np.empty(periods * period_steps + 1)
@@ -156,35 +196,19 @@ def _rk4(coeffs, y0: float, h: float, n_steps: int, period_steps: int, phase_rat
     # Row k: the states y_i and the phase steps phi_{i+1} - phi_i of period k.
     y_i = y[:-1].reshape(periods, period_steps)
     dphi = phi[1:].reshape(periods, period_steps)
-    half, sixth = 0.5 * h, h / 6.0
     # A blow-up is reported below as one NumericalError, not as numpy warnings.
     with np.errstate(all="ignore"):
-        a, b = coeffs(np.arange(2 * period_steps + 1) * half)
-        a1, b1, a2, b2, a4, b4 = a[:-1:2], b[:-1:2], a[1::2], b[1::2], a[2::2], b[2::2]
-        # Stage j's state is c_j + d_j*y_i and its slope k_j = kc_j + kd_j*y_i;
-        # stage 1 is y_i itself, with slope a1 + b1*y_i.
-        c2, d2 = half * a1, 1.0 + half * b1
-        kc2, kd2 = a2 + b2 * c2, b2 * d2
-        c3, d3 = half * kc2, 1.0 + half * kd2
-        kc3, kd3 = a2 + b2 * c3, b2 * d3
-        c4, d4 = h * kc3, 1.0 + h * kd3
-        m = 1.0 + sixth * (b1 + 2.0 * (kd2 + kd3) + b4 * d4)
-        n = sixth * (a1 + 2.0 * (kc2 + kc3) + (a4 + b4 * c4))
-        gain = np.cumprod(m)
-        offset = _affine_scan(m, n, 0.0)
-        y[period_steps::period_steps] = _affine_scan(
-            np.full(periods, gain[-1]), np.full(periods, offset[-1]), y0
-        )
-        np.multiply.outer(y_i[:, 0], gain[:-1], out=y_i[:, 1:])
-        y_i[:, 1:] += offset[:-1]
+        stages, gain, offset, ends = _period_maps(coeffs, y0, h, period_steps, periods)
+        y[period_steps::period_steps] = ends
+        _expand(y_i, gain, offset)
         stage = y_i.copy()
         dphi[...] = phase_rate(stage)
-        for c, d, double in ((c2, d2, True), (c3, d3, True), (c4, d4, False)):
+        for (c, d), double in zip(stages, (True, True, False)):
             np.multiply(d, y_i, out=stage)
             stage += c
             rate = phase_rate(stage)
             dphi += np.multiply(rate, 2.0, out=stage) if double else rate
-        dphi *= sixth
+        dphi *= h / 6.0
         np.cumsum(phi, out=phi)
     y, phi = y[: n_steps + 1], phi[: n_steps + 1]
     if not (np.isfinite(y).all() and np.isfinite(phi).all()):
@@ -192,27 +216,83 @@ def _rk4(coeffs, y0: float, h: float, n_steps: int, period_steps: int, phase_rat
     return y, phi
 
 
-def _settled(icfg: IntegrationConfig, y: np.ndarray, phi: np.ndarray):
-    """t, y and phi, sampled at t = i*dt, from the first t >= transient_cut - dt/2
-    on, endpoint-exclusive; y is copied, so a trace keeps no full-length buffer."""
+def _rk4_window(coeffs, y0: float, h: float, n_steps: int, period_steps: int,
+                first: int, w0: float, w1: float):
+    """_rk4 with the linear phase rate dphi/dt = w0 + w1*y, returning y and phi
+    at t = i*h for i = first .. n_steps - 1 only.
+
+    The stage states are Y_j = c_j + d_j*y_i, so phase step i is
+    h/6*(6*w0 + w1*(D_i*y_i + C_i)) with D = 1 + 2*d_2 + 2*d_3 + d_4 and
+    C = 2*c_2 + 2*c_3 + c_4, one-period arrays like the maps.  Period k then
+    adds h/6*(6*P*w0 + w1*(A + B*y[k*P])), with A = sum(D_i*o_{i-1} + C_i),
+    B = sum(D_i*g_{i-1}) and g, o the period's prefix gains and offsets
+    (g_{-1} = 1, o_{-1} = 0).  So the periods before the one that holds
+    sample `first` enter the phase as one sum over their first states, and
+    only the periods from that one on are expanded, y as in _rk4 and the
+    phase steps by one cumulative sum from that sum.  Each step is formed at
+    rate level, w1*(D*y + C) before h/6, so a rate that overflows still
+    does.  A non-finite state, period start or phase raises NumericalError.
+    """
+    periods = -(-n_steps // period_steps)
+    skip = first // period_steps
+    rows = np.empty((periods - skip, period_steps))
+    phi = np.empty(rows.size + 1)
+    # Row k: the states y_i and the phase steps phi_{i+1} - phi_i of period skip + k.
+    dphi = phi[1:].reshape(rows.shape)
+    sixth = h / 6.0
+    # A blow-up is reported below as one NumericalError, not as numpy warnings.
+    with np.errstate(all="ignore"):
+        ((c2, d2), (c3, d3), (c4, d4)), gain, offset, ends = _period_maps(
+            coeffs, y0, h, period_steps, periods
+        )
+        starts = np.concatenate(([y0], ends[:-1]))
+        D = 1.0 + 2.0 * (d2 + d3) + d4
+        C = 2.0 * (c2 + c3) + c4
+        A = D[1:] @ offset[:-1] + C.sum()
+        B = D[0] + D[1:] @ gain[:-1]
+        phi[0] = transient = sixth * (6.0 * w0 * (skip * period_steps)
+                                      + w1 * (skip * A + B * starts[:skip].sum()))
+        rows[:, 0] = starts[skip:]
+        _expand(rows, gain, offset)
+        np.multiply(D, rows, out=dphi)
+        dphi += C
+        dphi *= w1
+        dphi += 6.0 * w0
+        dphi *= sixth
+        np.cumsum(phi, out=phi)
+    lo, hi = first - skip * period_steps, n_steps - skip * period_steps
+    y, phi = rows.ravel()[lo:hi], phi[lo:hi]
+    if not (math.isfinite(transient) and np.isfinite(starts).all()
+            and np.isfinite(y).all() and np.isfinite(phi).all()):
+        raise NumericalError("RK4 trace is not finite")
+    return y, phi
+
+
+def _window(icfg: IntegrationConfig, n_steps: int) -> np.ndarray:
+    """The retained sample times t = i*dt, i < n_steps, from the first
+    t >= transient_cut - dt/2 on."""
     cut = icfg.transient_cut - 0.5 * icfg.dt
     # From one sample early, as cut/dt may round past the first one.
-    t = np.arange(max(0, math.ceil(cut / icfg.dt) - 1), y.size - 1) * icfg.dt
-    t = t[np.searchsorted(t, cut) :]
-    return t, y[y.size - 1 - t.size : -1].copy(), phi[phi.size - 1 - t.size : -1]
+    t = np.arange(max(0, math.ceil(cut / icfg.dt) - 1), n_steps) * icfg.dt
+    return t[np.searchsorted(t, cut) :]
 
 
-def _integrate(op: OperatingPoint, modcfg: ModulationConfig, icfg: IntegrationConfig,
-               coeffs, y0: float, phase_rate, delta_p) -> TimeTrace:
-    """Validate, step and settle icfg's window, map y to delta_p and demodulate
-    at omega_sto + 2*nu*Gamma_p*<delta_p>: for the full model, that is
-    omega_o + nu*Gamma_p*(1 + 2*<delta_p>)."""
+def _settled(icfg: IntegrationConfig, y: np.ndarray, phi: np.ndarray):
+    """t, y and phi over the _window of a trace sampled at t = i*dt,
+    i = 0..n_steps (the endpoint is dropped)."""
+    t = _window(icfg, y.size - 1)
+    return t, y[y.size - 1 - t.size : -1], phi[phi.size - 1 - t.size : -1]
+
+
+def _steps(op: OperatingPoint, modcfg: ModulationConfig, icfg: IntegrationConfig):
+    """Validate icfg; its step count and steps per modulation period."""
     icfg.validate(op, modcfg)
-    h = icfg.dt
-    t, y, phi = _settled(icfg, *_rk4(
-        coeffs, y0, h, round(icfg.t_end / h), round(TWO_PI / modcfg.omega_m / h), phase_rate
-    ))
-    dp = delta_p(y)
+    return round(icfg.t_end / icfg.dt), round(TWO_PI / modcfg.omega_m / icfg.dt)
+
+
+def _demodulated(op: OperatingPoint, t: np.ndarray, dp: np.ndarray, phi: np.ndarray) -> TimeTrace:
+    """The trace with its phase demodulated at omega_sto + 2*nu*Gamma_p*<delta_p>:
+    for the full model, that is omega_o + nu*Gamma_p*(1 + 2*<delta_p>)."""
     demod = op.omega_sto + 2.0 * op.nu * op.gamma_p * float(dp.mean())
     return TimeTrace(t=t, delta_p=dp, phi=phi - demod * t, demod_freq=demod)
 
@@ -228,16 +308,18 @@ def integrate_reduced(
     """
     mu, w = modcfg.mu, modcfg.omega_m
     c1, c2, gp = op.c1, op.c2, op.gamma_p
-    wsto, nu_gp2 = op.omega_sto, 2.0 * op.nu * op.gamma_p
 
     def coeffs(t: np.ndarray):
         drive = mu * np.cos(w * t)
         return c1 * drive, 2.0 * (c2 * drive - gp)
 
-    return _integrate(
-        op, modcfg, icfg, coeffs, icfg.initial_delta_p,
-        lambda dp: np.add(np.multiply(dp, nu_gp2, out=dp), wsto, out=dp), lambda dp: dp,
+    n_steps, period_steps = _steps(op, modcfg, icfg)
+    t = _window(icfg, n_steps)
+    dp, phi = _rk4_window(
+        coeffs, icfg.initial_delta_p, icfg.dt, n_steps, period_steps, n_steps - t.size,
+        op.omega_sto, 2.0 * op.nu * op.gamma_p,
     )
+    return _demodulated(op, t, dp, phi)
 
 
 def integrate_full(
@@ -276,11 +358,12 @@ def integrate_full(
         s = sigma_i * (1.0 + mu * np.cos(w * t))
         return 2.0 * s, -2.0 * (s - gamma_g)
 
-    return _integrate(
-        op, modcfg, icfg, coeffs, 1.0 / p_start,
+    n_steps, period_steps = _steps(op, modcfg, icfg)
+    t, u, phi = _settled(icfg, *_rk4(
+        coeffs, 1.0 / p_start, icfg.dt, n_steps, period_steps,
         lambda u: np.add(np.divide(nu_over_p0, u, out=u), op.omega_o, out=u),
-        lambda u: (1.0 / u / p0 - 1.0) / 2.0,
-    )
+    ))
+    return _demodulated(op, t, (1.0 / u / p0 - 1.0) / 2.0, phi)
 
 
 def project_harmonics(

@@ -435,16 +435,102 @@ def _stepped(monkeypatch, stepper, integrate, model, op, cfg):
     return seen[0]
 
 
+def _stage_wise_reduced(stepper, op, cfg, icfg):
+    """Settled delta_p and raw phase of the reduced equations by a stepper
+    with _rk4's signature, which takes the phase rate stage by stage."""
+    mu, w, nu_gp2 = cfg.mu, cfg.omega_m, 2.0 * op.nu * op.gamma_p
+
+    def coeffs(t):
+        drive = mu * np.cos(w * t)
+        return op.c1 * drive, 2.0 * (op.c2 * drive - op.gamma_p)
+
+    def phase_rate(dp):
+        return np.add(np.multiply(dp, nu_gp2, out=dp), op.omega_sto, out=dp)
+
+    h = icfg.dt
+    _, dp, phi = oracle._settled(icfg, *stepper(
+        coeffs, icfg.initial_delta_p, h, round(icfg.t_end / h), round(TWO_PI / w / h), phase_rate
+    ))
+    return dp, phi
+
+
+def _assert_matches_stage_wise(trace, dp, phi, icfg):
+    """delta_p bit for bit, and the raw phase within the rounding of two sums.
+
+    Both phases are running sums of the same n = n_steps steps, all positive
+    (omega_sto dominates the rate).  A running sum of n terms rounds by at
+    most (n - 1)*eps/2 times their sum, and each step's own few roundings
+    add at most 5*eps/2 of it; the affine side's period sums are dot
+    products over the same steps, no worse.  So each side lies within
+    (n + 4)*eps/2*max|phi| of the exact sum, and re-adding demod*t to the
+    trace's phase rounds twice more: (n + 6)*eps*max|phi| bounds the
+    difference (measured at most 6.0e-15*max|phi| over the 60
+    oracle-validate windows of seeds 101 and 303).
+    """
+    assert trace.delta_p.tobytes() == dp.tobytes()
+    bound = (round(icfg.t_end / icfg.dt) + 6) * np.finfo(float).eps * np.abs(phi).max()
+    assert np.abs(_raw_phase(trace) - phi).max() <= bound
+
+
 @pytest.mark.parametrize("mu", [0.005, 0.05])
 def test_rk4_matches_reference_bit_for_bit(all_ops, monkeypatch, mu):
-    runs = [(integrate_reduced, label, op) for label, op in all_ops.items()]
-    runs.append((integrate_full, "OP2", make_device(OP_XIS["OP2"])))
-    for integrate, label, model in runs:
+    # integrate_full still steps through _rk4, so its y and phi equal the
+    # reference's bit for bit.  integrate_reduced takes its phase from the
+    # period maps and steps only its window, so its delta_p equals the
+    # reference's settled window bit for bit and its phase to round-off.
+    params = make_device(OP_XIS["OP2"])
+    for f_m in (40e6, 160e6):
+        cfg = ModulationConfig(mu=mu, omega_m=TWO_PI * f_m)
+        got = _stepped(monkeypatch, oracle._rk4, integrate_full, params, all_ops["OP2"], cfg)
+        ref = _stepped(monkeypatch, _reference_rk4, integrate_full, params, all_ops["OP2"], cfg)
+        assert got == ref, f_m
+    for label, op in all_ops.items():
         for f_m in (40e6, 160e6):
             cfg = ModulationConfig(mu=mu, omega_m=TWO_PI * f_m)
-            got = _stepped(monkeypatch, oracle._rk4, integrate, model, all_ops[label], cfg)
-            ref = _stepped(monkeypatch, _reference_rk4, integrate, model, all_ops[label], cfg)
-            assert got == ref, (integrate.__name__, label, f_m)
+            icfg = IntegrationConfig.for_steady_state(op, cfg)
+            _assert_matches_stage_wise(
+                integrate_reduced(op, cfg, icfg),
+                *_stage_wise_reduced(_reference_rk4, op, cfg, icfg), icfg,
+            )
+
+
+class TestAffinePhase:
+    """integrate_reduced's phase, stepped by the period maps, against _rk4's
+    stage-wise phase of the same equations."""
+
+    @pytest.mark.parametrize("mu", [0.005, 0.05])
+    @pytest.mark.parametrize("f_m", [40e6, 160e6])
+    @pytest.mark.parametrize("label", ["OP1", "OP2", "OP3"])
+    def test_steady_state_windows(self, all_ops, label, f_m, mu):
+        # Whole transient periods before the window: the transient reaches
+        # the phase only as the sum over their first states.
+        op = all_ops[label]
+        cfg = ModulationConfig(mu=mu, omega_m=TWO_PI * f_m)
+        icfg = IntegrationConfig.for_steady_state(op, cfg)
+        _assert_matches_stage_wise(
+            integrate_reduced(op, cfg, icfg), *_stage_wise_reduced(oracle._rk4, op, cfg, icfg), icfg
+        )
+
+    @pytest.mark.parametrize(
+        "n_steps,cut_steps",
+        [pytest.param(3 * 512, 256, id="whole"), pytest.param(3 * 512 + 100, 256, id="partial"),
+         pytest.param(400, 256, id="short"), pytest.param(3 * 512, 255.5, id="half-step-cut"),
+         pytest.param(3 * 512 + 100, 512 + 256, id="second-period-cut")],
+    )
+    def test_cut_windows(self, op2, n_steps, cut_steps):
+        # test_runs_match_scalar_loop's windows, all cut mid-period, and one
+        # cut in the second period: the steps of the cut's period before it
+        # reach the phase through the cumulative sum, after one whole
+        # transient period in the last case.
+        cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 10e6)
+        dt = (TWO_PI / cfg.omega_m) / 512
+        icfg = IntegrationConfig(
+            dt=dt, t_end=n_steps * dt, transient_cut=cut_steps * dt, initial_delta_p=0.01
+        )
+        _assert_matches_stage_wise(
+            integrate_reduced(op2, cfg, icfg), *_stage_wise_reduced(oracle._rk4, op2, cfg, icfg),
+            icfg,
+        )
 
 
 def _sequential(m, n, y0):
