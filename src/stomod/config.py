@@ -137,9 +137,11 @@ def _load_parser(path: Path | None, overrides: list[str]) -> tuple[configparser.
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {path}: {exc}") from exc
         try:
-            parser.read_string(user_text)
+            parser.read_string(user_text, source=str(path))
         except configparser.Error as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
+            # configparser's messages run over several lines; the CLI prints one.
+            message = " ".join(line.strip() for line in str(exc).splitlines())
+            raise ConfigError(f"cannot parse {path}: {message}") from exc
         hash_parts.append(user_text)
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:

@@ -12,13 +12,15 @@ them into the period's prefix maps and a second scan steps whole periods,
 so the trace is one broadcast from each period's first state.  No step or
 period runs in Python.
 
-The reduced phase rate, omega_sto + 2*nu*Gamma_p*delta_p, is linear in the
-stepped state, so each phase step is an affine function of y_i too, and a
-whole period's phase one of the period's first state: the transient enters
-the phase as one sum over the period starts, and only the periods from the
-one holding the first retained sample on are expanded.  The full model's
-phase rate, omega_o + nu*Gamma_p/(p0*u), is not linear in u, so its phase
-is still summed stage by stage over every step.
+Only the periods from the one holding the first retained sample on are
+expanded, and the phase is summed over those steps only, from 0 at the
+first retained sample: the transient's phase is a constant that depends on
+the start state and that no reader of the trace needs.  The one driver
+serves both models; each model supplies only its phase step.  The reduced
+phase rate, omega_sto + 2*nu*Gamma_p*delta_p, is linear in the stepped
+state, so its step is affine in y_i; the full model's,
+omega_o + nu*Gamma_p/(p0*u), is not linear in u, so it is summed stage by
+stage.
 
 Everything here is deliberately independent of the harmonic-balance solver
 so the two paths can be compared coefficient by coefficient.
@@ -91,8 +93,14 @@ class IntegrationConfig:
                 f"{_TRANSIENT_GAMMA_P_MIN}/gamma_p = "
                 f"{_TRANSIENT_GAMMA_P_MIN / op.gamma_p:.3e}"
             )
-        if self.t_end <= self.transient_cut:
-            raise StepSizeError("t_end must exceed transient_cut")
+        # As in _window, the last sample, i = round(t_end/dt) - 1, must reach
+        # transient_cut - dt/2.
+        last = (round(self.t_end / self.dt) - 1) * self.dt
+        if self.t_end <= self.transient_cut or last < self.transient_cut - 0.5 * self.dt:
+            raise StepSizeError(
+                f"t_end={self.t_end:.6e} must exceed transient_cut={self.transient_cut:.6e} "
+                f"and leave a sample t = i*dt, i < t_end/dt, at or after transient_cut - dt/2"
+            )
 
     @classmethod
     def for_steady_state(
@@ -175,95 +183,38 @@ def _expand(rows: np.ndarray, gain: np.ndarray, offset: np.ndarray) -> None:
     rows[:, 1:] += offset[:-1]
 
 
-def _rk4(coeffs, y0: float, h: float, n_steps: int, period_steps: int, phase_rate):
-    """Fixed-step RK4 of dy/dt = a(t) + b(t)*y with dphi/dt = phase_rate(y), phi(0) = 0.
+def _rk4(coeffs, y0: float, h: float, n_steps: int, period_steps: int, first: int,
+         phase_step):
+    """Fixed-step RK4 of dy/dt = a(t) + b(t)*y and of its phase phi, returning y
+    and phi at t = i*h for i = first .. n_steps - 1, with phi = 0 at i = first.
 
-    The period maps come from _period_maps.  One broadcast over the trace,
-    padded to whole periods and viewed as (periods, P), gives every state
-    from its period's first one.  The phase is taken stage by stage, as
-    phase_rate need not be linear: h/6 times the RK4 weighted sum of
-    phase_rate over the stage states, each passed in one scratch array that
-    phase_rate may overwrite, summed in place over the same view and
-    accumulated by np.cumsum.  Stage 1's state is y_i itself and its weight
-    1, so the sum starts as its rate, taken on a copy of y_i; stage 4
-    (weight 1) is added unscaled.  Returns y and phi at t = i*h,
-    i = 0..n_steps; a trace that is not finite raises NumericalError.
-    """
-    periods = -(-n_steps // period_steps)
-    y = np.empty(periods * period_steps + 1)
-    phi = np.empty_like(y)
-    y[0], phi[0] = y0, 0.0
-    # Row k: the states y_i and the phase steps phi_{i+1} - phi_i of period k.
-    y_i = y[:-1].reshape(periods, period_steps)
-    dphi = phi[1:].reshape(periods, period_steps)
-    # A blow-up is reported below as one NumericalError, not as numpy warnings.
-    with np.errstate(all="ignore"):
-        stages, gain, offset, ends = _period_maps(coeffs, y0, h, period_steps, periods)
-        y[period_steps::period_steps] = ends
-        _expand(y_i, gain, offset)
-        stage = y_i.copy()
-        dphi[...] = phase_rate(stage)
-        for (c, d), double in zip(stages, (True, True, False)):
-            np.multiply(d, y_i, out=stage)
-            stage += c
-            rate = phase_rate(stage)
-            dphi += np.multiply(rate, 2.0, out=stage) if double else rate
-        dphi *= h / 6.0
-        np.cumsum(phi, out=phi)
-    y, phi = y[: n_steps + 1], phi[: n_steps + 1]
-    if not (np.isfinite(y).all() and np.isfinite(phi).all()):
-        raise NumericalError("RK4 trace is not finite")
-    return y, phi
-
-
-def _rk4_window(coeffs, y0: float, h: float, n_steps: int, period_steps: int,
-                first: int, w0: float, w1: float):
-    """_rk4 with the linear phase rate dphi/dt = w0 + w1*y, returning y and phi
-    at t = i*h for i = first .. n_steps - 1 only.
-
-    The stage states are Y_j = c_j + d_j*y_i, so phase step i is
-    h/6*(6*w0 + w1*(D_i*y_i + C_i)) with D = 1 + 2*d_2 + 2*d_3 + d_4 and
-    C = 2*c_2 + 2*c_3 + c_4, one-period arrays like the maps.  Period k then
-    adds h/6*(6*P*w0 + w1*(A + B*y[k*P])), with A = sum(D_i*o_{i-1} + C_i),
-    B = sum(D_i*g_{i-1}) and g, o the period's prefix gains and offsets
-    (g_{-1} = 1, o_{-1} = 0).  So the periods before the one that holds
-    sample `first` enter the phase as one sum over their first states, and
-    only the periods from that one on are expanded, y as in _rk4 and the
-    phase steps by one cumulative sum from that sum.  Each step is formed at
-    rate level, w1*(D*y + C) before h/6, so a rate that overflows still
-    does.  A non-finite state, period start or phase raises NumericalError.
+    The period maps and period ends come from _period_maps.  Only the periods
+    from the one that holds sample `first` are expanded: one broadcast over
+    a (periods, P) view gives every state from its period's first one.
+    phase_step(stages, rows, out) writes 6/h times each state's phase step
+    phi_{i+1} - phi_i into out, from the stages' (c_j, d_j) and the states
+    rows; the steps before sample `first` are dropped and np.cumsum sums the
+    rest.  A non-finite period start, state or phase raises NumericalError.
     """
     periods = -(-n_steps // period_steps)
     skip = first // period_steps
+    lo, hi = first - skip * period_steps, n_steps - skip * period_steps
     rows = np.empty((periods - skip, period_steps))
     phi = np.empty(rows.size + 1)
     # Row k: the states y_i and the phase steps phi_{i+1} - phi_i of period skip + k.
     dphi = phi[1:].reshape(rows.shape)
-    sixth = h / 6.0
     # A blow-up is reported below as one NumericalError, not as numpy warnings.
     with np.errstate(all="ignore"):
-        ((c2, d2), (c3, d3), (c4, d4)), gain, offset, ends = _period_maps(
-            coeffs, y0, h, period_steps, periods
-        )
+        stages, gain, offset, ends = _period_maps(coeffs, y0, h, period_steps, periods)
         starts = np.concatenate(([y0], ends[:-1]))
-        D = 1.0 + 2.0 * (d2 + d3) + d4
-        C = 2.0 * (c2 + c3) + c4
-        A = D[1:] @ offset[:-1] + C.sum()
-        B = D[0] + D[1:] @ gain[:-1]
-        phi[0] = transient = sixth * (6.0 * w0 * (skip * period_steps)
-                                      + w1 * (skip * A + B * starts[:skip].sum()))
         rows[:, 0] = starts[skip:]
         _expand(rows, gain, offset)
-        np.multiply(D, rows, out=dphi)
-        dphi += C
-        dphi *= w1
-        dphi += 6.0 * w0
-        dphi *= sixth
+        phase_step(stages, rows, dphi)
+        dphi *= h / 6.0
+        phi[: lo + 1] = 0.0
         np.cumsum(phi, out=phi)
-    lo, hi = first - skip * period_steps, n_steps - skip * period_steps
     y, phi = rows.ravel()[lo:hi], phi[lo:hi]
-    if not (math.isfinite(transient) and np.isfinite(starts).all()
-            and np.isfinite(y).all() and np.isfinite(phi).all()):
+    if not (np.isfinite(starts).all() and np.isfinite(y).all() and np.isfinite(phi).all()):
         raise NumericalError("RK4 trace is not finite")
     return y, phi
 
@@ -277,24 +228,22 @@ def _window(icfg: IntegrationConfig, n_steps: int) -> np.ndarray:
     return t[np.searchsorted(t, cut) :]
 
 
-def _settled(icfg: IntegrationConfig, y: np.ndarray, phi: np.ndarray):
-    """t, y and phi over the _window of a trace sampled at t = i*dt,
-    i = 0..n_steps (the endpoint is dropped)."""
-    t = _window(icfg, y.size - 1)
-    return t, y[y.size - 1 - t.size : -1], phi[phi.size - 1 - t.size : -1]
-
-
-def _steps(op: OperatingPoint, modcfg: ModulationConfig, icfg: IntegrationConfig):
-    """Validate icfg; its step count and steps per modulation period."""
+def _integrate(op: OperatingPoint, modcfg: ModulationConfig, icfg: IntegrationConfig,
+               coeffs, y0: float, phase_step):
+    """Validate icfg, then _rk4 over its _window from y0: t, y and phi."""
     icfg.validate(op, modcfg)
-    return round(icfg.t_end / icfg.dt), round(TWO_PI / modcfg.omega_m / icfg.dt)
+    n_steps = round(icfg.t_end / icfg.dt)
+    t = _window(icfg, n_steps)
+    period_steps = round(TWO_PI / modcfg.omega_m / icfg.dt)
+    return t, *_rk4(coeffs, y0, icfg.dt, n_steps, period_steps, n_steps - t.size, phase_step)
 
 
 def _demodulated(op: OperatingPoint, t: np.ndarray, dp: np.ndarray, phi: np.ndarray) -> TimeTrace:
-    """The trace with its phase demodulated at omega_sto + 2*nu*Gamma_p*<delta_p>:
-    for the full model, that is omega_o + nu*Gamma_p*(1 + 2*<delta_p>)."""
+    """The trace with its phase demodulated at omega_sto + 2*nu*Gamma_p*<delta_p>
+    from the first sample on: for the full model, that is
+    omega_o + nu*Gamma_p*(1 + 2*<delta_p>)."""
     demod = op.omega_sto + 2.0 * op.nu * op.gamma_p * float(dp.mean())
-    return TimeTrace(t=t, delta_p=dp, phi=phi - demod * t, demod_freq=demod)
+    return TimeTrace(t=t, delta_p=dp, phi=phi - demod * (t - t[0]), demod_freq=demod)
 
 
 def integrate_reduced(
@@ -302,9 +251,10 @@ def integrate_reduced(
 ) -> TimeTrace:
     """RK4 integration of the reduced power/phase equations.
 
-    Returns the post-transient samples; the phase is demodulated at
-    omega_sto + 2*nu*Gamma_p*<delta_p> with the mean taken over the
-    retained window.
+    Returns the post-transient samples.  The phase is integrated from 0 at
+    the first retained sample and demodulated at
+    omega_sto + 2*nu*Gamma_p*<delta_p>, with the mean taken over the
+    retained window, so the returned phi starts at exactly 0.
     """
     mu, w = modcfg.mu, modcfg.omega_m
     c1, c2, gp = op.c1, op.c2, op.gamma_p
@@ -313,13 +263,19 @@ def integrate_reduced(
         drive = mu * np.cos(w * t)
         return c1 * drive, 2.0 * (c2 * drive - gp)
 
-    n_steps, period_steps = _steps(op, modcfg, icfg)
-    t = _window(icfg, n_steps)
-    dp, phi = _rk4_window(
-        coeffs, icfg.initial_delta_p, icfg.dt, n_steps, period_steps, n_steps - t.size,
-        op.omega_sto, 2.0 * op.nu * op.gamma_p,
-    )
-    return _demodulated(op, t, dp, phi)
+    w0, w1 = op.omega_sto, 2.0 * op.nu * op.gamma_p
+
+    def phase_step(stages, rows, out):
+        # The rate w0 + w1*dp is linear in the stage states c_j + d_j*dp_i, so
+        # the weighted stage sum is 6*w0 + w1*(D*dp_i + C); it is formed at
+        # rate level, so a rate that overflows still does.
+        (c2, d2), (c3, d3), (c4, d4) = stages
+        np.multiply(1.0 + 2.0 * (d2 + d3) + d4, rows, out=out)
+        out += 2.0 * (c2 + c3) + c4
+        out *= w1
+        out += 6.0 * w0
+
+    return _demodulated(op, *_integrate(op, modcfg, icfg, coeffs, icfg.initial_delta_p, phase_step))
 
 
 def integrate_full(
@@ -334,7 +290,9 @@ def integrate_full(
     du/dt = 2*S - 2*(S - Gamma_G)*u, so it is stepped by the same affine RK4
     as the reduced equations and p is read back as 1/u.  No acceptance
     claim is attached to this path; it exists for cross-checking the
-    reduced equations at small mu.
+    reduced equations at small mu.  The phase is integrated and demodulated
+    as in integrate_reduced, at omega_o + nu*Gamma_p*(1 + 2*<delta_p>), and
+    starts at exactly 0.
 
     Raises ValueError if initial_delta_p gives a start power
     p0*(1 + 2*initial_delta_p) that is not positive and finite, and
@@ -358,11 +316,22 @@ def integrate_full(
         s = sigma_i * (1.0 + mu * np.cos(w * t))
         return 2.0 * s, -2.0 * (s - gamma_g)
 
-    n_steps, period_steps = _steps(op, modcfg, icfg)
-    t, u, phi = _settled(icfg, *_rk4(
-        coeffs, 1.0 / p_start, icfg.dt, n_steps, period_steps,
-        lambda u: np.add(np.divide(nu_over_p0, u, out=u), op.omega_o, out=u),
-    ))
+    def rate(u):
+        return np.add(np.divide(nu_over_p0, u, out=u), op.omega_o, out=u)
+
+    def phase_step(stages, rows, out):
+        # The rate omega_o + nu*Gamma_p/(p0*u) is not linear in u, so it is
+        # taken at each stage state in one scratch array, which rate
+        # overwrites: stage 1 is u_i itself, and stages 2 and 3 weigh 2.
+        stage = rows.copy()
+        out[...] = rate(stage)
+        for (c, d), double in zip(stages, (True, True, False)):
+            np.multiply(d, rows, out=stage)
+            stage += c
+            rate(stage)
+            out += np.multiply(stage, 2.0, out=stage) if double else stage
+
+    t, u, phi = _integrate(op, modcfg, icfg, coeffs, 1.0 / p_start, phase_step)
     return _demodulated(op, t, (1.0 / u / p0 - 1.0) / 2.0, phi)
 
 

@@ -199,12 +199,21 @@ class TestExitCodes:
     def test_config_error_exits_2(self, tmp_path):
         undecodable = tmp_path / "undecodable.cfg"
         undecodable.write_bytes(b"\xff")
-        for path in (tmp_path / "missing.cfg", undecodable):
+        # Files configparser cannot parse: its messages name the source it is
+        # given and may run over several lines.
+        no_header = tmp_path / "no_header.cfg"
+        no_header.write_text("alpha = 0.01\n")
+        duplicate = tmp_path / "duplicate.cfg"
+        duplicate.write_text("[device]\nalpha = 0.01\nalpha = 0.02\n")
+        for path in (tmp_path / "missing.cfg", undecodable, no_header, duplicate):
             result, out = run_cli(["operating-point", "--config", str(path)], tmp_path)
             assert result.exit_code == 2, result.output
             assert isinstance(result.exception, SystemExit)
             assert "Traceback" not in result.output
             assert path.name in result.stderr
+            assert "<string>" not in result.stderr
+            assert result.stderr.startswith("error: ")
+            assert result.stderr.count("\n") == 1, result.stderr
             assert not out.exists()
 
     def test_unwritable_out_exits_2(self, tmp_path):

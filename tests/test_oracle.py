@@ -67,8 +67,16 @@ def _scalar_rk4(rate, y0, w0, w1, h, n_steps):
     return y_arr, phi_arr
 
 
+def _settled(icfg, y, phi):
+    """y and phi over oracle._window of a trace sampled at t = i*dt,
+    i = 0..n_steps (the endpoint is dropped)."""
+    n_steps = y.size - 1
+    first = n_steps - oracle._window(icfg, n_steps).size
+    return y[first:n_steps], phi[first:n_steps]
+
+
 def _scalar_reduced(op, cfg, icfg):
-    """Settled delta_p and raw phase of the reduced equations by the scalar loop."""
+    """Settled delta_p and phase of the reduced equations by the scalar loop."""
     mu, w = cfg.mu, cfg.omega_m
 
     def dpdot(t, dp):
@@ -76,14 +84,13 @@ def _scalar_reduced(op, cfg, icfg):
         return op.c1 * drive + 2.0 * dp * (op.c2 * drive - op.gamma_p)
 
     n_steps = round(icfg.t_end / icfg.dt)
-    _, dp, phi = oracle._settled(icfg, *_scalar_rk4(
+    return _settled(icfg, *_scalar_rk4(
         dpdot, icfg.initial_delta_p, op.omega_sto, 2.0 * op.nu * op.gamma_p, icfg.dt, n_steps
     ))
-    return dp, phi
 
 
 def _scalar_full(params, cfg, icfg):
-    """Settled delta_p and raw phase of the unreduced power equation, stepped
+    """Settled delta_p and phase of the unreduced power equation, stepped
     in p by the scalar loop."""
     op = derive_operating_point(params)
     mu, w = cfg.mu, cfg.omega_m
@@ -96,15 +103,16 @@ def _scalar_full(params, cfg, icfg):
 
     n_steps = round(icfg.t_end / icfg.dt)
     p_start = op.p0 * (1.0 + 2.0 * icfg.initial_delta_p)
-    _, p, phi = oracle._settled(icfg, *_scalar_rk4(
+    p, phi = _settled(icfg, *_scalar_rk4(
         pdot, p_start, op.omega_o, params.nu * op.gamma_p / op.p0, icfg.dt, n_steps
     ))
     return (p / op.p0 - 1.0) / 2.0, phi
 
 
 def _raw_phase(trace):
-    """The integrated phase before the demodulation ramp was removed."""
-    return trace.phi + trace.demod_freq * trace.t
+    """The phase integrated from the first retained sample, before the
+    demodulation ramp was removed."""
+    return trace.phi + trace.demod_freq * (trace.t - trace.t[0])
 
 
 def _rel(got, ref):
@@ -181,6 +189,22 @@ class TestValidation:
             integrate_reduced(op2, cfg, icfg)
         with pytest.raises(StepSizeError, match=match):
             integrate_full(make_device(OP_XIS["OP2"]), cfg, icfg)
+
+    @pytest.mark.parametrize("t_end_steps,cut_steps", [(600.4, 600), (600, 599.6)])
+    def test_window_without_samples_rejected(self, op2, t_end_steps, cut_steps):
+        # The window keeps t = i*dt, i < round(t_end/dt), from
+        # transient_cut - dt/2 on: here no sample, which used to give an empty
+        # trace with a NaN demod_freq.  A cut 0.6*dt earlier keeps one.
+        cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 10e6)
+        dt = (TWO_PI / cfg.omega_m) / 512
+        icfg = IntegrationConfig(dt=dt, t_end=t_end_steps * dt, transient_cut=cut_steps * dt)
+        earlier = dataclasses.replace(icfg, transient_cut=(cut_steps - 0.6) * dt)
+        params = make_device(OP_XIS["OP2"])
+        match = r"t_end=.* must exceed transient_cut=.* and leave a sample"
+        for integrate, model in ((integrate_reduced, op2), (integrate_full, params)):
+            with pytest.raises(StepSizeError, match=match):
+                integrate(model, cfg, icfg)
+            assert integrate(model, cfg, earlier).t.size == 1
 
     @pytest.mark.parametrize(
         "field,value",
@@ -313,9 +337,10 @@ class TestFullModel:
 class TestStepper:
     """The period-vectorised affine stepper against the scalar RK4 loop.
 
-    Phases are compared before demodulation: the demodulated phase is a
-    difference of two ~1e4 rad numbers, so its relative rounding says
-    nothing about the stepper."""
+    Phases are compared before demodulation, as increments from the first
+    retained sample, where the integrators start theirs at 0: the
+    demodulated phase is a difference of two ~1e4 rad numbers, so its
+    relative rounding says nothing about the stepper."""
 
     @pytest.mark.parametrize("label", ["OP1", "OP2", "OP3"])
     def test_reduced_matches_scalar_loop(self, all_ops, label):
@@ -326,7 +351,7 @@ class TestStepper:
             trace = integrate_reduced(op, cfg, icfg)
             dp, phi = _scalar_reduced(op, cfg, icfg)
             assert _rel(trace.delta_p, dp) <= 1e-12, f_m
-            assert _rel(_raw_phase(trace), phi) <= 1e-12, f_m
+            assert _rel(_raw_phase(trace), phi - phi[0]) <= 1e-12, f_m
 
     @pytest.mark.parametrize("label", ["OP1", "OP2", "OP3"])
     def test_full_matches_p_form_loop(self, all_ops, label):
@@ -339,7 +364,7 @@ class TestStepper:
             trace = integrate_full(params, cfg, icfg)
             dp, phi = _scalar_full(params, cfg, icfg)
             assert _rel(trace.delta_p, dp) <= 1e-8, f_m
-            assert _rel(_raw_phase(trace), phi) <= 1e-8, f_m
+            assert _rel(_raw_phase(trace), phi - phi[0]) <= 1e-8, f_m
 
     @pytest.mark.parametrize(
         "n_steps,cut_steps",
@@ -371,7 +396,7 @@ class TestStepper:
             assert np.array_equal(trace.t, t_window)
             assert dp.size == t_window.size
             assert _rel(trace.delta_p, dp) <= tol
-            assert _rel(_raw_phase(trace), phi) <= tol
+            assert _rel(_raw_phase(trace), phi - phi[0]) <= tol
 
 
 def _reference_rk4(coeffs, y0, h, n_steps, period_steps, phase_rate):
@@ -419,25 +444,9 @@ def _reference_rk4(coeffs, y0, h, n_steps, period_steps, phase_rate):
     return y, phi
 
 
-def _stepped(monkeypatch, stepper, integrate, model, op, cfg):
-    """Bytes of the y and phi that stepper returns inside one integrate call."""
-    seen = []
-
-    def spy(*args):
-        y, phi = stepper(*args)
-        seen.append((y.tobytes(), phi.tobytes()))
-        return y, phi
-
-    monkeypatch.setattr(oracle, "_rk4", spy)
-    integrate(model, cfg, IntegrationConfig.for_steady_state(op, cfg))
-    monkeypatch.undo()
-    assert len(seen) == 1
-    return seen[0]
-
-
-def _stage_wise_reduced(stepper, op, cfg, icfg):
-    """Settled delta_p and raw phase of the reduced equations by a stepper
-    with _rk4's signature, which takes the phase rate stage by stage."""
+def _reduced_model(op, cfg):
+    """coeffs(t) -> (a, b) and the in-place phase rate of the reduced
+    equations, formed as integrate_reduced forms them."""
     mu, w, nu_gp2 = cfg.mu, cfg.omega_m, 2.0 * op.nu * op.gamma_p
 
     def coeffs(t):
@@ -447,69 +456,117 @@ def _stage_wise_reduced(stepper, op, cfg, icfg):
     def phase_rate(dp):
         return np.add(np.multiply(dp, nu_gp2, out=dp), op.omega_sto, out=dp)
 
+    return coeffs, phase_rate
+
+
+def _steps(cfg, icfg):
+    """h, n_steps and the steps per modulation period, as the integrators take them."""
     h = icfg.dt
-    _, dp, phi = oracle._settled(icfg, *stepper(
-        coeffs, icfg.initial_delta_p, h, round(icfg.t_end / h), round(TWO_PI / w / h), phase_rate
+    return h, round(icfg.t_end / h), round(TWO_PI / cfg.omega_m / h)
+
+
+def _reference_reduced(op, cfg, icfg):
+    """Settled delta_p and phase of the reduced equations by _reference_rk4."""
+    coeffs, phase_rate = _reduced_model(op, cfg)
+    return _settled(icfg, *_reference_rk4(
+        coeffs, icfg.initial_delta_p, *_steps(cfg, icfg), phase_rate
     ))
-    return dp, phi
 
 
-def _assert_matches_stage_wise(trace, dp, phi, icfg):
-    """delta_p bit for bit, and the raw phase within the rounding of two sums.
+def _reference_full(params, cfg, icfg):
+    """Settled delta_p and phase of the unreduced equations, in u = 1/p, by
+    _reference_rk4, with coefficients formed as integrate_full forms them."""
+    op = derive_operating_point(params)
+    gamma_g = params.alpha * op.omega_o
+    sigma_i = gamma_g * params.xi
+    nu_over_p0 = params.nu * op.gamma_p / op.p0
 
-    Both phases are running sums of the same n = n_steps steps, all positive
-    (omega_sto dominates the rate).  A running sum of n terms rounds by at
-    most (n - 1)*eps/2 times their sum, and each step's own few roundings
-    add at most 5*eps/2 of it; the affine side's period sums are dot
-    products over the same steps, no worse.  So each side lies within
-    (n + 4)*eps/2*max|phi| of the exact sum, and re-adding demod*t to the
-    trace's phase rounds twice more: (n + 6)*eps*max|phi| bounds the
-    difference (measured at most 6.0e-15*max|phi| over the 60
-    oracle-validate windows of seeds 101 and 303).
+    def coeffs(t):
+        s = sigma_i * (1.0 + cfg.mu * np.cos(cfg.omega_m * t))
+        return 2.0 * s, -2.0 * (s - gamma_g)
+
+    def phase_rate(u):
+        return np.add(np.divide(nu_over_p0, u, out=u), op.omega_o, out=u)
+
+    u0 = 1.0 / (op.p0 * (1.0 + 2.0 * icfg.initial_delta_p))
+    u, phi = _settled(icfg, *_reference_rk4(coeffs, u0, *_steps(cfg, icfg), phase_rate))
+    return (1.0 / u / op.p0 - 1.0) / 2.0, phi
+
+
+def _stage_wise_reduced(op, cfg, icfg):
+    """Settled delta_p and phase of the reduced equations by oracle._rk4 with
+    a phase step that takes the rate at each RK4 stage state, as
+    integrate_full's does."""
+    coeffs, phase_rate = _reduced_model(op, cfg)
+
+    def phase_step(stages, rows, out):
+        out[...] = phase_rate(rows.copy())
+        for (c, d), weight in zip(stages, (2.0, 2.0, 1.0)):
+            out += weight * phase_rate(d * rows + c)
+
+    h, n_steps, period_steps = _steps(cfg, icfg)
+    first = n_steps - oracle._window(icfg, n_steps).size
+    return oracle._rk4(
+        coeffs, icfg.initial_delta_p, h, n_steps, period_steps, first, phase_step
+    )
+
+
+def _assert_matches(trace, dp, phi, icfg):
+    """delta_p bit for bit, and the phase increments from the first retained
+    sample within the rounding of the running sums.
+
+    Both phases are running sums of positive steps (omega_sto or omega_o
+    dominates the rate), phi of up to n = n_steps steps from any start and
+    the trace's of up to n from 0 at the first retained sample.  A running
+    sum of n terms rounds by at most (n - 1)*eps/2 times their sum, and each
+    step's own few roundings add at most 5*eps/2 of it; an affine phase
+    step's products and sums are no worse.  So each sum lies within
+    (n + 4)*eps/2*M of the exact one, M = max|phi|.  phi's increment
+    phi - phi[0] is a difference of two such sums, rounded once more, and
+    re-adding the demodulation ramp to the trace's phase rounds twice:
+    (3*n + 15)*eps/2*M in all, below 2*(n + 6)*eps*M.  Measured against
+    the reference: at most 2.0e-14*M for integrate_reduced over the 60
+    oracle-validate windows of seeds 101 and 303, and 9.0e-15*M for
+    integrate_full over OP1-3 x f_m in {10, 40, 160, 400} MHz x
+    mu in {0.005, 0.05, 0.2}; against the stage-wise step, 6.5e-16*M.
     """
     assert trace.delta_p.tobytes() == dp.tobytes()
-    bound = (round(icfg.t_end / icfg.dt) + 6) * np.finfo(float).eps * np.abs(phi).max()
-    assert np.abs(_raw_phase(trace) - phi).max() <= bound
+    bound = 2 * (round(icfg.t_end / icfg.dt) + 6) * np.finfo(float).eps * np.abs(phi).max()
+    assert np.abs(_raw_phase(trace) - (phi - phi[0])).max() <= bound
 
 
 @pytest.mark.parametrize("mu", [0.005, 0.05])
-def test_rk4_matches_reference_bit_for_bit(all_ops, monkeypatch, mu):
-    # integrate_full still steps through _rk4, so its y and phi equal the
-    # reference's bit for bit.  integrate_reduced takes its phase from the
-    # period maps and steps only its window, so its delta_p equals the
-    # reference's settled window bit for bit and its phase to round-off.
-    params = make_device(OP_XIS["OP2"])
-    for f_m in (40e6, 160e6):
-        cfg = ModulationConfig(mu=mu, omega_m=TWO_PI * f_m)
-        got = _stepped(monkeypatch, oracle._rk4, integrate_full, params, all_ops["OP2"], cfg)
-        ref = _stepped(monkeypatch, _reference_rk4, integrate_full, params, all_ops["OP2"], cfg)
-        assert got == ref, f_m
+def test_rk4_matches_reference_bit_for_bit(all_ops, mu):
+    # Both integrators expand only the periods they return and sum the phase
+    # from 0 at the first retained sample, so delta_p equals the reference's
+    # settled window bit for bit and the phase increments agree to round-off.
     for label, op in all_ops.items():
+        params = make_device(OP_XIS[label])
         for f_m in (40e6, 160e6):
             cfg = ModulationConfig(mu=mu, omega_m=TWO_PI * f_m)
             icfg = IntegrationConfig.for_steady_state(op, cfg)
-            _assert_matches_stage_wise(
-                integrate_reduced(op, cfg, icfg),
-                *_stage_wise_reduced(_reference_rk4, op, cfg, icfg), icfg,
+            _assert_matches(
+                integrate_reduced(op, cfg, icfg), *_reference_reduced(op, cfg, icfg), icfg
+            )
+            _assert_matches(
+                integrate_full(params, cfg, icfg), *_reference_full(params, cfg, icfg), icfg
             )
 
 
 class TestAffinePhase:
-    """integrate_reduced's phase, stepped by the period maps, against _rk4's
-    stage-wise phase of the same equations."""
+    """integrate_reduced's affine phase step against a stage-wise phase step
+    of the same equations in the same driver."""
 
     @pytest.mark.parametrize("mu", [0.005, 0.05])
     @pytest.mark.parametrize("f_m", [40e6, 160e6])
     @pytest.mark.parametrize("label", ["OP1", "OP2", "OP3"])
     def test_steady_state_windows(self, all_ops, label, f_m, mu):
-        # Whole transient periods before the window: the transient reaches
-        # the phase only as the sum over their first states.
+        # The window starts on a period boundary, after whole transient
+        # periods that are never expanded.
         op = all_ops[label]
         cfg = ModulationConfig(mu=mu, omega_m=TWO_PI * f_m)
         icfg = IntegrationConfig.for_steady_state(op, cfg)
-        _assert_matches_stage_wise(
-            integrate_reduced(op, cfg, icfg), *_stage_wise_reduced(oracle._rk4, op, cfg, icfg), icfg
-        )
+        _assert_matches(integrate_reduced(op, cfg, icfg), *_stage_wise_reduced(op, cfg, icfg), icfg)
 
     @pytest.mark.parametrize(
         "n_steps,cut_steps",
@@ -519,18 +576,19 @@ class TestAffinePhase:
     )
     def test_cut_windows(self, op2, n_steps, cut_steps):
         # test_runs_match_scalar_loop's windows, all cut mid-period, and one
-        # cut in the second period: the steps of the cut's period before it
-        # reach the phase through the cumulative sum, after one whole
-        # transient period in the last case.
+        # cut in the second period, after a whole period that is never
+        # expanded: the steps of the cut's period before the cut are dropped
+        # from the phase, which is exactly 0 at the first retained sample
+        # for both integrators.
         cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 10e6)
         dt = (TWO_PI / cfg.omega_m) / 512
         icfg = IntegrationConfig(
             dt=dt, t_end=n_steps * dt, transient_cut=cut_steps * dt, initial_delta_p=0.01
         )
-        _assert_matches_stage_wise(
-            integrate_reduced(op2, cfg, icfg), *_stage_wise_reduced(oracle._rk4, op2, cfg, icfg),
-            icfg,
-        )
+        reduced = integrate_reduced(op2, cfg, icfg)
+        _assert_matches(reduced, *_stage_wise_reduced(op2, cfg, icfg), icfg)
+        assert reduced.phi[0] == 0.0
+        assert integrate_full(make_device(OP_XIS["OP2"]), cfg, icfg).phi[0] == 0.0
 
 
 def _sequential(m, n, y0):
@@ -604,8 +662,11 @@ class TestAffineScan:
             a, b = np.ones_like(t), -np.ones_like(t)
             return (a + spike, b) if term == "a" else (a, b + spike)
 
+        def phase_step(stages, rows, out):
+            out[...] = rows
+
         with pytest.raises(NumericalError, match="RK4 trace is not finite"):
-            oracle._rk4(coeffs, 0.0, h, n_steps, n_steps, lambda y: y)
+            oracle._rk4(coeffs, 0.0, h, n_steps, n_steps, 0, phase_step)
 
 
 class TestGuards:
@@ -620,12 +681,21 @@ class TestGuards:
             integrate_full(make_device(OP_XIS["OP2"]), cfg, icfg)
 
     def test_reduced_non_finite_trace_raises(self, op2):
-        # The phase rate 2*nu*Gamma_p*dp overflows at dp = 1e300.
-        cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 100e6)
+        # The drive c1*mu*cos(omega_m*t) overflows, so every state does.
+        with pytest.warns(UserWarning, match="validity range"):
+            cfg = ModulationConfig(mu=1e300, omega_m=TWO_PI * 100e6)
         icfg = IntegrationConfig.for_steady_state(op2, cfg)
-        icfg = dataclasses.replace(icfg, initial_delta_p=1e300)
         with pytest.raises(NumericalError, match="not finite"):
             integrate_reduced(op2, cfg, icfg)
+
+    def test_reduced_large_start_settles(self, op2):
+        # dp0 = 1e300 decays by at least exp(-30) over the 15/Gamma_p transient
+        # and the phase is summed over the window only, so the trace is finite.
+        cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 100e6)
+        icfg = IntegrationConfig.for_steady_state(op2, cfg)
+        trace = integrate_reduced(op2, cfg, dataclasses.replace(icfg, initial_delta_p=1e300))
+        assert np.isfinite(trace.delta_p).all() and np.isfinite(trace.phi).all()
+        assert 0.0 < trace.delta_p.max() <= 1e300 * math.exp(-30.0)
 
     def test_full_non_finite_trace_raises(self, op2):
         with pytest.warns(UserWarning, match="validity range"):
