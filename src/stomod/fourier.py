@@ -145,20 +145,13 @@ def _solve(
             f"mu={modcfg.mu}, omega_m={modcfg.omega_m})"
         )
     if exact and gate:
-        # Largest |row residual| in row order: DC, n = 1 with its drive, then
-        # (g - i*n*w)*X_n - e*(X_{n-1} + X_{n+1}) with X_{N+1} = 0.
-        residual = abs(e * xs[0].real - g * a0)
-        xs.append(0j)
-        r = abs(diag[1] * xs[0] - e * (0j + xs[1]) - (drive + 2.0 * e * a0))
-        if r > residual:
-            residual = r
-        lo, x_n = xs[0], xs[1]
-        for c, hi in zip(diag[2:], xs[2:]):
-            r = abs(c * x_n - e * (lo + hi))
-            if r > residual:
-                residual = r
-            lo, x_n = x_n, hi
-        xs.pop()
+        # Largest |row residual| in row order: DC, then n = 1..N,
+        # (g - i*n*w)*X_n - e*(X_{n-1} + X_{n+1}) with X_0 = X_{N+1} = 0, less
+        # the drive mu*C1 + 2*e*A0 at n = 1.
+        ext = [0j, *xs, 0j]
+        res = [c * x_n - e * (lo + hi) for c, lo, x_n, hi in zip(diag[1:], ext, xs, ext[2:])]
+        res[0] -= drive + 2.0 * e * a0
+        residual = max(abs(e * xs[0].real - g * a0), *map(abs, res))
         scale = max(abs(drive), op.gamma_p)
         if residual > RESIDUAL_RTOL * scale:
             raise NumericalError(

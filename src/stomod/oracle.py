@@ -94,7 +94,11 @@ class IntegrationConfig:
                 f"{_TRANSIENT_GAMMA_P_MIN / op.gamma_p:.3e}"
             )
         # As in _window, the last sample, i = round(t_end/dt) - 1, must reach
-        # transient_cut - dt/2.
+        # transient_cut - dt/2; t_end/dt must be a finite step count first.
+        if not math.isfinite(self.t_end / self.dt):
+            raise StepSizeError(
+                f"t_end={self.t_end:.6e} over dt={self.dt:.6e} is not a finite step count"
+            )
         last = (round(self.t_end / self.dt) - 1) * self.dt
         if self.t_end <= self.transient_cut or last < self.transient_cut - 0.5 * self.dt:
             raise StepSizeError(
@@ -177,20 +181,15 @@ def _period_maps(coeffs, y0: float, h: float, period_steps: int, periods: int):
     return ((c2, d2), (c3, d3), (c4, d4)), gain, offset, ends
 
 
-def _expand(rows: np.ndarray, gain: np.ndarray, offset: np.ndarray) -> None:
-    """Fill each row of whole-period states from its first column, in place."""
-    np.multiply.outer(rows[:, 0], gain[:-1], out=rows[:, 1:])
-    rows[:, 1:] += offset[:-1]
-
-
 def _rk4(coeffs, y0: float, h: float, n_steps: int, period_steps: int, first: int,
          phase_step):
     """Fixed-step RK4 of dy/dt = a(t) + b(t)*y and of its phase phi, returning y
     and phi at t = i*h for i = first .. n_steps - 1, with phi = 0 at i = first.
 
     The period maps and period ends come from _period_maps.  Only the periods
-    from the one that holds sample `first` are expanded: one broadcast over
-    a (periods, P) view gives every state from its period's first one.
+    from the one that holds sample `first` are expanded: one outer product
+    with the prefix gains, plus the prefix offsets, over a (periods, P) view
+    gives every state from its period's first one.
     phase_step(stages, rows, out) writes 6/h times each state's phase step
     phi_{i+1} - phi_i into out, from the stages' (c_j, d_j) and the states
     rows; the steps before sample `first` are dropped and np.cumsum sums the
@@ -208,7 +207,8 @@ def _rk4(coeffs, y0: float, h: float, n_steps: int, period_steps: int, first: in
         stages, gain, offset, ends = _period_maps(coeffs, y0, h, period_steps, periods)
         starts = np.concatenate(([y0], ends[:-1]))
         rows[:, 0] = starts[skip:]
-        _expand(rows, gain, offset)
+        np.multiply.outer(rows[:, 0], gain[:-1], out=rows[:, 1:])
+        rows[:, 1:] += offset[:-1]
         phase_step(stages, rows, dphi)
         dphi *= h / 6.0
         phi[: lo + 1] = 0.0
@@ -288,7 +288,9 @@ def integrate_full(
     equation is of Bernoulli type: with S = sigma*I*(1 + mu*cos(omega_m*t)),
     the exact substitution u = 1/p makes it linear,
     du/dt = 2*S - 2*(S - Gamma_G)*u, so it is stepped by the same affine RK4
-    as the reduced equations and p is read back as 1/u.  No acceptance
+    as the reduced equations and p is read back as 1/u.  The phase rate
+    omega_o + nu*Gamma_p/(p0*u) is not linear in u, so each phase step takes
+    it at the four RK4 stage states, weighted 1, 2, 2, 1.  No acceptance
     claim is attached to this path; it exists for cross-checking the
     reduced equations at small mu.  The phase is integrated and demodulated
     as in integrate_reduced, at omega_o + nu*Gamma_p*(1 + 2*<delta_p>), and
@@ -316,20 +318,13 @@ def integrate_full(
         s = sigma_i * (1.0 + mu * np.cos(w * t))
         return 2.0 * s, -2.0 * (s - gamma_g)
 
-    def rate(u):
-        return np.add(np.divide(nu_over_p0, u, out=u), op.omega_o, out=u)
-
     def phase_step(stages, rows, out):
         # The rate omega_o + nu*Gamma_p/(p0*u) is not linear in u, so it is
-        # taken at each stage state in one scratch array, which rate
-        # overwrites: stage 1 is u_i itself, and stages 2 and 3 weigh 2.
-        stage = rows.copy()
-        out[...] = rate(stage)
-        for (c, d), double in zip(stages, (True, True, False)):
-            np.multiply(d, rows, out=stage)
-            stage += c
-            rate(stage)
-            out += np.multiply(stage, 2.0, out=stage) if double else stage
+        # taken at each stage state: stage 1 is u_i itself, and stages 2 and 3
+        # weigh 2.
+        out[...] = nu_over_p0 / rows + op.omega_o
+        for (c, d), weight in zip(stages, (2.0, 2.0, 1.0)):
+            out += weight * (nu_over_p0 / (d * rows + c) + op.omega_o)
 
     t, u, phi = _integrate(op, modcfg, icfg, coeffs, 1.0 / p_start, phase_step)
     return _demodulated(op, t, (1.0 / u / p0 - 1.0) / 2.0, phi)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -94,6 +93,8 @@ class TimeTrace:
         needs no two periods to be equal, so the periods are folded first
         and one m-sample FFT is taken.
         """
+        if k_max < 0:
+            raise ValueError(f"k_max must be >= 0, got {k_max}")
         n_samples = self.t.size
         if n_samples < 2:
             raise GridCoverageError("trace too short")
@@ -172,30 +173,23 @@ def _check_beta(beta: float) -> None:
         raise NumericalError(f"FM index beta={beta} is not finite or exceeds {_BETA_CAP:g}")
 
 
-@lru_cache(maxsize=8)
-def _sin_grid(size: int) -> np.ndarray:
-    """sin(2*pi*i/size), i = 0..size-1, formed once per FFT size and read-only."""
-    grid = np.sin(np.arange(size) * (TWO_PI / size))
-    grid.flags.writeable = False
-    return grid
-
-
 def _bessel_rows(j_max: list[int], beta: list[float]) -> np.ndarray:
-    """Row r holds J_0(beta[r]) .. J_{j_max[r]}(beta[r]) of the first kind, zero past j_max[r].
+    """Row r holds J_0(beta[r]) .. J_{j_max[r]}(beta[r]) of the first kind in its
+    first j_max[r] + 1 columns; what lies past them is not defined.
 
     By the Jacobi-Anger expansion (DLMF 10.12.1) J_j(beta) is the j-th
     Fourier coefficient of exp(i*beta*sin(theta)).  Its spectrum falls off
     beyond |j| ~ |beta|, so M samples with M > 2*(|beta| + j_max) + 40 make
     the aliasing error negligible against round-off.  Each row takes the
-    power of two M it needs; rows with the same M share FFT calls of at most
-    _WORK_ELEMENTS samples, whose rows equal one-row calls bit for bit.  Each
-    beta must have passed _check_beta.
+    power of two M it needs; rows with the same M share one sin(theta) grid
+    and FFT calls of at most _WORK_ELEMENTS samples, whose rows equal one-row
+    calls bit for bit.  Each beta must have passed _check_beta.
     """
     m = [1 << int(2.0 * (abs(b) + j) + 40.0).bit_length() for b, j in zip(beta, j_max)]
     out = np.zeros((len(beta), max(j_max, default=0) + 1))
     beta = np.asarray(beta, dtype=float)
     for size in set(m):
-        sin_theta = _sin_grid(size)
+        sin_theta = np.sin(np.arange(size) * (TWO_PI / size))
         rows = [r for r, m_r in enumerate(m) if m_r == size]
         step = max(1, _WORK_ELEMENTS // size)
         for part in (rows[i : i + step] for i in range(0, len(rows), step)):
@@ -203,7 +197,6 @@ def _bessel_rows(j_max: list[int], beta: list[float]) -> np.ndarray:
             samples = 1j * beta[part, None] * sin_theta
             np.exp(samples, out=samples)
             out[part, :width] = np.fft.fft(samples, axis=1)[:, :width].real / size
-    out[np.arange(out.shape[1]) > np.asarray(j_max)[:, None]] = 0.0
     return out
 
 
@@ -220,20 +213,17 @@ def _fm_combs(
 
         {0: J_0(beta_n),  +n*j: J_j(beta_n) * u^j,  -n*j: (-1)^j * conj(J_j(beta_n) * u^j)}
 
-    with u = conj(X_n)/|X_n| and j up to min(j_max, k_max // n).
+    with u = conj(X_n)/|X_n| and j up to min(j_max, k_max // n).  x, the rows'
+    X_n, is read, never written.
     """
     orders = np.minimum(j_max, k_max // n)
     bessel = _bessel_rows(orders.tolist(), beta)
     rr, jj = np.nonzero(np.arange(bessel.shape[1]) <= orders[:, None])
-    r = np.hypot(x.real, x.imag)  # |X_n| as scalar abs() takes it
-    # numpy's complex division multiplies by 1/r, which overflows for a
-    # subnormal r: scale those rows alone by an exact power of two first.
-    tiny = r < np.finfo(float).tiny
-    if tiny.any():
-        x = x.copy()  # may be a view of the caller's rows
-        x[tiny] *= 2.0**600
-        r[tiny] = np.hypot(x[tiny].real, x[tiny].imag)
-    u = np.conj(x) / r
+    # |X_n| by hypot, as scalar abs() takes it.  numpy's complex division
+    # multiplies by 1/|X_n|, which overflows for a subnormal one: scale those
+    # rows by an exact power of two first, the rest by 1.0, which cannot overflow.
+    x = x * np.where(np.hypot(x.real, x.imag) < np.finfo(float).tiny, 2.0**600, 1.0)
+    u = np.conj(x) / np.hypot(x.real, x.imag)
     taps = bessel[rr, jj] * u[rr] ** jj
     combs = np.zeros((n.size, 2 * k_max + 1), dtype=complex)
     nj = n[rr] * jj
@@ -259,6 +249,8 @@ def _line_spectra(
     """
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     width = 2 * k_max + 1
     chunk = max(1, _WORK_ELEMENTS // width)
     for start in range(0, len(sols), _BLOCK):

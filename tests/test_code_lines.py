@@ -1,0 +1,45 @@
+"""tools/code_lines.py: code lines by tokenize, without comments, blank lines or docstrings."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+_spec = importlib.util.spec_from_file_location("code_lines", _PATH)
+code_lines = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(code_lines)
+
+SOURCE = '''"""A module docstring
+on two lines."""
+
+import math  # a trailing comment
+
+# a comment line
+
+
+def f(x):
+    """A function docstring."""
+    total = (x
+             + math.pi)
+    text = """a string value,
+    not a docstring"""
+    "a string statement"
+    return total, text
+'''
+
+
+def test_counts_code_lines_only():
+    # import, def, the two lines of the expression, the two of the string
+    # value and return; the docstrings, the string statement, the comments and
+    # the blank lines do not count.
+    assert code_lines.code_lines(SOURCE) == 7
+
+
+def test_report_per_module_and_total(tmp_path, capsys):
+    for root, modules in (("base", {"a.py": SOURCE, "b.py": "x = 1\n"}), ("head", {"a.py": SOURCE})):
+        package = tmp_path / root / "src" / "stomod"
+        package.mkdir(parents=True)
+        for name, text in modules.items():
+            (package / name).write_text(text)
+    assert code_lines.main([str(tmp_path / "base"), str(tmp_path / "head")]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[1:] == [["a.py", "7", "7"], ["b.py", "1", "-"], ["total", "8", "7"]]

@@ -222,6 +222,19 @@ class TestValidation:
         with pytest.raises(StepSizeError, match=match):
             integrate_full(make_device(OP_XIS["OP2"]), cfg, icfg)
 
+    def test_step_count_overflow_rejected(self, op2):
+        # t_end/dt overflows to inf here, which the last-sample check cannot
+        # round: it is refused first, as a step size error.
+        cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 100e6)
+        icfg = dataclasses.replace(IntegrationConfig.for_steady_state(op2, cfg), t_end=1e300)
+        assert math.isinf(icfg.t_end / icfg.dt)
+        match = r"t_end=1\.000000e\+300 over dt=.* is not a finite step count"
+        with pytest.raises(StepSizeError, match=match):
+            icfg.validate(op2, cfg)
+        for integrate, model in ((integrate_reduced, op2), (integrate_full, make_device(OP_XIS["OP2"]))):
+            with pytest.raises(StepSizeError, match=match):
+                integrate(model, cfg, icfg)
+
 
 class TestSteadyState:
     @pytest.mark.parametrize("label,f_m", [("OP1", 40e6), ("OP3", 400e6)])

@@ -223,11 +223,15 @@ class TestAnalyticSpectrum:
     def test_subnormal_harmonic_has_the_comb_of_its_phase(self):
         # numpy's complex division takes 1/|X_n|, which overflows for a
         # subnormal |X_n|; such a row's u = conj(X_n)/|X_n| must be that of
-        # the normal number with the same phase.
-        x = np.array([3 + 4j, (3 + 4j) * 2.0**-1060])
+        # the normal number with the same phase.  The caller's rows, here a
+        # view into a larger array, are not written.
+        held = np.array([3 + 4j, (3 + 4j) * 2.0**-1060, 2.0**-1074 * 1j])
+        before = held.copy()
+        x = held[:2]
         assert 0.0 < abs(x[1]) < np.finfo(float).tiny
         combs = _fm_combs(np.array([1, 1]), [0.5, 0.5], x, 10, 40)
         assert np.array_equal(combs[0], combs[1])
+        assert held.tobytes() == before.tobytes()
 
     def test_subnormal_harmonics_act_as_zero(self, op2):
         # At N = 300 (mu of beta1 = 1), |X_n| is subnormal for n = 78..80 and
@@ -247,6 +251,18 @@ class TestAnalyticSpectrum:
         sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.1, omega_m=OMEGA_M))
         with pytest.raises(ValueError):
             psd_analytic(sol, j_max=0)
+
+    def test_negative_k_max_rejected(self, op2):
+        # Refused by name, before numpy's "negative dimensions are not allowed".
+        sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.1, omega_m=OMEGA_M))
+        with pytest.raises(ValueError, match=r"^k_max must be >= 0, got -1$"):
+            psd_analytic(sol, k_max=-1)
+        # k_max = 0 is the carrier-only spectrum: every comb truncates to its
+        # centre tap, so the line is ((1 + A0) * prod J_0(beta_n))^2.
+        carrier = psd_analytic(sol, k_max=0)
+        assert carrier.offsets.tolist() == [0]
+        expected = ((1.0 + sol.a0) * np.prod(jv(0, sol.betas))) ** 2
+        assert carrier.powers[0] == pytest.approx(expected, rel=1e-12)
 
     def test_missing_line_reports_zero(self, op2):
         sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.0, omega_m=OMEGA_M))
@@ -388,6 +404,30 @@ class TestBessel:
                 stomod_jv(j_max, beta), jv(orders, beta), rtol=0.0, atol=1e-14
             )
 
+    def test_batched_rows_match_one_row_calls(self):
+        # One call over rows of FFT sizes 64 to 512, in mixed order and with
+        # mixed orders, more rows of each size than one FFT part holds
+        # (_WORK_ELEMENTS // size): each row's columns 0..j_max equal a one-row
+        # jv call bit for bit.
+        rng = np.random.default_rng(29)
+        j_max, beta = [], []
+        for size, (lo, hi) in {64: (0, 11.9), 128: (12, 43.9), 256: (44, 107.9),
+                               512: (108, 235.9)}.items():
+            for _ in range(spectrum._WORK_ELEMENTS // size + 5):
+                total = rng.uniform(lo, hi)  # |beta| + j_max, which sets the size
+                j = int(rng.integers(0, min(16, int(total)) + 1))
+                j_max.append(j)
+                beta.append(float(rng.choice([-1.0, 1.0]) * (total - j)))
+        order = rng.permutation(len(beta))
+        j_max, beta = [j_max[i] for i in order], [beta[i] for i in order]
+        sizes = [1 << int(2.0 * (abs(b) + j) + 40.0).bit_length() for b, j in zip(beta, j_max)]
+        for size in (64, 128, 256, 512):
+            assert sizes.count(size) > spectrum._WORK_ELEMENTS // size
+        assert len(set(j_max)) > 10
+        rows = spectrum._bessel_rows(j_max, beta)
+        for row, j, b in zip(rows, j_max, beta):
+            assert row[: j + 1].tobytes() == stomod_jv(j, b).tobytes(), (j, b)
+
     def test_exact_zeros_at_zero_index(self):
         # Criterion 06 compares lines of an unmodulated phase with == 0.0.
         values = stomod_jv(16, 0.0)
@@ -439,6 +479,21 @@ class TestFftSpectrum:
         ana_spec = psd_analytic(sol)
         for k in range(-5, 6):
             assert fft_spec.power_at(k) == pytest.approx(ana_spec.power_at(k), rel=1e-6)
+
+    def test_negative_k_max_rejected(self, op2):
+        # Refused by name, before numpy's "zero-size array to reduction
+        # operation maximum"; TimeTrace.harmonics refuses it for psd_fft and
+        # project_harmonics alike.
+        sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.05, omega_m=OMEGA_M))
+        trace = synthesize_time_trace(sol)
+        match = r"^k_max must be >= 0, got -1$"
+        with pytest.raises(ValueError, match=match):
+            psd_fft(trace, sol, k_max=-1)
+        with pytest.raises(ValueError, match=match):
+            trace.harmonics(trace.delta_p, OMEGA_M, -1)
+        carrier = psd_fft(trace, sol, k_max=0)
+        assert carrier.offsets.tolist() == [0]
+        assert carrier.powers[0] == pytest.approx(psd_analytic(sol).power_at(0), rel=1e-9)
 
     def test_partial_period_rejected(self, op2):
         sol = solve_coefficients_matrix(op2, ModulationConfig(mu=0.05, omega_m=OMEGA_M))
