@@ -68,6 +68,19 @@ def _write_tables(out: Path, tables: dict, meta: list[tuple[str, str]]) -> None:
         raise
 
 
+def _unwritable(stem: str, header: list[str], rows) -> str | None:
+    """Why a table may not be written: it is empty, or its first non-finite
+    cell, named by column and by the row's values before it."""
+    if not rows:
+        return f"table {stem} is empty"
+    for i, row in enumerate(rows, 1):
+        for j, value in enumerate(row):
+            if isinstance(value, float) and not math.isfinite(value):
+                lead = ", ".join(f"{h} = {v}" for h, v in zip(header, row[:j])) or f"number {i}"
+                return f"table {stem}, column {header[j]}: {value} is not finite in the row {lead}"
+    return None
+
+
 def _run(command, config_path, overrides, out_dir, op_label) -> int:
     """Run one command and return its exit code: 0, 2 or 3."""
     try:
@@ -85,9 +98,10 @@ def _run(command, config_path, overrides, out_dir, op_label) -> int:
     finally:
         for message, count in Counter(str(w.message) for w in caught).items():
             print(f"Warning: {message} ({count} times)", file=sys.stderr)
-    for stem, (_, rows) in tables.items():
-        if not rows or not all(math.isfinite(v) for r in rows for v in r if isinstance(v, float)):
-            print(f"numerical error: table {stem} is empty or not finite", file=sys.stderr)
+    for stem, (header, rows) in tables.items():
+        fault = _unwritable(stem, header, rows)
+        if fault:
+            print(f"numerical error: {fault}", file=sys.stderr)
             return 3
     out = Path(out_dir)
     meta = [

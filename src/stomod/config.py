@@ -192,6 +192,12 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
             f"device.mu0_ms_t = {device['mu0_ms']!r} (perpendicular saturated regime)"
         )
     device = DeviceParams(**device, xi=2.0)  # placeholder; device_at sets each OP's xi
+    for label in parser["operating-points"]:
+        if label.startswith("#") or any(c in label for c in ',"\r\n'):
+            raise ConfigError(
+                f"{'operating-points.' + label!r}: a label may not start with '#' or hold "
+                "a comma, a double quote, CR or LF, as a CSV row could not hold it"
+            )
     op_xis = {
         label: _read(parser, "float", f"operating-points.{label}", *_ABOVE_THRESHOLD)
         for label in parser["operating-points"]

@@ -43,13 +43,13 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericalError, SingularSystemError
-from .model import ModulationConfig, OperatingPoint, warn_if_fast_modulation
+from .model import ModulationConfig, OperatingPoint, warn_outside_model
 
 # Residual acceptance for the balance equations, relative to the
 # natural rate scale max(|mu*C1|, Gamma_p).
@@ -177,7 +177,7 @@ def solve_coefficients_matrix(
     check, for a search's evaluations whose caller gates the solution it
     keeps; non-finite coefficients and a zero pivot still raise.
     """
-    warn_if_fast_modulation(op, modcfg)
+    warn_outside_model(op, modcfg)
     return _solve(op, modcfg, exact=True, gate=gate)
 
 
@@ -190,7 +190,7 @@ def solve_coefficients_recursive(
     only by the previous one, X_n/X_{n-1} = mu*C2/(2*Gamma_p - i*n*omega_m).
     Cheap and usually close to the matrix method, but degrades near sideband minima.
     """
-    warn_if_fast_modulation(op, modcfg)
+    warn_outside_model(op, modcfg)
     return _solve(op, modcfg, exact=False)
 
 
@@ -227,11 +227,12 @@ def truncation_error(
     """
     if n_ref <= max(n_values):
         raise ValueError(f"n_ref={n_ref} must exceed max(n_values)={max(n_values)}")
-    ref = solve_coefficients_matrix(op, modcfg.at_order(n_ref))
-    return [
-        (n_val, _distance_percent(solve_coefficients_matrix(op, modcfg.at_order(n_val)).x, ref.x))
-        for n_val in n_values
-    ]
+
+    def x(n: int) -> np.ndarray:
+        return solve_coefficients_matrix(op, replace(modcfg, n_harmonics=n)).x
+
+    ref = x(n_ref)
+    return [(n_val, _distance_percent(x(n_val), ref)) for n_val in n_values]
 
 
 def solution_difference(sol: FourierSolution, ref: FourierSolution) -> float:

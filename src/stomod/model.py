@@ -12,13 +12,18 @@ per-bias constants reduce to closed forms in (alpha, omega_o, xi):
 
 All internal math uses angular frequency (rad/s); the gyromagnetic ratio is
 taken as cyclic (Hz/T) on input, matching how it is usually quoted.
+
+The modulated model holds for small (mu < 1) and slow (omega_m much below
+omega_sto) modulation.  That rule is stated once, in warn_outside_model,
+which each evaluation of the model calls (both solvers and both RK4
+integrators); ModulationConfig itself only refuses values that are invalid
+outright, so deriving another order from it never warns.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from copy import copy
 from dataclasses import dataclass, fields
 
 from .errors import BelowThresholdError, NumericalError, UnsaturatedRegimeError
@@ -85,7 +90,12 @@ class OperatingPoint:
 
 @dataclass(frozen=True)
 class ModulationConfig:
-    """Single-tone modulation settings and series truncation order."""
+    """Single-tone modulation settings and series truncation order.
+
+    A plain validated value: building one never warns, whatever mu is;
+    warn_outside_model warns where a model is evaluated.  A derived order is
+    dataclasses.replace(modcfg, n_harmonics=n), validated the same way.
+    """
 
     mu: float
     omega_m: float
@@ -94,26 +104,10 @@ class ModulationConfig:
     def __post_init__(self) -> None:
         if self.mu < 0.0 or not math.isfinite(self.mu):
             raise ValueError(f"modulation strength mu must be >= 0, got {self.mu}")
-        if self.mu >= 1.0:
-            warnings.warn(
-                f"mu={self.mu} >= 1: outside the small-modulation validity range",
-                stacklevel=3,
-            )
         if self.omega_m <= 0.0 or not math.isfinite(self.omega_m):
             raise ValueError(f"omega_m must be positive and finite, got {self.omega_m}")
-        _check_order(self.n_harmonics)
-
-    def at_order(self, n_harmonics: int) -> ModulationConfig:
-        """This config at order n_harmonics; unlike replace, it does not warn about mu again."""
-        _check_order(n_harmonics)
-        out = copy(self)
-        object.__setattr__(out, "n_harmonics", n_harmonics)
-        return out
-
-
-def _check_order(n_harmonics: int) -> None:
-    if n_harmonics < 1:
-        raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
+        if self.n_harmonics < 1:
+            raise ValueError(f"n_harmonics must be >= 1, got {self.n_harmonics}")
 
 
 def derive_operating_point(params: DeviceParams) -> OperatingPoint:
@@ -162,8 +156,19 @@ def _operating_point(params: DeviceParams) -> OperatingPoint:
     )
 
 
-def warn_if_fast_modulation(op: OperatingPoint, modcfg: ModulationConfig) -> None:
-    """Warn when omega_m is not small against the carrier (model assumption)."""
+def warn_outside_model(op: OperatingPoint, modcfg: ModulationConfig) -> None:
+    """Warn when modcfg leaves the model's validity range: mu >= 1 (small
+    modulation) or omega_m not small against the carrier (slow modulation).
+
+    Called once per evaluation of the model, by both solvers and both RK4
+    integrators, so a run's count of each warning is its count of
+    evaluations outside the range.
+    """
+    if modcfg.mu >= 1.0:
+        warnings.warn(
+            f"mu={modcfg.mu} >= 1: outside the small-modulation validity range",
+            stacklevel=3,
+        )
     if modcfg.omega_m > 0.1 * abs(op.omega_sto):
         warnings.warn(
             "omega_m is not small compared to omega_sto; the slow-modulation "

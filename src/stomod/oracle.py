@@ -12,6 +12,14 @@ them into the period's prefix maps and a second scan steps whole periods,
 so the trace is one broadcast from each period's first state.  No step or
 period runs in Python.
 
+IntegrationConfig.validate is the one place that works out a run's plan:
+n_steps = round(t_end/dt) steps (at most 2**25), period_steps =
+round(period/dt) to a modulation period, and the first retained sample,
+the least i with i*dt >= transient_cut - dt/2.  The integrators take that
+plan as it is, so the retained times are t = i*dt, first <= i < n_steps.
+Each integration also calls model.warn_outside_model once, as each solve
+does.
+
 Only the periods from the one holding the first retained sample on are
 expanded, and the phase is summed over those steps only, from 0 at the
 first retained sample: the transient's phase is a constant that depends on
@@ -29,13 +37,14 @@ so the two paths can be compared coefficient by coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NumericalError, StepSizeError
 from .fourier import FourierSolution
-from .model import TWO_PI, DeviceParams, ModulationConfig, OperatingPoint, derive_operating_point
+from .model import (TWO_PI, DeviceParams, ModulationConfig, OperatingPoint,
+                    derive_operating_point, warn_outside_model)
 from .spectrum import TimeTrace
 
 # Step must resolve both the modulation period and the relaxation rate.
@@ -45,6 +54,8 @@ _TRANSIENT_GAMMA_P_MIN = 10.0
 
 # How far, in ulps of the period, dt times the steps per period may miss it.
 _PERIOD_ULPS = 4
+# Most steps in a run: each trace array then stays at or below 256 MiB.
+_MAX_STEPS = 2**25
 
 
 @dataclass(frozen=True)
@@ -63,7 +74,12 @@ class IntegrationConfig:
     transient_cut: float
     initial_delta_p: float = 0.0
 
-    def validate(self, op: OperatingPoint, modcfg: ModulationConfig) -> None:
+    def validate(self, op: OperatingPoint, modcfg: ModulationConfig) -> tuple[int, int, int]:
+        """Check the window against op and modcfg and return its plan,
+        (n_steps, period_steps, first): the run takes n_steps = round(t_end/dt)
+        steps, period_steps = round(period/dt) to a modulation period, and
+        keeps the samples t = i*dt, first <= i < n_steps, where first is the
+        least i with i*dt >= transient_cut - dt/2.  Raises StepSizeError."""
         for name in ("t_end", "transient_cut"):
             if not math.isfinite(getattr(self, name)):
                 raise StepSizeError(f"{name}={getattr(self, name)} is not finite")
@@ -93,18 +109,25 @@ class IntegrationConfig:
                 f"{_TRANSIENT_GAMMA_P_MIN}/gamma_p = "
                 f"{_TRANSIENT_GAMMA_P_MIN / op.gamma_p:.3e}"
             )
-        # As in _window, the last sample, i = round(t_end/dt) - 1, must reach
-        # transient_cut - dt/2; t_end/dt must be a finite step count first.
-        if not math.isfinite(self.t_end / self.dt):
+        # Clamped so that round() never meets inf: past the cap either way.
+        n_steps = round(min(self.t_end / self.dt, 2.0 * _MAX_STEPS))
+        if n_steps > _MAX_STEPS:
             raise StepSizeError(
-                f"t_end={self.t_end:.6e} over dt={self.dt:.6e} is not a finite step count"
+                f"t_end={self.t_end:.6e} over dt={self.dt:.6e} is not a finite step count "
+                f"of at most {_MAX_STEPS} (2**25)"
             )
-        last = (round(self.t_end / self.dt) - 1) * self.dt
-        if self.t_end <= self.transient_cut or last < self.transient_cut - 0.5 * self.dt:
+        # The least i with i*dt >= cut, from one step before cut/dt's ceiling,
+        # as the quotient may round past it; 0 and t_end bound the search.
+        cut = self.transient_cut - 0.5 * self.dt
+        first = max(0, math.ceil(max(0.0, min(cut, self.t_end)) / self.dt) - 1)
+        while first < n_steps and first * self.dt < cut:
+            first += 1
+        if self.t_end <= self.transient_cut or first >= n_steps:
             raise StepSizeError(
                 f"t_end={self.t_end:.6e} must exceed transient_cut={self.transient_cut:.6e} "
                 f"and leave a sample t = i*dt, i < t_end/dt, at or after transient_cut - dt/2"
             )
+        return n_steps, round(steps), first
 
     @classmethod
     def for_steady_state(
@@ -219,23 +242,14 @@ def _rk4(coeffs, y0: float, h: float, n_steps: int, period_steps: int, first: in
     return y, phi
 
 
-def _window(icfg: IntegrationConfig, n_steps: int) -> np.ndarray:
-    """The retained sample times t = i*dt, i < n_steps, from the first
-    t >= transient_cut - dt/2 on."""
-    cut = icfg.transient_cut - 0.5 * icfg.dt
-    # From one sample early, as cut/dt may round past the first one.
-    t = np.arange(max(0, math.ceil(cut / icfg.dt) - 1), n_steps) * icfg.dt
-    return t[np.searchsorted(t, cut) :]
-
-
 def _integrate(op: OperatingPoint, modcfg: ModulationConfig, icfg: IntegrationConfig,
                coeffs, y0: float, phase_step):
-    """Validate icfg, then _rk4 over its _window from y0: t, y and phi."""
-    icfg.validate(op, modcfg)
-    n_steps = round(icfg.t_end / icfg.dt)
-    t = _window(icfg, n_steps)
-    period_steps = round(TWO_PI / modcfg.omega_m / icfg.dt)
-    return t, *_rk4(coeffs, y0, icfg.dt, n_steps, period_steps, n_steps - t.size, phase_step)
+    """Validate icfg, warn outside the model, then _rk4 over icfg's plan from
+    y0: t, y and phi over the retained window."""
+    n_steps, period_steps, first = icfg.validate(op, modcfg)
+    warn_outside_model(op, modcfg)
+    t = np.arange(first, n_steps) * icfg.dt
+    return t, *_rk4(coeffs, y0, icfg.dt, n_steps, period_steps, first, phase_step)
 
 
 def _demodulated(op: OperatingPoint, t: np.ndarray, dp: np.ndarray, phi: np.ndarray) -> TimeTrace:
@@ -344,5 +358,5 @@ def project_harmonics(
     coefficients.
     """
     c = trace.harmonics(trace.delta_p, modcfg.omega_m, n_harmonics)[n_harmonics:]
-    modcfg = modcfg.at_order(n_harmonics)
+    modcfg = replace(modcfg, n_harmonics=n_harmonics)
     return FourierSolution(a0=float(c[0].real), x=2.0 * np.conj(c[1:]), op=op, modcfg=modcfg)

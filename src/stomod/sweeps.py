@@ -55,8 +55,12 @@ class _Row(NamedTuple):
 
 def _ops(cfg: RunConfig, op_filter: str | None) -> list[tuple[str, OperatingPoint]]:
     """The configured operating points, or only the one labelled ``op_filter``."""
-    labels = list(cfg.op_xis) if op_filter is None else [op_filter]
-    return [(label, derive_operating_point(device_at(cfg, label))) for label in labels]
+    ops = []
+    for label in list(cfg.op_xis) if op_filter is None else [op_filter]:
+        params = device_at(cfg, label)  # its unknown-label error names the label already
+        with _row(label):
+            ops.append((label, derive_operating_point(params)))
+    return ops
 
 
 @contextmanager
@@ -118,11 +122,12 @@ def operating_point_table(cfg: RunConfig, op_filter: str | None = None) -> Table
     """Frequency dispersion and derived constants over the xi grid, or at the
     xi of the one operating point selected."""
     xis = cfg.dispersion_xi_grid if op_filter is None else [device_at(cfg, op_filter).xi]
-    points = [(xi, _operating_point(replace(cfg.device, xi=xi))) for xi in xis]
-    rows = [
-        (xi, op.omega_o / TWO_PI, op.omega_sto / TWO_PI, op.gamma_p / TWO_PI, op.p0, op.c1, op.c2)
-        for xi, op in points
-    ]
+    rows = []
+    for xi in xis:
+        with _row(f"xi = {xi:g}"):
+            op = _operating_point(replace(cfg.device, xi=xi))
+        rows.append((xi, op.omega_o / TWO_PI, op.omega_sto / TWO_PI, op.gamma_p / TWO_PI,
+                     op.p0, op.c1, op.c2))
     header = ["xi", "f_o_hz", "f_sto_hz", "gamma_p_hz", "p0", "c1", "c2"]
     return {"operating_point": (header, rows)}
 
@@ -193,7 +198,8 @@ def error_analysis_table(cfg: RunConfig, op_filter: str | None = None) -> TableM
     for f_m in cfg.err_f_m_grid_hz:
         modcfg = ModulationConfig(mu=cfg.err_mu, omega_m=TWO_PI * f_m, n_harmonics=cfg.err_n_ref)
         name = f"{label} at f_m = {f_m:g} Hz"
-        rows += [_Row(name, op, modcfg.at_order(n), refuse=False) for n in cfg.err_n_values]
+        rows += [_Row(name, op, replace(modcfg, n_harmonics=n), refuse=False)
+                 for n in cfg.err_n_values]
         rows.append(_Row(f"{name}, n = {cfg.err_n_ref}", op, modcfg))
     sols, trunc_rows = _solve_rows(cfg, rows), []
     for i, f_m in enumerate(cfg.err_f_m_grid_hz):

@@ -469,6 +469,68 @@ class TestExitCodes:
         assert "f_STO" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("label", ["OP,X", 'OP"X', "OP\rX", "OP\nX", "#X"])
+    def test_csv_unsafe_label_exits_2_without_output(self, tmp_path, label):
+        # Such a label would split or end its CSV row, or start a line that
+        # readers skipping comments drop; it is refused at load, by name.
+        args = ["psd-map", "--set", f"operating-points.{label}=1.5", "--op-label", label,
+                "--set", "psd-map.beta1_grid=0.5"]
+        result, out = run_cli(args, tmp_path)
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(f"error: {'operating-points.' + label!r}: a label")
+        assert result.stderr.count("\n") == 1
+        assert result.output == result.stderr
+        assert not out.exists()
+
+    def test_csv_unsafe_label_in_a_file_exits_2(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("[operating-points]\nOP,X = 1.5\n")
+        result, out = run_cli(["operating-point", "--config", str(config)], tmp_path)
+        assert result.exit_code == 2, result.output
+        assert "'operating-points.OP,X'" in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args,prefix",
+        [(["psd-map", "--set", "operating-points.OP1=1e300", "--op-label", "OP1"], "OP1: "),
+         (["bandwidth", "--set", "operating-points.OP2=1e300"], "OP2: "),
+         (["operating-point", "--set", "operating-point.xi_grid=1.5,1e300"], "xi = 1e+300: ")],
+    )
+    def test_errors_before_any_row_name_the_op_or_xi(self, tmp_path, args, prefix):
+        # Deriving an operating point fails before any table row: the error
+        # names the label or the xi it was derived for.
+        result, out = run_cli(args, tmp_path)
+        assert result.exit_code == 3, result.output
+        assert result.stderr == (
+            f"numerical error: {prefix}Gamma_p=inf rad/s is not finite and positive\n"
+        )
+        assert not out.exists()
+
+    def test_non_finite_cell_is_named(self, tmp_path):
+        # f_m = 1e-300 Hz overflows the FM index mu*nu*C2/omega_m to inf: the
+        # last-resort check names the table, the column and the row.
+        result, out = run_cli(["bandwidth", "--set", "bandwidth.f_m_grid_hz=1e-300"], tmp_path)
+        assert result.exit_code == 3, result.output
+        assert result.stderr.splitlines()[0] == (
+            "numerical error: table bandwidth, column delta_f_index_hz: inf is not finite "
+            "in the row op_label = OP1, f_m_hz = 1e-300"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [([], "table bandwidth is empty"),
+         ([(1.0, 2.0), (math.nan, 3.0)],
+          "table bandwidth, column a: nan is not finite in the row number 2")],
+    )
+    def test_unwritable_table_is_named(self, tmp_path, monkeypatch, rows, message):
+        monkeypatch.setattr(sweeps, "bandwidth_table",
+                            lambda cfg, op_filter=None: {"bandwidth": (["a", "b"], rows)})
+        result, out = run_cli(["bandwidth"], tmp_path)
+        assert result.exit_code == 3, result.output
+        assert result.stderr == f"numerical error: {message}\n"
+        assert not out.exists()
+
 
 def test_error_analysis_back_solves_each_beta1_once(monkeypatch):
     # mu depends on beta_1 only, so every truncation order N reuses it.

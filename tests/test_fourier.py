@@ -432,20 +432,19 @@ def test_cached_diagonal_is_keyed_exactly(op2):
         assert (sol.a0, sol.x.tobytes()) == (fresh.a0, fresh.x.tobytes())
 
 
-def test_derived_orders_do_not_repeat_the_mu_warning(op2):
-    # A mu >= 1 config warns once, when it is built; the reference and the
-    # truncation orders derived from it do not warn again.
+def test_each_solve_at_large_mu_warns_once(op2):
+    # A mu >= 1 config is built silently; each solve that evaluates the model
+    # there warns once, so the truncation error's reference and three orders
+    # warn four times, and a recursive solve once more.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cfg = ModulationConfig(mu=1.0, omega_m=TWO_PI * 400e6)
+        assert caught == []
         truncation_error(op2, cfg, [1, 2, 3], 5)
-        derived = cfg.at_order(3)
-    assert [str(w.message) for w in caught] == [
+        solve_coefficients_recursive(op2, cfg)
+    assert [str(w.message) for w in caught] == 5 * [
         "mu=1.0 >= 1: outside the small-modulation validity range"
     ]
-    assert (derived.mu, derived.omega_m, derived.n_harmonics) == (1.0, cfg.omega_m, 3)
-    with pytest.raises(ValueError, match="n_harmonics"):
-        cfg.at_order(0)
 
 
 def test_truncation_error_decreases_with_n(op2):

@@ -1,6 +1,7 @@
 """Operating-point derivation and parameter validation."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -16,7 +17,7 @@ from stomod import (
     derive_operating_point,
 )
 from stomod.config import load_config
-from stomod.model import warn_if_fast_modulation
+from stomod.model import warn_outside_model
 from stomod.sweeps import operating_point_table
 
 from conftest import DEVICE_KW, GAMMA_P_HZ, OP_XIS, TWO_PI, make_device
@@ -165,8 +166,27 @@ class TestModulationConfig:
             ModulationConfig(mu=-0.1, omega_m=1e8)
 
     def test_large_mu_warns(self):
-        with pytest.warns(UserWarning, match="mu"):
-            ModulationConfig(mu=1.5, omega_m=1e8)
+        # The small-modulation rule warns where the model is evaluated.
+        op = derive_operating_point(make_device(1.8))
+        with pytest.warns(UserWarning, match="mu") as caught:
+            warn_outside_model(op, ModulationConfig(mu=1.5, omega_m=1e8))
+        assert [str(w.message) for w in caught] == [
+            "mu=1.5 >= 1: outside the small-modulation validity range"
+        ]
+
+    @pytest.mark.parametrize("mu", [1.0, 1.5, 1e300])
+    def test_large_mu_builds_silently(self, mu):
+        # A config is a plain value: building it, or deriving another order
+        # from it, never warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = ModulationConfig(mu=mu, omega_m=1e8)
+            derived = replace(cfg, n_harmonics=3)
+        assert (derived.mu, derived.omega_m, derived.n_harmonics) == (mu, 1e8, 3)
+
+    def test_replace_refuses_zero_order(self):
+        with pytest.raises(ValueError, match="n_harmonics must be >= 1, got 0"):
+            replace(ModulationConfig(mu=1.0, omega_m=1e8), n_harmonics=0)
 
     def test_zero_mu_allowed(self):
         assert ModulationConfig(mu=0.0, omega_m=1e8).mu == 0.0
@@ -188,4 +208,4 @@ class TestModulationConfig:
     def test_fast_modulation_warns(self):
         op = derive_operating_point(make_device(1.8))
         with pytest.warns(UserWarning, match="omega_sto"):
-            warn_if_fast_modulation(op, ModulationConfig(mu=0.05, omega_m=0.5 * op.omega_sto))
+            warn_outside_model(op, ModulationConfig(mu=0.05, omega_m=0.5 * op.omega_sto))

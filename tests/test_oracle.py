@@ -3,6 +3,7 @@ steady state, and projection round trips."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,11 +68,17 @@ def _scalar_rk4(rate, y0, w0, w1, h, n_steps):
     return y_arr, phi_arr
 
 
+def _first_retained(icfg, n_steps):
+    """The window's first sample by its definition: the least i < n_steps with
+    i*dt >= transient_cut - dt/2, over the products numpy forms for t."""
+    return int(np.searchsorted(np.arange(n_steps) * icfg.dt, icfg.transient_cut - icfg.dt / 2))
+
+
 def _settled(icfg, y, phi):
-    """y and phi over oracle._window of a trace sampled at t = i*dt,
+    """y and phi over the retained window of a trace sampled at t = i*dt,
     i = 0..n_steps (the endpoint is dropped)."""
     n_steps = y.size - 1
-    first = n_steps - oracle._window(icfg, n_steps).size
+    first = _first_retained(icfg, n_steps)
     return y[first:n_steps], phi[first:n_steps]
 
 
@@ -234,6 +241,52 @@ class TestValidation:
         for integrate, model in ((integrate_reduced, op2), (integrate_full, make_device(OP_XIS["OP2"]))):
             with pytest.raises(StepSizeError, match=match):
                 integrate(model, cfg, icfg)
+
+    def test_step_count_cap(self, op2):
+        # 1e250 s is a finite step count that numpy could not allocate: it is
+        # refused by validate, naming t_end, dt and the cap, before any array
+        # is formed.  Exactly 2**25 steps pass validate (which allocates
+        # nothing); one more step does not.
+        cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 100e6)
+        icfg = IntegrationConfig.for_steady_state(op2, cfg)
+        match = r"t_end=1\.000000e\+250 over dt=.* is not a finite step count of at most 33554432"
+        absurd = dataclasses.replace(icfg, t_end=1e250)
+        with pytest.raises(StepSizeError, match=match):
+            absurd.validate(op2, cfg)
+        params = make_device(OP_XIS["OP2"])
+        for integrate, model in ((integrate_reduced, op2), (integrate_full, params)):
+            with pytest.raises(StepSizeError, match=match):
+                integrate(model, cfg, absurd)
+        n_steps, _, _ = dataclasses.replace(icfg, t_end=2**25 * icfg.dt).validate(op2, cfg)
+        assert n_steps == 2**25
+        with pytest.raises(StepSizeError, match="of at most 33554432"):
+            dataclasses.replace(icfg, t_end=(2**25 + 1) * icfg.dt).validate(op2, cfg)
+
+    @pytest.mark.parametrize("label", ["OP1", "OP2", "OP3"])
+    @pytest.mark.parametrize("f_m", [10e6, 40e6, 100e6, 160e6])
+    @pytest.mark.parametrize("extra_steps", [0, 1, 255, 511, 1000])
+    def test_plan_is_the_window_definition(self, all_ops, label, f_m, extra_steps):
+        # validate's first is the least i with i*dt >= transient_cut - dt/2,
+        # over numpy's products i*dt: for cuts on a step, 1 ulp either side of
+        # one and 0.5*dt either side of one, which puts the bound itself on a
+        # step up to rounding.  n_steps and period_steps are the rounded
+        # quotients, and the trace's t is exactly the window.
+        op = all_ops[label]
+        cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * f_m)
+        base = IntegrationConfig.for_steady_state(op, cfg)
+        dt = base.dt
+        cut_steps = round(base.transient_cut / dt) + extra_steps
+        on_step = cut_steps * dt
+        n_steps = cut_steps + 1000
+        for cut in (on_step, math.nextafter(on_step, 0.0), math.nextafter(on_step, math.inf),
+                    on_step - 0.5 * dt, on_step + 0.5 * dt):
+            icfg = dataclasses.replace(base, t_end=n_steps * dt, transient_cut=cut)
+            plan = icfg.validate(op, cfg)
+            first = _first_retained(icfg, n_steps)
+            assert plan == (n_steps, round(TWO_PI / cfg.omega_m / dt), first), (cut / dt, plan)
+            if (label, cut) == ("OP2", on_step - 0.5 * dt):
+                t = integrate_reduced(op, cfg, icfg).t
+                assert np.array_equal(t, (np.arange(n_steps) * dt)[first:])
 
 
 class TestSteadyState:
@@ -518,7 +571,7 @@ def _stage_wise_reduced(op, cfg, icfg):
             out += weight * phase_rate(d * rows + c)
 
     h, n_steps, period_steps = _steps(cfg, icfg)
-    first = n_steps - oracle._window(icfg, n_steps).size
+    first = _first_retained(icfg, n_steps)
     return oracle._rk4(
         coeffs, icfg.initial_delta_p, h, n_steps, period_steps, first, phase_step
     )
@@ -694,12 +747,16 @@ class TestGuards:
             integrate_full(make_device(OP_XIS["OP2"]), cfg, icfg)
 
     def test_reduced_non_finite_trace_raises(self, op2):
-        # The drive c1*mu*cos(omega_m*t) overflows, so every state does.
-        with pytest.warns(UserWarning, match="validity range"):
+        # The drive c1*mu*cos(omega_m*t) overflows, so every state does.  The
+        # config is built silently; the integration warns once about mu.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             cfg = ModulationConfig(mu=1e300, omega_m=TWO_PI * 100e6)
         icfg = IntegrationConfig.for_steady_state(op2, cfg)
-        with pytest.raises(NumericalError, match="not finite"):
-            integrate_reduced(op2, cfg, icfg)
+        with pytest.warns(UserWarning, match="validity range") as caught:
+            with pytest.raises(NumericalError, match="not finite"):
+                integrate_reduced(op2, cfg, icfg)
+        assert len(caught) == 1
 
     def test_reduced_large_start_settles(self, op2):
         # dp0 = 1e300 decays by at least exp(-30) over the 15/Gamma_p transient
@@ -711,11 +768,41 @@ class TestGuards:
         assert 0.0 < trace.delta_p.max() <= 1e300 * math.exp(-30.0)
 
     def test_full_non_finite_trace_raises(self, op2):
-        with pytest.warns(UserWarning, match="validity range"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             cfg = ModulationConfig(mu=1e300, omega_m=TWO_PI * 100e6)
         icfg = IntegrationConfig.for_steady_state(op2, cfg)
-        with pytest.raises(NumericalError, match="not finite"):
-            integrate_full(make_device(OP_XIS["OP2"]), cfg, icfg)
+        with pytest.warns(UserWarning, match="validity range") as caught:
+            with pytest.raises(NumericalError, match="not finite"):
+                integrate_full(make_device(OP_XIS["OP2"]), cfg, icfg)
+        assert len(caught) == 1
+
+    @pytest.mark.parametrize("integrate", ["reduced", "full"])
+    def test_each_integration_warns_once_per_rule(self, op2, integrate):
+        # At mu = 1 and omega_m above a tenth of the carrier both validity
+        # warnings fire, once each per integration; a window that validate
+        # refuses evaluates nothing, so it warns about nothing.
+        cfg = ModulationConfig(mu=1.0, omega_m=0.2 * op2.omega_sto)
+        icfg = IntegrationConfig.for_steady_state(op2, cfg)
+        model = op2 if integrate == "reduced" else make_device(OP_XIS["OP2"])
+        run = integrate_reduced if integrate == "reduced" else integrate_full
+        for runs in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for _ in range(runs):
+                    try:
+                        run(model, cfg, icfg)
+                    except NumericalError:
+                        pass  # mu = 1 may run the unreduced power through 0
+            messages = sorted(str(w.message) for w in caught)
+            assert len(messages) == 2 * runs, messages
+            assert sum(m.startswith("mu=1.0 >= 1") for m in messages) == runs
+            assert sum(m.startswith("omega_m is not small") for m in messages) == runs
+        refused = dataclasses.replace(icfg, t_end=icfg.transient_cut)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepSizeError):
+                run(model, cfg, refused)
 
 
 class TestProjection:

@@ -29,7 +29,8 @@ RUN_CLI = "import sys; from stomod.cli import main; main(sys.argv[1:])"
 # install job, plus a bandwidth run at mu = 0.3 with a row that the bound
 # 1 + A0 - sum|X_n| does not clear, and a beta_1 past the peak of beta_1(mu).
 # The two beta_1 back-solves at OP1, 1 MHz end in a fall of beta_1(mu) and in
-# a row whose kept solution fails the residual check.
+# a row whose kept solution fails the residual check.  An operating-point
+# label with a comma, which a CSV row cannot hold, is a config error.
 CASES = {
     "deep-spectrum": ("psd-map", "--set", "psd-map.beta1_grid=0.5",
                       "--set", "spectrum.k_max=1000000000000"),
@@ -62,6 +63,8 @@ CASES = {
     "breakdown-beta1": ("psd-map", "--op-label", "OP1", "--set", "psd-map.f_m_hz=1e6",
                         "--set", "psd-map.beta1_grid=1e9", "--set", "solver.n_harmonics=40",
                         "--set", "spectrum.k_max=40"),
+    "csv-unsafe-label": ("psd-map", "--set", "operating-points.OP,X=1.5", "--op-label", "OP,X",
+                         "--set", "psd-map.beta1_grid=0.5"),
 }
 
 
