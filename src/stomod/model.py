@@ -118,8 +118,9 @@ def derive_operating_point(params: DeviceParams) -> OperatingPoint:
     BelowThresholdError
         If xi <= 1 (no sustained oscillation).
     NumericalError
-        If finite inputs overflow Gamma_p or underflow it to 0, or if
-        nu*Gamma_p pulls the carrier omega_sto to or below 0.
+        If finite inputs overflow Gamma_p, sigma*I or omega_sto, or underflow
+        Gamma_p to 0, or if nu*Gamma_p pulls the carrier omega_sto to or
+        below 0.
     """
     if params.xi <= 1.0:
         raise BelowThresholdError(
@@ -138,9 +139,15 @@ def _operating_point(params: DeviceParams) -> OperatingPoint:
     p0 = 1.0 - 1.0 / params.xi
     # First-order negative damping sigma*I*(1 - p); only sigma*I = alpha*omega_o*xi enters.
     sigma_i = params.alpha * omega_o * params.xi
+    if not math.isfinite(sigma_i):
+        raise NumericalError(f"sigma*I={sigma_i} rad/s at xi={params.xi} is not finite")
     c1 = sigma_i * (1.0 - p0)
     c2 = sigma_i * (1.0 - 2.0 * p0)
     omega_sto = omega_o + params.nu * gamma_p
+    if not math.isfinite(omega_sto):
+        raise NumericalError(
+            f"f_STO = f_o + nu*Gamma_p/2pi is not finite at xi={params.xi} (nu={params.nu})"
+        )
     if omega_sto <= 0.0:
         raise NumericalError(
             f"f_STO={omega_sto / TWO_PI:.4g} Hz at xi={params.xi} is not positive (nu={params.nu})"

@@ -300,9 +300,10 @@ class TestExitCodes:
         ],
     )
     def test_errors_from_one_spectrum_call_per_table_name_their_row(self, tmp_path, args):
-        # nu = 1e300 overflows the FM index of every modulated row; a beta1 = 0
-        # row before it has no FM comb and passes, so the error names the next row.
-        result, out = run_cli([*args, "--set", "device.nu=1e300"], tmp_path)
+        # nu = 1e290 keeps every carrier finite but puts the FM index of every
+        # modulated row past its cap; a beta1 = 0 row before it has no FM comb
+        # and passes, so the error names the next row.
+        result, out = run_cli([*args, "--set", "device.nu=1e290"], tmp_path)
         assert result.exit_code == 3, result.output
         assert result.stderr.startswith(
             "numerical error: OP1 at beta1 = 0.5, f_m = 1e+08 Hz: FM index"
@@ -364,16 +365,18 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_non_finite_table_exits_3_without_output(self, tmp_path):
-        # nu = 1e300 is finite but overflows f_sto = f_o + nu*Gamma_p/2pi.
+        # nu = 1e300 is finite but overflows f_sto = f_o + nu*Gamma_p/2pi; the
+        # carrier is refused where the operating point is derived, naming nu
+        # and xi, before any row is formed.
         result, out = run_cli(
             ["operating-point", "--set", "device.nu=1e300"], tmp_path
         )
         assert result.exit_code == 3, result.output
-        assert "not finite" in result.output
+        assert "f_STO = f_o + nu*Gamma_p/2pi is not finite at xi=1.55 (nu=1e+300)" in result.output
         assert not out.exists()
 
     def test_empty_table_exits_3_without_output(self, tmp_path):
-        # spectrum.jv refuses the overflowing FM index before any line is kept.
+        # The overflowing carrier is refused before any line is kept.
         result, out = run_cli(
             ["psd-map", "--set", "psd-map.beta1_grid=0.5", "--set", "device.nu=1e300"],
             tmp_path,
@@ -383,7 +386,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("override", ["device.nu=1e300", "device.gamma_hz_per_t=1e305"])
     def test_overflowing_device_value_exits_3_naming_the_cause(self, tmp_path, override):
-        # Both values are finite; nu overflows the FM index, gamma the solve.
+        # Both values are finite; nu overflows the carrier, gamma the solve.
         result, out = run_cli(
             ["psd-map", "--set", "psd-map.beta1_grid=0.5", "--set", override], tmp_path
         )

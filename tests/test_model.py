@@ -1,8 +1,9 @@
 """Operating-point derivation and parameter validation."""
 
 import math
+import random
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -72,6 +73,44 @@ class TestOperatingPoint:
         assert derive_operating_point(make_device(1.8, nu=-100.0)).omega_sto > 0.0
         with pytest.raises(NumericalError, match="f_STO=.* at xi=3.8"):
             derive_operating_point(make_device(3.8, nu=-100.0))
+
+    def test_overflowing_carrier_rejected(self):
+        # nu = 1e300 is finite, but nu*Gamma_p overflows f_STO to inf.
+        match = r"f_STO = f_o \+ nu\*Gamma_p/2pi is not finite at xi=1\.8 \(nu=1e\+300\)"
+        with pytest.raises(NumericalError, match=match):
+            derive_operating_point(make_device(1.8, nu=1e300))
+
+    def test_fields_finite_or_refused(self):
+        # Seeded draws over DeviceParams' finite range, every magnitude from
+        # the smallest normal float to the largest, and near the threshold
+        # xi in (1, 2): each derived OperatingPoint field is finite, or the
+        # derivation is refused.  The listed cases overflow the carrier either
+        # way, Gamma_p, and sigma*I = alpha*omega_o*xi with Gamma_p finite.
+        rng = random.Random(80)
+
+        def magnitude():
+            return math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1021, 1024))
+
+        cases = [make_device(1.8, nu=1e300), make_device(1.8, nu=-1e300),
+                 make_device(1.2, mu0_h_app=1e300),
+                 make_device(1.1, gamma=1.7e308 / TWO_PI, mu0_h_app=1.0, mu0_ms=0.0, alpha=1.0)]
+        for _ in range(2000):
+            low, high = sorted(rng.choice((-1.0, 1.0)) * magnitude() for _ in range(2))
+            xi = magnitude() if rng.random() < 0.5 else rng.uniform(1.0, 2.0)
+            if low < high:
+                nu = rng.choice((-1.0, 1.0)) * magnitude()
+                cases.append(DeviceParams(mu0_h_app=high, mu0_ms=low, gamma=magnitude(),
+                                          alpha=magnitude(), nu=nu, xi=xi))
+        derived = 0
+        for params in cases:
+            try:
+                op = derive_operating_point(params)
+            except (BelowThresholdError, NumericalError):
+                continue
+            derived += 1
+            values = [getattr(op, f.name) for f in fields(op)]
+            assert all(math.isfinite(v) for v in values), (params, op)
+        assert derived > 0
 
     def test_unsaturated_rejected(self):
         with pytest.raises(UnsaturatedRegimeError):

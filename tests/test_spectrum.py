@@ -462,9 +462,10 @@ class TestNonFiniteLines:
             psd_analytic(replace(sol, a0=math.nan))
 
     def test_fft_rejects_non_finite_lines(self):
-        # nu = 1e300 is finite, but the FM phase nu*Gamma_p*|X_n|/(n*w) overflows.
-        op = derive_operating_point(make_device(1.8, nu=1e300))
-        sol = solve_coefficients_matrix(op, ModulationConfig(mu=0.01, omega_m=OMEGA_M))
+        # nu = 1e299 keeps f_STO finite, but at f_m = 1 uHz the FM phase
+        # nu*Gamma_p*|X_n|/(n*w) overflows.
+        op = derive_operating_point(make_device(1.8, nu=1e299))
+        sol = solve_coefficients_matrix(op, ModulationConfig(mu=0.01, omega_m=TWO_PI * 1e-6))
         with np.errstate(invalid="ignore", over="ignore"):
             trace = synthesize_time_trace(sol)
             with pytest.raises(NumericalError):

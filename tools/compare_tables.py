@@ -30,7 +30,8 @@ RUN_CLI = "import sys; from stomod.cli import main; main(sys.argv[1:])"
 # 1 + A0 - sum|X_n| does not clear, and a beta_1 past the peak of beta_1(mu).
 # The two beta_1 back-solves at OP1, 1 MHz end in a fall of beta_1(mu) and in
 # a row whose kept solution fails the residual check.  An operating-point
-# label with a comma, which a CSV row cannot hold, is a config error.
+# label with a comma, which a CSV row cannot hold, is a config error.  A nu
+# that overflows the carrier omega_o + nu*Gamma_p is a numerical error.
 CASES = {
     "deep-spectrum": ("psd-map", "--set", "psd-map.beta1_grid=0.5",
                       "--set", "spectrum.k_max=1000000000000"),
@@ -65,6 +66,7 @@ CASES = {
                         "--set", "spectrum.k_max=40"),
     "csv-unsafe-label": ("psd-map", "--set", "operating-points.OP,X=1.5", "--op-label", "OP,X",
                          "--set", "psd-map.beta1_grid=0.5"),
+    "nu-overflow": ("operating-point", "--set", "device.nu=1e300"),
 }
 
 
