@@ -4,10 +4,9 @@ The packaged default config always loads first; a user file overlays it;
 ``--set section.key=value`` flags win over both.  Grids are written either
 as comma lists or as ``lin:start:stop:n`` / ``log:start:stop:n`` ranges.
 
-Each key is declared once, on the ``RunConfig`` field it fills (the
-``[device]`` keys in ``_DEVICE_KEYS``): the field's type selects the parser,
-and the declaration carries the range each value must lie in.  Every error
-names the ``section.key`` at fault.
+Each key is declared once, on the ``RunConfig`` field it fills: the field's
+type selects the parser, and the declaration carries the range each value
+must lie in.  Every error names the ``section.key`` at fault.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import configparser
 import hashlib
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -85,7 +84,11 @@ _F_M = (lambda f: 0.0 < TWO_PI * f < math.inf, "Hz must be positive and finite i
 class RunConfig:
     """Fully validated configuration for the sweep commands."""
 
-    device: DeviceParams  # read from _DEVICE_KEYS; xi unused, per-OP xi below
+    mu0_h_app: float = _key("device.mu0_h_app_t")
+    mu0_ms: float = _key("device.mu0_ms_t")
+    gamma: float = _key("device.gamma_hz_per_t", *_POSITIVE)
+    alpha: float = _key("device.alpha", *_POSITIVE)
+    nu: float = _key("device.nu")
     op_xis: dict[str, float]  # every label under [operating-points]
     n_harmonics: int = _key("solver.n_harmonics", *_DEPTH)
     j_max: int = _key("spectrum.j_max", *_DEPTH)
@@ -111,15 +114,9 @@ class RunConfig:
     err_recursive_f_m_hz: float = _key("error-analysis.recursive_f_m_hz", *_F_M)
     config_hash: str
 
-
-# DeviceParams field -> (the float key it is read from, range rule).
-_DEVICE_KEYS = {
-    "mu0_h_app": ("device.mu0_h_app_t",),
-    "mu0_ms": ("device.mu0_ms_t",),
-    "gamma": ("device.gamma_hz_per_t", *_POSITIVE),
-    "alpha": ("device.alpha", *_POSITIVE),
-    "nu": ("device.nu",),
-}
+    def device(self, xi: float) -> DeviceParams:
+        """The device parameters at supercriticality xi."""
+        return DeviceParams(self.mu0_h_app, self.mu0_ms, self.gamma, self.alpha, self.nu, xi)
 
 
 def _load_parser(path: Path | None, overrides: list[str]) -> tuple[configparser.ConfigParser, str]:
@@ -185,13 +182,12 @@ def _read(parser: configparser.ConfigParser, kind: str, key: str,
 def load_config(path: str | Path | None = None, overrides: list[str] | None = None) -> RunConfig:
     """Load, overlay and validate the configuration."""
     parser, digest = _load_parser(Path(path) if path else None, overrides or [])
-    device = {name: _read(parser, "float", *spec) for name, spec in _DEVICE_KEYS.items()}
-    if device["mu0_h_app"] <= device["mu0_ms"]:
+    keyed = {f.name: _read(parser, f.type, **f.metadata) for f in fields(RunConfig) if f.metadata}
+    if keyed["mu0_h_app"] <= keyed["mu0_ms"]:
         raise ConfigError(
-            f"device.mu0_h_app_t: {device['mu0_h_app']!r} must exceed "
-            f"device.mu0_ms_t = {device['mu0_ms']!r} (perpendicular saturated regime)"
+            f"device.mu0_h_app_t: {keyed['mu0_h_app']!r} must exceed "
+            f"device.mu0_ms_t = {keyed['mu0_ms']!r} (perpendicular saturated regime)"
         )
-    device = DeviceParams(**device, xi=2.0)  # placeholder; device_at sets each OP's xi
     for label in parser["operating-points"]:
         if label.startswith("#") or any(c in label for c in ',"\r\n'):
             raise ConfigError(
@@ -202,8 +198,7 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
         label: _read(parser, "float", f"operating-points.{label}", *_ABOVE_THRESHOLD)
         for label in parser["operating-points"]
     }
-    keyed = {f.name: _read(parser, f.type, **f.metadata) for f in fields(RunConfig) if f.metadata}
-    cfg = RunConfig(device=device, op_xis=op_xis, config_hash=digest, **keyed)
+    cfg = RunConfig(op_xis=op_xis, config_hash=digest, **keyed)
     if cfg.k_max < cfg.n_harmonics:
         raise ConfigError("spectrum.k_max must be >= solver.n_harmonics")
     if cfg.err_n_ref <= max(cfg.err_n_values):
@@ -215,4 +210,4 @@ def device_at(cfg: RunConfig, label: str) -> DeviceParams:
     """Device parameters with the supercriticality of the given OP label."""
     if label not in cfg.op_xis:
         raise ConfigError(f"unknown operating point label {label!r}")
-    return replace(cfg.device, xi=cfg.op_xis[label])
+    return cfg.device(cfg.op_xis[label])

@@ -234,12 +234,3 @@ def truncation_error(
     ref = x(n_ref)
     return [(n_val, _distance_percent(x(n_val), ref)) for n_val in n_values]
 
-
-def solution_difference(sol: FourierSolution, ref: FourierSolution) -> float:
-    """Relative L1 distance (percent) between two solutions' harmonics.
-
-    Used for the recursive-vs-matrix comparison at equal truncation order.
-    """
-    if sol.n_harmonics != ref.n_harmonics:
-        raise ValueError("solutions must share the truncation order")
-    return _distance_percent(sol.x, ref.x)

@@ -17,7 +17,6 @@ from .fourier import (
     FourierSolution,
     _distance_percent,
     carrier_shift,
-    solution_difference,
     solve_coefficients_matrix,
     solve_coefficients_recursive,
 )
@@ -43,7 +42,9 @@ TableMap = dict[str, tuple[list[str], list[tuple]]]
 
 class _Row(NamedTuple):
     """One table row to solve.  With beta1 given, modcfg's mu is back-solved for
-    it at solver.n_harmonics.  refuse=False skips the negative-power check."""
+    it at solver.n_harmonics.  refuse=False skips the negative-power check; only
+    error-analysis's short truncation orders and the recursive row of each
+    method pair pass it."""
 
     name: str
     op: OperatingPoint
@@ -125,7 +126,7 @@ def operating_point_table(cfg: RunConfig, op_filter: str | None = None) -> Table
     rows = []
     for xi in xis:
         with _row(f"xi = {xi:g}"):
-            op = _operating_point(replace(cfg.device, xi=xi))
+            op = _operating_point(cfg.device(xi))
         rows.append((xi, op.omega_o / TWO_PI, op.omega_sto / TWO_PI, op.gamma_p / TWO_PI,
                      op.p0, op.c1, op.c2))
     header = ["xi", "f_o_hz", "f_sto_hz", "gamma_p_hz", "p0", "c1", "c2"]
@@ -172,11 +173,10 @@ def bandwidth_table(cfg: RunConfig, op_filter: str | None = None) -> TableMap:
         seed = 0.02 * 2.0 * op.gamma_p
         with _row(f"{label} bandwidth search from f_m = {seed / TWO_PI:g} Hz"):
             mbw_meas = modulation_bandwidth(op, 1e-4, seed, cfg.n_harmonics)
-        for f_m in cfg.bw_f_m_grid_hz:
-            # Its instantaneous deviation refuses negative power: one dp pass per row.
-            row = _Row(f"{label} at f_m = {f_m:g} Hz", op,
-                       ModulationConfig(cfg.bw_mu, TWO_PI * f_m, cfg.n_harmonics), refuse=False)
-            [sol] = _solve_rows(cfg, [row])
+        rows = [_Row(f"{label} at f_m = {f_m:g} Hz", op,
+                     ModulationConfig(cfg.bw_mu, TWO_PI * f_m, cfg.n_harmonics))
+                for f_m in cfg.bw_f_m_grid_hz]
+        for f_m, row, sol in zip(cfg.bw_f_m_grid_hz, rows, _solve_rows(cfg, rows)):
             with _row(row.name):
                 delta_f_inst = peak_frequency_deviation(sol, "instantaneous")
             delta_f_index = peak_frequency_deviation(sol, "index-based")
@@ -229,7 +229,7 @@ def error_analysis_table(cfg: RunConfig, op_filter: str | None = None) -> TableM
         p_mat, p_rec = spec_mat.power_at(+1), spec_rec.power_at(+1)
         sb_err = 100.0 * abs(p_rec - p_mat) / p_mat if p_mat > 0.0 else 0.0
         rec_rows.append((label, cfg.err_recursive_f_m_hz, n, beta1,
-                         solution_difference(rec, mat), sb_err))
+                         _distance_percent(rec.x, mat.x), sb_err))
     rec_header = ["op_label", "f_m_hz", "n", "beta1", "coeff_error_percent",
                   "sideband_error_percent"]
     return {

@@ -437,6 +437,7 @@ class TestExitCodes:
             ("psd-map", "device.gamma_hz_per_t=-1"),
             ("psd-map", "device.alpha=0"),
             ("psd-map", "device.mu0_h_app_t=0.5"),
+            ("psd-map", "device.mu0_ms_t=2"),
             ("psd-map", "solver.method=matrix"),
         ],
     )
@@ -566,9 +567,9 @@ def test_error_recursive_rows_compare_the_two_methods():
     omega_m = TWO_PI * cfg.err_recursive_f_m_hz
     modcfg = ModulationConfig(sweeps.solve_mu_for_beta1(op, 0.5, omega_m, cfg.n_harmonics),
                               omega_m, 5)
-    error = fourier.solution_difference(
-        fourier.solve_coefficients_recursive(op, modcfg),
-        fourier.solve_coefficients_matrix(op, modcfg),
+    error = fourier._distance_percent(
+        fourier.solve_coefficients_recursive(op, modcfg).x,
+        fourier.solve_coefficients_matrix(op, modcfg).x,
     )
     assert error > 0.0
     assert rows[0][:5] == (label, cfg.err_recursive_f_m_hz, 5, 0.5, error)
@@ -592,19 +593,40 @@ def test_error_analysis_solves_each_reference_once(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:omega_m is not small:UserWarning")  # f_m = 1 GHz
-@pytest.mark.parametrize("overrides, passes", [
-    (["bandwidth.mu=0.3", "bandwidth.f_m_grid_hz=1e7,1e8,1e9"], 9),
-    ([], 75),
+@pytest.mark.parametrize("overrides, n_rows, passes", [
+    (["bandwidth.mu=0.3", "bandwidth.f_m_grid_hz=1e7,1e8,1e9"], 9, 10),
+    ([], 75, 75),
 ], ids=["bound-not-cleared", "default"])
-def test_bandwidth_samples_each_rows_dp_extremes_once(monkeypatch, overrides, passes):
-    # A row's instantaneous deviation also refuses its negative power, so a
-    # row whose bound 1 + A0 - sum|X_n| does not clear (at mu = 0.3) is not
-    # sampled a second time by a separate refusal.
+def test_bandwidth_samples_dp_extremes_twice_only_where_the_bound_misses(
+    monkeypatch, overrides, n_rows, passes
+):
+    # Every row's instantaneous deviation samples its dp extremes once.  The
+    # row step's refusal samples them again only for a row whose bound
+    # 1 + A0 - sum|X_n| does not clear: one row at mu = 0.3, none by default.
     calls = []
     extremes = spectrum._dp_extremes
     monkeypatch.setattr(spectrum, "_dp_extremes", lambda sol: calls.append(sol) or extremes(sol))
     _, rows = sweeps.bandwidth_table(load_config(overrides=overrides))["bandwidth"]
-    assert len(rows) == len(calls) == passes
+    assert (len(rows), len(calls)) == (n_rows, passes)
+
+
+@pytest.mark.parametrize("command, refusals", [
+    ("operating-point", 0), ("psd-map", 39), ("asymmetry-map", 120), ("bandwidth", 75),
+    ("error-analysis", 41),  # 2 order-n_ref references and 39 matrix rows of the method pairs
+])
+def test_every_printed_steady_state_is_refused_by_the_row_step(
+    monkeypatch, tmp_path, command, refusals
+):
+    # One refusal step covers every steady state a default table prints:
+    # each row solved by _solve_rows is refused there, unless it is a short
+    # truncation order or the recursive row of a method pair.
+    calls = []
+    refuse = sweeps._refuse_negative_power
+    monkeypatch.setattr(sweeps, "_refuse_negative_power",
+                        lambda sol: calls.append(sol) or refuse(sol))
+    result, _ = run_cli([command], tmp_path)
+    assert result.exit_code == 0, result.output
+    assert len(calls) == refusals
 
 
 def test_operating_point_op_label_writes_one_row(tmp_path):

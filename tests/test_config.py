@@ -7,7 +7,7 @@ from importlib import resources
 import pytest
 
 from stomod import ConfigError
-from stomod.config import _DEVICE_KEYS, RunConfig, _parse_grid, device_at, load_config
+from stomod.config import RunConfig, _parse_grid, device_at, load_config
 
 
 class TestGridParsing:
@@ -128,6 +128,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             device_at(cfg, "OP9")
 
+    def test_declared_keys_are_read_before_cross_key_rules(self):
+        # Every declared key, [device] ones included, is read and range-checked
+        # before the saturation rule and the operating-point labels and xis.
+        with pytest.raises(ConfigError, match=r"^solver\.n_harmonics: 0 must be in"):
+            load_config(None, ["solver.n_harmonics=0", "operating-points.OP1=0.5"])
+        with pytest.raises(ConfigError, match=r"^device\.mu0_h_app_t: 0\.5 must exceed"):
+            load_config(None, ["device.mu0_h_app_t=0.5", "operating-points.OP1=0.5"])
+
 
 def test_default_cfg_keys_match_declarations():
     # Every key outside [operating-points] is read by exactly one declaration,
@@ -142,6 +150,5 @@ def test_default_cfg_keys_match_declarations():
         for key in parser[section]
     }
     declared = [f.metadata["key"] for f in fields(RunConfig) if f.metadata]
-    declared += [key for key, *_ in _DEVICE_KEYS.values()]
     assert len(declared) == len(set(declared))
     assert set(declared) == cfg_keys

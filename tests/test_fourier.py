@@ -22,7 +22,7 @@ from stomod import (
     truncation_error,
 )
 from stomod import fourier
-from stomod.fourier import RESIDUAL_RTOL, FourierSolution, solution_difference
+from stomod.fourier import RESIDUAL_RTOL, FourierSolution, _distance_percent
 from stomod.spectrum import first_harmonic_index
 
 from conftest import TWO_PI, make_device
@@ -169,7 +169,7 @@ def test_matrix_vs_recursive_agree_at_moderate_drive(op2):
     cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 40e6)
     mat = solve_coefficients_matrix(op2, cfg)
     rec = solve_coefficients_recursive(op2, cfg)
-    assert solution_difference(rec, mat) < 0.1  # percent
+    assert _distance_percent(rec.x, mat.x) < 0.1  # percent
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -478,23 +478,16 @@ def test_both_distances_are_one_metric(op2):
     cfg5 = replace(cfg, n_harmonics=5)
     rec = solve_coefficients_recursive(op2, cfg5)
     mat = solve_coefficients_matrix(op2, cfg5)
-    diff = solution_difference(rec, mat)
+    diff = _distance_percent(rec.x, mat.x)
     assert diff > 0.0
     assert diff == pytest.approx(_padded_l1_percent(rec.x, mat.x), rel=1e-12)
 
     undriven = replace(cfg, mu=0.0)
     assert truncation_error(op2, undriven, [3], 12) == [(3, 0.0)]
     zero5 = replace(cfg5, mu=0.0)
-    assert solution_difference(
-        solve_coefficients_recursive(op2, zero5), solve_coefficients_matrix(op2, zero5)
+    assert _distance_percent(
+        solve_coefficients_recursive(op2, zero5).x, solve_coefficients_matrix(op2, zero5).x
     ) == 0.0
-
-
-def test_solution_difference_requires_equal_order(op2):
-    a = solve_coefficients_matrix(op2, ModulationConfig(mu=0.05, omega_m=OMEGA_M, n_harmonics=5))
-    b = solve_coefficients_matrix(op2, ModulationConfig(mu=0.05, omega_m=OMEGA_M, n_harmonics=6))
-    with pytest.raises(ValueError):
-        solution_difference(a, b)
 
 
 def test_beta_sign_convention(op2):

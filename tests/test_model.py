@@ -188,7 +188,7 @@ class TestDispersion:
         above = [row for row in rows if row[0] > 1.0]
         assert len(above) == len(rows) - 1
         for xi, *values in above:
-            op = derive_operating_point(replace(cfg.device, xi=xi))
+            op = derive_operating_point(cfg.device(xi))
             assert values == [
                 op.omega_o / TWO_PI,
                 op.omega_sto / TWO_PI,

@@ -31,7 +31,9 @@ RUN_CLI = "import sys; from stomod.cli import main; main(sys.argv[1:])"
 # The two beta_1 back-solves at OP1, 1 MHz end in a fall of beta_1(mu) and in
 # a row whose kept solution fails the residual check.  An operating-point
 # label with a comma, which a CSV row cannot hold, is a config error.  A nu
-# that overflows the carrier omega_o + nu*Gamma_p is a numerical error.
+# that overflows the carrier omega_o + nu*Gamma_p is a numerical error.  A
+# config with two faults, a bad declared key and a below-threshold OP xi,
+# shows which one the read order reports.
 CASES = {
     "deep-spectrum": ("psd-map", "--set", "psd-map.beta1_grid=0.5",
                       "--set", "spectrum.k_max=1000000000000"),
@@ -67,6 +69,8 @@ CASES = {
     "csv-unsafe-label": ("psd-map", "--set", "operating-points.OP,X=1.5", "--op-label", "OP,X",
                          "--set", "psd-map.beta1_grid=0.5"),
     "nu-overflow": ("operating-point", "--set", "device.nu=1e300"),
+    "two-faults": ("psd-map", "--set", "solver.n_harmonics=0",
+                   "--set", "operating-points.OP1=0.5"),
 }
 
 
