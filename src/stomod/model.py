@@ -10,6 +10,15 @@ per-bias constants reduce to closed forms in (alpha, omega_o, xi):
     C2        = alpha * omega_o * (2 - xi)
     omega_sto = omega_o + nu * Gamma_p
 
+They come from the positive damping Gamma_G = alpha * omega_o and the
+spin-torque gain sigma*I = Gamma_G * xi, with which two identities hold:
+
+    C1 = sigma*I * (1 - p0) = Gamma_G
+    sigma*I - Gamma_G = Gamma_p,  so  sigma*I = C1 + Gamma_p
+
+So an OperatingPoint carries every rate of the model, and the unreduced
+RK4 integrator reads its rates from one, as the reduced one does.
+
 All internal math uses angular frequency (rad/s); the gyromagnetic ratio is
 taken as cyclic (Hz/T) on input, matching how it is usually quoted.
 

@@ -42,8 +42,7 @@ import numpy as np
 
 from .errors import NumericalError, StepSizeError
 from .fourier import FourierSolution
-from .model import (TWO_PI, DeviceParams, ModulationConfig, OperatingPoint,
-                    derive_operating_point, warn_outside_model)
+from .model import TWO_PI, ModulationConfig, OperatingPoint, warn_outside_model
 from .spectrum import TimeTrace
 
 # Step must resolve both the modulation period and the relaxation rate.
@@ -272,7 +271,7 @@ def integrate_reduced(
 
 
 def integrate_full(
-    params: DeviceParams, modcfg: ModulationConfig, icfg: IntegrationConfig
+    op: OperatingPoint, modcfg: ModulationConfig, icfg: IntegrationConfig
 ) -> TimeTrace:
     """Exploratory RK4 integration of the unreduced power/phase pair on its
     periodic orbit.
@@ -281,27 +280,28 @@ def integrate_full(
     first-order damping model, without linearizing about p0.  The power
     equation is of Bernoulli type: with S = sigma*I*(1 + mu*cos(omega_m*t)),
     the exact substitution u = 1/p makes it linear,
-    du/dt = 2*S - 2*(S - Gamma_G)*u, so it is stepped by the same affine RK4
-    as the reduced equations, from its own fixed point u*, and p is read
-    back as 1/u.  The phase rate omega_o + nu*Gamma_p/(p0*u) is not linear
-    in u, so each phase step takes it at the four RK4 stage states,
-    weighted 1, 2, 2, 1.  No acceptance claim is attached to this path; it
-    exists for cross-checking the reduced equations at small mu.  The phase
-    is integrated and demodulated as in integrate_reduced, at
-    omega_o + nu*Gamma_p*(1 + 2*<delta_p>), and starts at exactly 0.
+    du/dt = 2*S - 2*(S - Gamma_G)*u.  Its rates come from op, as the
+    reduced model's do: sigma*I = C1 + Gamma_p and sigma*I - Gamma_G =
+    Gamma_p (see model.py), so
+    du/dt = 2*S - 2*(Gamma_p + sigma*I*mu*cos(omega_m*t))*u, whose
+    zero-drive decay is the reduced model's -2*Gamma_p.  It is stepped by
+    the same affine RK4 as the reduced equations, from its own fixed point
+    u*, and p is read back as 1/u.  The phase rate
+    omega_o + nu*Gamma_p/(p0*u) is not linear in u, so each phase step takes
+    it at the four RK4 stage states, weighted 1, 2, 2, 1.  No acceptance
+    claim is attached to this path; it exists for cross-checking the reduced
+    equations at small mu.  The phase is integrated and demodulated as in
+    integrate_reduced, at omega_o + nu*Gamma_p*(1 + 2*<delta_p>), and starts
+    at exactly 0.
 
     Raises NumericalError if the trace is not finite.
     """
-    op = derive_operating_point(params)
-    mu, w = modcfg.mu, modcfg.omega_m
-    gamma_g = params.alpha * op.omega_o
-    sigma_i = gamma_g * params.xi
-    p0 = op.p0
-    nu_over_p0 = params.nu * op.gamma_p / p0
+    mu, w, gp = modcfg.mu, modcfg.omega_m, op.gamma_p
+    sigma_i, nu_over_p0 = op.c1 + gp, op.nu * gp / op.p0
 
     def coeffs(t: np.ndarray):
-        s = sigma_i * (1.0 + mu * np.cos(w * t))
-        return 2.0 * s, -2.0 * (s - gamma_g)
+        drive = sigma_i * mu * np.cos(w * t)
+        return 2.0 * (sigma_i + drive), -2.0 * (gp + drive)
 
     def phase_step(stages, u, out):
         # The rate omega_o + nu*Gamma_p/(p0*u) is not linear in u, so it is
@@ -312,7 +312,7 @@ def integrate_full(
             out += weight * (nu_over_p0 / (d * u + c) + op.omega_o)
 
     t, u, phi = _integrate(op, modcfg, icfg, coeffs, phase_step)
-    return _demodulated(op, t, (1.0 / u / p0 - 1.0) / 2.0, phi)
+    return _demodulated(op, t, (1.0 / u / op.p0 - 1.0) / 2.0, phi)
 
 
 def project_harmonics(

@@ -384,9 +384,13 @@ def first_harmonic_index(
 
 def _rising_crossing(f, target: float, x0: float, x_max: float) -> float:
     """Where f, rising from f(0) = 0, reaches target: march x0*1.25**k up to x_max
-    to bracket it, then bisect to 1e-10 in x or until the midpoint rounds onto
-    an end.  A fall of f before the target by more than round-off (1e-12 of
-    the target), or a target still out of reach at x_max, raises NumericalError."""
+    to bracket it, then bisect to min(1e-10, 1e-7*hi) in x, hi the bracket's
+    upper end, or until the midpoint rounds onto an end.  The relative part
+    keeps a crossing below 1e-3 to 7 digits; above, it is the 1e-10 alone,
+    and it is tested only once the 1e-10 is met.  A fall of f before the
+    target by more than round-off (1e-12 of the target), a target still out
+    of reach at x_max, or a crossing that rounds to x = 0, raises
+    NumericalError."""
     lo, f_lo, hi = 0.0, 0.0, min(x0, x_max)
     while not (f_hi := f(hi)) >= target:  # a NaN marches on to x_max
         if f_hi < f_lo - 1e-12 * target:
@@ -396,12 +400,15 @@ def _rising_crossing(f, target: float, x0: float, x_max: float) -> float:
             raise NumericalError(f"target {target:.6g} not reachable up to {x_max:g} "
                                  f"(largest value {f_hi:.6g})")
         lo, f_lo, hi = hi, f_hi, min(1.25 * hi, x_max)
-    while hi - lo > 1e-10 and lo < (mid := 0.5 * (lo + hi)) < hi:
+    while (hi - lo > 1e-10 or hi - lo > 1e-7 * hi) and lo < (mid := 0.5 * (lo + hi)) < hi:
         if f(mid) < target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    if (x := 0.5 * (lo + hi)) == 0.0:
+        raise NumericalError(f"target {target:.6g} is reached only below {hi:.3g}: "
+                             "the crossing rounds to 0")
+    return x
 
 
 def modulation_bandwidth(
@@ -445,10 +452,12 @@ def solve_mu_for_beta1(
     n_harmonics: int = 10,
     mu_max: float = 0.5,
 ) -> float:
-    """Back-solve the modulation strength that produces a given beta_1, to 1e-10 in mu.
+    """Back-solve the modulation strength that produces a given beta_1, to 1e-10
+    in mu, or to 1e-7 relative where mu is below 1e-3.
 
     beta_1(mu) rises at small mu but turns once mu*C2 rivals Gamma_p; a turn
-    before the target, or a target out of reach at mu_max, is a NumericalError.
+    before the target, a target out of reach at mu_max, or one that only a mu
+    rounding to 0 reaches, is a NumericalError.
     The search's evaluations are ungated (gate=False): the balance residual is
     not checked at each mu.  A caller that keeps the solution at the returned
     mu gates it by a default solve_coefficients_matrix, as the tables do.

@@ -42,9 +42,10 @@ TableMap = dict[str, tuple[list[str], list[tuple]]]
 
 class _Row(NamedTuple):
     """One table row to solve.  With beta1 given, modcfg's mu is back-solved for
-    it at solver.n_harmonics.  refuse=False skips the negative-power check; only
-    error-analysis's short truncation orders and the recursive row of each
-    method pair pass it."""
+    it at solver.n_harmonics, once per distinct (op, beta1, omega_m) of a
+    _solve_rows call, so rows at other orders share it.  refuse=False skips the
+    negative-power check; only error-analysis's short truncation orders and the
+    recursive row of each method pair pass it."""
 
     name: str
     op: OperatingPoint
@@ -76,17 +77,21 @@ def _row(name: str):
 def _solve_rows(cfg: RunConfig, rows: list[_Row]) -> list[FourierSolution]:
     """The solutions of a table's rows, in order.
 
-    Each row runs under its name: back-solve mu if it gives beta1, solve by
-    its method, then, if it asks, refuse negative power (1 + dp <= 0 raises
-    NumericalError).  So the first failing row raises, named.
+    Each row runs under its name: if it gives beta1, take mu from the one
+    back-solve of its (op, beta1, omega_m) in this call, made at the first row
+    that names that target; solve by its method; then, if it asks, refuse
+    negative power (1 + dp <= 0 raises NumericalError).  So the first failing
+    row raises, named.  This is the one place the tables back-solve mu.
     """
-    sols = []
+    sols, mus = [], {}
     for row in rows:
         with _row(row.name):
             modcfg = row.modcfg
             if row.beta1 is not None:
-                mu = solve_mu_for_beta1(row.op, row.beta1, modcfg.omega_m, cfg.n_harmonics)
-                modcfg = ModulationConfig(mu, modcfg.omega_m, modcfg.n_harmonics)
+                target = (row.op, row.beta1, modcfg.omega_m)
+                if target not in mus:
+                    mus[target] = solve_mu_for_beta1(*target, cfg.n_harmonics)
+                modcfg = replace(modcfg, mu=mus[target])
             solve = solve_coefficients_recursive if row.recursive else solve_coefficients_matrix
             sols.append(solve(row.op, modcfg))
             if row.refuse:
@@ -208,22 +213,19 @@ def error_analysis_table(cfg: RunConfig, op_filter: str | None = None) -> TableM
                        for n, sol in zip(orders, group)]
 
     omega_m = TWO_PI * cfg.err_recursive_f_m_hz
-    # mu depends on beta_1 only (back-solved at solver.n_harmonics), not on N.
-    mus = []
-    for beta1 in cfg.err_recursive_beta1_grid:
-        with _row(f"{label} at beta1 = {beta1:g}, f_m = {cfg.err_recursive_f_m_hz:g} Hz"):
-            mus.append(solve_mu_for_beta1(op, beta1, omega_m, cfg.n_harmonics))
-    keys = [(n, beta1, mu) for n in cfg.err_recursive_n_values
-            for beta1, mu in zip(cfg.err_recursive_beta1_grid, mus)]
-    # The matrix and recursive solutions of each key as adjacent rows; only the
-    # matrix one is refused.
+    keys = [(n, beta1) for n in cfg.err_recursive_n_values
+            for beta1 in cfg.err_recursive_beta1_grid]
+    # The matrix and recursive solutions of each key as adjacent rows, at the mu
+    # of beta_1 (back-solved at solver.n_harmonics, whatever N); only the matrix
+    # one is refused.
     rows = []
-    for n, beta1, mu in keys:
-        modcfg, name = ModulationConfig(mu, omega_m, n), f"{label} at beta1 = {beta1:g}, n = {n}"
-        rows += [_Row(name, op, modcfg), _Row(name, op, modcfg, recursive=True, refuse=False)]
+    for n, beta1 in keys:
+        modcfg, name = ModulationConfig(0.0, omega_m, n), f"{label} at beta1 = {beta1:g}, n = {n}"
+        rows += [_Row(name, op, modcfg, beta1),
+                 _Row(name, op, modcfg, beta1, recursive=True, refuse=False)]
     sols = _solve_rows(cfg, rows)
     spectra, rec_rows = _spectra(cfg, rows, sols), []
-    for (n, beta1, _), mat, rec, spec_mat, spec_rec in zip(
+    for (n, beta1), mat, rec, spec_mat, spec_rec in zip(
         keys, sols[::2], sols[1::2], spectra[::2], spectra[1::2]
     ):
         p_mat, p_rec = spec_mat.power_at(+1), spec_rec.power_at(+1)

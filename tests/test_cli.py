@@ -285,28 +285,29 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args",
         [
-            ["psd-map", "--set", "psd-map.beta1_grid=0.5"],
-            ["psd-map", "--set", "psd-map.beta1_grid=0,0.5"],
+            ["psd-map", "--set", "psd-map.beta1_grid=40000"],
+            ["psd-map", "--set", "psd-map.beta1_grid=0,40000"],
             [
                 "asymmetry-map",
-                "--set", "asymmetry-map.beta1_grid=0.5",
+                "--set", "asymmetry-map.beta1_grid=40000",
                 "--set", "asymmetry-map.f_m_grid_hz=1e8",
             ],
             [
                 "asymmetry-map",
-                "--set", "asymmetry-map.beta1_grid=0,0.5",
+                "--set", "asymmetry-map.beta1_grid=0,40000",
                 "--set", "asymmetry-map.f_m_grid_hz=1e8",
             ],
         ],
     )
     def test_errors_from_one_spectrum_call_per_table_name_their_row(self, tmp_path, args):
-        # nu = 1e290 keeps every carrier finite but puts the FM index of every
-        # modulated row past its cap; a beta1 = 0 row before it has no FM comb
-        # and passes, so the error names the next row.
+        # nu = 1e290 keeps every carrier finite, and beta1 = 40000 is past the
+        # FM index cap of 32768, so every modulated row's spectrum fails; a
+        # beta1 = 0 row before it has no FM comb and passes, so the error names
+        # the next row.
         result, out = run_cli([*args, "--set", "device.nu=1e290"], tmp_path)
         assert result.exit_code == 3, result.output
         assert result.stderr.startswith(
-            "numerical error: OP1 at beta1 = 0.5, f_m = 1e+08 Hz: FM index"
+            "numerical error: OP1 at beta1 = 40000, f_m = 1e+08 Hz: FM index"
         )
         assert not out.exists()
 
@@ -726,6 +727,30 @@ def test_first_failing_row_wins(tmp_path, grid, error):
     result, out = run_cli(["psd-map", "--op-label", "OP1", *args], tmp_path)
     assert result.exit_code == 3, result.output
     assert result.stderr.startswith(f"numerical error: OP1 at {error}")
+    assert not out.exists()
+
+
+def test_back_solve_keeps_beta1_at_low_f_m(tmp_path):
+    # The bisection stops at min(1e-10, 1e-7*hi) in mu.  At 1 Hz the mu of
+    # beta_1 = 0.25 is about 4.5e-11, below a 1e-10 stop alone, which left
+    # |beta_1| at 0.17 there and 0.2512 at 100 Hz.
+    for label, op in sweeps._ops(load_config(), None):
+        for f_m in (1.0, 100.0, 1e4):
+            omega_m = TWO_PI * f_m
+            beta1 = spectrum.first_harmonic_index(
+                op, spectrum.solve_mu_for_beta1(op, 0.25, omega_m), omega_m
+            )
+            assert abs(beta1 - 0.25) <= 1e-6, (label, f_m, beta1)
+    # At a subnormal f_m the crossing lies below the smallest float, so the
+    # bisection would return mu = 0: it is refused, naming the row.
+    sets = ["psd-map.f_m_hz=1e-320", "psd-map.beta1_grid=0.25"]
+    args = [arg for key in sets for arg in ("--set", key)]
+    result, out = run_cli(["psd-map", "--op-label", "OP2", *args], tmp_path)
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith(
+        "numerical error: OP2 at beta1 = 0.25, f_m = 9.99989e-321 Hz: target 0.25 is reached "
+        "only below"
+    )
     assert not out.exists()
 
 

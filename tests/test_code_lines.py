@@ -43,3 +43,18 @@ def test_report_per_module_and_total(tmp_path, capsys):
     assert code_lines.main([str(tmp_path / "base"), str(tmp_path / "head")]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows[1:] == [["a.py", "7", "7"], ["b.py", "1", "-"], ["total", "8", "7"]]
+
+
+def test_root_without_modules_is_refused(tmp_path, capsys):
+    # A missing checkout, or the package directory given as the ROOT, has no
+    # src/stomod/*.py: each is named and the run exits 2 without a report,
+    # so that neither reads as 0 lines.
+    package = tmp_path / "head" / "src" / "stomod"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(SOURCE)
+    roots = [str(tmp_path / "missing"), str(tmp_path / "head"), str(package)]
+    assert code_lines.main(roots) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"{roots[0]}: no src/stomod/*.py to count",
+                                f"{roots[2]}: no src/stomod/*.py to count"]

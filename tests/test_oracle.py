@@ -207,7 +207,7 @@ class TestValidation:
         with pytest.raises(StepSizeError, match=match):
             integrate_reduced(op2, cfg, icfg)
         with pytest.raises(StepSizeError, match=match):
-            integrate_full(make_device(OP_XIS["OP2"]), cfg, icfg)
+            integrate_full(op2, cfg, icfg)
 
     @pytest.mark.parametrize("t_end_steps", [0.0, 0.4, -1.0])
     def test_window_without_samples_rejected(self, op2, t_end_steps):
@@ -216,12 +216,11 @@ class TestValidation:
         cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 10e6)
         dt = (TWO_PI / cfg.omega_m) / 512
         icfg = IntegrationConfig(dt=dt, t_end=t_end_steps * dt)
-        params = make_device(OP_XIS["OP2"])
         match = r"t_end=.* over dt=.* is not a finite step count from 1 to 33554432"
-        for integrate, model in ((integrate_reduced, op2), (integrate_full, params)):
+        for integrate in (integrate_reduced, integrate_full):
             with pytest.raises(StepSizeError, match=match):
-                integrate(model, cfg, icfg)
-            assert integrate(model, cfg, IntegrationConfig(dt=dt, t_end=0.6 * dt)).t.size == 1
+                integrate(op2, cfg, icfg)
+            assert integrate(op2, cfg, IntegrationConfig(dt=dt, t_end=0.6 * dt)).t.size == 1
 
     @pytest.mark.parametrize("field,value", [("t_end", math.nan), ("t_end", math.inf)])
     def test_non_finite_window_rejected(self, op2, field, value):
@@ -232,7 +231,7 @@ class TestValidation:
         with pytest.raises(StepSizeError, match=match):
             integrate_reduced(op2, cfg, icfg)
         with pytest.raises(StepSizeError, match=match):
-            integrate_full(make_device(OP_XIS["OP2"]), cfg, icfg)
+            integrate_full(op2, cfg, icfg)
 
     def test_step_count_overflow_rejected(self, op2):
         # t_end/dt overflows to inf here, which the last-sample check cannot
@@ -243,9 +242,9 @@ class TestValidation:
         match = r"t_end=1\.000000e\+300 over dt=.* is not a finite step count"
         with pytest.raises(StepSizeError, match=match):
             icfg.validate(op2, cfg)
-        for integrate, model in ((integrate_reduced, op2), (integrate_full, make_device(OP_XIS["OP2"]))):
+        for integrate in (integrate_reduced, integrate_full):
             with pytest.raises(StepSizeError, match=match):
-                integrate(model, cfg, icfg)
+                integrate(op2, cfg, icfg)
 
     def test_step_count_cap(self, op2):
         # 1e250 s is a finite step count that numpy could not allocate: it is
@@ -258,10 +257,9 @@ class TestValidation:
         absurd = dataclasses.replace(icfg, t_end=1e250)
         with pytest.raises(StepSizeError, match=match):
             absurd.validate(op2, cfg)
-        params = make_device(OP_XIS["OP2"])
-        for integrate, model in ((integrate_reduced, op2), (integrate_full, params)):
+        for integrate in (integrate_reduced, integrate_full):
             with pytest.raises(StepSizeError, match=match):
-                integrate(model, cfg, absurd)
+                integrate(op2, cfg, absurd)
         n_steps, _ = dataclasses.replace(icfg, t_end=2**25 * icfg.dt).validate(op2, cfg)
         assert n_steps == 2**25
         with pytest.raises(StepSizeError, match="from 1 to 33554432"):
@@ -445,10 +443,9 @@ class TestFullModel:
     def test_reduced_limit_at_weak_drive(self, op2):
         # The unreduced power equation agrees with the linearized one to
         # O(dp^2) corrections at small mu.
-        params = make_device(1.8)
         cfg = ModulationConfig(mu=0.01, omega_m=TWO_PI * 100e6)
         icfg = IntegrationConfig.for_steady_state(op2, cfg)
-        full = integrate_full(params, cfg, icfg)
+        full = integrate_full(op2, cfg, icfg)
         red = integrate_reduced(op2, cfg, icfg)
         denom = np.max(np.abs(red.delta_p))
         assert np.max(np.abs(full.delta_p - red.delta_p)) / denom < 0.05
@@ -458,15 +455,13 @@ class TestFullModel:
         # The reduced model drops O(dp^2) terms, so its error relative to the
         # unreduced power equation is of order max|dp| itself (measured
         # 0.90-2.11 x max|dp| on this grid, worst at OP3, 40 MHz, mu = 0.2).
-        params = make_device(OP_XIS[label])
+        op = all_ops[label]
         for f_m in (40e6, 400e6):
             for mu in (0.005, 0.02, 0.05, 0.2):
                 cfg = ModulationConfig(mu=mu, omega_m=TWO_PI * f_m)
-                icfg = IntegrationConfig.for_steady_state(
-                    all_ops[label], cfg, samples_per_period=512
-                )
-                full = integrate_full(params, cfg, icfg)
-                red = integrate_reduced(all_ops[label], cfg, icfg)
+                icfg = IntegrationConfig.for_steady_state(op, cfg, samples_per_period=512)
+                full = integrate_full(op, cfg, icfg)
+                red = integrate_reduced(op, cfg, icfg)
                 amp = np.max(np.abs(red.delta_p))
                 rel = np.max(np.abs(full.delta_p - red.delta_p)) / amp
                 assert rel <= 3.0 * amp, (f_m, mu, rel / amp)
@@ -513,7 +508,7 @@ class TestStepper:
         for f_m in (40e6, 400e6):
             cfg = ModulationConfig(mu=0.2, omega_m=TWO_PI * f_m)
             icfg = IntegrationConfig.for_steady_state(all_ops[label], cfg)
-            trace = integrate_full(params, cfg, icfg)
+            trace = integrate_full(all_ops[label], cfg, icfg)
             dp, phi = _scalar_full(params, cfg, icfg)
             assert _rel(trace.delta_p, dp) <= 1e-8, f_m
             assert _rel(_raw_phase(trace), phi) <= 1e-8, f_m
@@ -529,7 +524,7 @@ class TestStepper:
         params = make_device(OP_XIS["OP2"])
         for trace, (dp, phi), tol in (
             (integrate_reduced(op2, cfg, icfg), _scalar_reduced(op2, cfg, icfg), 1e-12),
-            (integrate_full(params, cfg, icfg), _scalar_full(params, cfg, icfg), 1e-8),
+            (integrate_full(op2, cfg, icfg), _scalar_full(params, cfg, icfg), 1e-8),
         ):
             assert np.array_equal(trace.t, np.arange(n_steps) * icfg.dt)
             assert dp.size == n_steps
@@ -605,17 +600,17 @@ def _reference_reduced(op, cfg, icfg):
     return _reference_rk4(coeffs, *_steps(cfg, icfg), phase_rate)
 
 
-def _reference_full(params, cfg, icfg):
+def _reference_full(op, cfg, icfg):
     """delta_p and phase of the unreduced equations, in u = 1/p, by
-    _reference_rk4, with coefficients formed as integrate_full forms them."""
-    op = derive_operating_point(params)
-    gamma_g = params.alpha * op.omega_o
-    sigma_i = gamma_g * params.xi
-    nu_over_p0 = params.nu * op.gamma_p / op.p0
+    _reference_rk4, with coefficients formed as integrate_full forms them
+    from op: sigma*I = C1 + Gamma_p, and Gamma_p in place of
+    sigma*I - Gamma_G."""
+    sigma_i = op.c1 + op.gamma_p
+    nu_over_p0 = op.nu * op.gamma_p / op.p0
 
     def coeffs(t):
-        s = sigma_i * (1.0 + cfg.mu * np.cos(cfg.omega_m * t))
-        return 2.0 * s, -2.0 * (s - gamma_g)
+        drive = sigma_i * cfg.mu * np.cos(cfg.omega_m * t)
+        return 2.0 * (sigma_i + drive), -2.0 * (op.gamma_p + drive)
 
     def phase_rate(u):
         return np.add(np.divide(nu_over_p0, u, out=u), op.omega_o, out=u)
@@ -665,8 +660,7 @@ def test_rk4_matches_reference_bit_for_bit(all_ops, mu):
     # Both integrators expand one period from the same y* as the reference's
     # first period, so delta_p equals the reference's bit for bit and the
     # phases agree to round-off.
-    for label, op in all_ops.items():
-        params = make_device(OP_XIS[label])
+    for op in all_ops.values():
         for f_m in (40e6, 160e6):
             cfg = ModulationConfig(mu=mu, omega_m=TWO_PI * f_m)
             icfg = IntegrationConfig.for_steady_state(op, cfg)
@@ -674,7 +668,7 @@ def test_rk4_matches_reference_bit_for_bit(all_ops, mu):
                 integrate_reduced(op, cfg, icfg), *_reference_reduced(op, cfg, icfg), icfg
             )
             _assert_matches(
-                integrate_full(params, cfg, icfg), *_reference_full(params, cfg, icfg), icfg
+                integrate_full(op, cfg, icfg), *_reference_full(op, cfg, icfg), icfg
             )
 
 
@@ -702,7 +696,7 @@ class TestAffinePhase:
         reduced = integrate_reduced(op2, cfg, icfg)
         _assert_matches(reduced, *_stage_wise_reduced(op2, cfg, icfg), icfg)
         assert reduced.phi[0] == 0.0
-        assert integrate_full(make_device(OP_XIS["OP2"]), cfg, icfg).phi[0] == 0.0
+        assert integrate_full(op2, cfg, icfg).phi[0] == 0.0
 
 
 def _sequential(m, n, y0):
@@ -826,7 +820,7 @@ class TestGuards:
         icfg = IntegrationConfig.for_steady_state(op2, cfg)
         with pytest.warns(UserWarning, match="validity range") as caught:
             with pytest.raises(NumericalError, match="not finite"):
-                integrate_full(make_device(OP_XIS["OP2"]), cfg, icfg)
+                integrate_full(op2, cfg, icfg)
         assert len(caught) == 1
 
     @pytest.mark.parametrize("integrate", ["reduced", "full"])
@@ -836,14 +830,13 @@ class TestGuards:
         # refuses evaluates nothing, so it warns about nothing.
         cfg = ModulationConfig(mu=1.0, omega_m=0.2 * op2.omega_sto)
         icfg = IntegrationConfig.for_steady_state(op2, cfg)
-        model = op2 if integrate == "reduced" else make_device(OP_XIS["OP2"])
         run = integrate_reduced if integrate == "reduced" else integrate_full
         for runs in (1, 2):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 for _ in range(runs):
                     try:
-                        run(model, cfg, icfg)
+                        run(op2, cfg, icfg)
                     except NumericalError:
                         pass  # mu = 1 may run the unreduced power through 0
             messages = sorted(str(w.message) for w in caught)
@@ -854,7 +847,7 @@ class TestGuards:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepSizeError):
-                run(model, cfg, refused)
+                run(op2, cfg, refused)
 
 
 class TestProjection:

@@ -9,7 +9,9 @@ is a string literal that is a whole statement.  A token that spans lines (a
 multi-line string that is not a docstring) counts every line it spans.
 Prints one row per module and the total, one column per ROOT, with "-" for a
 module that a ROOT does not have.  It only reports: it exits 0, or 2 when
-no ROOT is given.
+no ROOT is given or a ROOT has no src/stomod/*.py to count (a missing
+checkout, or a path inside one), naming each such ROOT, so that neither
+reads as 0 lines.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ def main(argv: list[str]) -> int:
         print("usage: python tools/code_lines.py ROOT [ROOT ...]", file=sys.stderr)
         return 2
     counts = [module_counts(Path(root)) for root in argv]
+    empty = [root for root, count in zip(argv, counts) if not count]
+    for root in empty:
+        print(f"{root}: no src/stomod/*.py to count", file=sys.stderr)
+    if empty:
+        return 2
     names = sorted(set().union(*counts))
     width = max(len(name) for name in names + ["total"])
     cols = [max(len(root), 6) for root in argv]

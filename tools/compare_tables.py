@@ -33,7 +33,9 @@ RUN_CLI = "import sys; from stomod.cli import main; main(sys.argv[1:])"
 # label with a comma, which a CSV row cannot hold, is a config error.  A nu
 # that overflows the carrier omega_o + nu*Gamma_p is a numerical error.  A
 # config with two faults, a bad declared key and a below-threshold OP xi,
-# shows which one the read order reports.
+# shows which one the read order reports.  At a subnormal f_m the beta_1
+# back-solve's crossing lies below the smallest float, and a mu of 0 is
+# refused.
 CASES = {
     "deep-spectrum": ("psd-map", "--set", "psd-map.beta1_grid=0.5",
                       "--set", "spectrum.k_max=1000000000000"),
@@ -71,6 +73,8 @@ CASES = {
     "nu-overflow": ("operating-point", "--set", "device.nu=1e300"),
     "two-faults": ("psd-map", "--set", "solver.n_harmonics=0",
                    "--set", "operating-points.OP1=0.5"),
+    "subnormal-f_m": ("psd-map", "--op-label", "OP2", "--set", "psd-map.f_m_hz=1e-320",
+                      "--set", "psd-map.beta1_grid=0.25"),
 }
 
 
