@@ -189,16 +189,13 @@ def _rk4(coeffs, h: float, n_steps: int, period_steps: int, phase_step):
     _period_maps, has the fixed point y* = O/(1 - G), which every start
     approaches as G**k when |G| < 1; a G that is not finite, or |G| >= 1,
     raises NumericalError.  One period is expanded from y* with the prefix
-    maps, and phase_step(stages, y, out) writes 6/h times each state's
-    phase step phi_{i+1} - phi_i into out, from the stages' (c_j, d_j) and
-    the states y.  A longer window repeats that period, and np.cumsum sums
-    its phase steps.  A non-finite state or phase raises NumericalError.
+    maps, and phase_step(stages, y) returns 6/h times each state's phase
+    step phi_{i+1} - phi_i, from the stages' (c_j, d_j) and the states y.
+    A longer window repeats that period's states and phase steps, and
+    np.cumsum sums the phase steps from 0.  A non-finite state or phase
+    raises NumericalError.
     """
     reps = -(-n_steps // period_steps)
-    y = np.empty(period_steps)
-    phi = np.empty(reps * period_steps + 1)
-    # Row k: the phase steps phi_{i+1} - phi_i of period k.
-    dphi = phi[1:].reshape(reps, period_steps)
     # A blow-up is reported below as one NumericalError, not as numpy warnings.
     with np.errstate(all="ignore"):
         stages, gain, offset = _period_maps(coeffs, h, period_steps)
@@ -207,14 +204,9 @@ def _rk4(coeffs, h: float, n_steps: int, period_steps: int, phase_step):
             raise NumericalError(
                 f"RK4 period gain G={g:.6g} is not finite or has |G| >= 1: no orbit attracts"
             )
-        y[0] = offset[-1] / (1.0 - g)
-        np.multiply(gain[:-1], y[0], out=y[1:])
-        y[1:] += offset[:-1]
-        phase_step(stages, y, dphi[0])
-        dphi[0] *= h / 6.0
-        dphi[1:] = dphi[0]
-        phi[0] = 0.0
-        np.cumsum(phi, out=phi)
+        y0 = offset[-1] / (1.0 - g)
+        y = np.concatenate(([y0], gain[:-1] * y0 + offset[:-1]))
+        phi = np.cumsum(np.concatenate(([0.0], np.tile(phase_step(stages, y) * (h / 6.0), reps))))
     y, phi = np.tile(y, reps)[:n_steps], phi[:n_steps]
     if not (np.isfinite(y).all() and np.isfinite(phi).all()):
         raise NumericalError("RK4 trace is not finite")
@@ -257,15 +249,12 @@ def integrate_reduced(
 
     w0, w1 = op.omega_sto, 2.0 * op.nu * op.gamma_p
 
-    def phase_step(stages, dp, out):
+    def phase_step(stages, dp):
         # The rate w0 + w1*dp is linear in the stage states c_j + d_j*dp_i, so
         # the weighted stage sum is 6*w0 + w1*(D*dp_i + C); it is formed at
         # rate level, so a rate that overflows still does.
         (c2, d2), (c3, d3), (c4, d4) = stages
-        np.multiply(1.0 + 2.0 * (d2 + d3) + d4, dp, out=out)
-        out += 2.0 * (c2 + c3) + c4
-        out *= w1
-        out += 6.0 * w0
+        return ((1.0 + 2.0 * (d2 + d3) + d4) * dp + (2.0 * (c2 + c3) + c4)) * w1 + 6.0 * w0
 
     return _demodulated(op, *_integrate(op, modcfg, icfg, coeffs, phase_step))
 
@@ -303,13 +292,14 @@ def integrate_full(
         drive = sigma_i * mu * np.cos(w * t)
         return 2.0 * (sigma_i + drive), -2.0 * (gp + drive)
 
-    def phase_step(stages, u, out):
+    def phase_step(stages, u):
         # The rate omega_o + nu*Gamma_p/(p0*u) is not linear in u, so it is
         # taken at each stage state: stage 1 is u_i itself, and stages 2 and 3
         # weigh 2.
-        out[...] = nu_over_p0 / u + op.omega_o
+        rate = nu_over_p0 / u + op.omega_o
         for (c, d), weight in zip(stages, (2.0, 2.0, 1.0)):
-            out += weight * (nu_over_p0 / (d * u + c) + op.omega_o)
+            rate += weight * (nu_over_p0 / (d * u + c) + op.omega_o)
+        return rate
 
     t, u, phi = _integrate(op, modcfg, icfg, coeffs, phase_step)
     return _demodulated(op, t, (1.0 / u / op.p0 - 1.0) / 2.0, phi)

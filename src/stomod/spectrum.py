@@ -132,6 +132,11 @@ def _sample_period(sol: FourierSolution, m: int, *, phase: bool) -> np.ndarray:
     Harmonic n sits on bins n mod m and -n mod m, so one past Nyquist folds
     onto its alias exactly as the sampled cos/sin sum does.  Each row is
     transformed on its own, so dp alone equals dp sampled with phi bit for bit.
+    _dp_extremes samples dp alone because the phi row needs
+    beta_n = 2*nu*Gamma_p*|X_n|/(n*omega_m), which can overflow where dp is
+    fine: at bandwidth.f_m_grid_hz=1e-300 it would add "overflow encountered
+    in divide" and "invalid value encountered in multiply" warnings to the
+    run, so phase=False is not only a saving.
     """
     n, x = np.arange(1, sol.n_harmonics + 1), sol.x
     half = [np.conj(x)]
@@ -347,14 +352,21 @@ def _dp_extremes(sol: FourierSolution) -> tuple[float, float]:
     return float(hi), float(lo)
 
 
-def _refuse_negative_power(sol: FourierSolution) -> None:
-    """Raise NumericalError if 1 + dp <= 0 anywhere in the period.
+def _refuse_large_dp(sol: FourierSolution) -> None:
+    """Raise NumericalError unless |dp| < 1 over the whole period.
 
-    The bound dp >= A0 - sum|X_n| clears most solutions without sampling;
-    the rest go through _dp_extremes.
+    dp <= -1 is negative power, 1 + dp <= 0.  dp >= 1 is a steady state far
+    outside the reduced model, which drops terms of order dp**2: its error
+    there is of the order of the signal.  The bound |dp| <= |A0| + sum|X_n|
+    clears most solutions without sampling; the rest go through
+    _dp_extremes, which refuses negative power first.
     """
-    if 1.0 + sol.a0 - np.hypot(sol.x.real, sol.x.imag).sum() <= 0.0:
-        _dp_extremes(sol)
+    if abs(sol.a0) + np.hypot(sol.x.real, sol.x.imag).sum() >= 1.0:
+        hi, _ = _dp_extremes(sol)
+        if hi >= 1.0:
+            raise NumericalError(
+                f"max dp = {hi:.6g} is not below 1, the bound |dp| < 1 of the reduced model"
+            )
 
 
 def peak_frequency_deviation(sol: FourierSolution, method: str = "index-based") -> float:

@@ -30,7 +30,7 @@ from .model import (
 from .spectrum import (
     LineSpectrum,
     _line_spectra,
-    _refuse_negative_power,
+    _refuse_large_dp,
     modulation_bandwidth,
     peak_frequency_deviation,
     sideband_asymmetry,
@@ -44,7 +44,7 @@ class _Row(NamedTuple):
     """One table row to solve.  With beta1 given, modcfg's mu is back-solved for
     it at solver.n_harmonics, once per distinct (op, beta1, omega_m) of a
     _solve_rows call, so rows at other orders share it.  refuse=False skips the
-    negative-power check; only error-analysis's short truncation orders and the
+    |dp| < 1 check; only error-analysis's short truncation orders and the
     recursive row of each method pair pass it."""
 
     name: str
@@ -80,8 +80,9 @@ def _solve_rows(cfg: RunConfig, rows: list[_Row]) -> list[FourierSolution]:
     Each row runs under its name: if it gives beta1, take mu from the one
     back-solve of its (op, beta1, omega_m) in this call, made at the first row
     that names that target; solve by its method; then, if it asks, refuse
-    negative power (1 + dp <= 0 raises NumericalError).  So the first failing
-    row raises, named.  This is the one place the tables back-solve mu.
+    |dp| >= 1 (negative power, or a steady state outside the reduced model,
+    raises NumericalError).  So the first failing row raises, named.  This
+    is the one place the tables back-solve mu.
     """
     sols, mus = [], {}
     for row in rows:
@@ -95,7 +96,7 @@ def _solve_rows(cfg: RunConfig, rows: list[_Row]) -> list[FourierSolution]:
             solve = solve_coefficients_recursive if row.recursive else solve_coefficients_matrix
             sols.append(solve(row.op, modcfg))
             if row.refuse:
-                _refuse_negative_power(sols[-1])
+                _refuse_large_dp(sols[-1])
     return sols
 
 

@@ -18,7 +18,7 @@ from stomod import fourier, spectrum, sweeps
 from stomod.cli import COMMANDS, main
 from stomod.config import load_config
 from stomod.model import TWO_PI, ModulationConfig
-from stomod.spectrum import _refuse_negative_power
+from stomod.spectrum import _refuse_large_dp
 
 # Small grids keep the CLI tests quick without changing any physics.
 FAST_PSD = [
@@ -595,7 +595,7 @@ def test_error_analysis_solves_each_reference_once(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:omega_m is not small:UserWarning")  # f_m = 1 GHz
 @pytest.mark.parametrize("overrides, n_rows, passes", [
-    (["bandwidth.mu=0.3", "bandwidth.f_m_grid_hz=1e7,1e8,1e9"], 9, 10),
+    (["bandwidth.mu=0.1915", "bandwidth.f_m_grid_hz=1e7,1e8,1e9"], 9, 10),
     ([], 75, 75),
 ], ids=["bound-not-cleared", "default"])
 def test_bandwidth_samples_dp_extremes_twice_only_where_the_bound_misses(
@@ -603,7 +603,8 @@ def test_bandwidth_samples_dp_extremes_twice_only_where_the_bound_misses(
 ):
     # Every row's instantaneous deviation samples its dp extremes once.  The
     # row step's refusal samples them again only for a row whose bound
-    # 1 + A0 - sum|X_n| does not clear: one row at mu = 0.3, none by default.
+    # |A0| + sum|X_n| < 1 does not clear: one row at mu = 0.1915 (OP1 at
+    # 10 MHz, bound 1.005, max dp 0.995), none by default.
     calls = []
     extremes = spectrum._dp_extremes
     monkeypatch.setattr(spectrum, "_dp_extremes", lambda sol: calls.append(sol) or extremes(sol))
@@ -622,8 +623,8 @@ def test_every_printed_steady_state_is_refused_by_the_row_step(
     # each row solved by _solve_rows is refused there, unless it is a short
     # truncation order or the recursive row of a method pair.
     calls = []
-    refuse = sweeps._refuse_negative_power
-    monkeypatch.setattr(sweeps, "_refuse_negative_power",
+    refuse = sweeps._refuse_large_dp
+    monkeypatch.setattr(sweeps, "_refuse_large_dp",
                         lambda sol: calls.append(sol) or refuse(sol))
     result, _ = run_cli([command], tmp_path)
     assert result.exit_code == 0, result.output
@@ -715,6 +716,23 @@ def test_negative_power_exits_3_in_every_table_command(tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("f_m, beta1, max_dp", [
+    ("2e6", "1000", "1.88605"), ("1e6", "3e4", "55.9043"),
+])
+def test_runaway_steady_state_exits_3_naming_its_row(tmp_path, f_m, beta1, max_dp):
+    # At OP1 these targets back-solve to steady states with min dp > -1, so
+    # no negative power, but max dp far past 1, outside the reduced model
+    # (mu = 0.195 at 2 MHz).  N = 10 and N = 40 agree there, so it is not
+    # truncation; the row step refuses them.
+    sets = [f"psd-map.f_m_hz={f_m}", f"psd-map.beta1_grid={beta1}"]
+    args = [arg for key in sets for arg in ("--set", key)]
+    result, out = run_cli(["psd-map", "--op-label", "OP1", *args], tmp_path)
+    assert result.exit_code == 3, result.output
+    row = f"OP1 at beta1 = {float(beta1):g}, f_m = {float(f_m):g} Hz"
+    assert result.stderr.startswith(f"numerical error: {row}: max dp = {max_dp} is not below 1")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grid, error", [
     ("10000,1e9", "beta1 = 10000, f_m = 1e+06 Hz: negative power"),
     ("1e9,10000", "beta1 = 1e+09, f_m = 1e+06 Hz: target 1e+09 not reachable"),
@@ -754,20 +772,26 @@ def test_back_solve_keeps_beta1_at_low_f_m(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:mu=3.6 >= 1:UserWarning")
 def test_short_orders_are_not_refused(tmp_path):
-    # The N = 10 solution at OP1, 1 MHz, mu = 0.3 dips to min dp ~ -1.95, a
-    # negative power; only its N = 20 reference is checked, and it passes.
-    sets = ["error-analysis.mu=0.3", "error-analysis.f_m_grid_hz=1e6",
-            "error-analysis.n_values=10", "error-analysis.n_ref=20"]
-    op = sweeps._ops(load_config(), "OP1")[0][1]
-    short = fourier.solve_coefficients_matrix(op, ModulationConfig(0.3, TWO_PI * 1e6, 10))
-    with pytest.raises(stomod.NumericalError, match=r"negative power: min dp = -1\.9"):
-        _refuse_negative_power(short)
+    # The N = 1 solution at OP3, 600 MHz, mu = 3.6 dips to min dp ~ -1.075, a
+    # negative power; only its N = 20 reference is checked, and it passes with
+    # dp in [-0.83, 0.15], inside |dp| < 1.  In a scan of the three OPs
+    # (f_m from 1 MHz to 2 GHz, mu up to 3, N up to 3) only OP3 at mu > 2
+    # gave a refused short order with a kept reference.
+    sets = ["error-analysis.mu=3.6", "error-analysis.f_m_grid_hz=600e6",
+            "error-analysis.n_values=1", "error-analysis.n_ref=20"]
+    op = sweeps._ops(load_config(), "OP3")[0][1]
+    short, ref = (fourier.solve_coefficients_matrix(op, ModulationConfig(3.6, TWO_PI * 6e8, n))
+                  for n in (1, 20))
+    with pytest.raises(stomod.NumericalError, match=r"negative power: min dp = -1\.07"):
+        _refuse_large_dp(short)
+    _refuse_large_dp(ref)
     args = [arg for key in sets for arg in ("--set", key)]
-    result, out = run_cli(["error-analysis", "--op-label", "OP1", *args], tmp_path)
+    result, out = run_cli(["error-analysis", "--op-label", "OP3", *args], tmp_path)
     assert result.exit_code == 0, result.output
     _, _, rows = read_table(out / "error_truncation.csv")
-    assert [int(row[2]) for row in rows] == [10, 20]
+    assert [int(row[2]) for row in rows] == [1, 20]
 
 
 def test_failing_reference_solve_is_named_by_its_order(tmp_path):

@@ -625,10 +625,11 @@ def _stage_wise_reduced(op, cfg, icfg):
     does."""
     coeffs, phase_rate = _reduced_model(op, cfg)
 
-    def phase_step(stages, rows, out):
-        out[...] = phase_rate(rows.copy())
+    def phase_step(stages, rows):
+        rate = phase_rate(rows.copy())
         for (c, d), weight in zip(stages, (2.0, 2.0, 1.0)):
-            out += weight * phase_rate(d * rows + c)
+            rate += weight * phase_rate(d * rows + c)
+        return rate
 
     return oracle._rk4(coeffs, *_steps(cfg, icfg), phase_step)
 
@@ -778,8 +779,8 @@ class TestAffineScan:
             a, b = np.ones_like(t), -np.ones_like(t)
             return (a + spike, b) if term == "a" else (a, b + spike)
 
-        def phase_step(stages, rows, out):
-            out[...] = rows
+        def phase_step(stages, rows):
+            return rows
 
         # A spike in b makes the period gain G non-finite; one in a, the
         # offset O and so the orbit start.
@@ -807,8 +808,8 @@ class TestGuards:
         def coeffs(t):
             return np.ones_like(t), np.ones_like(t)
 
-        def phase_step(stages, rows, out):
-            out[...] = rows
+        def phase_step(stages, rows):
+            return rows
 
         with pytest.raises(NumericalError, match=r"G=20\.0855 is not finite or has \|G\| >= 1"):
             oracle._rk4(coeffs, 1e-3, 3000, 3000, phase_step)

@@ -33,7 +33,7 @@ from stomod.spectrum import (
     _build_spectrum,
     _fm_combs,
     _line_spectra,
-    _refuse_negative_power,
+    _refuse_large_dp,
     first_harmonic_index,
     shifted_carrier,
 )
@@ -116,11 +116,6 @@ def _reference_dp_extremes(sol):
 def _reference_instantaneous(sol):
     hi, lo = _reference_dp_extremes(sol)
     return abs(sol.op.nu * sol.op.gamma_p) * (hi - lo) / TWO_PI
-
-
-def _reference_refuse_negative_power(sol):
-    if 1.0 + sol.a0 - np.hypot(sol.x.real, sol.x.imag).sum() <= 0.0:
-        _reference_dp_extremes(sol)
 
 
 def _outcome(func, sol):
@@ -722,22 +717,24 @@ class TestDerivedFigures:
             peak_frequency_deviation(sol, "instantaneous")
         assert peak_frequency_deviation(sol, "index-based") > 0.0
 
-    @pytest.mark.parametrize("mu, negative", [(0.3, True), (0.2, False)])
-    def test_power_check_samples_what_the_bound_cannot_clear(self, op1, mu, negative):
-        # At OP1, 1 MHz both fail the bound A0 - sum|X_n| > -1, so the sampled
-        # extremes decide: min dp ~ -1.95 at mu = 0.3, ~ -0.28 at mu = 0.2.
-        sol = solve_coefficients_matrix(op1, ModulationConfig(mu=mu, omega_m=TWO_PI * 1e6))
-        assert 1.0 + sol.a0 - np.abs(sol.x).sum() <= 0.0
+    @pytest.mark.parametrize("mu, f_m, negative", [(0.3, 1e6, True), (0.2, 11.55e6, False)],
+                             ids=["0.3-True", "0.2-False"])
+    def test_power_check_samples_what_the_bound_cannot_clear(self, op1, mu, f_m, negative):
+        # At OP1 both fail the bound |A0| + sum|X_n| < 1, so the sampled
+        # extremes decide: min dp ~ -1.95 at mu = 0.3 and 1 MHz; at mu = 0.2 and
+        # 11.55 MHz the bound is 1.005 but dp lies in [-0.27, 0.996].
+        sol = solve_coefficients_matrix(op1, ModulationConfig(mu=mu, omega_m=TWO_PI * f_m))
+        assert abs(sol.a0) + np.abs(sol.x).sum() >= 1.0
         if negative:
             with pytest.raises(NumericalError, match="negative power: min dp = -1.9"):
-                _refuse_negative_power(sol)
+                _refuse_large_dp(sol)
         else:
-            _refuse_negative_power(sol)
+            _refuse_large_dp(sol)
 
-    def test_dp_sampler_matches_two_row_reference_bit_for_bit(self, all_ops, op1):
+    def test_dp_sampler_matches_two_row_reference_bit_for_bit(self, monkeypatch, all_ops, op1):
         # dp alone is transformed as it was beside phi: the instantaneous
-        # deviation and the negative-power refusal give the same bits, the same
-        # exceptions and messages, and the same warnings as the old sampler.
+        # deviation and the |dp| < 1 refusal give the same bits, the same
+        # exceptions and messages, and the same warnings as on the old sampler.
         rng = np.random.default_rng(2014)
         sols = []
         for op in all_ops.values():
@@ -762,9 +759,10 @@ class TestDerivedFigures:
         for sol in sols:
             got = _outcome(lambda s: peak_frequency_deviation(s, "instantaneous"), sol)
             assert got == _outcome(_reference_instantaneous, sol)
-            assert _outcome(_refuse_negative_power, sol) == _outcome(
-                _reference_refuse_negative_power, sol
-            )
+            refusal = _outcome(_refuse_large_dp, sol)
+            with monkeypatch.context() as patch:
+                patch.setattr(spectrum, "_dp_extremes", _reference_dp_extremes)
+                assert refusal == _outcome(_refuse_large_dp, sol)
             refused += isinstance(got[0], tuple)
         assert len(sols) > 150
         assert refused > 2  # the two fixed cases and random ones

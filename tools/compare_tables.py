@@ -26,8 +26,11 @@ RUN_CLI = "import sys; from stomod.cli import main; main(sys.argv[1:])"
 
 # Runs that end in an error or a warning, each with --out added: the config
 # errors (exit 2) and numerical errors (exit 3) and the warning runs of the CI
-# install job, plus a bandwidth run at mu = 0.3 with a row that the bound
-# 1 + A0 - sum|X_n| does not clear, and a beta_1 past the peak of beta_1(mu).
+# install job, plus a bandwidth run at mu = 0.1915 with a row that the bound
+# |A0| + sum|X_n| < 1 does not clear but whose sampled dp does (OP1 at 10 MHz,
+# max dp 0.995), a beta_1 past the peak of beta_1(mu), and a beta_1 whose
+# steady state runs away to max dp = 55.9 (OP1 at 1 MHz), refused as outside
+# the reduced model.
 # The two beta_1 back-solves at OP1, 1 MHz end in a fall of beta_1(mu) and in
 # a row whose kept solution fails the residual check.  An operating-point
 # label with a comma, which a CSV row cannot hold, is a config error.  A nu
@@ -58,8 +61,10 @@ CASES = {
                "--set", "error-analysis.n_values=1,2,3",
                "--set", "error-analysis.recursive_beta1_grid=0.5",
                "--set", "error-analysis.recursive_n_values=3"),
-    "bandwidth-bound-not-cleared": ("bandwidth", "--set", "bandwidth.mu=0.3",
+    "bandwidth-bound-not-cleared": ("bandwidth", "--set", "bandwidth.mu=0.1915",
                                     "--set", "bandwidth.f_m_grid_hz=1e7,1e8,1e9"),
+    "runaway-beta1": ("psd-map", "--op-label", "OP1", "--set", "psd-map.f_m_hz=1e6",
+                      "--set", "psd-map.beta1_grid=3e4"),
     "unreachable-beta1": ("error-analysis",
                           "--set", "error-analysis.recursive_beta1_grid=0.5,1e9"),
     "falling-beta1": ("error-analysis", "--op-label", "OP1",
