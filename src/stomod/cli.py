@@ -15,8 +15,6 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, sweeps
 from .config import load_config
 from .errors import ConfigError, StomodError
@@ -29,11 +27,7 @@ def _table_func(command: str):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.11e}"
-    return str(value)
+    return f"{value:.11e}" if isinstance(value, float) else str(value)
 
 
 def write_csv(path: Path, header: list[str], rows, meta: list[tuple[str, str]]) -> None:

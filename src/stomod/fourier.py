@@ -90,11 +90,9 @@ class FourierSolution:
 
 
 @lru_cache(maxsize=4, typed=True)
-def _diagonal(g: float, w: float, n_h: int) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
-    """Diagonal g - i*n*w of the recurrence, n = 0..N, and its tail n = N..2
-    in the order the backward recurrence reads it; it holds no mu."""
-    diag = tuple([complex(g, -n * w) for n in range(n_h + 1)])
-    return diag, diag[:1:-1]
+def _diagonal(g: float, w: float, n_h: int) -> tuple[complex, ...]:
+    """Diagonal g - i*n*w of the recurrence, n = 0..N; it holds no mu."""
+    return tuple([complex(g, -n * w) for n in range(n_h + 1)])
 
 
 def _solve(
@@ -113,12 +111,12 @@ def _solve(
     g = 2.0 * op.gamma_p
     e = modcfg.mu * op.c2
     drive = modcfg.mu * op.c1
-    diag, tail = _diagonal(g, w, n_h)
+    diag = _diagonal(g, w, n_h)
     up = e if exact else 0.0
     try:
         # Ratios q_n = X_n / X_{n-1} for n = 2..N, backward from q_{N+1} = 0.
         q, qs = 0j, []
-        for c in tail:
+        for c in diag[:1:-1]:
             q = e / (c - up * q)
             qs.append(q)
         qs.reverse()

@@ -199,8 +199,7 @@ def _bessel_rows(j_max: list[int], beta: list[float]) -> np.ndarray:
         step = max(1, _WORK_ELEMENTS // size)
         for part in (rows[i : i + step] for i in range(0, len(rows), step)):
             width = max(j_max[r] for r in part) + 1
-            samples = 1j * beta[part, None] * sin_theta
-            np.exp(samples, out=samples)
+            samples = np.exp(1j * beta[part, None] * sin_theta)
             out[part, :width] = np.fft.fft(samples, axis=1)[:, :width].real / size
     return out
 
@@ -353,16 +352,24 @@ def _dp_extremes(sol: FourierSolution) -> tuple[float, float]:
 
 
 def _refuse_large_dp(sol: FourierSolution) -> None:
-    """Raise NumericalError unless |dp| < 1 over the whole period.
+    """Raise NumericalError unless floor < dp < 1 over the whole period.
 
-    dp <= -1 is negative power, 1 + dp <= 0.  dp >= 1 is a steady state far
+    dp <= -1 is negative power, 1 + dp <= 0, and for mu < 1 the floor is
+    -1/2: there the reduced equation gives d(dp)/dt = Gamma_p*(1 + mu*cos(w_m t))
+    > 0, as C1 - C2 = Gamma_p, so a steady state stays above it and a series
+    below it is a truncation artifact.  dp >= 1 is a steady state far
     outside the reduced model, which drops terms of order dp**2: its error
-    there is of the order of the signal.  The bound |dp| <= |A0| + sum|X_n|
-    clears most solutions without sampling; the rest go through
-    _dp_extremes, which refuses negative power first.
+    there is of the order of the signal.  The bounds A0 -/+ sum|X_n| on dp
+    clear most solutions without sampling; the rest go through _dp_extremes,
+    which refuses negative power first.
     """
-    if abs(sol.a0) + np.hypot(sol.x.real, sol.x.imag).sum() >= 1.0:
-        hi, _ = _dp_extremes(sol)
+    floor = -0.5 if sol.modcfg.mu < 1.0 else -1.0
+    spread = np.hypot(sol.x.real, sol.x.imag).sum()
+    if not (sol.a0 - spread > floor and sol.a0 + spread < 1.0):
+        hi, lo = _dp_extremes(sol)
+        if lo <= floor:
+            raise NumericalError(f"min dp = {lo:.6g} is not above {floor:g}, the floor of a steady "
+                                 "state at mu < 1: a truncation artifact (solver.n_harmonics)")
         if hi >= 1.0:
             raise NumericalError(
                 f"max dp = {hi:.6g} is not below 1, the bound |dp| < 1 of the reduced model"

@@ -44,7 +44,7 @@ class _Row(NamedTuple):
     """One table row to solve.  With beta1 given, modcfg's mu is back-solved for
     it at solver.n_harmonics, once per distinct (op, beta1, omega_m) of a
     _solve_rows call, so rows at other orders share it.  refuse=False skips the
-    |dp| < 1 check; only error-analysis's short truncation orders and the
+    dp refusal; only error-analysis's short truncation orders and the
     recursive row of each method pair pass it."""
 
     name: str
@@ -79,9 +79,10 @@ def _solve_rows(cfg: RunConfig, rows: list[_Row]) -> list[FourierSolution]:
 
     Each row runs under its name: if it gives beta1, take mu from the one
     back-solve of its (op, beta1, omega_m) in this call, made at the first row
-    that names that target; solve by its method; then, if it asks, refuse
-    |dp| >= 1 (negative power, or a steady state outside the reduced model,
-    raises NumericalError).  So the first failing row raises, named.  This
+    that names that target; solve by its method; then, if it asks, refuse a
+    dp outside (floor, 1) by _refuse_large_dp (negative power, a truncation
+    artifact below -1/2 at mu < 1, or a steady state outside the reduced
+    model raises NumericalError).  So the first failing row raises, named.  This
     is the one place the tables back-solve mu.
     """
     sols, mus = [], {}

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import stomod
 from stomod import fourier, spectrum, sweeps
-from stomod.cli import COMMANDS, main
+from stomod.cli import COMMANDS, _table_func, main
 from stomod.config import load_config
 from stomod.model import TWO_PI, ModulationConfig
 from stomod.spectrum import _refuse_large_dp
@@ -193,6 +193,15 @@ class TestDeterminism:
         for value in rows[0]:
             mantissa = value.split("e")[0]
             assert len(mantissa.lstrip("-").replace(".", "")) == 12
+
+    @pytest.mark.filterwarnings("ignore:omega_m is not small:UserWarning")  # f_m = 1 GHz
+    def test_default_cells_are_plain_python_values(self):
+        # _fmt formats a float and prints anything else by str(), so a numpy
+        # scalar would have to print the same: no default table holds one.
+        cfg = load_config()
+        tables = [_table_func(command)(cfg) for command in COMMANDS]
+        cells = [v for t in tables for _, rows in t.values() for row in rows for v in row]
+        assert cells and all(type(v) in (str, int, float) for v in cells)
 
 
 class TestExitCodes:
@@ -730,6 +739,21 @@ def test_runaway_steady_state_exits_3_naming_its_row(tmp_path, f_m, beta1, max_d
     assert result.exit_code == 3, result.output
     row = f"OP1 at beta1 = {float(beta1):g}, f_m = {float(f_m):g} Hz"
     assert result.stderr.startswith(f"numerical error: {row}: max dp = {max_dp} is not below 1")
+    assert not out.exists()
+
+
+def test_truncated_steady_state_below_half_exits_3_naming_its_row(tmp_path):
+    # Near threshold at slow modulation the N = 10 row dips to min dp = -0.683.
+    # At mu < 1 a steady state stays above -1/2, where d(dp)/dt = Gamma_p*(1 +
+    # mu*cos(w_m t)) > 0, so the row is a truncation artifact: it is refused
+    # though 1 + dp > 0.
+    sets = ["operating-points.OP1=1.01", "bandwidth.mu=0.3", "bandwidth.f_m_grid_hz=1e5"]
+    args = [arg for key in sets for arg in ("--set", key)]
+    result, out = run_cli(["bandwidth", "--op-label", "OP1", *args], tmp_path)
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith(
+        "numerical error: OP1 at f_m = 100000 Hz: min dp = -0.683335 is not above -0.5")
+    assert "solver.n_harmonics" in result.stderr.splitlines()[0]
     assert not out.exists()
 
 

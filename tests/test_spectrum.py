@@ -731,6 +731,24 @@ class TestDerivedFigures:
         else:
             _refuse_large_dp(sol)
 
+    @pytest.mark.parametrize("xi, mu, f_m, n_h, min_dp", [
+        (1.01, 0.3, 1e5, 10, "-0.683335"), (1.8, 0.95, 2e6, 1, "-0.538304"),
+    ], ids=["near-threshold", "inside-old-bound"])
+    def test_truncated_dip_below_half_refused_at_small_mu(self, xi, mu, f_m, n_h, min_dp):
+        # A steady state at mu < 1 stays above -1/2, where d(dp)/dt = Gamma_p*(1 +
+        # mu*cos(w_m t)) > 0, so these truncated series, which dip below it with
+        # 1 + dp > 0, are refused.  The first (xi = 1.01, 100 kHz) is N = 10,
+        # whose non-decay warning was its only sign of trouble; the second has
+        # |A0| + sum|X_n| = 0.68 < 1, so only the lower bound A0 - sum|X_n| sends
+        # it to sampling.
+        op = derive_operating_point(make_device(xi))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the first case's non-decay warning
+            sol = solve_coefficients_matrix(op, ModulationConfig(mu, TWO_PI * f_m, n_h))
+        with pytest.raises(NumericalError, match=rf"min dp = {re.escape(min_dp)} is not above "
+                                                 r"-0\.5.*solver\.n_harmonics"):
+            _refuse_large_dp(sol)
+
     def test_dp_sampler_matches_two_row_reference_bit_for_bit(self, monkeypatch, all_ops, op1):
         # dp alone is transformed as it was beside phi: the instantaneous
         # deviation and the |dp| < 1 refusal give the same bits, the same

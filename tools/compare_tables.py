@@ -28,9 +28,11 @@ RUN_CLI = "import sys; from stomod.cli import main; main(sys.argv[1:])"
 # errors (exit 2) and numerical errors (exit 3) and the warning runs of the CI
 # install job, plus a bandwidth run at mu = 0.1915 with a row that the bound
 # |A0| + sum|X_n| < 1 does not clear but whose sampled dp does (OP1 at 10 MHz,
-# max dp 0.995), a beta_1 past the peak of beta_1(mu), and a beta_1 whose
+# max dp 0.995), a beta_1 past the peak of beta_1(mu), a beta_1 whose
 # steady state runs away to max dp = 55.9 (OP1 at 1 MHz), refused as outside
-# the reduced model.
+# the reduced model, and a truncated bandwidth row near threshold (xi = 1.01,
+# 100 kHz, mu = 0.3) that dips to min dp = -0.683, below the -1/2 that a
+# steady state at mu < 1 keeps above.
 # The two beta_1 back-solves at OP1, 1 MHz end in a fall of beta_1(mu) and in
 # a row whose kept solution fails the residual check.  An operating-point
 # label with a comma, which a CSV row cannot hold, is a config error.  A nu
@@ -65,6 +67,8 @@ CASES = {
                                     "--set", "bandwidth.f_m_grid_hz=1e7,1e8,1e9"),
     "runaway-beta1": ("psd-map", "--op-label", "OP1", "--set", "psd-map.f_m_hz=1e6",
                       "--set", "psd-map.beta1_grid=3e4"),
+    "truncated-half": ("bandwidth", "--set", "operating-points.OP1=1.01", "--op-label", "OP1",
+                       "--set", "bandwidth.mu=0.3", "--set", "bandwidth.f_m_grid_hz=1e5"),
     "unreachable-beta1": ("error-analysis",
                           "--set", "error-analysis.recursive_beta1_grid=0.5,1e9"),
     "falling-beta1": ("error-analysis", "--op-label", "OP1",
