@@ -26,7 +26,7 @@ class SingularSystemError(NumericalError):
 
 
 class StepSizeError(StomodError, ValueError):
-    """Integration step or window violates the resolution or size limits."""
+    """Integration step or period violates the resolution or size limits."""
 
 
 class GridCoverageError(StomodError, ValueError):

@@ -15,12 +15,13 @@ discrete RK4 map's periodic orbit, which attracts every start when |G| < 1
 (the shooting method for periodic steady states, exact here in one
 division), so no transient is stepped.  No step or period runs in Python.
 
-IntegrationConfig.validate is the one place that works out a run's plan:
-n_steps = round(t_end/dt) steps (at most 2**25) and period_steps =
-round(period/dt) to a modulation period (at most 2**21).  The integrators
-take that plan as it is, so the trace's times are t = i*dt, 0 <= i <
-n_steps.  One period is expanded from y*; a longer window repeats it.  The
-phase is summed from 0 at t = 0.  Each integration also calls
+The periodic orbit repeats every modulation period, so one period is the
+whole steady state, and it is all that an integration returns.
+IntegrationConfig.validate is the one place that checks a run and counts
+its period_steps = round(period/dt) steps to a modulation period (at most
+2**21).  The trace's times are t = i*dt, 0 <= i < period_steps: one period
+expanded from y*, with the phase summed from 0 at t = 0.  A caller that
+wants more periods tiles the trace.  Each integration also calls
 model.warn_outside_model once, as each solve does.
 
 The one driver serves both models; each model supplies only its phase step.
@@ -49,10 +50,9 @@ from .spectrum import TimeTrace
 _STEPS_PER_PERIOD_MIN = 200
 _GAMMA_P_DT_MAX = 0.1
 
-# How far, in ulps of the period, dt times the steps per period may miss it.
+# How far, in ulps of the period, dt times the steps per period, and t_end,
+# may miss it.
 _PERIOD_ULPS = 4
-# Most steps in a run: each trace array then stays at or below 256 MiB.
-_MAX_STEPS = 2**25
 # Most steps in one period: the some 16 period-length arrays of its maps then
 # take 16 MiB each, about 256 MiB together.
 _MAX_PERIOD_STEPS = 2**21
@@ -60,25 +60,25 @@ _MAX_PERIOD_STEPS = 2**21
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Fixed-step integration window: the times t = i*dt, 0 <= i < t_end/dt.
+    """Fixed-step integration over one modulation period: the times
+    t = i*dt, 0 <= i < period/dt.
 
     dt must divide the modulation period into whole steps, to within a few
-    ulps, because the stepper reuses one period's RK4 maps for every period.
-    The trace starts on the periodic orbit, so there is no transient to
-    discard; t_end is the window's length, and a window that spans whole
-    modulation periods can be projected.
+    ulps, because the stepper forms the RK4 maps of one period.  The trace
+    starts on the periodic orbit, so there is no transient to discard, and
+    that one period is the whole steady state.  t_end must be the modulation
+    period, to within the same few ulps: it is kept only because the
+    benchmark counts a run's steps as t_end/dt, and it can go once ROADMAP
+    item 1 lets bench/ count them some other way.
     """
 
     dt: float
     t_end: float
 
-    def validate(self, op: OperatingPoint, modcfg: ModulationConfig) -> tuple[int, int]:
-        """Check the window against op and modcfg and return its plan,
-        (n_steps, period_steps): the run keeps the samples t = i*dt,
-        0 <= i < n_steps = round(t_end/dt), and period_steps = round(period/dt)
-        steps make a modulation period.  Raises StepSizeError."""
-        if not math.isfinite(self.t_end):
-            raise StepSizeError(f"t_end={self.t_end} is not finite")
+    def validate(self, op: OperatingPoint, modcfg: ModulationConfig) -> int:
+        """Check dt and t_end against op and modcfg and return period_steps =
+        round(period/dt), the steps to one modulation period and the run's
+        sample count.  Raises StepSizeError."""
         period = TWO_PI / modcfg.omega_m
         if self.dt > period / _STEPS_PER_PERIOD_MIN:
             raise StepSizeError(
@@ -104,14 +104,12 @@ class IntegrationConfig:
                 f"dt={self.dt:.3e} exceeds {_GAMMA_P_DT_MAX}/gamma_p "
                 f"= {_GAMMA_P_DT_MAX / op.gamma_p:.3e}"
             )
-        # Clamped so that round() never meets inf: past the cap either way.
-        n_steps = round(min(self.t_end / self.dt, 2.0 * _MAX_STEPS))
-        if not 1 <= n_steps <= _MAX_STEPS:
+        if not abs(self.t_end - period) <= _PERIOD_ULPS * math.ulp(period):
             raise StepSizeError(
-                f"t_end={self.t_end:.6e} over dt={self.dt:.6e} is not a finite step count "
-                f"from 1 to {_MAX_STEPS} (2**25)"
+                f"t_end={self.t_end:.6e} is not the modulation period {period:.6e}: "
+                "an integration returns exactly one period"
             )
-        return n_steps, round(steps)
+        return round(steps)
 
     @classmethod
     def for_steady_state(
@@ -180,10 +178,10 @@ def _period_maps(coeffs, h: float, period_steps: int):
     return ((c2, d2), (c3, d3), (c4, d4)), gain, _affine_scan(m, n)
 
 
-def _rk4(coeffs, h: float, n_steps: int, period_steps: int, phase_step):
-    """Fixed-step RK4 of dy/dt = a(t) + b(t)*y and of its phase phi on the
-    periodic orbit, returning y and phi at t = i*h for i < n_steps, with
-    phi = 0 at i = 0.
+def _rk4(coeffs, h: float, period_steps: int, phase_step):
+    """Fixed-step RK4 of dy/dt = a(t) + b(t)*y and of its phase phi over one
+    period of its periodic orbit, returning y and phi at t = i*h for
+    i < period_steps, with phi = 0 at i = 0.
 
     The period map y -> G*y + O, (G, O) = (gain[-1], offset[-1]) of
     _period_maps, has the fixed point y* = O/(1 - G), which every start
@@ -191,11 +189,10 @@ def _rk4(coeffs, h: float, n_steps: int, period_steps: int, phase_step):
     raises NumericalError.  One period is expanded from y* with the prefix
     maps, and phase_step(stages, y) returns 6/h times each state's phase
     step phi_{i+1} - phi_i, from the stages' (c_j, d_j) and the states y.
-    A longer window repeats that period's states and phase steps, and
-    np.cumsum sums the phase steps from 0.  A non-finite state or phase
-    raises NumericalError.
+    np.cumsum sums the phase steps from 0; the last one, which ends the
+    period, is not kept.  A non-finite state or phase raises
+    NumericalError.
     """
-    reps = -(-n_steps // period_steps)
     # A blow-up is reported below as one NumericalError, not as numpy warnings.
     with np.errstate(all="ignore"):
         stages, gain, offset = _period_maps(coeffs, h, period_steps)
@@ -206,8 +203,7 @@ def _rk4(coeffs, h: float, n_steps: int, period_steps: int, phase_step):
             )
         y0 = offset[-1] / (1.0 - g)
         y = np.concatenate(([y0], gain[:-1] * y0 + offset[:-1]))
-        phi = np.cumsum(np.concatenate(([0.0], np.tile(phase_step(stages, y) * (h / 6.0), reps))))
-    y, phi = np.tile(y, reps)[:n_steps], phi[:n_steps]
+        phi = np.cumsum(np.concatenate(([0.0], phase_step(stages, y)[:-1] * (h / 6.0))))
     if not (np.isfinite(y).all() and np.isfinite(phi).all()):
         raise NumericalError("RK4 trace is not finite")
     return y, phi
@@ -215,12 +211,12 @@ def _rk4(coeffs, h: float, n_steps: int, period_steps: int, phase_step):
 
 def _integrate(op: OperatingPoint, modcfg: ModulationConfig, icfg: IntegrationConfig,
                coeffs, phase_step):
-    """Validate icfg, warn outside the model, then _rk4 over icfg's plan:
-    t, y and phi over the window."""
-    n_steps, period_steps = icfg.validate(op, modcfg)
+    """Validate icfg, warn outside the model, then _rk4: t, y and phi over
+    one modulation period."""
+    period_steps = icfg.validate(op, modcfg)
     warn_outside_model(op, modcfg)
-    t = np.arange(n_steps) * icfg.dt
-    return t, *_rk4(coeffs, icfg.dt, n_steps, period_steps, phase_step)
+    t = np.arange(period_steps) * icfg.dt
+    return t, *_rk4(coeffs, icfg.dt, period_steps, phase_step)
 
 
 def _demodulated(op: OperatingPoint, t: np.ndarray, dp: np.ndarray, phi: np.ndarray) -> TimeTrace:
@@ -237,7 +233,7 @@ def integrate_reduced(
     periodic orbit.
 
     The phase is integrated from 0 at t = 0 and demodulated at
-    omega_sto + 2*nu*Gamma_p*<delta_p>, with the mean taken over the window,
+    omega_sto + 2*nu*Gamma_p*<delta_p>, with the mean taken over the period,
     so the returned phi starts at exactly 0.
     """
     mu, w = modcfg.mu, modcfg.omega_m

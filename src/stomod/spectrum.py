@@ -351,13 +351,14 @@ def _dp_extremes(sol: FourierSolution) -> tuple[float, float]:
     return float(hi), float(lo)
 
 
-def _refuse_large_dp(sol: FourierSolution) -> None:
+def _refuse_large_dp(sol: FourierSolution, order_key: str) -> None:
     """Raise NumericalError unless floor < dp < 1 over the whole period.
 
     dp <= -1 is negative power, 1 + dp <= 0, and for mu < 1 the floor is
     -1/2: there the reduced equation gives d(dp)/dt = Gamma_p*(1 + mu*cos(w_m t))
     > 0, as C1 - C2 = Gamma_p, so a steady state stays above it and a series
-    below it is a truncation artifact.  dp >= 1 is a steady state far
+    below it is a truncation artifact, whose message names order_key, the
+    config key that sets the solution's order.  dp >= 1 is a steady state far
     outside the reduced model, which drops terms of order dp**2: its error
     there is of the order of the signal.  The bounds A0 -/+ sum|X_n| on dp
     clear most solutions without sampling; the rest go through _dp_extremes,
@@ -369,7 +370,7 @@ def _refuse_large_dp(sol: FourierSolution) -> None:
         hi, lo = _dp_extremes(sol)
         if lo <= floor:
             raise NumericalError(f"min dp = {lo:.6g} is not above {floor:g}, the floor of a steady "
-                                 "state at mu < 1: a truncation artifact (solver.n_harmonics)")
+                                 f"state at mu < 1: a truncation artifact ({order_key})")
         if hi >= 1.0:
             raise NumericalError(
                 f"max dp = {hi:.6g} is not below 1, the bound |dp| < 1 of the reduced model"

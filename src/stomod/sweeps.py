@@ -45,7 +45,8 @@ class _Row(NamedTuple):
     it at solver.n_harmonics, once per distinct (op, beta1, omega_m) of a
     _solve_rows call, so rows at other orders share it.  refuse=False skips the
     dp refusal; only error-analysis's short truncation orders and the
-    recursive row of each method pair pass it."""
+    recursive row of each method pair pass it.  order_key is the config key
+    that sets modcfg's order, which the refusal of a truncated row names."""
 
     name: str
     op: OperatingPoint
@@ -53,6 +54,7 @@ class _Row(NamedTuple):
     beta1: float | None = None
     recursive: bool = False
     refuse: bool = True
+    order_key: str = "solver.n_harmonics"
 
 
 def _ops(cfg: RunConfig, op_filter: str | None) -> list[tuple[str, OperatingPoint]]:
@@ -81,9 +83,9 @@ def _solve_rows(cfg: RunConfig, rows: list[_Row]) -> list[FourierSolution]:
     back-solve of its (op, beta1, omega_m) in this call, made at the first row
     that names that target; solve by its method; then, if it asks, refuse a
     dp outside (floor, 1) by _refuse_large_dp (negative power, a truncation
-    artifact below -1/2 at mu < 1, or a steady state outside the reduced
-    model raises NumericalError).  So the first failing row raises, named.  This
-    is the one place the tables back-solve mu.
+    artifact below -1/2 at mu < 1, named by the row's order_key, or a steady
+    state outside the reduced model raises NumericalError).  So the first
+    failing row raises, named.  This is the one place the tables back-solve mu.
     """
     sols, mus = [], {}
     for row in rows:
@@ -97,7 +99,7 @@ def _solve_rows(cfg: RunConfig, rows: list[_Row]) -> list[FourierSolution]:
             solve = solve_coefficients_recursive if row.recursive else solve_coefficients_matrix
             sols.append(solve(row.op, modcfg))
             if row.refuse:
-                _refuse_large_dp(sols[-1])
+                _refuse_large_dp(sols[-1], row.order_key)
     return sols
 
 
@@ -207,7 +209,8 @@ def error_analysis_table(cfg: RunConfig, op_filter: str | None = None) -> TableM
         name = f"{label} at f_m = {f_m:g} Hz"
         rows += [_Row(name, op, replace(modcfg, n_harmonics=n), refuse=False)
                  for n in cfg.err_n_values]
-        rows.append(_Row(f"{name}, n = {cfg.err_n_ref}", op, modcfg))
+        rows.append(_Row(f"{name}, n = {cfg.err_n_ref}", op, modcfg,
+                         order_key="error-analysis.n_ref"))
     sols, trunc_rows = _solve_rows(cfg, rows), []
     for i, f_m in enumerate(cfg.err_f_m_grid_hz):
         group = sols[i * len(orders) : (i + 1) * len(orders)]
@@ -223,7 +226,7 @@ def error_analysis_table(cfg: RunConfig, op_filter: str | None = None) -> TableM
     rows = []
     for n, beta1 in keys:
         modcfg, name = ModulationConfig(0.0, omega_m, n), f"{label} at beta1 = {beta1:g}, n = {n}"
-        rows += [_Row(name, op, modcfg, beta1),
+        rows += [_Row(name, op, modcfg, beta1, order_key="error-analysis.recursive_n_values"),
                  _Row(name, op, modcfg, beta1, recursive=True, refuse=False)]
     sols = _solve_rows(cfg, rows)
     spectra, rec_rows = _spectra(cfg, rows, sols), []

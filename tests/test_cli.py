@@ -634,7 +634,7 @@ def test_every_printed_steady_state_is_refused_by_the_row_step(
     calls = []
     refuse = sweeps._refuse_large_dp
     monkeypatch.setattr(sweeps, "_refuse_large_dp",
-                        lambda sol: calls.append(sol) or refuse(sol))
+                        lambda sol, order_key: calls.append(sol) or refuse(sol, order_key))
     result, _ = run_cli([command], tmp_path)
     assert result.exit_code == 0, result.output
     assert len(calls) == refusals
@@ -757,6 +757,32 @@ def test_truncated_steady_state_below_half_exits_3_naming_its_row(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sets, row, key", [
+    (["error-analysis.mu=0.3", "error-analysis.f_m_grid_hz=1e5", "error-analysis.n_values=5",
+      "error-analysis.n_ref=10", "error-analysis.recursive_beta1_grid=0.5",
+      "error-analysis.recursive_n_values=5"],
+     "OP1 at f_m = 100000 Hz, n = 10: min dp = -0.683335", "error-analysis.n_ref"),
+    (["error-analysis.recursive_f_m_hz=5e6", "error-analysis.recursive_beta1_grid=20",
+      "error-analysis.recursive_n_values=1"],
+     "OP1 at beta1 = 20, n = 1: min dp = -0.672006", "error-analysis.recursive_n_values"),
+], ids=["reference", "method-pair"])
+def test_truncated_row_refusal_names_its_order_key(tmp_path, sets, row, key):
+    # The -1/2 refusal names the config key that sets the refused row's
+    # order, not solver.n_harmonics: error-analysis.n_ref for the order-n_ref
+    # reference row (xi = 1.01, 100 kHz, mu = 0.3, N = 10), and
+    # error-analysis.recursive_n_values for the matrix row of a method pair
+    # (xi = 1.01, 5 MHz, beta1 = 20 back-solved at N = 10, solved at N = 1).
+    args = [arg for key_value in ["operating-points.OP1=1.01", *sets]
+            for arg in ("--set", key_value)]
+    result, out = run_cli(["error-analysis", "--op-label", "OP1", *args], tmp_path)
+    assert result.exit_code == 3, result.output
+    first = result.stderr.splitlines()[0]
+    assert first.startswith(f"numerical error: {row} is not above -0.5"), first
+    assert first.endswith(f"a truncation artifact ({key})"), first
+    assert "solver.n_harmonics" not in result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grid, error", [
     ("10000,1e9", "beta1 = 10000, f_m = 1e+06 Hz: negative power"),
     ("1e9,10000", "beta1 = 1e+09, f_m = 1e+06 Hz: target 1e+09 not reachable"),
@@ -809,8 +835,8 @@ def test_short_orders_are_not_refused(tmp_path):
     short, ref = (fourier.solve_coefficients_matrix(op, ModulationConfig(3.6, TWO_PI * 6e8, n))
                   for n in (1, 20))
     with pytest.raises(stomod.NumericalError, match=r"negative power: min dp = -1\.07"):
-        _refuse_large_dp(short)
-    _refuse_large_dp(ref)
+        _refuse_large_dp(short, "error-analysis.n_ref")
+    _refuse_large_dp(ref, "error-analysis.n_ref")
     args = [arg for key in sets for arg in ("--set", key)]
     result, out = run_cli(["error-analysis", "--op-label", "OP3", *args], tmp_path)
     assert result.exit_code == 0, result.output

@@ -3,6 +3,7 @@ steady state, and projection round trips."""
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -69,9 +70,9 @@ def _scalar_rk4(rate, y0, w0, w1, h, n_steps):
 
 
 def _steps(cfg, icfg):
-    """h, n_steps and the steps per modulation period, as the integrators take them."""
+    """h and the steps per modulation period, as the integrators take them."""
     h = icfg.dt
-    return h, round(icfg.t_end / h), round(TWO_PI / cfg.omega_m / h)
+    return h, round(TWO_PI / cfg.omega_m / h)
 
 
 def _scalar_orbit_start(rate, h, period_steps):
@@ -94,17 +95,17 @@ def _reduced_rate(op, cfg):
 
 
 def _scalar_reduced(op, cfg, icfg):
-    """delta_p and phase of the reduced equations over icfg's window by the
+    """delta_p and phase of the reduced equations over one period by the
     scalar loop, from its own orbit start."""
     dpdot = _reduced_rate(op, cfg)
-    h, n_steps, period_steps = _steps(cfg, icfg)
+    h, period_steps = _steps(cfg, icfg)
     dp, phi = _scalar_rk4(dpdot, _scalar_orbit_start(dpdot, h, period_steps),
-                          op.omega_sto, 2.0 * op.nu * op.gamma_p, h, n_steps)
-    return dp[:n_steps], phi[:n_steps]
+                          op.omega_sto, 2.0 * op.nu * op.gamma_p, h, period_steps)
+    return dp[:-1], phi[:-1]
 
 
 def _scalar_full(params, cfg, icfg):
-    """delta_p and phase of the unreduced power equation over icfg's window,
+    """delta_p and phase of the unreduced power equation over one period,
     stepped in p by the scalar loop from its own orbit start.
 
     RK4 in p is not affine in p, so the start p* is the root of F(p) - p,
@@ -120,7 +121,7 @@ def _scalar_full(params, cfg, icfg):
         gm = sigma_i * (1.0 + mu * math.cos(w * t)) * (1.0 - p)
         return 2.0 * (gm - gamma_g) * p
 
-    h, n_steps, period_steps = _steps(cfg, icfg)
+    h, period_steps = _steps(cfg, icfg)
 
     def residual(p):
         return _scalar_rk4(pdot, p, 0.0, 0.0, h, period_steps)[0][-1] - p
@@ -134,8 +135,8 @@ def _scalar_full(params, cfg, icfg):
         if abs(p - p_prev) <= 4 * math.ulp(p):
             break
         r = residual(p)
-    p, phi = _scalar_rk4(pdot, p, op.omega_o, params.nu * op.gamma_p / op.p0, h, n_steps)
-    return (p[:n_steps] / op.p0 - 1.0) / 2.0, phi[:n_steps]
+    p, phi = _scalar_rk4(pdot, p, op.omega_o, params.nu * op.gamma_p / op.p0, h, period_steps)
+    return (p[:-1] / op.p0 - 1.0) / 2.0, phi[:-1]
 
 
 def _raw_phase(trace):
@@ -148,22 +149,52 @@ def _rel(got, ref):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
+def _tiled(trace, n_periods):
+    """A one-period trace repeated over n_periods periods, as a caller that
+    wants more periods forms it: the demodulated phase returns to its start
+    each period, up to rounding."""
+    size = n_periods * trace.t.size
+    return TimeTrace(t=np.arange(size) * trace.t[1], delta_p=np.tile(trace.delta_p, n_periods),
+                     phi=np.tile(trace.phi, n_periods), demod_freq=trace.demod_freq)
+
+
 def _synthesized_and_integrated(op, mu=0.05):
-    """(solution, trace) pairs: a one-period, 256-sample synthesis and an
-    8-period RK4 trace of 512 samples per period, at 40 and 400 MHz."""
+    """(solution, trace) pairs: a one-period, 256-sample synthesis, the
+    one-period RK4 trace of 512 samples, and that trace tiled over 8 periods,
+    at 40 and 400 MHz."""
     for f_m in (40e6, 400e6):
         cfg = ModulationConfig(mu=mu, omega_m=TWO_PI * f_m)
-        period = TWO_PI / cfg.omega_m
-        icfg = IntegrationConfig(dt=period / 512, t_end=8 * period)
+        icfg = IntegrationConfig.for_steady_state(op, cfg, samples_per_period=512)
         sol = solve_coefficients_matrix(op, cfg)
+        trace = integrate_reduced(op, cfg, icfg)
+        assert trace.t.size == 512
         yield sol, synthesize_time_trace(sol, samples_per_period=256)
-        yield sol, integrate_reduced(op, cfg, icfg)
+        yield sol, trace
+        yield sol, _tiled(trace, 8)
+
+
+def _assert_not_one_period(op, cfg, icfg, monkeypatch):
+    """validate and both integrators refuse icfg's t_end, naming it and the
+    period, before they warn or form any array."""
+    period = TWO_PI / cfg.omega_m
+    match = (re.escape(f"t_end={icfg.t_end:.6e}") + " is not the modulation period "
+             + re.escape(f"{period:.6e}"))
+    calls = []
+    monkeypatch.setattr(oracle, "warn_outside_model", lambda *args: calls.append("warn"))
+    monkeypatch.setattr(oracle, "_rk4", lambda *args: calls.append("rk4"))
+    with pytest.raises(StepSizeError, match=match):
+        icfg.validate(op, cfg)
+    for integrate in (integrate_reduced, integrate_full):
+        with pytest.raises(StepSizeError, match=match):
+            integrate(op, cfg, icfg)
+    assert calls == []
 
 
 class TestValidation:
     def test_coarse_step_rejected(self, op2):
+        # dt is checked before t_end, which is not the period here either.
         cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 100e6)
-        with pytest.raises(StepSizeError):
+        with pytest.raises(StepSizeError, match=r"dt=1\.000e-09 exceeds period/200"):
             IntegrationConfig(dt=1e-9, t_end=1e-6).validate(op2, cfg)
 
     def test_step_must_resolve_relaxation(self, op3):
@@ -171,7 +202,7 @@ class TestValidation:
         # once the modulation is slow enough.
         cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 1e6)
         dt = (TWO_PI / cfg.omega_m) / 512
-        with pytest.raises(StepSizeError):
+        with pytest.raises(StepSizeError, match=r"exceeds 0\.1/gamma_p"):
             IntegrationConfig(dt=dt, t_end=1e-4).validate(op3, cfg)
 
     def test_factory_passes_validation(self, op1):
@@ -186,20 +217,22 @@ class TestValidation:
         spp=st.integers(200, 4096),
     )
     def test_factory_step_divides_the_period(self, all_ops, label, f_m, spp):
-        # The factory's window always passes its own validate: dt divides the
+        # The factory's config always passes its own validate: dt divides the
         # period into at least spp steps, more where 0.1/Gamma_p needs them,
-        # and the window is exactly one period.
+        # and t_end is exactly one period.
         op = all_ops[label]
         cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * f_m)
         icfg = IntegrationConfig.for_steady_state(op, cfg, samples_per_period=spp)
-        n_steps, period_steps = icfg.validate(op, cfg)
-        assert n_steps == period_steps
+        assert icfg.t_end == TWO_PI / cfg.omega_m
+        assert icfg.validate(op, cfg) >= spp
         assert icfg.dt <= TWO_PI / cfg.omega_m / spp
 
     @pytest.mark.parametrize("steps", [512.5, 512 * (1 + 1e-12)])
     def test_step_must_divide_the_period(self, op2, steps):
-        # The stepper reuses one period's RK4 maps for every period, so a dt
-        # that misses the period, even by 1e-12, would drift the drive phase.
+        # The stepper forms one period's RK4 maps and starts on their orbit,
+        # so a dt that misses the period, even by 1e-12, would drift the
+        # drive phase.  dt is checked before t_end, which is not the period
+        # here either.
         cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 100e6)
         period = TWO_PI / cfg.omega_m
         icfg = IntegrationConfig(dt=period / steps, t_end=20 * period)
@@ -210,100 +243,83 @@ class TestValidation:
             integrate_full(op2, cfg, icfg)
 
     @pytest.mark.parametrize("t_end_steps", [0.0, 0.4, -1.0])
-    def test_window_without_samples_rejected(self, op2, t_end_steps):
-        # The window keeps t = i*dt, i < round(t_end/dt): here no sample, which
-        # would give an empty trace with a NaN demod_freq.  0.6 steps keep one.
+    def test_window_without_samples_rejected(self, op2, t_end_steps, monkeypatch):
+        # A t_end that would keep no sample, which would give an empty trace
+        # with a NaN demod_freq, is not one period: it is refused as such.
         cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 10e6)
         dt = (TWO_PI / cfg.omega_m) / 512
-        icfg = IntegrationConfig(dt=dt, t_end=t_end_steps * dt)
-        match = r"t_end=.* over dt=.* is not a finite step count from 1 to 33554432"
-        for integrate in (integrate_reduced, integrate_full):
-            with pytest.raises(StepSizeError, match=match):
-                integrate(op2, cfg, icfg)
-            assert integrate(op2, cfg, IntegrationConfig(dt=dt, t_end=0.6 * dt)).t.size == 1
+        _assert_not_one_period(op2, cfg, IntegrationConfig(dt=dt, t_end=t_end_steps * dt),
+                               monkeypatch)
 
     @pytest.mark.parametrize("field,value", [("t_end", math.nan), ("t_end", math.inf)])
-    def test_non_finite_window_rejected(self, op2, field, value):
-        # A non-finite t_end failed inside round().
+    def test_non_finite_window_rejected(self, op2, field, value, monkeypatch):
+        # A non-finite t_end is not within any ulps of the period; NaN fails
+        # every comparison, so the check is written to refuse it too.
         cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 100e6)
         icfg = dataclasses.replace(IntegrationConfig.for_steady_state(op2, cfg), **{field: value})
-        match = rf"{field}={value} is not finite"
-        with pytest.raises(StepSizeError, match=match):
-            integrate_reduced(op2, cfg, icfg)
-        with pytest.raises(StepSizeError, match=match):
-            integrate_full(op2, cfg, icfg)
+        _assert_not_one_period(op2, cfg, icfg, monkeypatch)
 
-    def test_step_count_overflow_rejected(self, op2):
-        # t_end/dt overflows to inf here, which the last-sample check cannot
-        # round: it is refused first, as a step size error.
+    def test_step_count_overflow_rejected(self, op2, monkeypatch):
+        # t_end/dt overflows to inf here; t_end is compared with the period,
+        # never divided by dt, so it is refused as not one period.
         cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 100e6)
         icfg = dataclasses.replace(IntegrationConfig.for_steady_state(op2, cfg), t_end=1e300)
         assert math.isinf(icfg.t_end / icfg.dt)
-        match = r"t_end=1\.000000e\+300 over dt=.* is not a finite step count"
-        with pytest.raises(StepSizeError, match=match):
-            icfg.validate(op2, cfg)
-        for integrate in (integrate_reduced, integrate_full):
-            with pytest.raises(StepSizeError, match=match):
-                integrate(op2, cfg, icfg)
+        _assert_not_one_period(op2, cfg, icfg, monkeypatch)
 
-    def test_step_count_cap(self, op2):
-        # 1e250 s is a finite step count that numpy could not allocate: it is
-        # refused by validate, naming t_end, dt and the cap, before any array
-        # is formed.  Exactly 2**25 steps pass validate (which allocates
-        # nothing); one more step does not.
+    @pytest.mark.parametrize("t_end", ["two periods", "half a period", "one step more"])
+    def test_t_end_must_be_one_period(self, op2, t_end, monkeypatch):
+        # An integration returns exactly one modulation period, so any other
+        # t_end is refused, whole periods and a single extra step included.
+        # 0, NaN, inf and 1e300 are refused by the three tests above.
         cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 100e6)
         icfg = IntegrationConfig.for_steady_state(op2, cfg)
-        match = r"t_end=1\.000000e\+250 over dt=.* is not a finite step count from 1 to 33554432"
-        absurd = dataclasses.replace(icfg, t_end=1e250)
-        with pytest.raises(StepSizeError, match=match):
-            absurd.validate(op2, cfg)
-        for integrate in (integrate_reduced, integrate_full):
-            with pytest.raises(StepSizeError, match=match):
-                integrate(op2, cfg, absurd)
-        n_steps, _ = dataclasses.replace(icfg, t_end=2**25 * icfg.dt).validate(op2, cfg)
-        assert n_steps == 2**25
-        with pytest.raises(StepSizeError, match="from 1 to 33554432"):
-            dataclasses.replace(icfg, t_end=(2**25 + 1) * icfg.dt).validate(op2, cfg)
+        period, dt = icfg.t_end, icfg.dt
+        value = {"two periods": 2 * period, "half a period": period / 2,
+                 "one step more": period + dt}[t_end]
+        _assert_not_one_period(op2, cfg, dataclasses.replace(icfg, t_end=value), monkeypatch)
 
     def test_period_step_cap(self, op1):
-        # At OP1, f_m = 1 kHz and dt = period/2**26 the run is short, 30/Gamma_p
-        # or 28,609 steps, but one period's maps would take some 16 arrays of
-        # 2**26 floats, 8 GiB: validate refuses that dt, naming it, the period
-        # and the cap, before any array is formed.  2**21 steps to the period,
-        # the cap, pass validate (which allocates nothing).
+        # At OP1, f_m = 1 kHz and dt = period/2**26 one period's maps would
+        # take some 16 arrays of 2**26 floats, 8 GiB: validate refuses that
+        # dt, naming it, the period and the cap, before any array is formed.
+        # 2**21 steps to the period, the cap, pass validate (which allocates
+        # nothing).
         cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 1e3)
         period = TWO_PI / cfg.omega_m
-        icfg = IntegrationConfig(dt=period / 2**26, t_end=30.0 / op1.gamma_p)
+        icfg = IntegrationConfig(dt=period / 2**26, t_end=period)
         match = (r"dt=1\.490116e-11 takes 67108864 steps to the modulation period "
                  r"1\.000000e-03, more than the 2097152 \(2\*\*21\)")
         with pytest.raises(StepSizeError, match=match):
             icfg.validate(op1, cfg)
-        assert IntegrationConfig(dt=period / 2**21, t_end=icfg.t_end).validate(op1, cfg) == (
-            round(icfg.t_end / (period / 2**21)), 2**21)
+        assert IntegrationConfig(dt=period / 2**21, t_end=period).validate(op1, cfg) == 2**21
 
     @pytest.mark.parametrize("label", ["OP1", "OP2", "OP3"])
     @pytest.mark.parametrize("f_m", [10e6, 40e6, 100e6, 160e6])
     @pytest.mark.parametrize("extra_steps", [0, 1, 255, 511, 1000])
     def test_plan_is_the_window_definition(self, all_ops, label, f_m, extra_steps):
-        # validate's plan is n_steps = round(t_end/dt) and period_steps =
-        # round(period/dt), for a t_end of extra_steps whole steps past one
-        # period, 1 ulp either side of it and 0.4*dt either side, which all
-        # round to the same count; the trace's t is exactly t = i*dt,
-        # i < n_steps.
+        # The window is one period: validate returns period_steps =
+        # round(period/dt) for t_end = period and 1 ulp either side of it,
+        # and both traces' t is exactly t = i*dt, i < period_steps.  A t_end
+        # of extra_steps > 0 whole steps past the period, or 0.4*dt either
+        # side of that, is refused, naming t_end and the period.
         op = all_ops[label]
         cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * f_m)
         base = IntegrationConfig.for_steady_state(op, cfg)
-        dt = base.dt
-        period_steps = round(TWO_PI / cfg.omega_m / dt)
-        n_steps = period_steps + extra_steps
-        on_step = n_steps * dt
-        for t_end in (on_step, math.nextafter(on_step, 0.0), math.nextafter(on_step, math.inf),
-                      on_step - 0.4 * dt, on_step + 0.4 * dt):
-            plan = dataclasses.replace(base, t_end=t_end).validate(op, cfg)
-            assert plan == (n_steps, period_steps), (t_end / dt, plan)
-        if label == "OP2":
-            t = integrate_reduced(op, cfg, dataclasses.replace(base, t_end=on_step - 0.4 * dt)).t
-            assert np.array_equal(t, np.arange(n_steps) * dt)
+        period, dt = TWO_PI / cfg.omega_m, base.dt
+        period_steps = round(period / dt)
+        if extra_steps == 0:
+            for t_end in (period, math.nextafter(period, 0.0), math.nextafter(period, math.inf)):
+                icfg = dataclasses.replace(base, t_end=t_end)
+                assert icfg.validate(op, cfg) == period_steps, t_end / dt
+                for integrate in (integrate_reduced, integrate_full):
+                    assert np.array_equal(integrate(op, cfg, icfg).t,
+                                          np.arange(period_steps) * dt)
+            return
+        on_step = (period_steps + extra_steps) * dt
+        for t_end in (on_step, on_step - 0.4 * dt, on_step + 0.4 * dt):
+            with pytest.raises(StepSizeError, match="is not the modulation period"):
+                dataclasses.replace(base, t_end=t_end).validate(op, cfg)
 
 
 class TestSteadyState:
@@ -337,21 +353,25 @@ class TestSteadyState:
         # The trace starts on the orbit: the scalar loop stepped one period
         # from its first state retraces it and returns to that state.
         cfg, trace = _steady_solution(op2, 0.05, 100e6)
-        h, n_steps, _ = _steps(cfg, IntegrationConfig.for_steady_state(op2, cfg))
-        dp = _scalar_rk4(_reduced_rate(op2, cfg), trace.delta_p[0], 0.0, 0.0, h, n_steps)[0]
+        h, period_steps = _steps(cfg, IntegrationConfig.for_steady_state(op2, cfg))
+        dp = _scalar_rk4(_reduced_rate(op2, cfg), trace.delta_p[0], 0.0, 0.0, h, period_steps)[0]
         assert np.max(np.abs(dp[:-1] - trace.delta_p)) < 1e-9
         assert abs(dp[-1] - dp[0]) < 1e-9
 
     def test_phase_periodicity(self, op2):
         # After removing the demodulation ramp the phase repeats each period
-        # of an 8-period window up to a common offset.
-        cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 100e6)
-        period = TWO_PI / cfg.omega_m
-        trace = integrate_reduced(op2, cfg, IntegrationConfig(dt=period / 512, t_end=8 * period))
-        per = trace.phi.reshape(-1, 512)
-        assert per.shape[0] == 8
+        # up to a common offset, so the one-period trace tiled is the phase
+        # of a longer run too: the scalar loop stepped over 8 periods from
+        # the trace's first state, demodulated at the trace's demod_freq,
+        # repeats the trace's phase in each period.
+        cfg, trace = _steady_solution(op2, 0.05, 100e6)
+        h, period_steps = _steps(cfg, IntegrationConfig.for_steady_state(op2, cfg))
+        steps = 8 * period_steps
+        phi = _scalar_rk4(_reduced_rate(op2, cfg), trace.delta_p[0], op2.omega_sto,
+                          2.0 * op2.nu * op2.gamma_p, h, steps)[1][:-1]
+        per = (phi - trace.demod_freq * np.arange(steps) * h).reshape(8, period_steps)
         per = per - per.mean(axis=1, keepdims=True)
-        assert np.max(np.abs(per - per[0])) < 1e-8
+        assert np.max(np.abs(per - (trace.phi - trace.phi.mean()))) < 1e-8
 
     def test_free_decay_rate(self, all_ops):
         # mu = 0: dp relaxes as exp(-2 Gamma_p t), so the period map's gain G
@@ -363,7 +383,7 @@ class TestSteadyState:
         cfg = ModulationConfig(mu=0.0, omega_m=TWO_PI * 100e6)
         for op in all_ops.values():
             icfg = IntegrationConfig.for_steady_state(op, cfg)
-            h, _, period_steps = _steps(cfg, icfg)
+            h, period_steps = _steps(cfg, icfg)
             coeffs, _ = _reduced_model(op, cfg)
             _, gain, _ = oracle._period_maps(coeffs, h, period_steps)
             z = 2.0 * op.gamma_p * h
@@ -387,7 +407,7 @@ class TestSteadyState:
         )
 
         def err(spp):
-            # The window starts at t = 0, so the synthesized model aligns
+            # The trace starts at t = 0, so the synthesized model aligns
             # sample-for-sample.
             cfg, trace = _steady_solution(op2, 0.05, 100e6, n_harmonics=15, spp=spp)
             model = synthesize_time_trace(ref, samples_per_period=spp, n_periods=8)
@@ -409,13 +429,13 @@ class TestSteadyState:
             cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * f_m)
             icfg = IntegrationConfig.for_steady_state(op, cfg)
             trace = integrate_reduced(op, cfg, icfg)
-            h, n_steps, period_steps = _steps(cfg, icfg)
+            h, period_steps = _steps(cfg, icfg)
             periods = math.ceil(40.0 / op.gamma_p / (period_steps * h))
             dpdot = _reduced_rate(op, cfg)
             settled = _scalar_rk4(dpdot, 0.0, 0.0, 0.0, h, periods * period_steps)[0][-1]
             dp, phi = _scalar_rk4(dpdot, settled, op.omega_sto, 2.0 * op.nu * op.gamma_p,
-                                  h, n_steps)
-            dp, phi = dp[:n_steps], phi[:n_steps]
+                                  h, period_steps)
+            dp, phi = dp[:-1], phi[:-1]
             demod = op.omega_sto + 2.0 * op.nu * op.gamma_p * float(dp.mean())
             assert _rel(trace.delta_p, dp) <= 1e-12, f_m
             assert _rel(_raw_phase(trace), phi) <= 1e-12, f_m
@@ -431,7 +451,7 @@ class TestSteadyState:
             for mu in (0.005, 0.05):
                 cfg = ModulationConfig(mu=mu, omega_m=TWO_PI * f_m)
                 icfg = IntegrationConfig.for_steady_state(op, cfg)
-                h, _, period_steps = _steps(cfg, icfg)
+                h, period_steps = _steps(cfg, icfg)
                 _, gain, offset = oracle._period_maps(_reduced_model(op, cfg)[0], h, period_steps)
                 g, o = gain[-1], offset[-1]
                 y_star = integrate_reduced(op, cfg, icfg).delta_p[0]
@@ -467,21 +487,6 @@ class TestFullModel:
                 assert rel <= 3.0 * amp, (f_m, mu, rel / amp)
 
 
-# Windows of t = i*dt, i < round(t_end/dt), at 10 MHz and 512 steps per
-# period: whole periods, a partial last period, one shorter than a period, a
-# t_end 0.45 steps short of whole periods, which round() plans as those
-# periods, and one cut off in the second period.
-_WINDOWS = {"whole": 3 * 512, "partial": 3 * 512 + 100, "short": 400,
-            "half-step-cut": 3 * 512 - 0.45, "second-period-cut": 512 + 256}
-
-
-def _window(steps):
-    """The 10 MHz config and the window of `steps` steps of _WINDOWS."""
-    cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 10e6)
-    dt = (TWO_PI / cfg.omega_m) / 512
-    return cfg, IntegrationConfig(dt=dt, t_end=steps * dt)
-
-
 class TestStepper:
     """The period-vectorised affine stepper against the scalar RK4 loop.
 
@@ -513,37 +518,32 @@ class TestStepper:
             assert _rel(trace.delta_p, dp) <= 1e-8, f_m
             assert _rel(_raw_phase(trace), phi) <= 1e-8, f_m
 
-    @pytest.mark.parametrize("window", ["whole", "partial", "short", "half-step-cut"])
-    def test_runs_match_scalar_loop(self, op2, window):
-        # The stepper expands one period and repeats it, and cuts the trace
-        # back to n_steps; the scalar loops step every sample from their own
-        # orbit start.  The unreduced model keeps
-        # test_full_matches_p_form_loop's 1e-8 (measured 2.6e-9 here).
-        cfg, icfg = _window(_WINDOWS[window])
-        n_steps = round(_WINDOWS[window])
+    def test_runs_match_scalar_loop(self, op2):
+        # At 10 MHz and 512 steps per period, the stepper expands one period;
+        # the scalar loops step every sample from their own orbit start.  The
+        # unreduced model keeps test_full_matches_p_form_loop's 1e-8.
+        cfg = ModulationConfig(mu=0.05, omega_m=TWO_PI * 10e6)
+        icfg = IntegrationConfig.for_steady_state(op2, cfg, samples_per_period=512)
         params = make_device(OP_XIS["OP2"])
         for trace, (dp, phi), tol in (
             (integrate_reduced(op2, cfg, icfg), _scalar_reduced(op2, cfg, icfg), 1e-12),
             (integrate_full(op2, cfg, icfg), _scalar_full(params, cfg, icfg), 1e-8),
         ):
-            assert np.array_equal(trace.t, np.arange(n_steps) * icfg.dt)
-            assert dp.size == n_steps
+            assert np.array_equal(trace.t, np.arange(512) * icfg.dt)
+            assert dp.size == 512
             assert _rel(trace.delta_p, dp) <= tol
             assert _rel(_raw_phase(trace), phi) <= tol
 
 
-def _reference_rk4(coeffs, h, n_steps, period_steps, phase_rate):
+def _reference_rk4(coeffs, h, period_steps, phase_rate):
     """_rk4 before its phase sum dropped the passes that multiply by 1, add 0
-    or zero-fill: all four stages go through one loop, over every period,
-    each started from the one before by a second scan of the period map
-    from y* = O/(1 - G), with G and O read from its own prefix maps.  Kept
-    as the differential reference."""
-    periods = -(-n_steps // period_steps)
-    y = np.empty(periods * period_steps + 1)
-    phi = np.zeros_like(y)
-    # Row k: the states y_i and the phase steps phi_{i+1} - phi_i of period k.
-    y_i = y[:-1].reshape(periods, period_steps)
-    dphi = phi[1:].reshape(periods, period_steps)
+    or zero-fill: all four stages go through one loop over the period from
+    y* = O/(1 - G), with G and O read from its own prefix maps.  Kept as the
+    differential reference."""
+    y = np.empty(period_steps)
+    phi = np.zeros(period_steps + 1)
+    # The phase steps phi_{i+1} - phi_i of the states y_i.
+    dphi = phi[1:]
     half, sixth = 0.5 * h, h / 6.0
     # A blow-up is reported below as one NumericalError, not as numpy warnings.
     with np.errstate(all="ignore"):
@@ -561,19 +561,16 @@ def _reference_rk4(coeffs, h, n_steps, period_steps, phase_rate):
         gain = np.cumprod(m)
         offset = oracle._affine_scan(m, n)
         y[0] = offset[-1] / (1.0 - gain[-1])
-        ends = np.full(periods, offset[-1])
-        ends[0] += gain[-1] * y[0]
-        y[period_steps::period_steps] = oracle._affine_scan(np.full(periods, gain[-1]), ends)
-        np.multiply.outer(y_i[:, 0], gain[:-1], out=y_i[:, 1:])
-        y_i[:, 1:] += offset[:-1]
-        stage = np.empty_like(y_i)
+        np.multiply(y[0], gain[:-1], out=y[1:])
+        y[1:] += offset[:-1]
+        stage = np.empty_like(y)
         for c, d, weight in ((0.0, 1.0, 1.0), (c2, d2, 2.0), (c3, d3, 2.0), (c4, d4, 1.0)):
-            np.multiply(d, y_i, out=stage)
+            np.multiply(d, y, out=stage)
             stage += c
             dphi += np.multiply(phase_rate(stage), weight, out=stage)
         dphi *= sixth
         np.cumsum(phi, out=phi)
-    y, phi = y[:n_steps], phi[:n_steps]
+    phi = phi[:-1]
     if not (np.isfinite(y).all() and np.isfinite(phi).all()):
         raise NumericalError("RK4 trace is not finite")
     return y, phi
@@ -639,20 +636,20 @@ def _assert_matches(trace, dp, phi, icfg):
     rounding of the running sums.
 
     Both phases are running sums of positive steps (omega_sto or omega_o
-    dominates the rate), of up to n = n_steps steps from 0.  A running sum
+    dominates the rate), of up to n = period_steps steps from 0.  A running sum
     of n terms rounds by at most (n - 1)*eps/2 times their sum, and each
     step's own few roundings add at most 5*eps/2 of it; an affine phase
     step's products and sums are no worse.  So each sum lies within
     (n + 4)*eps/2*M of the exact one, M = max|phi|, and re-adding the
     demodulation ramp to the trace's phase rounds twice: (2*n + 10)*eps/2*M
     in all, below 2*(n + 6)*eps*M.  Measured against the reference: at most
-    2.9e-16*M for integrate_reduced over the 60 oracle-validate windows of
+    2.9e-16*M for integrate_reduced over the 60 oracle-validate cases of
     seeds 101 and 303, and 0 for integrate_full over OP1-3 x f_m in
     {10, 40, 160, 400} MHz x mu in {0.005, 0.05, 0.2}; against the
     stage-wise step, 1.8e-16*M.
     """
     assert trace.delta_p.tobytes() == dp.tobytes()
-    bound = 2 * (round(icfg.t_end / icfg.dt) + 6) * np.finfo(float).eps * np.abs(phi).max()
+    bound = 2 * (phi.size + 6) * np.finfo(float).eps * np.abs(phi).max()
     assert np.abs(_raw_phase(trace) - phi).max() <= bound
 
 
@@ -681,23 +678,15 @@ class TestAffinePhase:
     @pytest.mark.parametrize("f_m", [40e6, 160e6])
     @pytest.mark.parametrize("label", ["OP1", "OP2", "OP3"])
     def test_steady_state_windows(self, all_ops, label, f_m, mu):
-        # The factory's one-period window.
+        # The factory's one period, whose phase is exactly 0 at t = 0 for
+        # both integrators.
         op = all_ops[label]
         cfg = ModulationConfig(mu=mu, omega_m=TWO_PI * f_m)
         icfg = IntegrationConfig.for_steady_state(op, cfg)
-        _assert_matches(integrate_reduced(op, cfg, icfg), *_stage_wise_reduced(op, cfg, icfg), icfg)
-
-    @pytest.mark.parametrize("window", list(_WINDOWS))
-    def test_cut_windows(self, op2, window):
-        # Windows cut off at t_end anywhere in a period, after repeated
-        # periods or inside the first: the phase is summed over the
-        # repeated period's steps and is exactly 0 at t = 0 for both
-        # integrators.
-        cfg, icfg = _window(_WINDOWS[window])
-        reduced = integrate_reduced(op2, cfg, icfg)
-        _assert_matches(reduced, *_stage_wise_reduced(op2, cfg, icfg), icfg)
+        reduced = integrate_reduced(op, cfg, icfg)
+        _assert_matches(reduced, *_stage_wise_reduced(op, cfg, icfg), icfg)
         assert reduced.phi[0] == 0.0
-        assert integrate_full(op2, cfg, icfg).phi[0] == 0.0
+        assert integrate_full(op, cfg, icfg).phi[0] == 0.0
 
 
 def _sequential(m, n, y0):
@@ -771,7 +760,7 @@ class TestAffineScan:
     def test_non_finite_step_raises(self, bad, term):
         # A non-finite a(t) spoils n_i; a non-finite b(t) spoils m_i too.  The
         # spike does not repeat, so its period is the whole run.
-        h, n_steps = 1e-3, 3000
+        h, period_steps = 1e-3, 3000
         t_bad = 1500 * h
 
         def coeffs(t):
@@ -785,7 +774,7 @@ class TestAffineScan:
         # A spike in b makes the period gain G non-finite; one in a, the
         # offset O and so the orbit start.
         with pytest.raises(NumericalError, match="not finite"):
-            oracle._rk4(coeffs, h, n_steps, n_steps, phase_step)
+            oracle._rk4(coeffs, h, period_steps, phase_step)
 
 
 class TestGuards:
@@ -812,7 +801,7 @@ class TestGuards:
             return rows
 
         with pytest.raises(NumericalError, match=r"G=20\.0855 is not finite or has \|G\| >= 1"):
-            oracle._rk4(coeffs, 1e-3, 3000, 3000, phase_step)
+            oracle._rk4(coeffs, 1e-3, 3000, phase_step)
 
     def test_full_non_finite_trace_raises(self, op2):
         with warnings.catch_warnings():
@@ -827,7 +816,7 @@ class TestGuards:
     @pytest.mark.parametrize("integrate", ["reduced", "full"])
     def test_each_integration_warns_once_per_rule(self, op2, integrate):
         # At mu = 1 and omega_m above a tenth of the carrier both validity
-        # warnings fire, once each per integration; a window that validate
+        # warnings fire, once each per integration; a config that validate
         # refuses evaluates nothing, so it warns about nothing.
         cfg = ModulationConfig(mu=1.0, omega_m=0.2 * op2.omega_sto)
         icfg = IntegrationConfig.for_steady_state(op2, cfg)
@@ -904,9 +893,9 @@ class TestProjection:
 
     @pytest.mark.parametrize("label", ["OP1", "OP2", "OP3"])
     def test_fft_lines_match_per_bin_read_out(self, all_ops, label):
-        # A one-period synthesis has nothing to fold: its lines equal the
-        # per-bin read-out of the full FFT bit for bit.  The 8-period RK4
-        # trace is folded first.  Each folded sample sums n_per values in
+        # A one-period trace, synthesized or integrated, has nothing to fold:
+        # its lines equal the per-bin read-out of the full FFT bit for bit.
+        # The RK4 trace tiled over 8 periods is folded first.  Each folded sample sums n_per values in
         # turn, off by at most (n_per - 1)*eps/2 * n_per*max|v|; the m-point
         # DFT and the division by n_per*m leave at most (n_per - 1)*eps/2 *
         # max|v| on a line.  The two FFTs' own round-off, about

@@ -727,9 +727,9 @@ class TestDerivedFigures:
         assert abs(sol.a0) + np.abs(sol.x).sum() >= 1.0
         if negative:
             with pytest.raises(NumericalError, match="negative power: min dp = -1.9"):
-                _refuse_large_dp(sol)
+                _refuse_large_dp(sol, "solver.n_harmonics")
         else:
-            _refuse_large_dp(sol)
+            _refuse_large_dp(sol, "solver.n_harmonics")
 
     @pytest.mark.parametrize("xi, mu, f_m, n_h, min_dp", [
         (1.01, 0.3, 1e5, 10, "-0.683335"), (1.8, 0.95, 2e6, 1, "-0.538304"),
@@ -747,7 +747,7 @@ class TestDerivedFigures:
             sol = solve_coefficients_matrix(op, ModulationConfig(mu, TWO_PI * f_m, n_h))
         with pytest.raises(NumericalError, match=rf"min dp = {re.escape(min_dp)} is not above "
                                                  r"-0\.5.*solver\.n_harmonics"):
-            _refuse_large_dp(sol)
+            _refuse_large_dp(sol, "solver.n_harmonics")
 
     def test_dp_sampler_matches_two_row_reference_bit_for_bit(self, monkeypatch, all_ops, op1):
         # dp alone is transformed as it was beside phi: the instantaneous
@@ -774,13 +774,17 @@ class TestDerivedFigures:
             sols += [solve_coefficients_matrix(op1, ModulationConfig(mu=mu, omega_m=TWO_PI * 1e6))
                      for mu in (0.3, 0.9)]
         refused = 0
+
+        def refuse(sol):
+            return _refuse_large_dp(sol, "solver.n_harmonics")
+
         for sol in sols:
             got = _outcome(lambda s: peak_frequency_deviation(s, "instantaneous"), sol)
             assert got == _outcome(_reference_instantaneous, sol)
-            refusal = _outcome(_refuse_large_dp, sol)
+            refusal = _outcome(refuse, sol)
             with monkeypatch.context() as patch:
                 patch.setattr(spectrum, "_dp_extremes", _reference_dp_extremes)
-                assert refusal == _outcome(_refuse_large_dp, sol)
+                assert refusal == _outcome(refuse, sol)
             refused += isinstance(got[0], tuple)
         assert len(sols) > 150
         assert refused > 2  # the two fixed cases and random ones

@@ -32,7 +32,8 @@ RUN_CLI = "import sys; from stomod.cli import main; main(sys.argv[1:])"
 # steady state runs away to max dp = 55.9 (OP1 at 1 MHz), refused as outside
 # the reduced model, and a truncated bandwidth row near threshold (xi = 1.01,
 # 100 kHz, mu = 0.3) that dips to min dp = -0.683, below the -1/2 that a
-# steady state at mu < 1 keeps above.
+# steady state at mu < 1 keeps above, and the same row as an error-analysis
+# reference, whose refusal names error-analysis.n_ref.
 # The two beta_1 back-solves at OP1, 1 MHz end in a fall of beta_1(mu) and in
 # a row whose kept solution fails the residual check.  An operating-point
 # label with a comma, which a CSV row cannot hold, is a config error.  A nu
@@ -69,6 +70,12 @@ CASES = {
                       "--set", "psd-map.beta1_grid=3e4"),
     "truncated-half": ("bandwidth", "--set", "operating-points.OP1=1.01", "--op-label", "OP1",
                        "--set", "bandwidth.mu=0.3", "--set", "bandwidth.f_m_grid_hz=1e5"),
+    "truncated-reference": ("error-analysis", "--set", "operating-points.OP1=1.01",
+                            "--op-label", "OP1", "--set", "error-analysis.mu=0.3",
+                            "--set", "error-analysis.f_m_grid_hz=1e5",
+                            "--set", "error-analysis.n_values=5", "--set", "error-analysis.n_ref=10",
+                            "--set", "error-analysis.recursive_beta1_grid=0.5",
+                            "--set", "error-analysis.recursive_n_values=5"),
     "unreachable-beta1": ("error-analysis",
                           "--set", "error-analysis.recursive_beta1_grid=0.5,1e9"),
     "falling-beta1": ("error-analysis", "--op-label", "OP1",
