@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cli_cases
 import stomod
 from stomod import fourier, spectrum, sweeps
 from stomod.cli import COMMANDS, _table_func, main
@@ -58,6 +59,7 @@ def invoke(argv):
     return SimpleNamespace(
         exit_code=code,
         output=stdout.getvalue() + stderr.getvalue(),
+        stdout=stdout.getvalue(),
         stderr=stderr.getvalue(),
         exception=exception,
     )
@@ -745,42 +747,65 @@ def test_runaway_steady_state_exits_3_naming_its_row(tmp_path, f_m, beta1, max_d
 def test_truncated_steady_state_below_half_exits_3_naming_its_row(tmp_path):
     # Near threshold at slow modulation the N = 10 row dips to min dp = -0.683.
     # At mu < 1 a steady state stays above -1/2, where d(dp)/dt = Gamma_p*(1 +
-    # mu*cos(w_m t)) > 0, so the row is a truncation artifact: it is refused
-    # though 1 + dp > 0.
+    # mu*cos(w_m t)) > 0, so the row is refused though 1 + dp > 0.  It swings
+    # by e^630 over one arc of the period, which no truncation order holds.
     sets = ["operating-points.OP1=1.01", "bandwidth.mu=0.3", "bandwidth.f_m_grid_hz=1e5"]
     args = [arg for key in sets for arg in ("--set", key)]
     result, out = run_cli(["bandwidth", "--op-label", "OP1", *args], tmp_path)
     assert result.exit_code == 3, result.output
     assert result.stderr.startswith(
         "numerical error: OP1 at f_m = 100000 Hz: min dp = -0.683335 is not above -0.5")
-    assert "solver.n_harmonics" in result.stderr.splitlines()[0]
+    assert result.stderr.splitlines()[0].endswith("raising solver.n_harmonics does not help")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sets, row, key", [
+@pytest.mark.parametrize("sets, row, cause", [
     (["error-analysis.mu=0.3", "error-analysis.f_m_grid_hz=1e5", "error-analysis.n_values=5",
       "error-analysis.n_ref=10", "error-analysis.recursive_beta1_grid=0.5",
       "error-analysis.recursive_n_values=5"],
-     "OP1 at f_m = 100000 Hz, n = 10: min dp = -0.683335", "error-analysis.n_ref"),
+     "OP1 at f_m = 100000 Hz, n = 10: min dp = -0.683335",
+     "raising error-analysis.n_ref does not help"),
     (["error-analysis.recursive_f_m_hz=5e6", "error-analysis.recursive_beta1_grid=20",
       "error-analysis.recursive_n_values=1"],
-     "OP1 at beta1 = 20, n = 1: min dp = -0.672006", "error-analysis.recursive_n_values"),
+     "OP1 at beta1 = 20, n = 1: min dp = -0.672006",
+     "a truncation artifact (error-analysis.recursive_n_values)"),
 ], ids=["reference", "method-pair"])
-def test_truncated_row_refusal_names_its_order_key(tmp_path, sets, row, key):
+def test_truncated_row_refusal_names_its_order_key(tmp_path, sets, row, cause):
     # The -1/2 refusal names the config key that sets the refused row's
     # order, not solver.n_harmonics: error-analysis.n_ref for the order-n_ref
     # reference row (xi = 1.01, 100 kHz, mu = 0.3, N = 10), and
     # error-analysis.recursive_n_values for the matrix row of a method pair
     # (xi = 1.01, 5 MHz, beta1 = 20 back-solved at N = 10, solved at N = 1).
+    # Only the second, swinging by e^1.6 and not e^630, is a truncation artifact.
     args = [arg for key_value in ["operating-points.OP1=1.01", *sets]
             for arg in ("--set", key_value)]
     result, out = run_cli(["error-analysis", "--op-label", "OP1", *args], tmp_path)
     assert result.exit_code == 3, result.output
     first = result.stderr.splitlines()[0]
     assert first.startswith(f"numerical error: {row} is not above -0.5"), first
-    assert first.endswith(f"a truncation artifact ({key})"), first
+    assert first.endswith(cause), first
     assert "solver.n_harmonics" not in result.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", cli_cases.CASES.values(), ids=list(cli_cases.CASES))
+def test_listed_case_ends_as_listed(tmp_path, case):
+    # Each case of tools/cli_cases.py in-process; CI runs them on the installed stomod.
+    result, out = run_cli(case.argv.split(), tmp_path)
+    assert not cli_cases.check(case, result.exit_code, result.stdout, result.stderr, out)
+
+
+@pytest.mark.parametrize("code, status, report", [(0, 1, "exit 0, not 3"), (3, 0, "ok")],
+                         ids=["wrong-exit", "as-listed"])
+def test_case_runner_checks_the_stomod_on_path(tmp_path, monkeypatch, capsys, code, status, report):
+    # A stomod on PATH that writes nothing and exits with code, for one exit-3 case.
+    fake = tmp_path / "stomod"
+    fake.write_text(f"#!/bin/sh\nexit {code}\n")
+    fake.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
+    monkeypatch.setattr(cli_cases, "CASES", {"runaway-beta1": cli_cases.CASES["runaway-beta1"]})
+    assert cli_cases.main() == status
+    assert capsys.readouterr().out.splitlines() == [f"stomod: {fake}", f"runaway-beta1: {report}"]
 
 
 @pytest.mark.parametrize("grid, error", [

@@ -1,12 +1,6 @@
 """tools/code_lines.py: code lines by tokenize, without comments, blank lines or docstrings."""
 
-import importlib.util
-from pathlib import Path
-
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
-_spec = importlib.util.spec_from_file_location("code_lines", _PATH)
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+import code_lines
 
 SOURCE = '''"""A module docstring
 on two lines."""

@@ -1,14 +1,8 @@
 """tools/compare_tables.py: the table-by-table report of two checkouts."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_tables.py"
-_spec = importlib.util.spec_from_file_location("compare_tables", _PATH)
-compare_tables = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(compare_tables)
+import compare_tables
 
 TABLE = "# stomod-version: 0.1.0\n# command: psd-map\na,b\n1,2\n3,4\n5,6\n"
 
@@ -94,9 +88,10 @@ def test_cases_report_exit_and_stderr_without_failing_the_run(tmp_path, monkeypa
                                 *(f"case {name}: {reports[name]}" for name in names)]
 
 
-def test_a_failing_command_fails_the_run(tmp_path, capsys):
+def test_a_failing_command_fails_the_run(tmp_path, monkeypatch, capsys):
     # The base's stomod has no cli module, so each command exits 1 there; the
     # head has no src/stomod at all.
+    monkeypatch.setattr(compare_tables, "CASES", {})  # only the commands set the status
     (tmp_path / "base" / "src" / "stomod").mkdir(parents=True)
     (tmp_path / "base" / "src" / "stomod" / "__init__.py").write_text("")
     assert compare_tables.main([str(tmp_path / "base"), str(tmp_path / "head")]) == 1

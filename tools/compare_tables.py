@@ -6,11 +6,11 @@
 Runs each of the five CLI commands with the default config in each checkout
 (its own src/ on PYTHONPATH) and prints, for every table, "identical" or how
 many data rows differ, then, for every command, whether its stderr (the
-warning lines and their counts) is identical.  Then it runs a fixed list of
-error and warning cases (CASES) on both sides and prints each case's exit
-code and whether its stderr is identical.  It only reports: the exit status
-is 1 if one of the five default commands fails on either side, and 0
-otherwise, whatever the tables, warnings and cases hold.
+warning lines and their counts) is identical.  Then it runs the arguments
+of each error and warning case of tools/cli_cases.py on both sides and
+prints each case's exit code and whether its stderr is identical.  It only
+reports: the exit status is 1 if one of the five default commands fails on
+either side, and 0 otherwise, whatever the tables, warnings and cases hold.
 """
 
 from __future__ import annotations
@@ -21,77 +21,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-COMMANDS = ("operating-point", "psd-map", "asymmetry-map", "bandwidth", "error-analysis")
-RUN_CLI = "import sys; from stomod.cli import main; main(sys.argv[1:])"
+from cli_cases import CASES, TABLES
 
-# Runs that end in an error or a warning, each with --out added: the config
-# errors (exit 2) and numerical errors (exit 3) and the warning runs of the CI
-# install job, plus a bandwidth run at mu = 0.1915 with a row that the bound
-# |A0| + sum|X_n| < 1 does not clear but whose sampled dp does (OP1 at 10 MHz,
-# max dp 0.995), a beta_1 past the peak of beta_1(mu), a beta_1 whose
-# steady state runs away to max dp = 55.9 (OP1 at 1 MHz), refused as outside
-# the reduced model, and a truncated bandwidth row near threshold (xi = 1.01,
-# 100 kHz, mu = 0.3) that dips to min dp = -0.683, below the -1/2 that a
-# steady state at mu < 1 keeps above, and the same row as an error-analysis
-# reference, whose refusal names error-analysis.n_ref.
-# The two beta_1 back-solves at OP1, 1 MHz end in a fall of beta_1(mu) and in
-# a row whose kept solution fails the residual check.  An operating-point
-# label with a comma, which a CSV row cannot hold, is a config error.  A nu
-# that overflows the carrier omega_o + nu*Gamma_p is a numerical error.  A
-# config with two faults, a bad declared key and a below-threshold OP xi,
-# shows which one the read order reports.  At a subnormal f_m the beta_1
-# back-solve's crossing lies below the smallest float, and a mu of 0 is
-# refused.
-CASES = {
-    "deep-spectrum": ("psd-map", "--set", "psd-map.beta1_grid=0.5",
-                      "--set", "spectrum.k_max=1000000000000"),
-    "wide-grid": ("psd-map", "--set", "psd-map.beta1_grid=lin:0:1:1000000000000"),
-    "removed-key": ("psd-map", "--set", "solver.method=matrix"),
-    "unknown-option": ("psd-map", "--format", "json"),
-    "option-before-command": ("--foo", "psd-map"),
-    "subnormal-harmonics": ("psd-map", "--op-label", "OP2", "--set", "psd-map.beta1_grid=1.0",
-                            "--set", "solver.n_harmonics=300", "--set", "spectrum.k_max=600"),
-    "bandwidth-negative-power": ("bandwidth", "--set", "bandwidth.mu=0.9",
-                                 "--set", "bandwidth.f_m_grid_hz=1e6,2e6"),
-    "error-analysis-negative-power": (
-        "error-analysis", "--op-label", "OP1", "--set", "error-analysis.mu=0.9",
-        "--set", "error-analysis.f_m_grid_hz=1e6,2e6", "--set", "error-analysis.n_values=5",
-        "--set", "error-analysis.recursive_beta1_grid=0.5",
-        "--set", "error-analysis.recursive_n_values=5"),
-    "no-fm": ("bandwidth", "--set", "device.nu=0"),
-    "mu-one": ("error-analysis", "--op-label", "OP2", "--set", "error-analysis.mu=1.0",
-               "--set", "error-analysis.f_m_grid_hz=400e6",
-               "--set", "error-analysis.n_values=1,2,3",
-               "--set", "error-analysis.recursive_beta1_grid=0.5",
-               "--set", "error-analysis.recursive_n_values=3"),
-    "bandwidth-bound-not-cleared": ("bandwidth", "--set", "bandwidth.mu=0.1915",
-                                    "--set", "bandwidth.f_m_grid_hz=1e7,1e8,1e9"),
-    "runaway-beta1": ("psd-map", "--op-label", "OP1", "--set", "psd-map.f_m_hz=1e6",
-                      "--set", "psd-map.beta1_grid=3e4"),
-    "truncated-half": ("bandwidth", "--set", "operating-points.OP1=1.01", "--op-label", "OP1",
-                       "--set", "bandwidth.mu=0.3", "--set", "bandwidth.f_m_grid_hz=1e5"),
-    "truncated-reference": ("error-analysis", "--set", "operating-points.OP1=1.01",
-                            "--op-label", "OP1", "--set", "error-analysis.mu=0.3",
-                            "--set", "error-analysis.f_m_grid_hz=1e5",
-                            "--set", "error-analysis.n_values=5", "--set", "error-analysis.n_ref=10",
-                            "--set", "error-analysis.recursive_beta1_grid=0.5",
-                            "--set", "error-analysis.recursive_n_values=5"),
-    "unreachable-beta1": ("error-analysis",
-                          "--set", "error-analysis.recursive_beta1_grid=0.5,1e9"),
-    "falling-beta1": ("error-analysis", "--op-label", "OP1",
-                      "--set", "error-analysis.recursive_f_m_hz=1e6",
-                      "--set", "error-analysis.recursive_beta1_grid=1e6"),
-    "breakdown-beta1": ("psd-map", "--op-label", "OP1", "--set", "psd-map.f_m_hz=1e6",
-                        "--set", "psd-map.beta1_grid=1e9", "--set", "solver.n_harmonics=40",
-                        "--set", "spectrum.k_max=40"),
-    "csv-unsafe-label": ("psd-map", "--set", "operating-points.OP,X=1.5", "--op-label", "OP,X",
-                         "--set", "psd-map.beta1_grid=0.5"),
-    "nu-overflow": ("operating-point", "--set", "device.nu=1e300"),
-    "two-faults": ("psd-map", "--set", "solver.n_harmonics=0",
-                   "--set", "operating-points.OP1=0.5"),
-    "subnormal-f_m": ("psd-map", "--op-label", "OP2", "--set", "psd-map.f_m_hz=1e-320",
-                      "--set", "psd-map.beta1_grid=0.25"),
-}
+COMMANDS = tuple(TABLES)
+RUN_CLI = "import sys; from stomod.cli import main; main(sys.argv[1:])"
 
 
 def run_commands(
@@ -116,8 +49,8 @@ def run_commands(
         if proc.returncode != 0:
             failures.append(f"{checkout}: {command} exited {proc.returncode}\n{proc.stderr}")
     cases = {}
-    for name, args in CASES.items():
-        proc = run(args, out.parent / name)
+    for name, case in CASES.items():
+        proc = run(case.argv.split(), out.parent / name)
         cases[name] = proc.returncode, proc.stderr
     return stderr, cases, failures
 
