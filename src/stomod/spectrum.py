@@ -320,8 +320,7 @@ def _build_spectrum(amps: np.ndarray, k_max: int) -> LineSpectrum:
     powers = np.abs(amps) ** 2
     if not np.isfinite(powers).all():
         raise NumericalError("line spectrum has non-finite powers")
-    peak = powers.max()
-    keep = powers > _LINE_POWER_FLOOR * peak if peak > 0.0 else powers > 0.0
+    keep = powers > _LINE_POWER_FLOOR * powers.max()  # all zero: no line kept
     return LineSpectrum(offsets=np.arange(-k_max, k_max + 1)[keep], powers=powers[keep])
 
 
@@ -334,8 +333,8 @@ def _dp_extremes(sol: FourierSolution) -> tuple[float, float]:
     """Largest and smallest dp over one modulation period.
 
     They are the extremes of max(64, 8N) samples, each kept or bettered by
-    Newton steps on the analytic derivative.  A minimum with 1 + dp <= 0
-    (negative power) raises NumericalError.
+    Newton steps on the analytic derivative.  It only measures: its callers
+    judge them.
     """
     dp = _sample_period(sol, max(64, 8 * sol.n_harmonics), phase=False)[0]
     n, xc = np.arange(1, sol.n_harmonics + 1), np.conj(sol.x)
@@ -345,10 +344,13 @@ def _dp_extremes(sol: FourierSolution) -> tuple[float, float]:
         curv = (n * n * z.real).sum(axis=1)
         theta = theta - (n * z.imag).sum(axis=1) / np.where(curv != 0.0, curv, np.inf)
     polished = sol.a0 + (xc * np.exp(1j * np.outer(theta, n))).real.sum(axis=1)
-    hi, lo = np.fmax(dp.max(), polished[0]), np.fmin(dp.min(), polished[1])
+    return float(np.fmax(dp.max(), polished[0])), float(np.fmin(dp.min(), polished[1]))
+
+
+def _refuse_negative_power(lo: float, cause: str = "") -> None:
+    """Raise NumericalError if min dp = lo makes 1 + dp <= 0, a negative power."""
     if 1.0 + lo <= 0.0:
-        raise NumericalError(f"negative power: min dp = {lo:.6g} makes 1 + dp <= 0")
-    return float(hi), float(lo)
+        raise NumericalError(f"negative power: min dp = {lo:.6g} makes 1 + dp <= 0{cause}")
 
 
 def _refuse_large_dp(sol: FourierSolution, order_key: str) -> None:
@@ -365,29 +367,30 @@ def _refuse_large_dp(sol: FourierSolution, order_key: str) -> None:
     arccos(1/a)).  Past E = 36 (e**36 ~ 4e15) the message names the cause as
     a row outside the reduced model: no double-precision series holds that
     swing.  E is a measured correlate of rows no order mends, not
-    a proven bound.  dp >= 1 is a steady state far outside the reduced
+    a proven bound.  At mu < 1 a negative power names that cause too, after
+    its own message.  dp >= 1 is a steady state far outside the reduced
     model, which drops terms of order dp**2: its error there is of the order
     of the signal.  The bounds A0 -/+ sum|X_n| on dp clear most solutions
-    without sampling; the rest go through _dp_extremes, which refuses
-    negative power first.
+    without sampling; the rest go through _dp_extremes, and a negative power
+    is refused first, then a minimum at or below -1/2, then a maximum.
     """
     floor = -0.5 if sol.modcfg.mu < 1.0 else -1.0
     spread = np.hypot(sol.x.real, sol.x.imag).sum()
     if not (sol.a0 - spread > floor and sol.a0 + spread < 1.0):
         hi, lo = _dp_extremes(sol)
-        if lo <= floor:
+        if lo <= floor:  # at mu >= 1, floor = -1: only a negative power
             a = sol.modcfg.mu * abs(sol.op.c2) / sol.op.gamma_p
             swing = (4.0 * sol.op.gamma_p / sol.modcfg.omega_m
                      * (math.sqrt(a * a - 1.0) - math.acos(1.0 / a)) if a > 1.0 else 0.0)
             cause = (f"a row outside the reduced model, whose solution swings by e^{swing:.0f} "
                      f"over one arc of the period; raising {order_key} does not help"
                      if swing > 36.0 else f"a truncation artifact ({order_key})")
-            raise NumericalError(f"min dp = {lo:.6g} is not above {floor:g}, the floor of a steady "
+            _refuse_negative_power(lo, f": {cause}" if floor == -0.5 else "")
+            raise NumericalError(f"min dp = {lo:.6g} is not above -0.5, the floor of a steady "
                                  f"state at mu < 1: {cause}")
         if hi >= 1.0:
-            raise NumericalError(
-                f"max dp = {hi:.6g} is not below 1, the bound |dp| < 1 of the reduced model"
-            )
+            raise NumericalError(f"max dp = {hi:.6g} is not below 1, the bound |dp| < 1 of the "
+                                 "reduced model")
 
 
 def peak_frequency_deviation(sol: FourierSolution, method: str = "index-based") -> float:
@@ -396,12 +399,13 @@ def peak_frequency_deviation(sol: FourierSolution, method: str = "index-based") 
     "index-based" evaluates |beta_1|*f_m = |nu|*Gamma_p*|X_1|/pi (first-harmonic
     FM index); "instantaneous" takes half the peak-to-peak swing of the
     instantaneous frequency 2*|nu|*Gamma_p*dp/(2*pi) over one modulation period,
-    from the dp extremes of _dp_extremes (negative power raises NumericalError).
+    from the dp extremes of _dp_extremes; a negative power raises NumericalError.
     """
     if method == "index-based":
         return abs(sol.beta(1)) * sol.modcfg.omega_m / TWO_PI
     if method == "instantaneous":
         hi, lo = _dp_extremes(sol)
+        _refuse_negative_power(lo)
         return abs(sol.op.nu * sol.op.gamma_p) * (hi - lo) / TWO_PI
     raise ValueError(f"unknown method {method!r}")
 

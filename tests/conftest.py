@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import stomod
 from stomod import DeviceParams, derive_operating_point
 
 TWO_PI = 2.0 * math.pi
@@ -15,6 +16,11 @@ DEVICE_KW = dict(mu0_h_app=1.0, mu0_ms=0.8, gamma=28e9, alpha=0.01, nu=100.0)
 
 OP_XIS = {"OP1": 1.2, "OP2": 1.8, "OP3": 3.8}
 GAMMA_P_HZ = {"OP1": 11.2e6, "OP2": 44.8e6, "OP3": 156.8e6}
+
+
+def pytest_report_header(config):
+    """The stomod under test: the checkout's src, or an installed package."""
+    return f"stomod: {stomod.__file__}"
 
 
 def make_device(xi: float, **overrides) -> DeviceParams:

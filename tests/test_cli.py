@@ -798,9 +798,12 @@ def test_listed_case_ends_as_listed(tmp_path, case):
 @pytest.mark.parametrize("code, status, report", [(0, 1, "exit 0, not 3"), (3, 0, "ok")],
                          ids=["wrong-exit", "as-listed"])
 def test_case_runner_checks_the_stomod_on_path(tmp_path, monkeypatch, capsys, code, status, report):
-    # A stomod on PATH that writes nothing and exits with code, for one exit-3 case.
+    # A stomod on PATH that writes no table, prints the case's refusal to
+    # stderr and exits with code, for one exit-3 case.
+    refusal = ("numerical error: OP1 at beta1 = 30000, f_m = 1e+06 Hz: "
+               "max dp = 55.9043 is not below 1")
     fake = tmp_path / "stomod"
-    fake.write_text(f"#!/bin/sh\nexit {code}\n")
+    fake.write_text(f"#!/bin/sh\necho '{refusal}' >&2\nexit {code}\n")
     fake.chmod(0o755)
     monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
     monkeypatch.setattr(cli_cases, "CASES", {"runaway-beta1": cli_cases.CASES["runaway-beta1"]})
@@ -859,7 +862,8 @@ def test_short_orders_are_not_refused(tmp_path):
     op = sweeps._ops(load_config(), "OP3")[0][1]
     short, ref = (fourier.solve_coefficients_matrix(op, ModulationConfig(3.6, TWO_PI * 6e8, n))
                   for n in (1, 20))
-    with pytest.raises(stomod.NumericalError, match=r"negative power: min dp = -1\.07"):
+    with pytest.raises(stomod.NumericalError,  # at mu >= 1 with no cause
+                       match=r"negative power: min dp = -1\.07\d* makes 1 \+ dp <= 0$"):
         _refuse_large_dp(short, "error-analysis.n_ref")
     _refuse_large_dp(ref, "error-analysis.n_ref")
     args = [arg for key in sets for arg in ("--set", key)]
@@ -973,12 +977,43 @@ def test_fuzzed_values_end_in_a_clean_exit(args):
             assert not any("nan" in line or "inf" in line for line in data), path
 
 
-@pytest.mark.parametrize("package", ["scipy", "click"])
-def test_cli_import_loads_no(package):
+# Every path of the library once, in the default config's OP2 at 100 MHz:
+# both solvers, the mu back-solve and the bandwidth search, both spectra and
+# the synthesis, both integrators and the projection, and both deviations.
+WHOLE_LIBRARY = """
+from stomod import (
+    IntegrationConfig, ModulationConfig, derive_operating_point, integrate_full,
+    integrate_reduced, modulation_bandwidth, peak_frequency_deviation, project_harmonics,
+    psd_analytic, psd_fft, solve_coefficients_matrix, solve_coefficients_recursive,
+    solve_mu_for_beta1, synthesize_time_trace,
+)
+from stomod.config import device_at, load_config
+op = derive_operating_point(device_at(load_config(), "OP2"))
+modcfg = ModulationConfig(mu=0.05, omega_m=6.283185307179586e8)
+sol = solve_coefficients_matrix(op, modcfg)
+solve_coefficients_recursive(op, modcfg)
+solve_mu_for_beta1(op, 0.5, modcfg.omega_m)
+modulation_bandwidth(op, 1e-4, 0.04 * op.gamma_p)
+psd_analytic(sol)
+psd_fft(synthesize_time_trace(sol), sol)
+icfg = IntegrationConfig.for_steady_state(op, modcfg)
+psd_fft(integrate_full(op, modcfg, icfg), sol)
+project_harmonics(integrate_reduced(op, modcfg, icfg), modcfg, 10, op)
+peak_frequency_deviation(sol, "index-based")
+peak_frequency_deviation(sol, "instantaneous")
+"""
+
+
+@pytest.mark.parametrize("package, run", [
+    ("scipy", ""), ("click", ""), ("scipy", WHOLE_LIBRARY),
+], ids=["scipy", "click", "scipy-after-the-whole-library"])
+def test_cli_import_loads_no(package, run):
+    # The command line needs neither, and the library does not need scipy:
+    # numpy is its one requirement, also where scipy is installed.
     src = str(Path(stomod.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
-        "import sys, stomod.cli; "
+        f"import sys, stomod.cli\n{run}\n"
         f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     )
     proc = subprocess.run(
