@@ -353,6 +353,23 @@ def _refuse_negative_power(lo: float, cause: str = "") -> None:
         raise NumericalError(f"negative power: min dp = {lo:.6g} makes 1 + dp <= 0{cause}")
 
 
+def _outside_model(op: OperatingPoint, modcfg: ModulationConfig, order_key: str) -> str:
+    """At mu < 1, why raising order_key cannot mend the row, or "" if it may.
+
+    For a = mu*|C2|/Gamma_p > 1 the rate 2*(mu*C2*cos(w_m t) - Gamma_p) of
+    the homogeneous equation is positive on an arc of the period, over which
+    its solution grows by e**E, E = (4*Gamma_p/w_m)*(sqrt(a**2 - 1) -
+    arccos(1/a)).  Past E = 36 (e**36 ~ 4e15) the row is outside the reduced
+    model: no double-precision series holds that swing.  E is a measured
+    correlate of rows no order mends, not a proven bound.
+    """
+    a = modcfg.mu * abs(op.c2) / op.gamma_p if modcfg.mu < 1.0 else 0.0  # no cause at mu >= 1
+    swing = (4.0 * op.gamma_p / modcfg.omega_m * (math.sqrt(a * a - 1.0) - math.acos(1.0 / a))
+             if a > 1.0 else 0.0)
+    return (f"a row outside the reduced model, whose solution swings by e^{swing:.0f} over one "
+            f"arc of the period; raising {order_key} does not help" if swing > 36.0 else "")
+
+
 def _refuse_large_dp(sol: FourierSolution, order_key: str) -> None:
     """Raise NumericalError unless floor < dp < 1 over the whole period.
 
@@ -360,31 +377,22 @@ def _refuse_large_dp(sol: FourierSolution, order_key: str) -> None:
     -1/2: there the reduced equation gives d(dp)/dt = Gamma_p*(1 + mu*cos(w_m t))
     > 0, as C1 - C2 = Gamma_p, so a steady state stays above it and a series
     below it is a truncation artifact, whose message names order_key, the
-    config key that sets the solution's order.  Unless raising it cannot
-    help: for a = mu*|C2|/Gamma_p > 1 the rate 2*(mu*C2*cos(w_m t) - Gamma_p)
-    of the homogeneous equation is positive on an arc of the period, over
-    which its solution grows by e**E, E = (4*Gamma_p/w_m)*(sqrt(a**2 - 1) -
-    arccos(1/a)).  Past E = 36 (e**36 ~ 4e15) the message names the cause as
-    a row outside the reduced model: no double-precision series holds that
-    swing.  E is a measured correlate of rows no order mends, not
-    a proven bound.  At mu < 1 a negative power names that cause too, after
-    its own message.  dp >= 1 is a steady state far outside the reduced
-    model, which drops terms of order dp**2: its error there is of the order
-    of the signal.  The bounds A0 -/+ sum|X_n| on dp clear most solutions
-    without sampling; the rest go through _dp_extremes, and a negative power
-    is refused first, then a minimum at or below -1/2, then a maximum.
+    config key that sets the solution's order, unless _outside_model says
+    raising it cannot help.  At mu < 1 a negative power names that cause
+    too, after its own message.  dp >= 1 is a steady state far outside the
+    reduced model, which drops terms of order dp**2: its error there is of
+    the order of the signal.  The bounds A0 -/+ sum|X_n| on dp clear most
+    solutions without sampling; the rest go through _dp_extremes, and a
+    negative power is refused first, then a minimum at or below -1/2, then a
+    maximum.
     """
     floor = -0.5 if sol.modcfg.mu < 1.0 else -1.0
     spread = np.hypot(sol.x.real, sol.x.imag).sum()
     if not (sol.a0 - spread > floor and sol.a0 + spread < 1.0):
         hi, lo = _dp_extremes(sol)
         if lo <= floor:  # at mu >= 1, floor = -1: only a negative power
-            a = sol.modcfg.mu * abs(sol.op.c2) / sol.op.gamma_p
-            swing = (4.0 * sol.op.gamma_p / sol.modcfg.omega_m
-                     * (math.sqrt(a * a - 1.0) - math.acos(1.0 / a)) if a > 1.0 else 0.0)
-            cause = (f"a row outside the reduced model, whose solution swings by e^{swing:.0f} "
-                     f"over one arc of the period; raising {order_key} does not help"
-                     if swing > 36.0 else f"a truncation artifact ({order_key})")
+            cause = (_outside_model(sol.op, sol.modcfg, order_key)
+                     or f"a truncation artifact ({order_key})")
             _refuse_negative_power(lo, f": {cause}" if floor == -0.5 else "")
             raise NumericalError(f"min dp = {lo:.6g} is not above -0.5, the floor of a steady "
                                  f"state at mu < 1: {cause}")

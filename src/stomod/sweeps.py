@@ -12,7 +12,7 @@ from dataclasses import replace
 from typing import NamedTuple
 
 from .config import RunConfig, device_at
-from .errors import StomodError
+from .errors import NumericalError, StomodError
 from .fourier import (
     FourierSolution,
     _distance_percent,
@@ -30,6 +30,7 @@ from .model import (
 from .spectrum import (
     LineSpectrum,
     _line_spectra,
+    _outside_model,
     _refuse_large_dp,
     modulation_bandwidth,
     peak_frequency_deviation,
@@ -46,7 +47,8 @@ class _Row(NamedTuple):
     _solve_rows call, so rows at other orders share it.  refuse=False skips the
     dp refusal; only error-analysis's short truncation orders and the
     recursive row of each method pair pass it.  order_key is the config key
-    that sets modcfg's order, which the refusal of a truncated row names."""
+    that sets modcfg's order, which a refusal names when the row is truncated
+    or when raising it cannot help."""
 
     name: str
     op: OperatingPoint
@@ -81,11 +83,13 @@ def _solve_rows(cfg: RunConfig, rows: list[_Row]) -> list[FourierSolution]:
 
     Each row runs under its name: if it gives beta1, take mu from the one
     back-solve of its (op, beta1, omega_m) in this call, made at the first row
-    that names that target; solve by its method; then, if it asks, refuse a
-    dp outside (floor, 1) by _refuse_large_dp (negative power, a truncation
-    artifact below -1/2 at mu < 1, named by the row's order_key, or a steady
-    state outside the reduced model raises NumericalError).  So the first
-    failing row raises, named.  This is the one place the tables back-solve mu.
+    that names that target; solve by its method, whose NumericalError gets
+    _outside_model's cause where raising the row's order_key cannot help;
+    then, if it asks, refuse a dp outside (floor, 1) by _refuse_large_dp
+    (negative power, a truncation artifact below -1/2 at mu < 1, named by the
+    row's order_key, or a steady state outside the reduced model raises
+    NumericalError).  So the first failing row raises, named.  This is the
+    one place the tables back-solve mu.
     """
     sols, mus = [], {}
     for row in rows:
@@ -97,7 +101,12 @@ def _solve_rows(cfg: RunConfig, rows: list[_Row]) -> list[FourierSolution]:
                     mus[target] = solve_mu_for_beta1(*target, cfg.n_harmonics)
                 modcfg = replace(modcfg, mu=mus[target])
             solve = solve_coefficients_recursive if row.recursive else solve_coefficients_matrix
-            sols.append(solve(row.op, modcfg))
+            try:
+                sols.append(solve(row.op, modcfg))
+            except NumericalError as exc:
+                if not (cause := _outside_model(row.op, modcfg, row.order_key)):
+                    raise
+                raise type(exc)(f"{exc}: {cause}") from exc
             if row.refuse:
                 _refuse_large_dp(sols[-1], row.order_key)
     return sols
@@ -207,8 +216,8 @@ def error_analysis_table(cfg: RunConfig, op_filter: str | None = None) -> TableM
     for f_m in cfg.err_f_m_grid_hz:
         modcfg = ModulationConfig(mu=cfg.err_mu, omega_m=TWO_PI * f_m, n_harmonics=cfg.err_n_ref)
         name = f"{label} at f_m = {f_m:g} Hz"
-        rows += [_Row(name, op, replace(modcfg, n_harmonics=n), refuse=False)
-                 for n in cfg.err_n_values]
+        rows += [_Row(name, op, replace(modcfg, n_harmonics=n), refuse=False,
+                      order_key="error-analysis.n_values") for n in cfg.err_n_values]
         rows.append(_Row(f"{name}, n = {cfg.err_n_ref}", op, modcfg,
                          order_key="error-analysis.n_ref"))
     sols, trunc_rows = _solve_rows(cfg, rows), []
@@ -223,11 +232,11 @@ def error_analysis_table(cfg: RunConfig, op_filter: str | None = None) -> TableM
     # The matrix and recursive solutions of each key as adjacent rows, at the mu
     # of beta_1 (back-solved at solver.n_harmonics, whatever N); only the matrix
     # one is refused.
-    rows = []
+    rows, key = [], "error-analysis.recursive_n_values"
     for n, beta1 in keys:
         modcfg, name = ModulationConfig(0.0, omega_m, n), f"{label} at beta1 = {beta1:g}, n = {n}"
-        rows += [_Row(name, op, modcfg, beta1, order_key="error-analysis.recursive_n_values"),
-                 _Row(name, op, modcfg, beta1, recursive=True, refuse=False)]
+        rows += [_Row(name, op, modcfg, beta1, order_key=key),
+                 _Row(name, op, modcfg, beta1, recursive=True, refuse=False, order_key=key)]
     sols = _solve_rows(cfg, rows)
     spectra, rec_rows = _spectra(cfg, rows, sols), []
     for (n, beta1), mat, rec, spec_mat, spec_rec in zip(

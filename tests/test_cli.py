@@ -260,68 +260,6 @@ class TestExitCodes:
         result, out = run_cli(["psd-map", *FAST_PSD, "--op-label", "OP9"], tmp_path)
         assert result.exit_code == 2
 
-    def test_unsupported_format_exits_2(self, tmp_path):
-        result, out = run_cli(["psd-map", *FAST_PSD, "--format", "json"], tmp_path)
-        assert result.exit_code == 2
-        # Reported with the command's usage, not the top-level one.
-        assert result.stderr.startswith("usage: stomod psd-map ")
-        assert "stomod psd-map: error: unrecognized arguments: --format json" in result.stderr
-
-    def test_numerical_error_exits_3_without_partial_output(self, tmp_path):
-        # beta1 = 50 is unreachable with the mu <= 0.5 back-solve window.
-        result, out = run_cli(
-            ["psd-map", "--set", "psd-map.beta1_grid=0.5,50.0"], tmp_path
-        )
-        assert result.exit_code == 3
-        assert not out.exists() or not list(out.iterdir())
-        # The back-solve's error names the row it hit.
-        assert "OP1 at beta1 = 50, f_m = 1e+08 Hz" in result.stderr
-
-    def test_zero_flat_band_index_exits_3_before_the_bandwidth_search(self, tmp_path):
-        # nu = 0 makes beta_1 = 0 everywhere; the search would otherwise climb
-        # mu past 1 (one "mu=... >= 1" warning per step) and never find a corner.
-        result, out = run_cli(["bandwidth", "--set", "device.nu=0"], tmp_path)
-        assert result.exit_code == 3, result.output
-        assert "numerical error: OP1 " in result.stderr
-        assert "mu=" not in result.stderr
-        assert not out.exists()
-
-    def test_unknown_option_before_the_command_gets_the_top_level_usage(self, tmp_path):
-        result, out = run_cli(["--foo", "psd-map", *FAST_PSD], tmp_path)
-        assert result.exit_code == 2
-        assert result.stderr.startswith("usage: stomod [")
-        assert "stomod: error: unrecognized arguments: --foo" in result.stderr
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["psd-map", "--set", "psd-map.beta1_grid=40000"],
-            ["psd-map", "--set", "psd-map.beta1_grid=0,40000"],
-            [
-                "asymmetry-map",
-                "--set", "asymmetry-map.beta1_grid=40000",
-                "--set", "asymmetry-map.f_m_grid_hz=1e8",
-            ],
-            [
-                "asymmetry-map",
-                "--set", "asymmetry-map.beta1_grid=0,40000",
-                "--set", "asymmetry-map.f_m_grid_hz=1e8",
-            ],
-        ],
-    )
-    def test_errors_from_one_spectrum_call_per_table_name_their_row(self, tmp_path, args):
-        # nu = 1e290 keeps every carrier finite, and beta1 = 40000 is past the
-        # FM index cap of 32768, so every modulated row's spectrum fails; a
-        # beta1 = 0 row before it has no FM comb and passes, so the error names
-        # the next row.
-        result, out = run_cli([*args, "--set", "device.nu=1e290"], tmp_path)
-        assert result.exit_code == 3, result.output
-        assert result.stderr.startswith(
-            "numerical error: OP1 at beta1 = 40000, f_m = 1e+08 Hz: FM index"
-        )
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "command, overrides",
         [
@@ -342,28 +280,6 @@ class TestExitCodes:
         assert f"{key}: 1000000000000 must be in [1, 10000]" in result.stderr
         assert not out.exists()
 
-    def test_absurd_grid_range_exits_2_naming_the_key(self, tmp_path):
-        result, out = run_cli(
-            ["psd-map", "--set", "psd-map.beta1_grid=lin:0:1:1000000000000"], tmp_path
-        )
-        assert result.exit_code == 2, result.output
-        assert result.stderr.startswith("error: psd-map.beta1_grid: grid 'lin:0:1:1000000000000'")
-        assert not out.exists()
-
-    def test_subnormal_harmonics_give_a_finite_table(self, tmp_path):
-        # |X_n| is subnormal for n = 78..80 here; their FM combs used to be NaN.
-        result, out = run_cli(
-            ["psd-map", "--op-label", "OP2", "--set", "psd-map.beta1_grid=1.0",
-             "--set", "solver.n_harmonics=300", "--set", "spectrum.k_max=600"],
-            tmp_path,
-        )
-        assert result.exit_code == 0, result.output
-        assert "Warning:" not in result.stderr
-        _, header, rows = read_table(out / "psd_map.csv")
-        assert rows
-        power = header.index("power")
-        assert all(math.isfinite(float(row[power])) for row in rows)
-
     @pytest.mark.parametrize("override", ["spectrum.j_max=0", "spectrum.k_max=0"])
     def test_bad_spectrum_key_exits_2(self, tmp_path, override):
         result, out = run_cli(["psd-map", *FAST_PSD, "--set", override], tmp_path)
@@ -374,38 +290,6 @@ class TestExitCodes:
         result, out = run_cli(["psd-map", *FAST_PSD, "--set", "device.nu=inf"], tmp_path)
         assert result.exit_code == 2, result.output
         assert "finite" in result.output
-        assert not out.exists()
-
-    def test_non_finite_table_exits_3_without_output(self, tmp_path):
-        # nu = 1e300 is finite but overflows f_sto = f_o + nu*Gamma_p/2pi; the
-        # carrier is refused where the operating point is derived, naming nu
-        # and xi, before any row is formed.
-        result, out = run_cli(
-            ["operating-point", "--set", "device.nu=1e300"], tmp_path
-        )
-        assert result.exit_code == 3, result.output
-        assert "f_STO = f_o + nu*Gamma_p/2pi is not finite at xi=1.55 (nu=1e+300)" in result.output
-        assert not out.exists()
-
-    def test_empty_table_exits_3_without_output(self, tmp_path):
-        # The overflowing carrier is refused before any line is kept.
-        result, out = run_cli(
-            ["psd-map", "--set", "psd-map.beta1_grid=0.5", "--set", "device.nu=1e300"],
-            tmp_path,
-        )
-        assert result.exit_code == 3, result.output
-        assert not out.exists()
-
-    @pytest.mark.parametrize("override", ["device.nu=1e300", "device.gamma_hz_per_t=1e305"])
-    def test_overflowing_device_value_exits_3_naming_the_cause(self, tmp_path, override):
-        # Both values are finite; nu overflows the carrier, gamma the solve.
-        result, out = run_cli(
-            ["psd-map", "--set", "psd-map.beta1_grid=0.5", "--set", override], tmp_path
-        )
-        assert result.exit_code == 3, result.output
-        assert isinstance(result.exception, SystemExit)  # no traceback
-        assert "not finite" in result.output
-        assert "not reachable" not in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -461,29 +345,31 @@ class TestExitCodes:
         assert override.split("=", 1)[0] in result.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            ["device.mu0_h_app_t=1e300"],
-            ["device.gamma_hz_per_t=1e-320"],
-        ],
-    )
-    def test_degenerate_rate_exits_3_without_traceback(self, tmp_path, overrides):
-        # Gamma_p overflows; the bandwidth-search seed underflows to 0.
-        args = ["bandwidth", *FAST_BW, *(a for o in overrides for a in ("--set", o))]
-        result, out = run_cli(args, tmp_path)
-        assert result.exit_code == 3, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert not out.exists()
+    # Names of single runs whose checks are now the listed case's; each runs it.
+    def test_unsupported_format_exits_2(self, tmp_path):
+        assert_case(tmp_path, "unknown-option")
 
-    @pytest.mark.parametrize("command", ["operating-point", "psd-map"])
-    def test_negative_carrier_exits_3_without_traceback(self, tmp_path, command):
-        # nu = -100 puts f_STO at or below 0 from xi = 2 up: on the xi grid and at OP3.
-        result, out = run_cli([command, "--set", "device.nu=-100"], tmp_path)
-        assert result.exit_code == 3, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert "f_STO" in result.stderr
-        assert not out.exists()
+    def test_unknown_option_before_the_command_gets_the_top_level_usage(self, tmp_path):
+        assert_case(tmp_path, "option-before-command")
+
+    def test_zero_flat_band_index_exits_3_before_the_bandwidth_search(self, tmp_path):
+        assert_case(tmp_path, "no-fm")
+
+    def test_absurd_grid_range_exits_2_naming_the_key(self, tmp_path):
+        assert_case(tmp_path, "wide-grid")
+
+    def test_subnormal_harmonics_give_a_finite_table(self, tmp_path):
+        assert_case(tmp_path, "subnormal-harmonics")
+
+    def test_non_finite_table_exits_3_without_output(self, tmp_path):
+        assert_case(tmp_path, "nu-overflow")
+
+    def test_empty_table_exits_3_without_output(self, tmp_path):
+        assert_case(tmp_path, "nu-overflow-psd")
+
+    @pytest.mark.parametrize("name", ["nu-overflow-psd"], ids=["device.nu=1e300"])
+    def test_overflowing_device_value_exits_3_naming_the_cause(self, tmp_path, name):
+        assert_case(tmp_path, name)
 
     @pytest.mark.parametrize("label", ["OP,X", 'OP"X', "OP\rX", "OP\nX", "#X"])
     def test_csv_unsafe_label_exits_2_without_output(self, tmp_path, label):
@@ -504,33 +390,6 @@ class TestExitCodes:
         result, out = run_cli(["operating-point", "--config", str(config)], tmp_path)
         assert result.exit_code == 2, result.output
         assert "'operating-points.OP,X'" in result.stderr
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "args,prefix",
-        [(["psd-map", "--set", "operating-points.OP1=1e300", "--op-label", "OP1"], "OP1: "),
-         (["bandwidth", "--set", "operating-points.OP2=1e300"], "OP2: "),
-         (["operating-point", "--set", "operating-point.xi_grid=1.5,1e300"], "xi = 1e+300: ")],
-    )
-    def test_errors_before_any_row_name_the_op_or_xi(self, tmp_path, args, prefix):
-        # Deriving an operating point fails before any table row: the error
-        # names the label or the xi it was derived for.
-        result, out = run_cli(args, tmp_path)
-        assert result.exit_code == 3, result.output
-        assert result.stderr == (
-            f"numerical error: {prefix}Gamma_p=inf rad/s is not finite and positive\n"
-        )
-        assert not out.exists()
-
-    def test_non_finite_cell_is_named(self, tmp_path):
-        # f_m = 1e-300 Hz overflows the FM index mu*nu*C2/omega_m to inf: the
-        # last-resort check names the table, the column and the row.
-        result, out = run_cli(["bandwidth", "--set", "bandwidth.f_m_grid_hz=1e-300"], tmp_path)
-        assert result.exit_code == 3, result.output
-        assert result.stderr.splitlines()[0] == (
-            "numerical error: table bandwidth, column delta_f_index_hz: inf is not finite "
-            "in the row op_label = OP1, f_m_hz = 1e-300"
-        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -651,148 +510,51 @@ def test_operating_point_op_label_writes_one_row(tmp_path):
     assert float(rows[0][3]) == pytest.approx(44.8e6, rel=1e-11)
 
 
-def test_warnings_print_one_counted_line(tmp_path):
-    # f_m = 1 GHz is above a tenth of OP1's 6.72 GHz carrier.
-    result, _ = run_cli(["bandwidth", *FAST_BW, "--op-label", "OP1"], tmp_path)
-    assert result.exit_code == 0, result.output
-    lines = result.stderr.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("Warning: omega_m is not small")
-    assert lines[0].endswith(" times)")
-    assert "UserWarning" not in result.stderr
+def assert_case(tmp_path, name):
+    case = cli_cases.CASES[name]
+    result, out = run_cli(case.argv.split(), tmp_path)
+    assert not cli_cases.check(case, result.exit_code, result.stdout, result.stderr, out)
+
+
+@pytest.mark.parametrize("name", list(cli_cases.CASES))
+def test_listed_case_ends_as_listed(tmp_path, name):
+    # Each case of tools/cli_cases.py in-process; CI runs them on the installed stomod.
+    assert_case(tmp_path, name)
+
+
+# Names of single runs whose checks are now the listed case's; each runs it.
+def test_negative_power_exits_3_without_output(tmp_path):
+    assert_case(tmp_path, "bandwidth-negative-power")
 
 
 def test_non_decay_warning_prints_one_counted_line(tmp_path):
-    # mu = 0.9 at OP1 is past the model's validity: the N = 5 solve does not
-    # decay, and the N = 20 reference reaches dp ~ -720, a negative power.
-    args = [
-        "--op-label", "OP1",
-        "--set", "error-analysis.mu=0.9",
-        "--set", "error-analysis.f_m_grid_hz=1e6,2e6",
-        "--set", "error-analysis.n_values=5",
-        "--set", "error-analysis.recursive_beta1_grid=0.5",
-        "--set", "error-analysis.recursive_n_values=5",
-    ]
-    result, out = run_cli(["error-analysis", *args], tmp_path)
-    assert result.exit_code == 3, result.output
-    error, *lines = result.stderr.splitlines()
-    assert error.startswith("numerical error: OP1 at f_m = 1e+06 Hz, n = 20: negative power")
-    assert len(lines) == 1
-    assert lines[0].startswith("Warning: harmonic coefficients do not decay")
-    assert lines[0].endswith(" times)")
-    assert not out.exists()
+    assert_case(tmp_path, "error-analysis-negative-power")
 
 
-def test_negative_power_exits_3_without_output(tmp_path):
-    # At OP1, 1 MHz, mu = 0.9 the steady state reaches dp ~ -82: 1 + dp < 0.
-    args = ["--set", "bandwidth.mu=0.9", "--set", "bandwidth.f_m_grid_hz=1e6,2e6"]
-    result, out = run_cli(["bandwidth", *args], tmp_path)
-    assert result.exit_code == 3, result.output
-    assert isinstance(result.exception, SystemExit)  # no traceback
-    assert "negative power" in result.stderr
-    assert "OP1 at f_m = 1e+06 Hz" in result.stderr
-    assert not out.exists()
-
-
-# nu = 10 keeps beta_1 = 10000 inside jv's range at 1 MHz, and the mu ~ 0.29
-# that OP1 needs for it makes min dp ~ -1.07: each command names the row.
-NEGATIVE_POWER_ROWS = {
-    "psd-map": (
-        ["psd-map.f_m_hz=1e6", "psd-map.beta1_grid=10000"],
-        "beta1 = 10000, f_m = 1e+06 Hz",
-    ),
-    "asymmetry-map": (
-        ["asymmetry-map.f_m_grid_hz=1e6", "asymmetry-map.beta1_grid=10000"],
-        "beta1 = 10000, f_m = 1e+06 Hz",
-    ),
-    "error-analysis": (
-        [
-            "error-analysis.n_values=5",
-            "error-analysis.recursive_f_m_hz=1e6",
-            "error-analysis.recursive_beta1_grid=10000",
-            "error-analysis.recursive_n_values=10",
-        ],
-        "beta1 = 10000, n = 10",
-    ),
-}
-
-
-@pytest.mark.parametrize("command", NEGATIVE_POWER_ROWS)
-def test_negative_power_exits_3_in_every_table_command(tmp_path, command):
-    overrides, row = NEGATIVE_POWER_ROWS[command]
-    sets = [arg for key in ["device.nu=10", *overrides] for arg in ("--set", key)]
-    result, out = run_cli([command, "--op-label", "OP1", *sets], tmp_path)
-    assert result.exit_code == 3, result.output
-    assert result.stderr.startswith(f"numerical error: OP1 at {row}: negative power")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("f_m, beta1, max_dp", [
-    ("2e6", "1000", "1.88605"), ("1e6", "3e4", "55.9043"),
-])
-def test_runaway_steady_state_exits_3_naming_its_row(tmp_path, f_m, beta1, max_dp):
-    # At OP1 these targets back-solve to steady states with min dp > -1, so
-    # no negative power, but max dp far past 1, outside the reduced model
-    # (mu = 0.195 at 2 MHz).  N = 10 and N = 40 agree there, so it is not
-    # truncation; the row step refuses them.
-    sets = [f"psd-map.f_m_hz={f_m}", f"psd-map.beta1_grid={beta1}"]
-    args = [arg for key in sets for arg in ("--set", key)]
-    result, out = run_cli(["psd-map", "--op-label", "OP1", *args], tmp_path)
-    assert result.exit_code == 3, result.output
-    row = f"OP1 at beta1 = {float(beta1):g}, f_m = {float(f_m):g} Hz"
-    assert result.stderr.startswith(f"numerical error: {row}: max dp = {max_dp} is not below 1")
-    assert not out.exists()
+def test_back_solve_keeps_beta1_at_low_f_m(tmp_path):
+    assert_case(tmp_path, "subnormal-f_m")
 
 
 def test_truncated_steady_state_below_half_exits_3_naming_its_row(tmp_path):
-    # Near threshold at slow modulation the N = 10 row dips to min dp = -0.683.
-    # At mu < 1 a steady state stays above -1/2, where d(dp)/dt = Gamma_p*(1 +
-    # mu*cos(w_m t)) > 0, so the row is refused though 1 + dp > 0.  It swings
-    # by e^630 over one arc of the period, which no truncation order holds.
-    sets = ["operating-points.OP1=1.01", "bandwidth.mu=0.3", "bandwidth.f_m_grid_hz=1e5"]
-    args = [arg for key in sets for arg in ("--set", key)]
-    result, out = run_cli(["bandwidth", "--op-label", "OP1", *args], tmp_path)
-    assert result.exit_code == 3, result.output
-    assert result.stderr.startswith(
-        "numerical error: OP1 at f_m = 100000 Hz: min dp = -0.683335 is not above -0.5")
-    assert result.stderr.splitlines()[0].endswith("raising solver.n_harmonics does not help")
-    assert not out.exists()
+    assert_case(tmp_path, "truncated-half")
 
 
-@pytest.mark.parametrize("sets, row, cause", [
-    (["error-analysis.mu=0.3", "error-analysis.f_m_grid_hz=1e5", "error-analysis.n_values=5",
-      "error-analysis.n_ref=10", "error-analysis.recursive_beta1_grid=0.5",
-      "error-analysis.recursive_n_values=5"],
-     "OP1 at f_m = 100000 Hz, n = 10: min dp = -0.683335",
-     "raising error-analysis.n_ref does not help"),
-    (["error-analysis.recursive_f_m_hz=5e6", "error-analysis.recursive_beta1_grid=20",
-      "error-analysis.recursive_n_values=1"],
-     "OP1 at beta1 = 20, n = 1: min dp = -0.672006",
-     "a truncation artifact (error-analysis.recursive_n_values)"),
-], ids=["reference", "method-pair"])
-def test_truncated_row_refusal_names_its_order_key(tmp_path, sets, row, cause):
-    # The -1/2 refusal names the config key that sets the refused row's
-    # order, not solver.n_harmonics: error-analysis.n_ref for the order-n_ref
-    # reference row (xi = 1.01, 100 kHz, mu = 0.3, N = 10), and
-    # error-analysis.recursive_n_values for the matrix row of a method pair
-    # (xi = 1.01, 5 MHz, beta1 = 20 back-solved at N = 10, solved at N = 1).
-    # Only the second, swinging by e^1.6 and not e^630, is a truncation artifact.
-    args = [arg for key_value in ["operating-points.OP1=1.01", *sets]
-            for arg in ("--set", key_value)]
-    result, out = run_cli(["error-analysis", "--op-label", "OP1", *args], tmp_path)
-    assert result.exit_code == 3, result.output
-    first = result.stderr.splitlines()[0]
-    assert first.startswith(f"numerical error: {row} is not above -0.5"), first
-    assert first.endswith(cause), first
-    assert "solver.n_harmonics" not in result.stderr
-    assert not out.exists()
+@pytest.mark.parametrize("name", ["runaway-beta1"], ids=["1e6-3e4-55.9043"])
+def test_runaway_steady_state_exits_3_naming_its_row(tmp_path, name):
+    assert_case(tmp_path, name)
 
 
-@pytest.mark.parametrize("case", cli_cases.CASES.values(), ids=list(cli_cases.CASES))
-def test_listed_case_ends_as_listed(tmp_path, case):
-    # Each case of tools/cli_cases.py in-process; CI runs them on the installed stomod.
-    result, out = run_cli(case.argv.split(), tmp_path)
-    assert not cli_cases.check(case, result.exit_code, result.stdout, result.stderr, out)
+@pytest.mark.parametrize("name", ["truncated-reference"], ids=["reference"])
+def test_truncated_row_refusal_names_its_order_key(tmp_path, name):
+    assert_case(tmp_path, name)
+
+
+def test_each_case_is_one_argv_with_its_text():
+    # One case per argv, and every refusal checks its text from stderr's start.
+    argvs = [tuple(case.argv.split()) for case in cli_cases.CASES.values()]
+    assert len(set(argvs)) == len(argvs)
+    assert [name for name, case in cli_cases.CASES.items()
+            if case.exit_code and not case.stderr_has.startswith(r"\A")] == []
 
 
 @pytest.mark.parametrize("code, status, report", [(0, 1, "exit 0, not 3"), (3, 0, "ok")],
@@ -809,45 +571,6 @@ def test_case_runner_checks_the_stomod_on_path(tmp_path, monkeypatch, capsys, co
     monkeypatch.setattr(cli_cases, "CASES", {"runaway-beta1": cli_cases.CASES["runaway-beta1"]})
     assert cli_cases.main() == status
     assert capsys.readouterr().out.splitlines() == [f"stomod: {fake}", f"runaway-beta1: {report}"]
-
-
-@pytest.mark.parametrize("grid, error", [
-    ("10000,1e9", "beta1 = 10000, f_m = 1e+06 Hz: negative power"),
-    ("1e9,10000", "beta1 = 1e+09, f_m = 1e+06 Hz: target 1e+09 not reachable"),
-])
-def test_first_failing_row_wins(tmp_path, grid, error):
-    # Each row is back-solved, solved and checked before the next: beta_1 =
-    # 10000 gives a negative power, and 1e9 is past the peak of beta_1(mu).
-    sets = ["device.nu=10", "psd-map.f_m_hz=1e6", f"psd-map.beta1_grid={grid}"]
-    args = [arg for key in sets for arg in ("--set", key)]
-    result, out = run_cli(["psd-map", "--op-label", "OP1", *args], tmp_path)
-    assert result.exit_code == 3, result.output
-    assert result.stderr.startswith(f"numerical error: OP1 at {error}")
-    assert not out.exists()
-
-
-def test_back_solve_keeps_beta1_at_low_f_m(tmp_path):
-    # The bisection stops at min(1e-10, 1e-7*hi) in mu.  At 1 Hz the mu of
-    # beta_1 = 0.25 is about 4.5e-11, below a 1e-10 stop alone, which left
-    # |beta_1| at 0.17 there and 0.2512 at 100 Hz.
-    for label, op in sweeps._ops(load_config(), None):
-        for f_m in (1.0, 100.0, 1e4):
-            omega_m = TWO_PI * f_m
-            beta1 = spectrum.first_harmonic_index(
-                op, spectrum.solve_mu_for_beta1(op, 0.25, omega_m), omega_m
-            )
-            assert abs(beta1 - 0.25) <= 1e-6, (label, f_m, beta1)
-    # At a subnormal f_m the crossing lies below the smallest float, so the
-    # bisection would return mu = 0: it is refused, naming the row.
-    sets = ["psd-map.f_m_hz=1e-320", "psd-map.beta1_grid=0.25"]
-    args = [arg for key in sets for arg in ("--set", key)]
-    result, out = run_cli(["psd-map", "--op-label", "OP2", *args], tmp_path)
-    assert result.exit_code == 3, result.output
-    assert result.stderr.startswith(
-        "numerical error: OP2 at beta1 = 0.25, f_m = 9.99989e-321 Hz: target 0.25 is reached "
-        "only below"
-    )
-    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:mu=3.6 >= 1:UserWarning")
@@ -871,20 +594,6 @@ def test_short_orders_are_not_refused(tmp_path):
     assert result.exit_code == 0, result.output
     _, _, rows = read_table(out / "error_truncation.csv")
     assert [int(row[2]) for row in rows] == [1, 20]
-
-
-def test_failing_reference_solve_is_named_by_its_order(tmp_path):
-    # At OP1, 1 MHz, mu = 0.5 the order-40 reference fails the residual gate,
-    # after its short order N = 5 is solved.
-    sets = ["error-analysis.mu=0.5", "error-analysis.f_m_grid_hz=1e6",
-            "error-analysis.n_values=5", "error-analysis.n_ref=40"]
-    args = [arg for key in sets for arg in ("--set", key)]
-    result, out = run_cli(["error-analysis", "--op-label", "OP1", *args], tmp_path)
-    assert result.exit_code == 3, result.output
-    assert result.stderr.startswith(
-        "numerical error: OP1 at f_m = 1e+06 Hz, n = 40: harmonic-balance residual"
-    )
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -848,10 +848,16 @@ class TestDerivedFigures:
         with pytest.raises(SeedBandError, match="flat-band beta_1 = 0"):
             modulation_bandwidth(op, 1e-4, 0.02 * 2.0 * op.gamma_p)
 
-    def test_index_backsolve_round_trip(self, op2):
-        for beta1 in (0.3, 1.0, 2.5):
-            mu = solve_mu_for_beta1(op2, beta1, OMEGA_M)
-            assert first_harmonic_index(op2, mu, OMEGA_M) == pytest.approx(beta1, rel=1e-6)
+    def test_index_backsolve_round_trip(self, all_ops):
+        # The bisection stops at min(1e-10, 1e-7*hi) in mu.  At 1 Hz the mu of
+        # beta_1 = 0.25 is about 4.5e-11, below a 1e-10 stop alone, which left
+        # |beta_1| at 0.17 there and 0.2512 at 100 Hz.
+        points = [("OP2", beta1, OMEGA_M) for beta1 in (0.3, 1.0, 2.5)]
+        points += [(label, 0.25, TWO_PI * f_m) for label in all_ops for f_m in (1.0, 100.0, 1e4)]
+        for label, beta1, omega_m in points:
+            mu = solve_mu_for_beta1(all_ops[label], beta1, omega_m)
+            beta1_back = first_harmonic_index(all_ops[label], mu, omega_m)
+            assert beta1_back == pytest.approx(beta1, rel=1e-6), (label, omega_m)
 
     def test_index_backsolve_edges(self, op2):
         assert solve_mu_for_beta1(op2, 0.0, OMEGA_M) == 0.0
