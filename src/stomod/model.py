@@ -32,6 +32,7 @@ outright, so deriving another order from it never warns.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, fields
 
@@ -128,8 +129,8 @@ def derive_operating_point(params: DeviceParams) -> OperatingPoint:
         If xi <= 1 (no sustained oscillation).
     NumericalError
         If finite inputs overflow Gamma_p, sigma*I or omega_sto, or underflow
-        Gamma_p to 0, or if nu*Gamma_p pulls the carrier omega_sto to or
-        below 0.
+        Gamma_p below the smallest normal float, or if nu*Gamma_p pulls the
+        carrier omega_sto to or below 0.  Each message names xi.
     """
     if params.xi <= 1.0:
         raise BelowThresholdError(
@@ -143,8 +144,10 @@ def _operating_point(params: DeviceParams) -> OperatingPoint:
     (xi = 1 gives the threshold point, Gamma_p = 0)."""
     omega_o = TWO_PI * params.gamma * (params.mu0_h_app - params.mu0_ms)
     gamma_p = params.alpha * omega_o * (params.xi - 1.0)
-    if not (0.0 < gamma_p < math.inf or gamma_p == 0.0 and params.xi == 1.0):
-        raise NumericalError(f"Gamma_p={gamma_p} rad/s is not finite and positive")
+    if not (sys.float_info.min <= gamma_p < math.inf or gamma_p == 0.0 and params.xi == 1.0):
+        raise NumericalError(
+            f"Gamma_p={gamma_p} rad/s at xi={params.xi} is not a positive normal float"
+        )
     p0 = 1.0 - 1.0 / params.xi
     # First-order negative damping sigma*I*(1 - p); only sigma*I = alpha*omega_o*xi enters.
     sigma_i = params.alpha * omega_o * params.xi

@@ -143,8 +143,7 @@ def operating_point_table(cfg: RunConfig, op_filter: str | None = None) -> Table
     xis = cfg.dispersion_xi_grid if op_filter is None else [device_at(cfg, op_filter).xi]
     rows = []
     for xi in xis:
-        with _row(f"xi = {xi:g}"):
-            op = _operating_point(cfg.device(xi))
+        op = _operating_point(cfg.device(xi))  # its errors name xi
         rows.append((xi, op.omega_o / TWO_PI, op.omega_sto / TWO_PI, op.gamma_p / TWO_PI,
                      op.p0, op.c1, op.c2))
     header = ["xi", "f_o_hz", "f_sto_hz", "gamma_p_hz", "p0", "c1", "c2"]

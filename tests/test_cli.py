@@ -176,6 +176,8 @@ class TestDeterminism:
             ["operating-point", "--set", "operating-point.xi_grid=lin:1.0:4.0:13"],
             ["psd-map", *FAST_PSD],
             ["asymmetry-map", *FAST_ASYM],
+            ["psd-map"],  # each default map's spectra come from one batched kernel call
+            ["asymmetry-map"],
         ],
     )
     def test_byte_identical_reruns(self, tmp_path, args):
@@ -555,6 +557,10 @@ def test_each_case_is_one_argv_with_its_text():
     assert len(set(argvs)) == len(argvs)
     assert [name for name, case in cli_cases.CASES.items()
             if case.exit_code and not case.stderr_has.startswith(r"\A")] == []
+
+
+def test_cli_commands_are_the_listed_commands():
+    assert COMMANDS == tuple(cli_cases.TABLES)
 
 
 @pytest.mark.parametrize("code, status, report", [(0, 1, "exit 0, not 3"), (3, 0, "ok")],

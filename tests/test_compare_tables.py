@@ -4,6 +4,8 @@ import pytest
 
 import compare_tables
 
+TABLES = compare_tables.TABLES
+DEFAULTS = {name: case for name, case in compare_tables.CASES.items() if case.argv in TABLES}
 TABLE = "# stomod-version: 0.1.0\n# command: psd-map\na,b\n1,2\n3,4\n5,6\n"
 
 
@@ -36,9 +38,9 @@ def test_stderr_report(head, report):
 
 
 def test_stderr_is_reported_per_command(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(compare_tables, "CASES", {})  # reported by the test below
+    monkeypatch.setattr(compare_tables, "CASES", DEFAULTS)  # the other cases: the test below
     # Two checkouts whose stomod.cli prints one warning line, with a count
-    # that differs only for bandwidth on the head side.
+    # that differs only for bandwidth on the head side, and writes no table.
     for side, count in (("base", 3), ("head", 4)):
         (tmp_path / side / "src" / "stomod").mkdir(parents=True)
         (tmp_path / side / "src" / "stomod" / "__init__.py").write_text("")
@@ -51,19 +53,20 @@ def test_stderr_is_reported_per_command(tmp_path, monkeypatch, capsys):
     assert compare_tables.main([str(tmp_path / "base"), str(tmp_path / "head")]) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    assert out.splitlines() == [
-        f"{command} stderr: {'1 of 1 lines differ' if command == 'bandwidth' else 'identical'}"
-        for command in compare_tables.COMMANDS
-    ]
+    expected = []
+    for command, stems in TABLES.items():
+        stderr = "1 of 1 lines differ" if command == "bandwidth" else "identical"
+        expected += [f"case {command}: exit 0, stderr {stderr}",
+                     *(f"  {stem}.csv: on neither side" for stem in stems)]
+    assert out.splitlines() == expected
 
 
 def test_cases_report_exit_and_stderr_without_failing_the_run(tmp_path, monkeypatch, capsys):
     # Both checkouts exit 2 on the option before the command; the bandwidth
     # case exits 0 with one warning at the base, and 3 with another at the
-    # head.  Only the default commands set the status.  One command and two
-    # cases keep the interpreter starts few.
-    names = ("option-before-command", "bandwidth-bound-not-cleared")
-    monkeypatch.setattr(compare_tables, "COMMANDS", ("psd-map",))
+    # head.  Only the default runs set the status.  One default run and two
+    # other cases keep the interpreter starts few.
+    names = ("psd-map", "option-before-command", "bandwidth-bound-not-cleared")
     monkeypatch.setattr(compare_tables, "CASES", {n: compare_tables.CASES[n] for n in names})
     for side, code, count in (("base", 0, 1), ("head", 3, 2)):
         (tmp_path / side / "src" / "stomod").mkdir(parents=True)
@@ -81,17 +84,17 @@ def test_cases_report_exit_and_stderr_without_failing_the_run(tmp_path, monkeypa
     out, err = capsys.readouterr()
     assert err == ""
     reports = {
+        "psd-map": "exit 0, stderr identical\n  psd_map.csv: on neither side",
         "option-before-command": "exit 2, stderr identical",
         "bandwidth-bound-not-cleared": "exit 0 on base, 3 on head, stderr 1 of 1 lines differ",
     }
-    assert out.splitlines() == ["psd-map stderr: identical",
-                                *(f"case {name}: {reports[name]}" for name in names)]
+    assert out == "".join(f"case {name}: {reports[name]}\n" for name in names)
 
 
 def test_a_failing_command_fails_the_run(tmp_path, monkeypatch, capsys):
-    # The base's stomod has no cli module, so each command exits 1 there; the
+    # The base's stomod has no cli module, so each default run exits 1 there; the
     # head has no src/stomod at all.
-    monkeypatch.setattr(compare_tables, "CASES", {})  # only the commands set the status
+    monkeypatch.setattr(compare_tables, "CASES", DEFAULTS)  # only these set the status
     (tmp_path / "base" / "src" / "stomod").mkdir(parents=True)
     (tmp_path / "base" / "src" / "stomod" / "__init__.py").write_text("")
     assert compare_tables.main([str(tmp_path / "base"), str(tmp_path / "head")]) == 1

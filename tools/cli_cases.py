@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""The CLI's error and warning cases, each with the outcome it must have:
-every run whose numerical refusal (exit 3) or counted warning is checked,
-and config errors (exit 2) whose text is.
+"""Every CLI run the project checks, each with the outcome it must have:
+the five default runs, every run whose numerical refusal (exit 3) or
+counted warning is checked, and config errors (exit 2) whose text is.
 
 `python tools/cli_cases.py` prints the path of the stomod on PATH, then checks
 each case against it, one line each ("ok" or what failed), and exits 1 if one
@@ -23,11 +23,11 @@ TABLES = {"operating-point": ["operating_point"], "psd-map": ["psd_map"],
 
 class Case(NamedTuple):
     """stomod's arguments (argv split at spaces, and --out), its exit code and
-    why.  Exit 0 writes every table of the command, none empty; any other exit
-    leaves no --out directory.  stderr matches the regex stderr_has in
-    multiline mode (\\A anchors it at stderr's first line, \\n\\Z after its
-    last), not stderr_lacks, and stdout_empty wants no stdout.  Every case of a
-    non-zero exit checks its text from \\A."""
+    why.  Exit 0 writes exactly the command's tables, none empty, and no other
+    file; any other exit leaves no --out directory.  stderr matches the regex
+    stderr_has in multiline mode (\\A anchors it at stderr's first line, \\n\\Z
+    after its last), not stderr_lacks, and stdout_empty wants no stdout.  Every
+    case of a non-zero exit checks its text from \\A."""
 
     argv: str
     exit_code: int
@@ -43,9 +43,22 @@ FM_CAP = (r"\Anumerical error: OP1 at beta1 = 40000, f_m = 1e\+08 Hz: FM index "
 NEGATIVE_POWER = (r"\Anumerical error: OP1 at beta1 = 10000, f_m = 1e\+06 Hz: negative power: "
                   r"min dp = -1\.07333 makes 1 \+ dp <= 0: a truncation artifact "
                   r"\(solver\.n_harmonics\)\n\Z")
-GAMMA_P_INF = r": Gamma_p=inf rad/s is not finite and positive\n\Z"
+GAMMA_P_INF = r"Gamma_p=inf rad/s at xi=1e\+300 is not a positive normal float\n\Z"
 
 CASES = {
+    # The default runs: bare commands.
+    "operating-point": Case("operating-point", 0, "The dispersion over the default xi grid.",
+                            stderr_has=r"\A\Z"),
+    "psd-map": Case("psd-map", 0, "The line spectra over the default beta_1 grid.",
+                    stderr_has=r"\A\Z"),
+    "asymmetry-map": Case("asymmetry-map", 0, "The sideband asymmetry map and its slice.",
+                          stderr_has=r"\A\Z"),
+    "bandwidth": Case(
+        "bandwidth", 0, "f_m = 1 GHz is past a tenth of each OP's carrier: one counted warning.",
+        stderr_has=r"\AWarning: omega_m is not small compared to omega_sto; the slow-modulation "
+                   r"assumption is strained \(injection locking is not modeled\) \(3 times\)\n\Z"),
+    "error-analysis": Case("error-analysis", 0, "The truncation and method-pair errors.",
+                           stderr_has=r"\A\Z"),
     "deep-spectrum": Case(
         "psd-map --set psd-map.beta1_grid=0.5 --set spectrum.k_max=1000000000000", 2,
         "An absurd spectrum depth is a config error, refused before it is allocated.",
@@ -93,11 +106,11 @@ CASES = {
         "bandwidth --set bandwidth.mu=0.1915 --set bandwidth.f_m_grid_hz=1e7,1e8,1e9", 0,
         "The bound |A0| + sum|X_n| < 1 misses OP1 at 10 MHz; its sampled max dp, 0.995, passes."),
     # Refused while an operating point is derived, before any row: named by
-    # the label or the xi.
+    # the label, if any, and the xi.
     "nu-overflow": Case("operating-point --set device.nu=1e300", 3,
                         "A nu that overflows the carrier omega_o + nu*Gamma_p is refused.",
-                        stderr_has=r"\Anumerical error: xi = 1\.55: f_STO = f_o \+ nu\*Gamma_p/2pi "
-                                   r"is not finite at xi=1\.55 \(nu=1e\+300\)\n\Z"),
+                        stderr_has=r"\Anumerical error: f_STO = f_o \+ nu\*Gamma_p/2pi is not "
+                                   r"finite at xi=1\.55 \(nu=1e\+300\)\n\Z"),
     "nu-overflow-psd": Case(
         "psd-map --set psd-map.beta1_grid=0.5 --set device.nu=1e300", 3,
         "The overflowing carrier is refused before any spectral line is kept.",
@@ -106,8 +119,7 @@ CASES = {
     "negative-carrier-xi": Case(
         "operating-point --set device.nu=-100", 3,
         "nu = -100 puts f_STO at or below 0 from xi = 2 up: on the xi grid ...",
-        stderr_has=r"\Anumerical error: xi = 2: f_STO=0 Hz at xi=2\.0 is not positive "
-                   r"\(nu=-100\.0\)\n\Z"),
+        stderr_has=r"\Anumerical error: f_STO=0 Hz at xi=2\.0 is not positive \(nu=-100\.0\)\n\Z"),
     "negative-carrier-op": Case(
         "psd-map --set device.nu=-100", 3, "... and at OP3.",
         stderr_has=r"\Anumerical error: OP3: f_STO=-1\.008e\+10 Hz at xi=3\.8 is not positive "
@@ -115,21 +127,22 @@ CASES = {
     "gamma-p-overflow": Case(
         "bandwidth --set bandwidth.f_m_grid_hz=log:1e7:1e9:5 --set device.mu0_h_app_t=1e300", 3,
         "A field of 1e300 T overflows Gamma_p.",
-        stderr_has=r"\Anumerical error: OP1" + GAMMA_P_INF),
+        stderr_has=r"\Anumerical error: OP1: Gamma_p=inf rad/s at xi=1\.2 is not a positive normal "
+                   r"float\n\Z"),
     "gamma-p-inf-op": Case("psd-map --set operating-points.OP1=1e300 --op-label OP1", 3,
                            "So does a xi of 1e300 at a label ...",
-                           stderr_has=r"\Anumerical error: OP1" + GAMMA_P_INF),
+                           stderr_has=r"\Anumerical error: OP1: " + GAMMA_P_INF),
     "gamma-p-inf-bandwidth": Case("bandwidth --set operating-points.OP2=1e300", 3,
                                   "... in any command ...",
-                                  stderr_has=r"\Anumerical error: OP2" + GAMMA_P_INF),
+                                  stderr_has=r"\Anumerical error: OP2: " + GAMMA_P_INF),
     "gamma-p-inf-xi": Case("operating-point --set operating-point.xi_grid=1.5,1e300", 3,
                            "... or on the xi grid.",
-                           stderr_has=r"\Anumerical error: xi = 1e\+300" + GAMMA_P_INF),
+                           stderr_has=r"\Anumerical error: " + GAMMA_P_INF),
     "seed-underflow": Case(
         "bandwidth --set bandwidth.f_m_grid_hz=log:1e7:1e9:5 --set device.gamma_hz_per_t=1e-320",
-        3, "A subnormal gamma underflows the bandwidth search's seed to 0.",
-        stderr_has=r"\Anumerical error: OP1 bandwidth search from f_m = 0 Hz: mu0=0\.0001 must be "
-                   r"in \(0, 1\) and omega_m0=0\.0 positive\n\Z"),
+        3, "A subnormal gamma gives a subnormal Gamma_p, refused where the OP is derived.",
+        stderr_has=r"\Anumerical error: OP1: Gamma_p=2\.5e-323 rad/s at xi=1\.2 is not a positive "
+                   r"normal float\n\Z"),
     "no-fm": Case("bandwidth --set device.nu=0", 3,
                   "nu = 0 leaves no bandwidth corner: refused before the search, with no mu >= 1.",
                   stderr_has=r"\Anumerical error: OP1 bandwidth search from f_m = 448000 Hz: "
@@ -302,8 +315,12 @@ def check(case: Case, code: int, stdout: str, stderr: str, out: Path) -> list[st
     failed = [] if code == case.exit_code else [f"exit {code}, not {case.exit_code}"]
     if case.exit_code and out.exists():
         failed.append(f"{out} exists")
-    tables = [] if case.exit_code else [out / f"{s}.csv" for s in TABLES[case.argv.split()[0]]]
-    failed += [f"{t} is missing or empty" for t in tables if not (t.is_file() and t.stat().st_size)]
+    if not case.exit_code:
+        tables = [out / f"{stem}.csv" for stem in TABLES[case.argv.split()[0]]]
+        failed += [f"{t} is missing or empty" for t in tables
+                   if not (t.is_file() and t.stat().st_size)]
+        failed += [f"{p} is not a table of the command" for p in sorted(out.glob("*"))
+                   if p not in tables]
     if case.stderr_has and not re.search(case.stderr_has, stderr, re.M):
         failed.append(f"no line of stderr matches {case.stderr_has!r}")
     if case.stderr_lacks and re.search(case.stderr_lacks, stderr, re.M):

@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
-"""Compare the default tables of two checkouts of stomod, row by row.
+"""Compare two checkouts of stomod run by run: every case of tools/cli_cases.py.
 
     python tools/compare_tables.py BASE_DIR HEAD_DIR
 
-Runs each of the five CLI commands with the default config in each checkout
-(its own src/ on PYTHONPATH) and prints, for every table, "identical" or how
-many data rows differ, then, for every command, whether its stderr (the
-warning lines and their counts) is identical.  Then it runs the arguments
-of each error and warning case of tools/cli_cases.py on both sides and
-prints each case's exit code and whether its stderr is identical.  It only
-reports: the exit status is 1 if one of the five default commands fails on
-either side, and 0 otherwise, whatever the tables, warnings and cases hold.
+Runs the arguments of each case of tools/cli_cases.py (the five default runs
+first) once in each checkout, its own src/ on PYTHONPATH, and prints each
+case's exit code and whether its stderr (the refusal or the warning lines
+and their counts) is identical.  For a case that exits 0 on both sides it
+then prints, for each table of its command, "identical" or how many data
+rows differ.  It only reports: the exit status is 1 if a default run (a bare
+command) does not exit 0 on either side, and 0 otherwise, whatever the
+tables, warnings and other cases hold.
 """
 
 from __future__ import annotations
@@ -23,36 +23,25 @@ from pathlib import Path
 
 from cli_cases import CASES, TABLES
 
-COMMANDS = tuple(TABLES)
 RUN_CLI = "import sys; from stomod.cli import main; main(sys.argv[1:])"
 
 
-def run_commands(
-    checkout: Path, out: Path
-) -> tuple[dict[str, str], dict[str, tuple[int, str]], list[str]]:
-    """Run every command of checkout, writing to out, then every case, each
-    writing to its own directory beside out.  Return each command's stderr,
-    each case's exit code and stderr, and the failures of the commands."""
+def run_cases(checkout: Path, out: Path) -> tuple[dict[str, tuple[int, str]], list[str]]:
+    """Run every case of checkout, each writing to its own directory in out.
+    Return each case's exit code and stderr, and the failures of the default
+    runs."""
     src = checkout.resolve() / "src"
     if not (src / "stomod").is_dir():  # an installed stomod would stand in for it
-        return {}, {}, [f"{checkout}: no src/stomod"]
+        return {}, [f"{checkout}: no src/stomod"]
     env = dict(os.environ, PYTHONPATH=str(src))
-
-    def run(args, out_dir):
-        return subprocess.run([sys.executable, "-c", RUN_CLI, *args, "--out", str(out_dir)],
-                              env=env, cwd=out.parent, capture_output=True, text=True)
-
-    stderr, failures = {}, []
-    for command in COMMANDS:
-        proc = run([command], out)
-        stderr[command] = proc.stderr
-        if proc.returncode != 0:
-            failures.append(f"{checkout}: {command} exited {proc.returncode}\n{proc.stderr}")
-    cases = {}
+    cases, failures = {}, []
     for name, case in CASES.items():
-        proc = run(case.argv.split(), out.parent / name)
+        proc = subprocess.run([sys.executable, "-c", RUN_CLI, *case.argv.split(), "--out",
+                               str(out / name)], env=env, cwd=out, capture_output=True, text=True)
         cases[name] = proc.returncode, proc.stderr
-    return stderr, cases, failures
+        if case.argv in TABLES and proc.returncode != 0:
+            failures.append(f"{checkout}: {name} exited {proc.returncode}\n{proc.stderr}")
+    return cases, failures
 
 
 def _split(data: bytes) -> tuple[list[str], list[str]]:
@@ -64,8 +53,9 @@ def _split(data: bytes) -> tuple[list[str], list[str]]:
 
 def compare(base: Path, head: Path) -> str:
     """'identical', or how many data rows (and whether the header lines) differ."""
-    if not base.exists() or not head.exists():
-        return f"only in {'head' if head.exists() else 'base'}"
+    sides = [side for side, path in (("base", base), ("head", head)) if path.exists()]
+    if len(sides) < 2:
+        return f"only in {sides[0]}" if sides else "on neither side"
     a, b = base.read_bytes(), head.read_bytes()
     if a == b:
         return "identical"
@@ -75,7 +65,7 @@ def compare(base: Path, head: Path) -> str:
 
 
 def compare_stderr(base: str, head: str) -> str:
-    """'identical', or how many lines of a command's two stderr texts differ."""
+    """'identical', or how many lines of a run's two stderr texts differ."""
     return "identical" if base == head else _differ(base.splitlines(), head.splitlines(), "lines")
 
 
@@ -97,24 +87,22 @@ def main(argv: list[str]) -> int:
         print("usage: python tools/compare_tables.py BASE_DIR HEAD_DIR", file=sys.stderr)
         return 2
     checkouts = [Path(p) for p in argv]
+    runs, failures = [], []
     with tempfile.TemporaryDirectory() as tmp:
-        outs = [Path(tmp, side, "out") for side in ("base", "head")]
-        stderrs, cases, failures = [], [], []
+        outs = [Path(tmp, side) for side in ("base", "head")]
         for checkout, out in zip(checkouts, outs):
-            out.parent.mkdir()
-            stderr, case, failed = run_commands(checkout, out)
-            stderrs.append(stderr)
-            cases.append(case)
+            out.mkdir()
+            cases, failed = run_cases(checkout, out)
+            runs.append(cases)
             failures += failed
-        stems = sorted({p.name for out in outs if out.is_dir() for p in out.glob("*.csv")})
-        for stem in stems:
-            print(f"{stem}: {compare(outs[0] / stem, outs[1] / stem)}")
-    for command in COMMANDS:
-        if all(command in stderr for stderr in stderrs):
-            print(f"{command} stderr: {compare_stderr(*(s[command] for s in stderrs))}")
-    for name in CASES:
-        if all(name in case for case in cases):
-            print(f"case {name}: {compare_case(*(c[name] for c in cases))}")
+        for name, case in CASES.items():
+            if not all(name in cases for cases in runs):
+                continue
+            base, head = (cases[name] for cases in runs)
+            print(f"case {name}: {compare_case(base, head)}")
+            if base[0] == head[0] == 0:
+                for stem in TABLES.get(case.argv.split()[0], []):
+                    print(f"  {stem}.csv: {compare(*(out / name / f'{stem}.csv' for out in outs))}")
     for failure in failures:
         print(f"FAILED {failure}", file=sys.stderr)
     return 1 if failures else 0
