@@ -24,9 +24,11 @@ taken as cyclic (Hz/T) on input, matching how it is usually quoted.
 
 The modulated model holds for small (mu < 1) and slow (omega_m much below
 omega_sto) modulation.  That rule is stated once, in warn_outside_model,
-which each evaluation of the model calls (both solvers and both RK4
-integrators); ModulationConfig itself only refuses values that are invalid
-outright, so deriving another order from it never warns.
+which each call of a solver or an RK4 integrator makes; ModulationConfig
+itself only refuses values that are invalid outright, so deriving another
+order from it never warns.  The two searches (the mu back-solve and the
+bandwidth scan) silence their evaluations, so a counted warning counts kept
+table rows or library calls, not the evaluations of a search.
 """
 
 from __future__ import annotations
@@ -179,9 +181,12 @@ def warn_outside_model(op: OperatingPoint, modcfg: ModulationConfig) -> None:
     """Warn when modcfg leaves the model's validity range: mu >= 1 (small
     modulation) or omega_m not small against the carrier (slow modulation).
 
-    Called once per evaluation of the model, by both solvers and both RK4
-    integrators, so a run's count of each warning is its count of
-    evaluations outside the range.
+    Called once per call of either solver or either RK4 integrator, from
+    that function's own body, so stacklevel=3 names the line that called
+    it.  A search's evaluations are silent (spectrum._rising_crossing), and
+    modulation_bandwidth calls this once at its corner, so a run's count of
+    each warning is its count of kept rows and library calls outside the
+    range, not of evaluations.
     """
     if modcfg.mu >= 1.0:
         warnings.warn(

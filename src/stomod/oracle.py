@@ -21,8 +21,9 @@ IntegrationConfig.validate is the one place that checks a run and counts
 its period_steps = round(period/dt) steps to a modulation period (at most
 2**21).  The trace's times are t = i*dt, 0 <= i < period_steps: one period
 expanded from y*, with the phase summed from 0 at t = 0.  A caller that
-wants more periods tiles the trace.  Each integration also calls
-model.warn_outside_model once, as each solve does.
+wants more periods tiles the trace.  Each integrator validates its
+IntegrationConfig and then calls model.warn_outside_model once from its own
+body, as each solver does, so the warning names the caller's line.
 
 The one driver serves both models; each model supplies only its phase step.
 The reduced phase rate, omega_sto + 2*nu*Gamma_p*delta_p, is linear in the
@@ -209,19 +210,11 @@ def _rk4(coeffs, h: float, period_steps: int, phase_step):
     return y, phi
 
 
-def _integrate(op: OperatingPoint, modcfg: ModulationConfig, icfg: IntegrationConfig,
-               coeffs, phase_step):
-    """Validate icfg, warn outside the model, then _rk4: t, y and phi over
-    one modulation period."""
-    period_steps = icfg.validate(op, modcfg)
-    warn_outside_model(op, modcfg)
-    t = np.arange(period_steps) * icfg.dt
-    return t, *_rk4(coeffs, icfg.dt, period_steps, phase_step)
-
-
-def _demodulated(op: OperatingPoint, t: np.ndarray, dp: np.ndarray, phi: np.ndarray) -> TimeTrace:
-    """The trace with its phase demodulated at omega_sto + 2*nu*Gamma_p*<delta_p>:
-    for the full model, that is omega_o + nu*Gamma_p*(1 + 2*<delta_p>)."""
+def _demodulated(op: OperatingPoint, dt: float, dp: np.ndarray, phi: np.ndarray) -> TimeTrace:
+    """The trace at t = i*dt with its phase demodulated at
+    omega_sto + 2*nu*Gamma_p*<delta_p>: for the full model, that is
+    omega_o + nu*Gamma_p*(1 + 2*<delta_p>)."""
+    t = np.arange(dp.size) * dt
     demod = op.omega_sto + 2.0 * op.nu * op.gamma_p * float(dp.mean())
     return TimeTrace(t=t, delta_p=dp, phi=phi - demod * t, demod_freq=demod)
 
@@ -236,6 +229,8 @@ def integrate_reduced(
     omega_sto + 2*nu*Gamma_p*<delta_p>, with the mean taken over the period,
     so the returned phi starts at exactly 0.
     """
+    period_steps = icfg.validate(op, modcfg)
+    warn_outside_model(op, modcfg)
     mu, w = modcfg.mu, modcfg.omega_m
     c1, c2, gp = op.c1, op.c2, op.gamma_p
 
@@ -252,7 +247,7 @@ def integrate_reduced(
         (c2, d2), (c3, d3), (c4, d4) = stages
         return ((1.0 + 2.0 * (d2 + d3) + d4) * dp + (2.0 * (c2 + c3) + c4)) * w1 + 6.0 * w0
 
-    return _demodulated(op, *_integrate(op, modcfg, icfg, coeffs, phase_step))
+    return _demodulated(op, icfg.dt, *_rk4(coeffs, icfg.dt, period_steps, phase_step))
 
 
 def integrate_full(
@@ -281,6 +276,8 @@ def integrate_full(
 
     Raises NumericalError if the trace is not finite.
     """
+    period_steps = icfg.validate(op, modcfg)
+    warn_outside_model(op, modcfg)
     mu, w, gp = modcfg.mu, modcfg.omega_m, op.gamma_p
     sigma_i, nu_over_p0 = op.c1 + gp, op.nu * gp / op.p0
 
@@ -297,8 +294,8 @@ def integrate_full(
             rate += weight * (nu_over_p0 / (d * u + c) + op.omega_o)
         return rate
 
-    t, u, phi = _integrate(op, modcfg, icfg, coeffs, phase_step)
-    return _demodulated(op, t, (1.0 / u / op.p0 - 1.0) / 2.0, phi)
+    u, phi = _rk4(coeffs, icfg.dt, period_steps, phase_step)
+    return _demodulated(op, icfg.dt, (1.0 / u / op.p0 - 1.0) / 2.0, phi)
 
 
 def project_harmonics(

@@ -27,6 +27,7 @@ sample dp alone.
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import GridCoverageError, NumericalError, SeedBandError
 from .fourier import FourierSolution, carrier_shift, solve_coefficients_matrix
-from .model import TWO_PI, ModulationConfig, OperatingPoint
+from .model import TWO_PI, ModulationConfig, OperatingPoint, warn_outside_model
 
 DEFAULT_J_MAX = 10
 DEFAULT_K_MAX = 40
@@ -435,21 +436,29 @@ def _rising_crossing(f, target: float, x0: float, x_max: float) -> float:
     and it is tested only once the 1e-10 is met.  A fall of f before the
     target by more than round-off (1e-12 of the target), a target still out
     of reach at x_max, or a crossing that rounds to x = 0, raises
-    NumericalError."""
-    lo, f_lo, hi = 0.0, 0.0, min(x0, x_max)
-    while not (f_hi := f(hi)) >= target:  # a NaN marches on to x_max
-        if f_hi < f_lo - 1e-12 * target:
-            raise NumericalError(f"target {target:.6g} not reachable: the value falls past "
-                                 f"{lo:.4g} (largest value {f_lo:.6g})")
-        if hi >= x_max:
-            raise NumericalError(f"target {target:.6g} not reachable up to {x_max:g} "
-                                 f"(largest value {f_hi:.6g})")
-        lo, f_lo, hi = hi, f_hi, min(1.25 * hi, x_max)
-    while (hi - lo > 1e-10 or hi - lo > 1e-7 * hi) and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if f(mid) < target:
-            lo = mid
-        else:
-            hi = mid
+    NumericalError.
+
+    The evaluations of f run with warnings ignored: they are the search's
+    internals, tens per call, and a counted warning counts kept rows or
+    library calls, not evaluations.  The caller warns for what it keeps.
+    This is the one place stomod silences warnings.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lo, f_lo, hi = 0.0, 0.0, min(x0, x_max)
+        while not (f_hi := f(hi)) >= target:  # a NaN marches on to x_max
+            if f_hi < f_lo - 1e-12 * target:
+                raise NumericalError(f"target {target:.6g} not reachable: the value falls past "
+                                     f"{lo:.4g} (largest value {f_lo:.6g})")
+            if hi >= x_max:
+                raise NumericalError(f"target {target:.6g} not reachable up to {x_max:g} "
+                                     f"(largest value {f_hi:.6g})")
+            lo, f_lo, hi = hi, f_hi, min(1.25 * hi, x_max)
+        while (hi - lo > 1e-10 or hi - lo > 1e-7 * hi) and lo < (mid := 0.5 * (lo + hi)) < hi:
+            if f(mid) < target:
+                lo = mid
+            else:
+                hi = mid
     if (x := 0.5 * (lo + hi)) == 0.0:
         raise NumericalError(f"target {target:.6g} is reached only below {hi:.3g}: "
                              "the crossing rounds to 0")
@@ -471,6 +480,11 @@ def modulation_bandwidth(
     takes mu -> 0 too.  There the balance equations reduce to
     X_1 = mu*C1/(2*Gamma_p - i*omega_m), so beta_1 -> |nu*C1|*mu0/omega_m0
     exactly.  The seed must lie in the flat band: beta_1 there within 1% of it.
+
+    Warnings: the seed solve warns as any solve does, and the search's
+    evaluations are silent (see _rising_crossing); warn_outside_model then
+    warns once at the corner returned.  So one call warns at most once per
+    rule beyond its seed, however many evaluations the search made.
     """
     if not (0.0 < mu0 < 1.0 and omega_m0 > 0.0):
         raise SeedBandError(f"mu0={mu0} must be in (0, 1) and omega_m0={omega_m0} positive")
@@ -487,6 +501,7 @@ def modulation_bandwidth(
         lambda s: flat - first_harmonic_index(op, mu0 * (1 + s), omega_m0 * (1 + s), n_harmonics),
         flat * (1.0 - 1.0 / math.sqrt(2.0)), 1.0, 1.0 / mu0 - 1.0,
     )
+    warn_outside_model(op, ModulationConfig(mu0 * (1.0 + s), omega_m0 * (1.0 + s), n_harmonics))
     return omega_m0 * (1.0 + s) / TWO_PI
 
 
@@ -506,6 +521,8 @@ def solve_mu_for_beta1(
     The search's evaluations are ungated (gate=False): the balance residual is
     not checked at each mu.  A caller that keeps the solution at the returned
     mu gates it by a default solve_coefficients_matrix, as the tables do.
+    The evaluations are silent too (see _rising_crossing): the search itself
+    never warns, and that kept solve warns once, as any solve does.
     """
     if beta1 < 0.0:
         raise ValueError(f"beta1 must be >= 0, got {beta1}")

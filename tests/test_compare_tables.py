@@ -25,13 +25,19 @@ def test_report(tmp_path, head, report):
 
 
 WARNING = "Warning: omega_m is not small compared to omega_sto ({} times)\n"
+LINE = WARNING.rstrip("\n").format
+
+
+def first(base: str, head: str) -> str:
+    """The report's quote of the first line that differs, from each side."""
+    return f"\n  base: {base}\n  head: {head}"
 
 
 @pytest.mark.parametrize("head, report", [
     (WARNING.format(3), "identical"),
-    (WARNING.format(4), "1 of 1 lines differ"),
-    ("", "1 of 1 lines differ"),
-    (WARNING.format(3) + WARNING.format(1), "1 of 2 lines differ"),
+    (WARNING.format(4), "1 of 1 lines differ" + first(LINE(3), LINE(4))),
+    ("", "1 of 1 lines differ" + first(LINE(3), "(none)")),
+    (WARNING.format(3) + WARNING.format(1), "1 of 2 lines differ" + first("(none)", LINE(1))),
 ], ids=["identical", "count", "missing", "extra"])
 def test_stderr_report(head, report):
     assert compare_tables.compare_stderr(WARNING.format(3), head) == report
@@ -55,8 +61,10 @@ def test_stderr_is_reported_per_command(tmp_path, monkeypatch, capsys):
     assert err == ""
     expected = []
     for command, stems in TABLES.items():
-        stderr = "1 of 1 lines differ" if command == "bandwidth" else "identical"
-        expected += [f"case {command}: exit 0, stderr {stderr}",
+        stderr = "identical"
+        if command == "bandwidth":
+            stderr = "1 of 1 lines differ" + first(*(f"Warning: slow ({n} times)" for n in (3, 4)))
+        expected += [*f"case {command}: exit 0, stderr {stderr}".splitlines(),
                      *(f"  {stem}.csv: on neither side" for stem in stems)]
     assert out.splitlines() == expected
 
@@ -86,7 +94,8 @@ def test_cases_report_exit_and_stderr_without_failing_the_run(tmp_path, monkeypa
     reports = {
         "psd-map": "exit 0, stderr identical\n  psd_map.csv: on neither side",
         "option-before-command": "exit 2, stderr identical",
-        "bandwidth-bound-not-cleared": "exit 0 on base, 3 on head, stderr 1 of 1 lines differ",
+        "bandwidth-bound-not-cleared": "exit 0 on base, 3 on head, stderr 1 of 1 lines differ"
+                                       + first(*(f"Warning: slow ({n} times)" for n in (1, 2))),
     }
     assert out == "".join(f"case {name}: {reports[name]}\n" for name in names)
 

@@ -12,10 +12,16 @@ from stomod import (
     BelowThresholdError,
     ConfigError,
     DeviceParams,
+    IntegrationConfig,
     ModulationConfig,
     NumericalError,
     UnsaturatedRegimeError,
     derive_operating_point,
+    integrate_full,
+    integrate_reduced,
+    modulation_bandwidth,
+    solve_coefficients_matrix,
+    solve_coefficients_recursive,
 )
 from stomod.config import load_config
 from stomod.model import warn_outside_model
@@ -248,3 +254,25 @@ class TestModulationConfig:
         op = derive_operating_point(make_device(1.8))
         with pytest.warns(UserWarning, match="omega_sto"):
             warn_outside_model(op, ModulationConfig(mu=0.05, omega_m=0.5 * op.omega_sto))
+
+    @pytest.mark.parametrize("call", ["matrix", "recursive", "reduced", "full", "bandwidth"])
+    def test_validity_warning_names_the_callers_line(self, call):
+        # Each library call warns once, from the line that called it: not
+        # from stomod's own code, whatever depth it warns at.  The bandwidth
+        # search warns at its 3.14 GHz corner, past a tenth of the 6.38 GHz
+        # carrier.
+        op = derive_operating_point(make_device(3.8, alpha=0.1, nu=0.5))
+        cfg = ModulationConfig(mu=0.05, omega_m=0.2 * op.omega_sto)
+        icfg = IntegrationConfig.for_steady_state(op, cfg)
+        run = {
+            "matrix": lambda: solve_coefficients_matrix(op, cfg),
+            "recursive": lambda: solve_coefficients_recursive(op, cfg),
+            "reduced": lambda: integrate_reduced(op, cfg, icfg),
+            "full": lambda: integrate_full(op, cfg, icfg),
+            "bandwidth": lambda: modulation_bandwidth(op, 1e-4, 0.02 * 2.0 * op.gamma_p),
+        }[call]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        assert [(str(w.message)[:20], w.filename) for w in caught] == [
+            ("omega_m is not small", __file__)]

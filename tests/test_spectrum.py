@@ -831,7 +831,6 @@ class TestDerivedFigures:
                 mbw = modulation_bandwidth(op, 1e-4 / scale, 0.02 * 2.0 * op.gamma_p / scale)
                 assert mbw == pytest.approx(2.0 * op.gamma_p / TWO_PI, rel=0.02)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_bandwidth_seed_must_be_in_flat_band(self, op2):
         with pytest.raises(SeedBandError):
             modulation_bandwidth(op2, 1e-4, 10.0 * 2.0 * op2.gamma_p)
@@ -873,7 +872,6 @@ class TestDerivedFigures:
             lambda mu: first_harmonic_index(op, mu, omega_m, n_harmonics), beta1, 1e-6, 0.5
         )
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_index_backsolve_matches_the_gated_search(self, all_ops):
         # The same mu bits, or the same error text, as the gated search on a
         # seeded set: beta_1 log-uniform in [1e-2, 1e3], f_m in [0.1 MHz, 2 GHz].
@@ -890,6 +888,21 @@ class TestDerivedFigures:
                     kinds.add(ref[0][0] if isinstance(ref[0], tuple) else "solved")
         assert kinds == {"solved", NumericalError}
 
+    def test_searches_warn_for_what_they_keep(self, op1):
+        # At 1 GHz each of the back-solve's 80 evaluations at OP1 is past a
+        # tenth of the 6.72 GHz carrier, and none warns: the search keeps no
+        # solve.  The bandwidth search warns once, at its 3.14 GHz corner, past
+        # a tenth of the 6.38 GHz carrier; its 62.7 MHz seed is not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solve_mu_for_beta1(op1, 0.01, TWO_PI * 1e9) == 0.07973785951830947
+        op = derive_operating_point(make_device(3.8, alpha=0.1, nu=0.5))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert modulation_bandwidth(op, 1e-4, 0.02 * 2.0 * op.gamma_p) == 3136014580.049519
+        assert [(str(w.message)[:20], w.filename) for w in caught] == [
+            ("omega_m is not small", __file__)]
+
     def test_index_backsolve_evaluations_are_ungated(self, op2, monkeypatch):
         # Each evaluation is one dense solve without the residual check: 72 at
         # OP2, 100 MHz, beta_1 = 0.75.  The bandwidth search keeps the gate.
@@ -903,7 +916,6 @@ class TestDerivedFigures:
         modulation_bandwidth(op2, 1e-4, 0.02 * 2.0 * op2.gamma_p)
         assert calls and calls == [{"gate": True}] * len(calls)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_index_backsolve_refuses_a_falling_index(self, op1):
         # At 1 MHz beta_1(mu) peaks at about 5.26e5 near mu = 0.33, below mu_max.
         with pytest.raises(NumericalError, match=r"target 1e\+06 not reachable: the value falls "

@@ -44,6 +44,8 @@ NEGATIVE_POWER = (r"\Anumerical error: OP1 at beta1 = 10000, f_m = 1e\+06 Hz: ne
                   r"min dp = -1\.07333 makes 1 \+ dp <= 0: a truncation artifact "
                   r"\(solver\.n_harmonics\)\n\Z")
 GAMMA_P_INF = r"Gamma_p=inf rad/s at xi=1e\+300 is not a positive normal float\n\Z"
+SLOW_MODULATION = (r"\AWarning: omega_m is not small compared to omega_sto; the slow-modulation "
+                   r"assumption is strained \(injection locking is not modeled\) \({} times\)\n\Z")
 
 CASES = {
     # The default runs: bare commands.
@@ -55,8 +57,7 @@ CASES = {
                           stderr_has=r"\A\Z"),
     "bandwidth": Case(
         "bandwidth", 0, "f_m = 1 GHz is past a tenth of each OP's carrier: one counted warning.",
-        stderr_has=r"\AWarning: omega_m is not small compared to omega_sto; the slow-modulation "
-                   r"assumption is strained \(injection locking is not modeled\) \(3 times\)\n\Z"),
+        stderr_has=SLOW_MODULATION.format(3)),
     "error-analysis": Case("error-analysis", 0, "The truncation and method-pair errors.",
                            stderr_has=r"\A\Z"),
     "deep-spectrum": Case(
@@ -100,8 +101,17 @@ CASES = {
     "fast-modulation": Case(
         "bandwidth --set bandwidth.f_m_grid_hz=log:1e7:1e9:5 --op-label OP1", 0,
         "f_m = 1 GHz is above a tenth of OP1's 6.72 GHz carrier: one counted warning line.",
-        stderr_has=r"\AWarning: omega_m is not small compared to omega_sto; the slow-modulation "
-                   r"assumption is strained \(injection locking is not modeled\) \(1 times\)\n\Z"),
+        stderr_has=SLOW_MODULATION.format(1)),
+    "fast-backsolve": Case(
+        "psd-map --op-label OP1 --set psd-map.f_m_hz=1e9 --set psd-map.beta1_grid=0.01,0.02", 0,
+        "Every mu back-solve evaluation at 1 GHz is fast; the count is the 2 kept beta_1 rows.",
+        stderr_has=SLOW_MODULATION.format(2)),
+    "fast-corner": Case(
+        "bandwidth --set device.alpha=0.1 --set device.nu=0.5 --op-label OP3 "
+        "--set bandwidth.f_m_grid_hz=1e7", 0,
+        "The 3.14 GHz corner is past a tenth of the 6.4 GHz carrier: one warning, not one per "
+        "evaluation of the search.",
+        stderr_has=SLOW_MODULATION.format(1)),
     "bandwidth-bound-not-cleared": Case(
         "bandwidth --set bandwidth.mu=0.1915 --set bandwidth.f_m_grid_hz=1e7,1e8,1e9", 0,
         "The bound |A0| + sum|X_n| < 1 misses OP1 at 10 MHz; its sampled max dp, 0.995, passes."),

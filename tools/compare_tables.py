@@ -6,9 +6,10 @@
 Runs the arguments of each case of tools/cli_cases.py (the five default runs
 first) once in each checkout, its own src/ on PYTHONPATH, and prints each
 case's exit code and whether its stderr (the refusal or the warning lines
-and their counts) is identical.  For a case that exits 0 on both sides it
-then prints, for each table of its command, "identical" or how many data
-rows differ.  It only reports: the exit status is 1 if a default run (a bare
+and their counts) is identical; where it is not, the first line that
+differs follows, from each side, so a changed count or text shows.  For a
+case that exits 0 on both sides it then prints, for each table of its
+command, "identical" or how many data rows differ.  It only reports: the exit status is 1 if a default run (a bare
 command) does not exit 0 on either side, and 0 otherwise, whatever the
 tables, warnings and other cases hold.
 """
@@ -19,6 +20,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 from cli_cases import CASES, TABLES
@@ -65,8 +67,15 @@ def compare(base: Path, head: Path) -> str:
 
 
 def compare_stderr(base: str, head: str) -> str:
-    """'identical', or how many lines of a run's two stderr texts differ."""
-    return "identical" if base == head else _differ(base.splitlines(), head.splitlines(), "lines")
+    """'identical', or how many lines of a run's two stderr texts differ, then
+    the first line that differs, one indented line per side ('(none)' where a
+    side has no line there)."""
+    if base == head:
+        return "identical"
+    a, b = base.splitlines(), head.splitlines()
+    first = next((pair for pair in zip_longest(a, b) if pair[0] != pair[1]), (None, None))
+    base_line, head_line = ("(none)" if line is None else line for line in first)
+    return f"{_differ(a, b, 'lines')}\n  base: {base_line}\n  head: {head_line}"
 
 
 def compare_case(base: tuple[int, str], head: tuple[int, str]) -> str:
