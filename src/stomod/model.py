@@ -26,9 +26,11 @@ The modulated model holds for small (mu < 1) and slow (omega_m much below
 omega_sto) modulation.  That rule is stated once, in warn_outside_model,
 which each call of a solver or an RK4 integrator makes; ModulationConfig
 itself only refuses values that are invalid outright, so deriving another
-order from it never warns.  The two searches (the mu back-solve and the
-bandwidth scan) silence their evaluations, so a counted warning counts kept
-table rows or library calls, not the evaluations of a search.
+order from it never warns.  The two searches, the mu back-solve and the
+bandwidth scan, silence their evaluations (spectrum._quietly), the bandwidth
+scan's seed solve included, and a bandwidth call warns once, from its
+corner.  So a counted warning counts kept table rows or library calls, not
+the evaluations of a search.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ def warn_outside_model(op: OperatingPoint, modcfg: ModulationConfig) -> None:
 
     Called once per call of either solver or either RK4 integrator, from
     that function's own body, so stacklevel=3 names the line that called
-    it.  A search's evaluations are silent (spectrum._rising_crossing), and
+    it.  A search's evaluations are silent (spectrum._quietly), and
     modulation_bandwidth calls this once at its corner, so a run's count of
     each warning is its count of kept rows and library calls outside the
     range, not of evaluations.

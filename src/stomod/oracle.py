@@ -12,8 +12,9 @@ forms one period's maps once per call, and a log-depth doubling scan
 composes them into the period's prefix maps, the last of which is the
 period map y -> G*y + O.  Its fixed point y* = O/(1 - G) starts the
 discrete RK4 map's periodic orbit, which attracts every start when |G| < 1
-(the shooting method for periodic steady states, exact here in one
-division), so no transient is stepped.  No step or period runs in Python.
+(the shooting method for periodic steady states: Aprille and Trick, Proc.
+IEEE 60(1), 1972; exact here in one division), so no transient is stepped.
+No step or period runs in Python.
 
 The periodic orbit repeats every modulation period, so one period is the
 whole steady state, and it is all that an integration returns.
@@ -55,7 +56,9 @@ _GAMMA_P_DT_MAX = 0.1
 # may miss it.
 _PERIOD_ULPS = 4
 # Most steps in one period: the some 16 period-length arrays of its maps then
-# take 16 MiB each, about 256 MiB together.
+# take 16 MiB each, about 256 MiB together (OP1 at f_m = 1 kHz with
+# dt = period/2**26 would ask for 8 GiB).  It bounds every array the oracle
+# forms.
 _MAX_PERIOD_STEPS = 2**21
 
 
@@ -135,8 +138,9 @@ def _affine_scan(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     so that afterwards n[i] is y_{i+1} for i < 2s and otherwise the offset
     of the composed steps i-2s+1 .. i; the passes end once 2s >= L.  Later
     passes read m only from index 2s on, so only that part is composed,
-    into a second buffer: numpy would copy an overlapping operand.  No
-    division, so m = 0 and negative m need no special case, and a NaN or
+    into a second buffer: numpy would copy an overlapping operand, a
+    temporary per pass that the oracle-validate workload measurably pays
+    for.  No division, so m = 0 and negative m need no special case, and a NaN or
     inf in n_i, or in m_i for i >= 1, makes y_{i+1} and every later state
     non-finite, as the sequential recurrence does; m_0 multiplies y_0 = 0
     only, so it is not read.  Returns n.

@@ -92,7 +92,9 @@ class TimeTrace:
         the FFT of n_per periods of m samples is bin k mod m of the FFT of
         the periods' sample-by-sample sum, an exact identity of the DFT that
         needs no two periods to be equal, so the periods are folded first
-        and one m-sample FFT is taken.
+        and one m-sample FFT is taken (512 points for an 8-period oracle
+        trace of 512 samples per period, not 4,096).  The fold moves a line
+        by round-off only, at most about n_per*eps*max|values|.
         """
         if k_max < 0:
             raise ValueError(f"k_max must be >= 0, got {k_max}")
@@ -219,7 +221,9 @@ def _fm_combs(
         {0: J_0(beta_n),  +n*j: J_j(beta_n) * u^j,  -n*j: (-1)^j * conj(J_j(beta_n) * u^j)}
 
     with u = conj(X_n)/|X_n| and j up to min(j_max, k_max // n).  x, the rows'
-    X_n, is read, never written.
+    X_n, is read, never written.  The taps are one vector per row, placed by
+    fancy assignment; each -n*j tap is its +n*j tap sign-flipped and
+    conjugated, both exact, so the combs equal a tap-by-tap build bit for bit.
     """
     orders = np.minimum(j_max, k_max // n)
     bessel = _bessel_rows(orders.tolist(), beta)
@@ -249,6 +253,7 @@ def _line_spectra(
     order, runs point by point.  Each link computes only the 2*k_max+1 kept
     lines (mode "same"): numpy builds each from the same overlap as the full
     4*k_max+1-line convolution, so they equal its slice [k_max : 3*k_max+1]
+    bit for bit.  So a table's spectra equal one-point calls (psd_analytic)
     bit for bit.  A point's error (an FM index past _BETA_CAP, non-finite
     lines) is raised at its turn, after the spectra before it.
     """
@@ -388,6 +393,9 @@ def _refuse_large_dp(sol: FourierSolution, order_key: str) -> None:
     maximum.
     """
     floor = -0.5 if sol.modcfg.mu < 1.0 else -1.0
+    # The two-sided bound spares most rows the sampling of _dp_extremes, which
+    # the asymmetry maps measurably pay for; it lies close above max dp
+    # wherever the harmonics peak together.
     spread = np.hypot(sol.x.real, sol.x.imag).sum()
     if not (sol.a0 - spread > floor and sol.a0 + spread < 1.0):
         hi, lo = _dp_extremes(sol)
@@ -423,42 +431,62 @@ def first_harmonic_index(
     op: OperatingPoint, mu: float, omega_m: float, n_harmonics: int = 10, *, gate: bool = True
 ) -> float:
     """Magnitude |beta_1| of the first-harmonic index at the given drive settings,
-    from one matrix solve, gated unless gate=False (see solve_coefficients_matrix)."""
+    from one matrix solve, gated unless gate=False (see solve_coefficients_matrix).
+
+    The solve's warnings name this function's line, not its caller's: the
+    searches that call it run it under _quietly, so none of them reaches a
+    user.
+    """
     sol = solve_coefficients_matrix(op, ModulationConfig(mu, omega_m, n_harmonics), gate=gate)
     return abs(sol.beta(1))
+
+
+def _quietly(f, *args):
+    """f(*args) with every warning it raises dropped: the one place stomod
+    silences warnings.
+
+    The two searches run through it: solve_mu_for_beta1's march and bisect,
+    and modulation_bandwidth's seed solve and march and bisect.  Their
+    evaluations are the search's internals, tens per call, and a counted
+    warning counts kept rows or library calls, not evaluations; the caller
+    warns for what it keeps.  It is entered once per search, not once per
+    evaluation: entering it takes about 2 us, an N = 10 evaluation about 7
+    (2 vCPU, Python 3.11).
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return f(*args)
 
 
 def _rising_crossing(f, target: float, x0: float, x_max: float) -> float:
     """Where f, rising from f(0) = 0, reaches target: march x0*1.25**k up to x_max
     to bracket it, then bisect to min(1e-10, 1e-7*hi) in x, hi the bracket's
     upper end, or until the midpoint rounds onto an end.  The relative part
-    keeps a crossing below 1e-3 to 7 digits; above, it is the 1e-10 alone,
-    and it is tested only once the 1e-10 is met.  A fall of f before the
-    target by more than round-off (1e-12 of the target), a target still out
-    of reach at x_max, or a crossing that rounds to x = 0, raises
-    NumericalError.
+    keeps a crossing below 1e-3 to 7 digits (at f_m = 1 Hz the mu of
+    beta_1 = 0.25 is about 4.5e-11, and a 1e-10 stop alone left |beta_1| at
+    0.17); above, it is the 1e-10 alone, and it is tested only once the
+    1e-10 is met, so it costs nothing there.  A fall of f before the target
+    by more than round-off (1e-12 of the target), a target still out of
+    reach at x_max, or a crossing that rounds to x = 0 (a beta_1 at a
+    subnormal f_m such as 1e-320 Hz), raises NumericalError.
 
-    The evaluations of f run with warnings ignored: they are the search's
-    internals, tens per call, and a counted warning counts kept rows or
-    library calls, not evaluations.  The caller warns for what it keeps.
-    This is the one place stomod silences warnings.
+    It warns about nothing itself: both searches call it through _quietly,
+    so their evaluations are silent.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lo, f_lo, hi = 0.0, 0.0, min(x0, x_max)
-        while not (f_hi := f(hi)) >= target:  # a NaN marches on to x_max
-            if f_hi < f_lo - 1e-12 * target:
-                raise NumericalError(f"target {target:.6g} not reachable: the value falls past "
-                                     f"{lo:.4g} (largest value {f_lo:.6g})")
-            if hi >= x_max:
-                raise NumericalError(f"target {target:.6g} not reachable up to {x_max:g} "
-                                     f"(largest value {f_hi:.6g})")
-            lo, f_lo, hi = hi, f_hi, min(1.25 * hi, x_max)
-        while (hi - lo > 1e-10 or hi - lo > 1e-7 * hi) and lo < (mid := 0.5 * (lo + hi)) < hi:
-            if f(mid) < target:
-                lo = mid
-            else:
-                hi = mid
+    lo, f_lo, hi = 0.0, 0.0, min(x0, x_max)
+    while not (f_hi := f(hi)) >= target:  # a NaN marches on to x_max
+        if f_hi < f_lo - 1e-12 * target:
+            raise NumericalError(f"target {target:.6g} not reachable: the value falls past "
+                                 f"{lo:.4g} (largest value {f_lo:.6g})")
+        if hi >= x_max:
+            raise NumericalError(f"target {target:.6g} not reachable up to {x_max:g} "
+                                 f"(largest value {f_hi:.6g})")
+        lo, f_lo, hi = hi, f_hi, min(1.25 * hi, x_max)
+    while (hi - lo > 1e-10 or hi - lo > 1e-7 * hi) and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
     if (x := 0.5 * (lo + hi)) == 0.0:
         raise NumericalError(f"target {target:.6g} is reached only below {hi:.3g}: "
                              "the crossing rounds to 0")
@@ -479,28 +507,33 @@ def modulation_bandwidth(
     The flat-band value is the limit omega_m -> 0, which at constant mu/omega_m
     takes mu -> 0 too.  There the balance equations reduce to
     X_1 = mu*C1/(2*Gamma_p - i*omega_m), so beta_1 -> |nu*C1|*mu0/omega_m0
-    exactly.  The seed must lie in the flat band: beta_1 there within 1% of it.
+    exactly: the reference needs no solve and carries no bias from the seed.
+    The seed must lie in the flat band: beta_1 there within 1% of it.  The
+    march starts at s = 1.  Every evaluation is gated, as no gated solve
+    follows the search.
 
-    Warnings: the seed solve warns as any solve does, and the search's
-    evaluations are silent (see _rising_crossing); warn_outside_model then
-    warns once at the corner returned.  So one call warns at most once per
-    rule beyond its seed, however many evaluations the search made.
+    Warnings: the seed solve and the search's evaluations are silent
+    (_quietly), and warn_outside_model warns once, at the corner returned,
+    naming the caller's line.  That one call covers the seed: mu0 < 1 is
+    checked first, and the corner's omega_m is above the seed's, so every
+    validity rule the seed breaks the corner breaks too.  So a call warns at
+    most once per rule, however many evaluations the search made.
     """
     if not (0.0 < mu0 < 1.0 and omega_m0 > 0.0):
         raise SeedBandError(f"mu0={mu0} must be in (0, 1) and omega_m0={omega_m0} positive")
     flat = abs(op.nu * op.c1) * mu0 / omega_m0
     if not flat > 0.0:
         raise SeedBandError(f"flat-band beta_1 = {flat:g}; there is no corner")
-    beta_seed = first_harmonic_index(op, mu0, omega_m0, n_harmonics)
+    beta_seed = _quietly(first_harmonic_index, op, mu0, omega_m0, n_harmonics)
     if abs(flat - beta_seed) > 0.01 * flat:
         raise SeedBandError(
             f"seed omega_m0={omega_m0:.3e} rad/s is not in the flat band (beta_1 there "
             f"differs from its flat-band value by {100.0 * abs(flat - beta_seed) / flat:.2f}%)"
         )
-    s = _rising_crossing(
-        lambda s: flat - first_harmonic_index(op, mu0 * (1 + s), omega_m0 * (1 + s), n_harmonics),
-        flat * (1.0 - 1.0 / math.sqrt(2.0)), 1.0, 1.0 / mu0 - 1.0,
-    )
+    s = _quietly(_rising_crossing,
+                 lambda s: flat - first_harmonic_index(op, mu0 * (1 + s), omega_m0 * (1 + s),
+                                                       n_harmonics),
+                 flat * (1.0 - 1.0 / math.sqrt(2.0)), 1.0, 1.0 / mu0 - 1.0)
     warn_outside_model(op, ModulationConfig(mu0 * (1.0 + s), omega_m0 * (1.0 + s), n_harmonics))
     return omega_m0 * (1.0 + s) / TWO_PI
 
@@ -515,20 +548,24 @@ def solve_mu_for_beta1(
     """Back-solve the modulation strength that produces a given beta_1, to 1e-10
     in mu, or to 1e-7 relative where mu is below 1e-3.
 
-    beta_1(mu) rises at small mu but turns once mu*C2 rivals Gamma_p; a turn
-    before the target, a target out of reach at mu_max, or one that only a mu
-    rounding to 0 reaches, is a NumericalError.
+    The march starts at mu = 1e-6.  beta_1(mu) rises at small mu but turns
+    once mu*C2 rivals Gamma_p; a turn before the target, a target out of reach
+    at mu_max, or one that only a mu rounding to 0 reaches, is a
+    NumericalError.
     The search's evaluations are ungated (gate=False): the balance residual is
     not checked at each mu.  A caller that keeps the solution at the returned
     mu gates it by a default solve_coefficients_matrix, as the tables do.
-    The evaluations are silent too (see _rising_crossing): the search itself
-    never warns, and that kept solve warns once, as any solve does.
+    Where every gated evaluation would pass, the mu is the gated search's bit
+    for bit; where one fails, the search goes on, and the caller's gated
+    solve refuses the row (OP1, 1 MHz, N = 40, beta_1 = 1e9 crosses at
+    mu = 0.379, through a near-singular pole of the truncated system).
+    The evaluations are silent too (_quietly): the search itself never
+    warns, and that kept solve warns once, as any solve does.
     """
     if beta1 < 0.0:
         raise ValueError(f"beta1 must be >= 0, got {beta1}")
     if beta1 == 0.0:
         return 0.0
-    return _rising_crossing(
-        lambda mu: first_harmonic_index(op, mu, omega_m, n_harmonics, gate=False),
-        beta1, 1e-6, mu_max,
-    )
+    return _quietly(_rising_crossing,
+                    lambda mu: first_harmonic_index(op, mu, omega_m, n_harmonics, gate=False),
+                    beta1, 1e-6, mu_max)

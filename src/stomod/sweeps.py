@@ -2,7 +2,20 @@
 
 Each function returns ``{filename_stem: (header, rows)}`` so the CLI layer
 only handles argument parsing and CSV serialization.  Rows follow grid order,
-and every table solves them through one step, _solve_rows.
+and every table solves them through one step, _solve_rows, the one place
+here that calls a solver or back-solves mu.
+
+Every table solves by the exact truncated system (solve_coefficients_matrix).
+The recursive approximation appears only as error-analysis's comparison, and
+no config key selects a solver.  Every steady state a table prints is
+refused outside floor < dp < 1 (_refuse_large_dp), except two kinds:
+error-analysis's short orders N < n_ref, truncated on purpose, since their
+distance to the reference is the table (a short series can dip below -1
+where the steady state does not: at OP3, 600 MHz, mu = 3.6, N = 1 reaches
+-1.075 while its N = 20 reference stays in [-0.83, 0.15]); and the recursive
+solution of a method pair, an approximation compared against the pair's
+exact solution, which is refused.  The bandwidth search is not a row; its
+errors name the search's seed.
 """
 
 from __future__ import annotations
@@ -89,7 +102,8 @@ def _solve_rows(cfg: RunConfig, rows: list[_Row]) -> list[FourierSolution]:
     (negative power, a truncation artifact below -1/2 at mu < 1, named by the
     row's order_key, or a steady state outside the reduced model raises
     NumericalError).  So the first failing row raises, named.  This is the
-    one place the tables back-solve mu.
+    one place the tables back-solve mu; a back-solve's error carries no
+    cause.
     """
     sols, mus = [], {}
     for row in rows:

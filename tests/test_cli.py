@@ -1,4 +1,12 @@
-"""Command-line interface: outputs, determinism, exit codes."""
+"""Command-line interface: outputs, determinism, exit codes.
+
+Every CLI run whose outcome a case can state is a case of tools/cli_cases.py,
+checked here by test_listed_case_ends_as_listed.  This module keeps only what
+a case cannot state: runs with a config file, a monkeypatch or a pre-made
+--out entry, checks of table contents, --help, --version, the fuzz test and
+the compact parametrized families of config errors.  A few older test names
+only run their case by name, through assert_case.
+"""
 
 import io
 import math

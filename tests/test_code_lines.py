@@ -1,4 +1,5 @@
-"""tools/code_lines.py: code lines by tokenize, without comments, blank lines or docstrings."""
+"""tools/code_lines.py: code lines by tokenize, without comments, blank lines or docstrings,
+and the docstring lines beside them."""
 
 import code_lines
 
@@ -24,8 +25,9 @@ def f(x):
 def test_counts_code_lines_only():
     # import, def, the two lines of the expression, the two of the string
     # value and return; the docstrings, the string statement, the comments and
-    # the blank lines do not count.
-    assert code_lines.code_lines(SOURCE) == 7
+    # the blank lines do not count.  They are the docstring lines: the module
+    # docstring's two, the function's one and the string statement's one.
+    assert code_lines.count_lines(SOURCE) == (7, 4)
 
 
 def test_report_per_module_and_total(tmp_path, capsys):
@@ -36,7 +38,11 @@ def test_report_per_module_and_total(tmp_path, capsys):
             (package / name).write_text(text)
     assert code_lines.main([str(tmp_path / "base"), str(tmp_path / "head")]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert rows[1:] == [["a.py", "7", "7"], ["b.py", "1", "-"], ["total", "8", "7"]]
+    header = ["module", str(tmp_path / "base"), str(tmp_path / "head")]
+    assert rows == [["code", "lines"], header,
+                    ["a.py", "7", "7"], ["b.py", "1", "-"], ["total", "8", "7"], [],
+                    ["docstring", "lines"], header,
+                    ["a.py", "4", "4"], ["b.py", "0", "-"], ["total", "4", "4"]]
 
 
 def test_root_without_modules_is_refused(tmp_path, capsys):

@@ -14,6 +14,7 @@ from stomod import (
     ModulationConfig,
     NumericalError,
     SingularSystemError,
+    StomodError,
     carrier_shift,
     derive_operating_point,
     peak_frequency_deviation,
@@ -23,7 +24,7 @@ from stomod import (
 )
 from stomod import fourier
 from stomod.fourier import RESIDUAL_RTOL, FourierSolution, _distance_percent
-from stomod.spectrum import first_harmonic_index
+from stomod.spectrum import _refuse_large_dp, first_harmonic_index
 
 from conftest import TWO_PI, make_device
 
@@ -539,3 +540,49 @@ def test_solution_satisfies_ode_pointwise(op2, mu, f_m):
     # Truncation leaves only the (dropped) N+1 coupling; N=15 makes it tiny.
     scale = max(abs(mu * op2.c1), op2.gamma_p)
     assert np.max(np.abs(residual)) < 1e-8 * scale
+
+
+# The two validity warnings of model.warn_outside_model, the only ones a kept
+# row may raise.
+VALIDITY_WARNINGS = ("mu=", "omega_m is not small compared to omega_sto")
+
+
+def _log_uniform(rng, lo, hi, size):
+    return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), size)
+
+
+@pytest.mark.parametrize("kind, seed, draws, kept_min", [
+    ("wide", 1, 2000, 1500),
+    ("near-threshold", 2, 1000, 500),
+])
+def test_seeded_referee_over_the_device_space(kind, seed, draws, kept_min):
+    # Each draw at N = 10 is refused (a StomodError from the operating point,
+    # the gated solve or the dp refusal), or its X_1 agrees with the N = 80
+    # solve within 1e-6 relative, raising no warning but the two validity
+    # ones.  Wide: log-uniform alpha, xi - 1, |nu| (random sign), mu, f_m.
+    # Near threshold: xi - 1 down to 0.005, f_m down to 1 kHz, mu <= 0.5.
+    # On these seeds 1,663 and 618 draws are kept, the worst at 2.0e-9 and 1.7e-9.
+    rng = np.random.default_rng(seed)
+    xi_1, f_m, mu_max = {"wide": ((0.01, 5.0), (1e4, 3e9), 0.9),
+                         "near-threshold": ((0.005, 0.32), (1e3, 1e7), 0.5)}[kind]
+    alpha = _log_uniform(rng, 3e-4, 3e-2, draws)
+    xi = 1.0 + _log_uniform(rng, *xi_1, draws)
+    nu = _log_uniform(rng, 1.0, 300.0, draws) * rng.choice([-1.0, 1.0], draws)
+    mu = _log_uniform(rng, 1e-3, mu_max, draws)
+    omega_m = TWO_PI * _log_uniform(rng, *f_m, draws)
+    kept = 0
+    for draw in zip(alpha, xi, nu, mu, omega_m):
+        a, x, n, m, w = map(float, draw)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                op = derive_operating_point(make_device(x, alpha=a, nu=n))
+                sol = solve_coefficients_matrix(op, ModulationConfig(m, w, 10))
+                _refuse_large_dp(sol, "solver.n_harmonics")
+            except StomodError:
+                continue
+            ref = solve_coefficients_matrix(op, ModulationConfig(m, w, 80)).x[0]
+        assert all(str(c.message).startswith(VALIDITY_WARNINGS) for c in caught), draw
+        assert abs(sol.x[0] - ref) <= 1e-6 * abs(ref), draw
+        kept += 1
+    assert kept >= kept_min, kept

@@ -867,8 +867,9 @@ class TestDerivedFigures:
 
     @staticmethod
     def _gated_backsolve(op, beta1, omega_m, n_harmonics):
-        """The reference: the back-solve's search over gated evaluations."""
-        return spectrum._rising_crossing(
+        """The reference: the back-solve's silent search over gated evaluations."""
+        return spectrum._quietly(
+            spectrum._rising_crossing,
             lambda mu: first_harmonic_index(op, mu, omega_m, n_harmonics), beta1, 1e-6, 0.5
         )
 
@@ -900,6 +901,18 @@ class TestDerivedFigures:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert modulation_bandwidth(op, 1e-4, 0.02 * 2.0 * op.gamma_p) == 3136014580.049519
+        assert [(str(w.message)[:20], w.filename) for w in caught] == [
+            ("omega_m is not small", __file__)]
+
+    def test_bandwidth_warns_once_from_its_corner(self):
+        # At alpha = 0.1, nu = -3.3, xi = 3.8 the carrier is 0.426 GHz, so the
+        # 62.7 MHz seed is past a tenth of it, and so is every omega_m the
+        # search tries.  The seed solve is silent like the evaluations: the one
+        # warning is the corner's, and it names this file.
+        op = derive_operating_point(make_device(3.8, alpha=0.1, nu=-3.3))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            modulation_bandwidth(op, 1e-4, 0.02 * 2.0 * op.gamma_p)
         assert [(str(w.message)[:20], w.filename) for w in caught] == [
             ("omega_m is not small", __file__)]
 

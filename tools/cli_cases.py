@@ -27,7 +27,8 @@ class Case(NamedTuple):
     file; any other exit leaves no --out directory.  stderr matches the regex
     stderr_has in multiline mode (\\A anchors it at stderr's first line, \\n\\Z
     after its last), not stderr_lacks, and stdout_empty wants no stdout.  Every
-    case of a non-zero exit checks its text from \\A."""
+    case of a non-zero exit checks its text from \\A, and no two cases share
+    their argv (test_each_case_is_one_argv_with_its_text)."""
 
     argv: str
     exit_code: int
@@ -111,6 +112,12 @@ CASES = {
         "--set bandwidth.f_m_grid_hz=1e7", 0,
         "The 3.14 GHz corner is past a tenth of the 6.4 GHz carrier: one warning, not one per "
         "evaluation of the search.",
+        stderr_has=SLOW_MODULATION.format(1)),
+    "slow-seed-corner": Case(
+        "bandwidth --set device.alpha=0.1 --set device.nu=-3.3 --op-label OP3 "
+        "--set bandwidth.f_m_grid_hz=1e7", 0,
+        "The 62.7 MHz seed is past a tenth of the 0.426 GHz carrier, and so is the corner: "
+        "one warning, from the corner; the 10 MHz row does not warn.",
         stderr_has=SLOW_MODULATION.format(1)),
     "bandwidth-bound-not-cleared": Case(
         "bandwidth --set bandwidth.mu=0.1915 --set bandwidth.f_m_grid_hz=1e7,1e8,1e9", 0,
