@@ -36,14 +36,15 @@ one point share one.
 A matrix solve is gated by its balance residual, within RESIDUAL_RTOL of the
 rate scale; gate=False skips that check alone, for the evaluations of a
 search whose caller gates the solution it keeps.  The check is about 30% of
-a solve.
+a solve.  _solve warns about nothing: a series truncated too short shows as
+a table's refusal of that row's steady state (spectrum._refuse_large_dp),
+which names the order key to raise.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -107,6 +108,7 @@ def _solve(
     exact=False sets up, the coupling to the harmonic above, to 0.0 (the
     recursive method): c - 0.0*q is c for a finite q, as Re c >= 0, Im c != 0.
     The residual check runs for exact=True only, and gate=False skips it.
+    It warns about nothing; the callers' warn_outside_model warns.
     """
     n_h = modcfg.n_harmonics
     if modcfg.mu == 0.0:
@@ -160,12 +162,6 @@ def _solve(
                 f"harmonic-balance residual {residual:.3e} exceeds "
                 f"{RESIDUAL_RTOL:.0e} * {scale:.3e}"
             )
-    if abs(xs[-1]) > abs(xs[0]) > 0.0:
-        warnings.warn(
-            f"harmonic coefficients do not decay (|X_{n_h}| > |X_1|); "
-            f"truncation order N={n_h} may be too small",
-            stacklevel=3,
-        )
     return FourierSolution(a0, np.array(xs), op, modcfg)
 
 
