@@ -32,7 +32,7 @@ def _fmt(value) -> str:
 
 def write_csv(path: Path, header: list[str], rows, meta: list[tuple[str, str]]) -> None:
     """Write one table: metadata comments, header, fixed-format rows."""
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in meta:
             fh.write(f"# {key}: {value}\n")
         fh.write(",".join(header) + "\n")

@@ -130,7 +130,7 @@ def _load_parser(path: Path | None, overrides: list[str]) -> tuple[configparser.
         if not Path(path).is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            user_text = Path(path).read_text(encoding="utf-8")
+            user_text = Path(path).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {path}: {exc}") from exc
         try:
@@ -141,6 +141,8 @@ def _load_parser(path: Path | None, overrides: list[str]) -> tuple[configparser.
             raise ConfigError(f"cannot parse {path}: {message}") from exc
         hash_parts.append(user_text)
     for item in overrides:
+        if any("\ud800" <= c <= "\udfff" for c in item):  # argv bytes the locale could not decode
+            raise ConfigError(f"override {item!r} does not decode in the locale's encoding")
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         key_path, value = item.split("=", 1)

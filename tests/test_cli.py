@@ -556,12 +556,39 @@ def test_truncated_row_refusal_names_its_order_key(tmp_path, name):
 
 
 def test_each_case_is_one_argv_with_its_text():
-    # One case per argv, and every refusal checks its whole stderr, from its
-    # start to the newline that ends it.
+    # One case per argv, and every case checks its whole stderr, from its
+    # start to its end: a newline, or nothing at all.
     argvs = [tuple(case.argv.split()) for case in cli_cases.CASES.values()]
     assert len(set(argvs)) == len(argvs)
-    assert [name for name, case in cli_cases.CASES.items() if case.exit_code and not (
-        case.stderr_has.startswith(r"\A") and case.stderr_has.endswith(r"\n\Z"))] == []
+    assert [name for name, case in cli_cases.CASES.items() if not (
+        case.stderr_has.startswith(r"\A") and case.stderr_has.endswith((r"\n\Z", r"\A\Z")))] == []
+
+
+RUNAWAY = ("numerical error: OP1 at beta1 = 30000, f_m = 1e+06 Hz: "
+           "max dp = 55.9043 is not below 1, the bound |dp| < 1 of the reduced model\n")
+SLOW = ("Warning: omega_m is not small compared to omega_sto; the slow-modulation "
+        "assumption is strained (injection locking is not modeled) (1 times)\n")
+
+
+@pytest.mark.parametrize("name, stdout, stderr, left_out, fault", [
+    ("runaway-beta1", "", RUNAWAY, False, None),
+    ("runaway-beta1", "wrote nothing\n", RUNAWAY, False, "stdout is not empty"),
+    ("runaway-beta1", "", RUNAWAY, True, "{out} exists"),
+    ("fast-modulation", "wrote 1 table\n", SLOW, True, None),
+    ("fast-modulation", "wrote 1 table\n", SLOW + "Warning: another (1 times)\n", True,
+     "stderr does not match {pattern!r}"),
+], ids=["refusal", "stdout-on-refusal", "out-on-refusal", "exit-0", "extra-stderr-line"])
+def test_check_states_each_rule(tmp_path, name, stdout, stderr, left_out, fault):
+    # A run that keeps every rule of check() but the one named, if any.  An
+    # --out it leaves holds each of the command's tables, with one row.
+    case = cli_cases.CASES[name]
+    out = tmp_path / "out"
+    if left_out:
+        out.mkdir()
+        for stem in cli_cases.TABLES[case.argv.split()[0]]:
+            (out / f"{stem}.csv").write_text("a\n1\n")
+    faults = [fault.format(out=out, pattern=case.stderr_has)] if fault else []
+    assert cli_cases.check(case, case.exit_code, stdout, stderr, out) == faults
 
 
 def test_cli_commands_are_the_listed_commands():
@@ -573,10 +600,8 @@ def test_cli_commands_are_the_listed_commands():
 def test_case_runner_checks_the_stomod_on_path(tmp_path, monkeypatch, capsys, code, status, report):
     # A stomod on PATH that writes no table, prints the case's refusal to
     # stderr and exits with code, for one exit-3 case.
-    refusal = ("numerical error: OP1 at beta1 = 30000, f_m = 1e+06 Hz: "
-               "max dp = 55.9043 is not below 1, the bound |dp| < 1 of the reduced model")
     fake = tmp_path / "stomod"
-    fake.write_text(f"#!/bin/sh\necho '{refusal}' >&2\nexit {code}\n")
+    fake.write_text(f"#!/bin/sh\nprintf '{RUNAWAY}' >&2\nexit {code}\n")
     fake.chmod(0o755)
     monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
     monkeypatch.setattr(cli_cases, "CASES", {"runaway-beta1": cli_cases.CASES["runaway-beta1"]})
@@ -621,6 +646,32 @@ def test_version_exits_0():
     result = invoke(["--version"])
     assert result.exit_code == 0
     assert result.output == f"stomod, version {stomod.__version__}\n"
+
+
+def test_non_ascii_text_under_an_ascii_locale(tmp_path):
+    # Under the C locale, with neither UTF-8 mode nor locale coercion, a label
+    # read from a UTF-8 config file is written as UTF-8, byte for byte as under
+    # UTF-8 mode; an override whose argv bytes the locale cannot decode is a
+    # config error that names it.  Neither run ends in a traceback.
+    src = str(Path(stomod.__file__).resolve().parents[1])
+    cfg = tmp_path / "op.cfg"
+    cfg.write_bytes(b"[operating-points]\nOP\xc3\xa9 = 1.5\n")
+
+    def run(out, args, utf8):
+        env = dict(os.environ, LC_ALL="C", LANG="C", PYTHONUTF8=str(int(utf8)),
+                   PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-m", "stomod.cli", *args, "--out", tmp_path / out],
+                              capture_output=True, env=env)
+
+    psd_map = ["psd-map", "--config", cfg, "--set", "psd-map.beta1_grid=0.5"]
+    ascii_run, utf8_run = (run(out, psd_map, utf8) for out, utf8 in (("c", False), ("utf8", True)))
+    assert [(r.returncode, r.stderr) for r in (ascii_run, utf8_run)] == [(0, b"")] * 2
+    table = (tmp_path / "c" / "psd_map.csv").read_bytes()
+    assert b"\nOP\xc3\xa9," in table and table == (tmp_path / "utf8" / "psd_map.csv").read_bytes()
+    override = run("set", ["operating-point", "--set", b"operating-points.OP\xc3\xa9=1.5"], False)
+    assert (override.returncode, override.stdout, override.stderr) == (
+        2, b"", b"error: override 'operating-points.OP\\udcc3\\udca9=1.5' does not decode "
+              b"in the locale's encoding\n")
 
 
 # Small grids on OP1 only, so that each fuzzed run takes milliseconds.

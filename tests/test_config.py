@@ -122,6 +122,16 @@ class TestLoadConfig:
         p.write_text("[operating-points]\nOP4 = 2.5\n")
         assert load_config(p).op_xis["OP4"] == 2.5
 
+    def test_user_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        # The same RunConfig, config_hash included, as the file without it.
+        text = "[operating-points]\nOP\u00e9 = 2.5\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert load_config(marked) == load_config(plain)
+        assert load_config(marked).config_hash == load_config(plain).config_hash
+
     def test_device_at(self):
         cfg = load_config()
         assert device_at(cfg, "OP3").xi == 3.8

@@ -17,13 +17,12 @@ tables, warnings and other cases hold.
 from __future__ import annotations
 
 import os
-import subprocess
 import sys
 import tempfile
 from itertools import zip_longest
 from pathlib import Path
 
-from cli_cases import CASES, TABLES
+from cli_cases import CASES, TABLES, run
 
 RUN_CLI = "import sys; from stomod.cli import main; main(sys.argv[1:])"
 
@@ -37,9 +36,7 @@ def run_cases(checkout: Path, out: Path) -> tuple[dict[str, tuple[int, str]], li
         return {}, [f"{checkout}: no src/stomod"]
     env = dict(os.environ, PYTHONPATH=str(src))
     cases, failures = {}, []
-    for name, case in CASES.items():
-        proc = subprocess.run([sys.executable, "-c", RUN_CLI, *case.argv.split(), "--out",
-                               str(out / name)], env=env, cwd=out, capture_output=True, text=True)
+    for name, case, proc in run([sys.executable, "-c", RUN_CLI], CASES, out, env=env, cwd=out):
         cases[name] = proc.returncode, proc.stderr
         if case.argv in TABLES and proc.returncode != 0:
             failures.append(f"{checkout}: {name} exited {proc.returncode}\n{proc.stderr}")
