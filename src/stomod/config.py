@@ -71,7 +71,11 @@ def _key(key: str, ok: Callable | None = None, rule: str = ""):
 
 
 # Expansion orders, spectrum depths and grid-range point counts: a value past
-# 10**4 is refused before any array of that size is allocated.
+# 10**4 is refused before any array of that size is allocated.  That bounds
+# memory, not time: each link of a spectrum's convolution chain is
+# (2*k_max + 1)**2 work, so a row costs about N*k_max**2.  Cold on 2 vCPU,
+# psd-map with beta1_grid=1 (three spectra) took 2.8 s at k_max=10000 against
+# 0.23 s at 2000.
 _MAX_DEPTH = 10_000
 _DEPTH = (lambda n: 1 <= n <= _MAX_DEPTH, f"must be in [1, {_MAX_DEPTH}]")
 _ABOVE_THRESHOLD = (lambda xi: xi > 1.0, "must exceed 1")

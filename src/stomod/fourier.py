@@ -223,6 +223,8 @@ def truncation_error(
     The metric is the relative L1 distance of the harmonics X_n, with
     harmonics past N counted at their reference magnitude.
     """
+    if not n_values:
+        raise ValueError("n_values must not be empty")
     if n_ref <= max(n_values):
         raise ValueError(f"n_ref={n_ref} must exceed max(n_values)={max(n_values)}")
 

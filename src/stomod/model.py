@@ -36,6 +36,7 @@ the evaluations of a search.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass, fields
@@ -120,6 +121,10 @@ class ModulationConfig:
             raise ValueError(f"modulation strength mu must be >= 0, got {self.mu}")
         if self.omega_m <= 0.0 or not math.isfinite(self.omega_m):
             raise ValueError(f"omega_m must be positive and finite, got {self.omega_m}")
+        try:
+            operator.index(self.n_harmonics)
+        except TypeError:
+            raise ValueError(f"n_harmonics must be an integer, got {self.n_harmonics!r}") from None
         if self.n_harmonics < 1:
             raise ValueError(f"n_harmonics must be >= 1, got {self.n_harmonics}")
 

@@ -209,6 +209,8 @@ def _bessel_rows(j_max: list[int], beta: list[float]) -> np.ndarray:
 
 def jv(j_max: int, beta: float) -> np.ndarray:
     """Bessel values J_0(beta) .. J_{j_max}(beta) of the first kind: one row of _bessel_rows."""
+    if j_max < 0:
+        raise ValueError(f"j_max must be >= 0, got {j_max}")
     _check_beta(beta)
     return _bessel_rows([j_max], [beta])[0]
 
@@ -562,7 +564,7 @@ def solve_mu_for_beta1(
     The evaluations are silent too (_quietly): the search itself never
     warns, and that kept solve warns once, as any solve does.
     """
-    if beta1 < 0.0:
+    if not beta1 >= 0.0:
         raise ValueError(f"beta1 must be >= 0, got {beta1}")
     if beta1 == 0.0:
         return 0.0

@@ -461,6 +461,8 @@ def test_truncation_reference_must_exceed_orders(op2):
     cfg = ModulationConfig(mu=0.05, omega_m=OMEGA_M)
     with pytest.raises(ValueError):
         truncation_error(op2, cfg, [5, 10], n_ref=10)
+    with pytest.raises(ValueError, match="n_values must not be empty"):
+        truncation_error(op2, cfg, [], n_ref=20)
 
 
 def _padded_l1_percent(x, ref_x):

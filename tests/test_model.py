@@ -5,6 +5,7 @@ import random
 import warnings
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -232,6 +233,12 @@ class TestModulationConfig:
     def test_replace_refuses_zero_order(self):
         with pytest.raises(ValueError, match="n_harmonics must be >= 1, got 0"):
             replace(ModulationConfig(mu=1.0, omega_m=1e8), n_harmonics=0)
+
+    def test_non_integer_order_rejected(self):
+        # Any integer type passes, numpy's too.
+        with pytest.raises(ValueError, match="n_harmonics must be an integer, got 2.5"):
+            ModulationConfig(mu=0.1, omega_m=1e8, n_harmonics=2.5)
+        assert ModulationConfig(mu=0.1, omega_m=1e8, n_harmonics=np.int64(3)).n_harmonics == 3
 
     def test_zero_mu_allowed(self):
         assert ModulationConfig(mu=0.0, omega_m=1e8).mu == 0.0

@@ -438,6 +438,10 @@ class TestBessel:
         with pytest.raises(NumericalError):
             stomod_jv(4, beta)
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="j_max must be >= 0, got -1"):
+            stomod_jv(-1, 1.0)
+
     @pytest.mark.parametrize("n_live", [1, 3, 10])
     def test_each_fm_index_is_checked_once(self, op2, monkeypatch, n_live):
         # A spectrum checks each live harmonic's FM index once, in _line_spectra;
@@ -853,8 +857,9 @@ class TestDerivedFigures:
 
     def test_index_backsolve_edges(self, op2):
         assert solve_mu_for_beta1(op2, 0.0, OMEGA_M) == 0.0
-        with pytest.raises(ValueError):
-            solve_mu_for_beta1(op2, -1.0, OMEGA_M)
+        for beta1 in (-1.0, math.nan):
+            with pytest.raises(ValueError, match=f"beta1 must be >= 0, got {beta1}"):
+                solve_mu_for_beta1(op2, beta1, OMEGA_M)
         with pytest.raises(NumericalError):
             solve_mu_for_beta1(op2, 50.0, OMEGA_M)
 
